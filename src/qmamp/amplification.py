@@ -7,9 +7,13 @@ output agree with the single-probe instrument for every N; the chain of copy
 unitaries intertwines a translation on the first probe leg with the diagonal
 translation on all legs.
 
-`cascade_apply` works stage-wise on the state tensor and never materializes
-the cascade unitary; `cascade_unitary` builds the full matrix for small leg
-counts and serves as the test oracle.
+The copy stages and translations are permutations and run as integer index
+maps.  `cascade_apply` works stage-wise on the state tensor and never
+materializes the cascade unitary: the first stage (UtildeV, not a
+permutation) is a small dense contraction, and each copy stage is a gather
+through the index map of V.  `intertwiner_chain_check` composes the stage
+maps exactly on basis indices.  `cascade_unitary` builds the full dense
+matrix for small leg counts and serves as the test oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 
 from .groups import Character, FiniteAbelianGroup
 from .hilbert import DenseOperator, LegSpace, StateVector, embed, leg_space
-from .ktops import _perm_product, _perm_residual, build_UtildeV, build_V
+from .ktops import _kron_perm, _perm_product, _perm_residual, _v_pair_map, build_UtildeV, build_V
 from .measurement import (
     InstrumentResult,
     Outcome,
@@ -64,15 +68,20 @@ class CascadeConfig:
         return leg_space(*legs)
 
 
+def _adjacent_view(tensor: np.ndarray, axis: int) -> np.ndarray:
+    """(pre, pair, post) view of a tensor with axes (axis, axis + 1) flattened."""
+    pre = int(np.prod(tensor.shape[:axis], initial=1))
+    return tensor.reshape(pre, tensor.shape[axis] * tensor.shape[axis + 1], -1)
+
+
 def _apply_on_adjacent(tensor: np.ndarray, op: np.ndarray, axis: int) -> np.ndarray:
     """Apply a two-leg operator on tensor axes (axis, axis + 1)."""
-    shape = tensor.shape
-    pre = int(np.prod(shape[:axis], initial=1))
-    mid = shape[axis] * shape[axis + 1]
-    post = int(np.prod(shape[axis + 2 :], initial=1))
-    t = tensor.reshape(pre, mid, post)
-    t = np.einsum("ab,xby->xay", op, t)
-    return t.reshape(shape)
+    return np.einsum("ab,xby->xay", op, _adjacent_view(tensor, axis)).reshape(tensor.shape)
+
+
+def _gather_on_adjacent(tensor: np.ndarray, src: np.ndarray, axis: int) -> np.ndarray:
+    """Pair entry q of the output is pair entry src[q] of the input, on axes (axis, axis + 1)."""
+    return _adjacent_view(tensor, axis)[:, src, :].reshape(tensor.shape)
 
 
 def cascade_apply(cfg: CascadeConfig, xi, inverse: bool = False) -> StateVector:
@@ -93,12 +102,17 @@ def cascade_apply(cfg: CascadeConfig, xi, inverse: bool = False) -> StateVector:
         tensor = xi.reshape(cfg.rep.system_dim, *(1,) * n) * _iota_block(g, n)
 
     utv = build_UtildeV(cfg.rep).matrix
-    v = build_V(cfg.rep.group).matrix
-    stages = [(utv, 0)] + [(v, k) for k in range(1, n)]
+    vp = _v_pair_map(cfg.rep.group)
+    # V e_q = e_{vp[q]}: (V psi)[vp[q]] = psi[q] and (V* psi)[q] = psi[vp[q]]
     if inverse:
-        stages = [(op.conj().T, ax) for op, ax in reversed(stages)]
-    for op, ax in stages:
-        tensor = _apply_on_adjacent(tensor, op, ax)
+        for k in range(n - 1, 0, -1):
+            tensor = _gather_on_adjacent(tensor, vp, k)
+        tensor = _apply_on_adjacent(tensor, utv.conj().T, 0)
+    else:
+        tensor = _apply_on_adjacent(tensor, utv, 0)
+        src = np.argsort(vp)
+        for k in range(1, n):
+            tensor = _gather_on_adjacent(tensor, src, k)
     return StateVector(cfg.space, tensor.reshape(-1))
 
 
@@ -163,22 +177,6 @@ def check_instrument_equality(cfg: CascadeConfig, delta: Outcome, xi, b) -> floa
     return abs(one.conditional_expectation - many.conditional_expectation)
 
 
-def _v_pair_perm(group: FiniteAbelianGroup) -> np.ndarray:
-    """Copy permutation on flattened dual pairs: (a, b) -> (a, a + b)."""
-    g = group.size
-    p = np.empty(g * g, dtype=np.int64)
-    for i, a in enumerate(group.elements()):
-        for j, b in enumerate(group.elements()):
-            p[i * g + j] = i * g + group.index(group.add(a, b))
-    return p
-
-
-def _translation_perm(group: FiniteAbelianGroup, shift) -> np.ndarray:
-    return np.array(
-        [group.index(group.add(shift, v)) for v in group.elements()], dtype=np.int64
-    )
-
-
 def intertwiner_chain_check(group: FiniteAbelianGroup, gamma: Character, n: int) -> float:
     """Residual of  V_{N,N+1}...V_12 (t_gamma x 1^N) = t_gamma^(N+1) V_{N,N+1}...V_12.
 
@@ -189,20 +187,17 @@ def intertwiner_chain_check(group: FiniteAbelianGroup, gamma: Character, n: int)
         raise CascadeError("character belongs to a different group")
     g = group.size
     legs = n + 1
-    vp = _v_pair_perm(group)
-    from .ktops import _embed_pair_perm
+    vp = _v_pair_map(group)
 
     chain = np.arange(g**legs)
     # operator product V_{N,N+1} ... V_12: rightmost factor acts first
     for k in range(n):  # pairs (k, k+1), applied in increasing k
-        chain = _embed_pair_perm(vp, g, legs, k, k + 1)[chain]
+        stage = _kron_perm(np.arange(g**k), vp, np.arange(g ** (n - k - 1)))
+        chain = stage[chain]
 
-    t = _translation_perm(group, gamma.exponents)
-    coords = np.array(np.unravel_index(np.arange(g**legs), (g,) * legs))
-    first_only = coords.copy()
-    first_only[0] = t[coords[0]]
-    lam_first = np.ravel_multi_index(tuple(first_only), (g,) * legs)
-    lam_all = np.ravel_multi_index(tuple(t[coords]), (g,) * legs)
+    t = group.add_indices(gamma.index, np.arange(g))
+    lam_first = _kron_perm(t, np.arange(g**n))
+    lam_all = _kron_perm(*[t] * legs)
 
     lhs = _perm_product(chain, lam_first)
     rhs = _perm_product(lam_all, chain)

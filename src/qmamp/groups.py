@@ -77,6 +77,17 @@ class FiniteAbelianGroup:
         a, b = self._check(a), self._check(b)
         return tuple((x + y) % n for x, y, n in zip(a, b, self.orders))
 
+    def add_indices(self, i, j) -> np.ndarray:
+        """Index of element(i) + element(j) for broadcastable arrays of indices."""
+        i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
+        out = np.zeros(np.broadcast_shapes(i.shape, j.shape), dtype=np.intp)
+        stride = self.size
+        for n in self.orders:
+            stride //= n
+            # i // stride is coordinate + n * (higher coordinates), so mod n leaves the sum
+            out += (i // stride + j // stride) % n * stride
+        return out
+
     def negate(self, a) -> tuple[int, ...]:
         a = self._check(a)
         return tuple((-x) % n for x, n in zip(a, self.orders))
@@ -149,41 +160,43 @@ def canonical_groups(max_size: int) -> list[FiniteAbelianGroup]:
     return [FiniteAbelianGroup(o) for o in sorted(found, key=lambda o: (int(np.prod(o)), o))]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def fourier_matrix(group: FiniteAbelianGroup) -> np.ndarray:
     """Unitary DFT matrix F[gamma, u] = conj(gamma(u)) / sqrt(|G|)."""
     n = group.size
-    f = np.empty((n, n), dtype=complex)
-    for i, chi in enumerate(group.characters()):
-        for j, u in enumerate(group.elements()):
-            f[i, j] = np.conj(chi.value(u))
-    f /= np.sqrt(n)
+    axes = tuple(range(len(group.orders)))
+    eye = np.eye(n, dtype=complex).reshape(group.orders + (n,))
+    f = np.fft.fftn(eye, axes=axes, norm="ortho").reshape(n, n)
     f.setflags(write=False)
     return f
 
 
-def fourier_transform(group: FiniteAbelianGroup, xi: np.ndarray) -> np.ndarray:
+def _check_vector(group: FiniteAbelianGroup, xi) -> np.ndarray:
     xi = np.asarray(xi, dtype=complex)
     if xi.shape != (group.size,):
         raise GroupError(f"vector has shape {xi.shape}, expected ({group.size},)")
-    return fourier_matrix(group) @ xi
+    return xi.reshape(group.orders)
+
+
+def fourier_transform(group: FiniteAbelianGroup, xi: np.ndarray) -> np.ndarray:
+    return np.fft.fftn(_check_vector(group, xi), norm="ortho").reshape(-1)
 
 
 def inverse_fourier_transform(group: FiniteAbelianGroup, xi_hat: np.ndarray) -> np.ndarray:
-    xi_hat = np.asarray(xi_hat, dtype=complex)
-    if xi_hat.shape != (group.size,):
-        raise GroupError(f"vector has shape {xi_hat.shape}, expected ({group.size},)")
-    return fourier_matrix(group).conj().T @ xi_hat
+    return np.fft.ifftn(_check_vector(group, xi_hat), norm="ortho").reshape(-1)
+
+
+def _perm_matrix(p: np.ndarray) -> np.ndarray:
+    """0/1 matrix of the basis map e_j -> e_{p[j]}."""
+    n = len(p)
+    m = np.zeros((n, n), dtype=complex)
+    m[p, np.arange(n)] = 1.0
+    return m
 
 
 def translation_matrix(group: FiniteAbelianGroup, shift) -> np.ndarray:
     """Permutation matrix |v> -> |shift + v> on l2 of the group."""
-    shift = group._check(shift)
-    n = group.size
-    m = np.zeros((n, n), dtype=complex)
-    for j, v in enumerate(group.elements()):
-        m[group.index(group.add(shift, v)), j] = 1.0
-    return m
+    return _perm_matrix(group.add_indices(group.index(shift), np.arange(group.size)))
 
 
 def regular_representation(gamma: Character) -> np.ndarray:

@@ -7,10 +7,15 @@ the first on the system space through a spectral family, and `build_UtildeV` is
 its Fourier transform, the coupling that correlates system sectors with probe
 labels.
 
-Relation checks return Frobenius-norm residuals.  For permutation operators the
-three-leg consistency identity is verified by exact index composition, which
-keeps exhaustive checks over larger groups cheap; generic dense operators fall
-back to explicit matrix products.
+W, V and the group translations are permutations of basis indices.  Each is
+built once as an integer index map p (e_j -> e_{p[j]}) by vectorised index
+arithmetic; `build_W`/`build_V` return the dense 0/1 matrix of that map.
+Relation checks return Frobenius-norm residuals.  When the operator is a
+permutation, the pentagonal and intertwining relations are checked by
+composing index maps, and the residual sqrt(2 * #mismatched columns) equals
+the dense Frobenius norm exactly.  Generic dense operators, and the
+represented (system-space) relations, fall back to explicit matrix products,
+which the tests also use as the oracle for the index-map paths.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import numpy as np
 from .groups import (
     Character,
     FiniteAbelianGroup,
+    _perm_matrix,
     fourier_matrix,
     regular_representation,
     translation_matrix,
@@ -37,15 +43,24 @@ def _pair_space(d1: int, d2: int, labels=("1", "2")) -> LegSpace:
     return leg_space((labels[0], d1), (labels[1], d2))
 
 
+def _w_pair_map(group: FiniteAbelianGroup) -> np.ndarray:
+    """Index map of W on flattened pairs: (a, b) -> (a + b, b)."""
+    n = group.size
+    a, b = np.arange(n)[:, None], np.arange(n)
+    return (group.add_indices(a, b) * n + b).reshape(-1)
+
+
+def _v_pair_map(group: FiniteAbelianGroup) -> np.ndarray:
+    """Index map of V on flattened dual pairs: (a, b) -> (a, a + b)."""
+    n = group.size
+    a, b = np.arange(n)[:, None], np.arange(n)
+    return (a * n + group.add_indices(a, b)).reshape(-1)
+
+
 def build_W(group: FiniteAbelianGroup) -> DenseOperator:
     """Permutation unitary sending basis pair (a, b) to (a + b, b)."""
     n = group.size
-    mat = np.zeros((n * n, n * n), dtype=complex)
-    for i, a in enumerate(group.elements()):
-        for j, b in enumerate(group.elements()):
-            k = group.index(group.add(a, b))
-            mat[k * n + j, i * n + j] = 1.0
-    return DenseOperator(_pair_space(n, n, ("g1", "g2")), mat)
+    return DenseOperator(_pair_space(n, n, ("g1", "g2")), _perm_matrix(_w_pair_map(group)))
 
 
 def build_V(group: FiniteAbelianGroup) -> DenseOperator:
@@ -55,12 +70,7 @@ def build_V(group: FiniteAbelianGroup) -> DenseOperator:
     that drives the amplification cascade.
     """
     n = group.size
-    mat = np.zeros((n * n, n * n), dtype=complex)
-    for i, a in enumerate(group.elements()):
-        for j, b in enumerate(group.elements()):
-            k = group.index(group.add(a, b))
-            mat[i * n + k, i * n + j] = 1.0
-    return DenseOperator(_pair_space(n, n, ("c1", "c2")), mat)
+    return DenseOperator(_pair_space(n, n, ("c1", "c2")), _perm_matrix(_v_pair_map(group)))
 
 
 @dataclass(frozen=True)
@@ -91,16 +101,12 @@ def _as_permutation(mat: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _embed_pair_perm(p: np.ndarray, d: int, n_legs: int, i: int, j: int) -> np.ndarray:
-    """Embed a permutation of pair indices into legs (i, j) of n equal legs."""
-    idx = np.arange(d**n_legs)
-    coords = np.array(np.unravel_index(idx, (d,) * n_legs))
-    pair = coords[i] * d + coords[j]
-    new = p[pair]
-    coords = coords.copy()
-    coords[i] = new // d
-    coords[j] = new % d
-    return np.ravel_multi_index(tuple(coords), (d,) * n_legs)
+def _kron_perm(*maps: np.ndarray) -> np.ndarray:
+    """Index map of the tensor product of basis maps, leftmost leg most significant."""
+    out = maps[0]
+    for p in maps[1:]:
+        out = (out[:, None] * len(p) + p).reshape(-1)
+    return out
 
 
 def _perm_product(*perms: np.ndarray) -> np.ndarray:
@@ -130,9 +136,10 @@ def verify_pentagonal(op: DenseOperator, orientation: str) -> float:
 
     perm = _as_permutation(op.matrix)
     if perm is not None:
-        e12 = _embed_pair_perm(perm, d, 3, 0, 1)
-        e23 = _embed_pair_perm(perm, d, 3, 1, 2)
-        e13 = _embed_pair_perm(perm, d, 3, 0, 2)
+        ident = np.arange(d)
+        e12, e23 = _kron_perm(perm, ident), _kron_perm(ident, perm)
+        swap23 = _kron_perm(ident, np.arange(d * d).reshape(d, d).T.reshape(-1))
+        e13 = _perm_product(swap23, e12, swap23)
         if orientation == "w":
             lhs = _perm_product(e12, e23)
             rhs = _perm_product(e23, e13, e12)
@@ -164,15 +171,19 @@ def verify_intertwining(op: DenseOperator, group: FiniteAbelianGroup, orientatio
     if op.space.dims != (d, d):
         raise KTError("operator legs do not match the group size")
     m = op.matrix
-    eye = np.eye(d)
+    perm = _as_permutation(m)
+    ident, eye = np.arange(d), np.eye(d)
     worst = 0.0
-    for u in group.elements():
-        t = translation_matrix(group, u)
-        if orientation == "w":
-            res = np.linalg.norm(m @ np.kron(eye, t) - np.kron(t, t) @ m)
+    for u in range(d):
+        if perm is not None:
+            t = group.add_indices(u, ident)
+            moved = _kron_perm(ident, t) if orientation == "w" else _kron_perm(t, ident)
+            res = _perm_residual(_perm_product(perm, moved), _perm_product(_kron_perm(t, t), perm))
         else:
-            res = np.linalg.norm(m @ np.kron(t, eye) - np.kron(t, t) @ m)
-        worst = max(worst, float(res))
+            t = translation_matrix(group, group.element(u))
+            moved = np.kron(eye, t) if orientation == "w" else np.kron(t, eye)
+            res = float(np.linalg.norm(m @ moved - np.kron(t, t) @ m))
+        worst = max(worst, res)
     return worst
 
 

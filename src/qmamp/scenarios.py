@@ -252,6 +252,8 @@ def _build_sg(scenario: dict):
     record_every = int(ts.get("record_every", 10))
     if dt <= 0 or steps < 1:
         raise ScenarioError("field 'time': dt must be > 0 and steps >= 1")
+    if record_every < 1:
+        raise ScenarioError(f"field 'time.record_every': must be >= 1, got {record_every}")
     return field, grid, dt, steps, record_every
 
 

@@ -246,7 +246,7 @@ def evolve(
 
 def momentum_kick(final: SpinorGrid, initial: SpinorGrid, branch: str) -> float:
     """Change of the branch-restricted <p_z> between two snapshots."""
-    if final.branch_weight(branch) < 1e-6:
+    if min(final.branch_weight(branch), initial.branch_weight(branch)) < 1e-6:
         raise SolverError(f"branch {branch!r} carries negligible weight")
     return final.mean_pz(branch) - initial.mean_pz(branch)
 
@@ -344,6 +344,8 @@ def run_simulation(
     initially dominant spinor component; NaN when the initial state is not a
     pure eigenbranch.
     """
+    if record_every < 1:
+        raise SolverError(f"record_every must be >= 1, got {record_every}")
     w_up = grid.branch_weight("up")
     w_down = grid.branch_weight("down")
     if w_down < 1e-12:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmamp import amplification
 from qmamp.amplification import (
     CascadeConfig,
     CascadeError,
@@ -13,9 +14,10 @@ from qmamp.amplification import (
     heisenberg_T,
     intertwiner_chain_check,
 )
-from qmamp.groups import make_group
-from qmamp.hilbert import StateVector
-from qmamp.measurement import clock_rep, instrument, outcome, sigma_z_rep
+from qmamp.groups import _perm_matrix, canonical_groups, make_group, regular_representation
+from qmamp.hilbert import DenseOperator, StateVector, embed, leg_space
+from qmamp.ktops import _v_pair_map, build_V
+from qmamp.measurement import clock_rep, instrument, make_spectral_rep, outcome, sigma_z_rep
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -39,20 +41,34 @@ def test_config_validation():
         CascadeConfig(rep, 30)  # 2 * 2**30 amplitudes over the default budget
 
 
+def rotated_rep(g, rng):
+    # one rank-one projection per character, in a random orthonormal basis
+    a = rng.standard_normal((g.size, g.size)) + 1j * rng.standard_normal((g.size, g.size))
+    q, _ = np.linalg.qr(a)
+    pairs = [(chi, np.outer(q[:, k], q[:, k].conj())) for k, chi in enumerate(g.characters())]
+    return make_spectral_rep(g, g.size, pairs)
+
+
 def test_cascade_apply_matches_dense_unitary():
-    # oracle: materialize the full stage product and act on xi x |iota>^N
+    # oracle: materialize the full stage product; forward on xi x |iota>^N,
+    # inverse on an arbitrary state of the full space
     rng = np.random.default_rng(1)
-    for rep, n in ((sigma_z_rep(), 2), (clock_rep(3), 2), (sigma_z_rep(), 3)):
-        cfg = CascadeConfig(rep, n)
-        xi = random_state(rng, rep.system_dim)
-        joint = xi
-        for _ in range(n):
-            iota = np.zeros(rep.group.size)
-            iota[rep.group.trivial_character.index] = 1.0
-            joint = np.kron(joint, iota)
-        dense = cascade_unitary(cfg).matrix @ joint
-        lazy = cascade_apply(cfg, xi)
-        assert np.linalg.norm(dense - lazy.amplitudes) <= 1e-12
+    reps = [sigma_z_rep(), clock_rep(3)] + [rotated_rep(g, rng) for g in canonical_groups(4)]
+    for rep in reps:
+        for n in (1, 2, 3):
+            cfg = CascadeConfig(rep, n)
+            xi = random_state(rng, rep.system_dim)
+            joint = xi
+            for _ in range(n):
+                iota = np.zeros(rep.group.size)
+                iota[rep.group.trivial_character.index] = 1.0
+                joint = np.kron(joint, iota)
+            u = cascade_unitary(cfg).matrix
+            lazy = cascade_apply(cfg, xi)
+            assert np.linalg.norm(u @ joint - lazy.amplitudes) <= 1e-12
+            psi = StateVector(cfg.space, random_state(rng, cfg.state_dim))
+            back = cascade_apply(cfg, psi, inverse=True)
+            assert np.linalg.norm(u.conj().T @ psi.amplitudes - back.amplitudes) <= 1e-12
 
 
 def test_cascade_output_is_branch_correlated():
@@ -131,6 +147,51 @@ def test_intertwiner_chain_exact():
         for gamma in g.characters():
             for n in (1, 2, 3):
                 assert intertwiner_chain_check(g, gamma, n) == 0.0
+
+
+def dense_chain_residual(g, gamma, stages):
+    # oracle: V_{N,N+1} ... V_12 (t_gamma x 1^N) - t_gamma^(N+1) V_{N,N+1} ... V_12,
+    # with stages[k] the two-leg operator on legs (k, k+1)
+    legs = [f"p{k}" for k in range(len(stages) + 1)]
+    space = leg_space(*((lab, g.size) for lab in legs))
+    chain = np.eye(space.dim)
+    for k, v in enumerate(stages):
+        chain = embed(v, legs[k : k + 2], space).matrix @ chain
+    t = regular_representation(gamma)
+    lam_first = embed(DenseOperator(leg_space(("t", g.size)), t), legs[:1], space).matrix
+    lam_all = t
+    for _ in stages:
+        lam_all = np.kron(lam_all, t)
+    return float(np.linalg.norm(chain @ lam_first - lam_all @ chain))
+
+
+def test_intertwiner_chain_matches_dense_oracle(monkeypatch):
+    for orders in ([2], [3], [4], [2, 2]):
+        g = make_group(orders)
+        v = build_V(g)
+        for gamma in g.characters():
+            for n in (1, 2, 3):
+                dense = dense_chain_residual(g, gamma, [v] * n)
+                assert intertwiner_chain_check(g, gamma, n) == dense
+
+    # swap two basis images of the copy map in the second stage only
+    g = make_group([3])
+    bad = _v_pair_map(g)
+    bad[[1, 4]] = bad[[4, 1]]
+    kron_perm = amplification._kron_perm
+
+    def corrupt_second_stage(*maps):
+        if len(maps) == 3 and len(maps[0]) == g.size and len(maps[1]) == g.size**2:
+            maps = (maps[0], bad, maps[2])  # the stage map pre x V x post with pre = g
+        return kron_perm(*maps)
+
+    monkeypatch.setattr(amplification, "_kron_perm", corrupt_second_stage)
+    v, v_bad = build_V(g), DenseOperator(build_V(g).space, _perm_matrix(bad))
+    gamma = g.character([1])
+    for n in (2, 3):
+        dense = dense_chain_residual(g, gamma, [v, v_bad] + [v] * (n - 2))
+        assert dense > 0.1
+        assert intertwiner_chain_check(g, gamma, n) == dense
 
 
 def test_intertwiner_chain_large_group():

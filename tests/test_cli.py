@@ -194,6 +194,21 @@ def test_sterngerlach_invariant_violation_exit_code(tmp_path, capsys):
     assert "invariant violation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("record_every", [0, -3])
+def test_sterngerlach_rejects_nonpositive_record_every(tmp_path, capsys, record_every):
+    payload = {
+        "version": 1,
+        "kind": "sterngerlach",
+        "field": {"b0": 1.0},
+        "grid": {"points": 512, "extent": 40.0, "sigma": 1.0},
+        "time": {"dt": 0.005, "steps": 10, "record_every": record_every},
+    }
+    path = write_scenario(tmp_path, payload)
+    code = main(["sterngerlach", "--scenario", path, "--out", str(tmp_path)])
+    assert code == EXIT_INPUT
+    assert "time.record_every" in capsys.readouterr().err
+
+
 def test_sweep_single_axis(tmp_path):
     payload = {
         "version": 1,
@@ -216,6 +231,8 @@ def test_sweep_single_axis(tmp_path):
     assert flips == sorted(flips)
     u_fis = [float(r["u_fi"]) for r in rows]
     assert u_fis == sorted(u_fis)
+    # the spin-up start has no down branch to take a kick from: empty, not nan
+    assert all(r["kick_down"] == r["kick_down_error"] == "" for r in rows)
 
 
 def test_sweep_parallel_matches_serial(tmp_path):

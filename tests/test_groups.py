@@ -140,6 +140,27 @@ def test_plancherel_and_inverse(orders, seed):
     assert np.linalg.norm(f @ f.conj().T - np.eye(g.size)) <= 1e-12
 
 
+@pytest.mark.parametrize("g", canonical_groups(8), ids=lambda g: "x".join(map(str, g.orders)))
+def test_fourier_matches_character_sum(g):
+    # oracle: F[gamma, u] = conj(gamma(u)) / sqrt(|G|), one character value at a time
+    oracle = np.array(
+        [[np.conj(chi.value(u)) for u in g.elements()] for chi in g.characters()]
+    ) / np.sqrt(g.size)
+    rng = np.random.default_rng(g.size)
+    xi = rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)
+    assert np.abs(fourier_matrix(g) - oracle).max() <= 1e-13
+    assert np.abs(fourier_transform(g, xi) - oracle @ xi).max() <= 1e-13
+    assert np.abs(inverse_fourier_transform(g, xi) - oracle.conj().T @ xi).max() <= 1e-13
+
+
+@pytest.mark.parametrize("g", canonical_groups(8), ids=lambda g: "x".join(map(str, g.orders)))
+def test_add_indices_matches_elementwise_addition(g):
+    n = g.size
+    table = g.add_indices(np.arange(n)[:, None], np.arange(n)[None, :])
+    expected = [[g.index(g.add(a, b)) for b in g.elements()] for a in g.elements()]
+    assert table.tolist() == expected
+
+
 def test_regular_representation_z2():
     g = make_group([2])
     lam = regular_representation(g.character([1]))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qmamp.groups import canonical_groups, make_group, regular_representation
-from qmamp.hilbert import DenseOperator, leg_space
+from qmamp.hilbert import DenseOperator, embed, leg_space
 from qmamp.ktops import (
     KTError,
     build_UW,
@@ -77,6 +77,56 @@ def test_pentagonal_and_intertwining(orders):
     assert verify_pentagonal(pair.V, "v") <= 1e-12
     assert verify_intertwining(pair.W, g, "w") <= 1e-12
     assert verify_intertwining(pair.V, g, "v") <= 1e-12
+
+
+def loop_translation(g, u):
+    t = np.zeros((g.size, g.size))
+    for j, v in enumerate(g.elements()):
+        t[g.index(g.add(u, v)), j] = 1.0
+    return t
+
+
+def dense_intertwining(m, g, orientation):
+    # oracle: explicit kron products with each translation
+    eye = np.eye(g.size)
+    worst = 0.0
+    for u in g.elements():
+        t = loop_translation(g, u)
+        moved = np.kron(eye, t) if orientation == "w" else np.kron(t, eye)
+        worst = max(worst, float(np.linalg.norm(m @ moved - np.kron(t, t) @ m)))
+    return worst
+
+
+def dense_pentagonal(m, orientation):
+    # oracle: embed the two-leg matrix on each leg pair of three legs
+    d = int(round(np.sqrt(m.shape[0])))
+    op = DenseOperator(leg_space(("1", d), ("2", d)), m)
+    space3 = leg_space(("1", d), ("2", d), ("3", d))
+    o12, o23, o13 = (embed(op, p, space3).matrix for p in (["1", "2"], ["2", "3"], ["1", "3"]))
+    if orientation == "w":
+        return float(np.linalg.norm(o12 @ o23 - o23 @ o13 @ o12))
+    return float(np.linalg.norm(o23 @ o12 - o12 @ o13 @ o23))
+
+
+def swap_basis_images(op, j1, j2):
+    m = op.matrix.copy()
+    m[:, [j1, j2]] = m[:, [j2, j1]]
+    return DenseOperator(op.space, m)
+
+
+@pytest.mark.parametrize(
+    "g", [g for g in canonical_groups(8) if g.size > 1], ids=lambda g: "x".join(map(str, g.orders))
+)
+def test_index_map_relations_match_dense_oracle(g):
+    pair = kt_pair(g)
+    n = g.size
+    corrupt_w = swap_basis_images(pair.W, 1, n + 1)
+    assert dense_intertwining(corrupt_w.matrix, g, "w") > 0.1
+    for op in (pair.W, pair.V, corrupt_w):
+        for orientation in ("w", "v"):
+            dense = dense_intertwining(op.matrix, g, orientation)
+            assert verify_intertwining(op, g, orientation) == dense
+            assert verify_pentagonal(op, orientation) == dense_pentagonal(op.matrix, orientation)
 
 
 def test_pentagonal_exhaustive_small_groups():

@@ -107,6 +107,17 @@ def test_gradient_kick_magnitude_and_sign():
     assert kick_up * kick_down < 0
 
 
+def test_momentum_kick_needs_the_branch_in_both_snapshots():
+    # a spin-up start gains down weight through the transverse field, but
+    # the down branch has no initial <p_z> to take the kick from
+    g = gaussian_packet(512, 40.0, sigma=1.0)
+    out = evolve(g, FieldModel(b0=2.0, b1=0.1, b2=0.3), dt=0.005, steps=50)
+    assert out.branch_weight("down") > 1e-6
+    assert np.isfinite(momentum_kick(out, g, "up"))
+    with pytest.raises(SolverError, match="negligible weight"):
+        momentum_kick(out, g, "down")
+
+
 def test_evolve_rejects_coarse_time_step():
     g = gaussian_packet(256, 40.0, sigma=1.5)
     f = FieldModel(b0=50.0, b1=0.0, b2=0.0)
@@ -174,6 +185,14 @@ def test_run_simulation_series():
     # momenta drift linearly in opposite directions
     assert s.pz_up[-1] < s.pz_up[0] or s.pz_up[-1] > s.pz_up[0]
     assert (s.pz_up[-1] - s.pz_up[0]) * (s.pz_down[-1] - s.pz_down[0]) < 0
+
+
+@pytest.mark.parametrize("record_every", [0, -2])
+def test_run_simulation_rejects_nonpositive_record_every(record_every):
+    g = gaussian_packet(512, 40.0, sigma=1.0)
+    with pytest.raises(SolverError, match="record_every"):
+        run_simulation(g, FieldModel(b0=1.0, b1=0.0, b2=0.0), dt=0.005, steps=10,
+                       record_every=record_every)
 
 
 def test_run_simulation_flip_branch_tracking():
