@@ -13,7 +13,8 @@ materializes the cascade unitary: the first stage (UtildeV, not a
 permutation) is a small dense contraction, and each copy stage is a gather
 through the index map of V.  `intertwiner_chain_check` composes the stage
 maps exactly on basis indices.  `cascade_unitary` builds the full dense
-matrix for small leg counts and serves as the test oracle.
+matrix, from the dense 0/1 matrix of V, and serves as the test oracle.
+DEFAULT_MEMORY_BUDGET bounds both the cascade state and that matrix.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import Character, FiniteAbelianGroup
+from .groups import Character, FiniteAbelianGroup, _perm_matrix
 from .hilbert import DenseOperator, LegSpace, StateVector, embed, leg_space
-from .ktops import _kron_perm, _perm_product, _perm_residual, _v_pair_map, build_UtildeV, build_V
+from .ktops import _kron_perm, _perm_product, _perm_residual, build_UtildeV, build_V
 from .measurement import (
     InstrumentResult,
     Outcome,
@@ -45,15 +46,13 @@ DEFAULT_MEMORY_BUDGET = 1 << 22  # amplitudes
 class CascadeConfig:
     rep: SpectralRepresentation
     n_copies: int
-    lazy_threshold: int = 4  # legs; above this the cascade matrix is never built
-    memory_budget: int = DEFAULT_MEMORY_BUDGET
 
     def __post_init__(self):
         if self.n_copies < 1:
             raise CascadeError("need at least one probe copy")
-        if self.state_dim > self.memory_budget:
+        if self.state_dim > DEFAULT_MEMORY_BUDGET:
             raise CascadeError(
-                f"state dimension {self.state_dim} exceeds memory budget {self.memory_budget}"
+                f"state dimension {self.state_dim} exceeds memory budget {DEFAULT_MEMORY_BUDGET}"
             )
 
     @property
@@ -102,7 +101,7 @@ def cascade_apply(cfg: CascadeConfig, xi, inverse: bool = False) -> StateVector:
         tensor = xi.reshape(cfg.rep.system_dim, *(1,) * n) * _iota_block(g, n)
 
     utv = build_UtildeV(cfg.rep).matrix
-    vp = _v_pair_map(cfg.rep.group)
+    vp = build_V(cfg.rep.group)
     # V e_q = e_{vp[q]}: (V psi)[vp[q]] = psi[q] and (V* psi)[q] = psi[vp[q]]
     if inverse:
         for k in range(n - 1, 0, -1):
@@ -122,18 +121,17 @@ def _iota_block(g: int, n: int) -> np.ndarray:
     return block
 
 
-def cascade_unitary(cfg: CascadeConfig, force: bool = False) -> DenseOperator:
+def cascade_unitary(cfg: CascadeConfig) -> DenseOperator:
     """Materialized cascade matrix V_{N,N+1} ... V_23 UtildeV_12 (oracle path)."""
-    if cfg.state_dim**2 > cfg.memory_budget:
-        raise CascadeError("cascade matrix would exceed the memory budget")
-    if not force and cfg.n_copies + 1 > cfg.lazy_threshold:
+    if cfg.state_dim**2 > DEFAULT_MEMORY_BUDGET:
         raise CascadeError(
-            f"{cfg.n_copies + 1} legs exceed the lazy threshold {cfg.lazy_threshold};"
-            " use cascade_apply"
+            f"cascade matrix of {cfg.state_dim}**2 entries exceeds memory budget"
+            f" {DEFAULT_MEMORY_BUDGET}; use cascade_apply"
         )
     space = cfg.space
     utv = build_UtildeV(cfg.rep)
-    v = build_V(cfg.rep.group)
+    g = cfg.rep.group.size
+    v = DenseOperator(leg_space(("c1", g), ("c2", g)), _perm_matrix(build_V(cfg.rep.group)))
     mat = embed(utv, ["sys", "probe1"], space).matrix
     for k in range(1, cfg.n_copies):
         mat = embed(v, [f"probe{k}", f"probe{k + 1}"], space).matrix @ mat
@@ -187,7 +185,7 @@ def intertwiner_chain_check(group: FiniteAbelianGroup, gamma: Character, n: int)
         raise CascadeError("character belongs to a different group")
     g = group.size
     legs = n + 1
-    vp = _v_pair_map(group)
+    vp = build_V(group)
 
     chain = np.arange(g**legs)
     # operator product V_{N,N+1} ... V_12: rightmost factor acts first
@@ -227,5 +225,5 @@ def heisenberg_T(cfg: CascadeConfig, a, fs) -> DenseOperator:
     big = a
     for f in diags:
         big = np.kron(big, np.diag(f))
-    u = cascade_unitary(cfg, force=True).matrix
+    u = cascade_unitary(cfg).matrix
     return DenseOperator(cfg.space, u.conj().T @ big @ u)

@@ -23,8 +23,6 @@ EXIT_INVARIANT = 2
 def _add_common(sub):
     sub.add_argument("--scenario", required=True, help="path to a scenario JSON file")
     sub.add_argument("--out", default=".", help="output directory (default: cwd)")
-    sub.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    sub.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,6 +34,11 @@ def build_parser() -> argparse.ArgumentParser:
     for kind in scenarios.KINDS:
         sub = subs.add_parser(kind, help=f"run a '{kind}' scenario")
         _add_common(sub)
+        if kind == "sweep":
+            sub.add_argument(
+                "--jobs", type=int, default=1,
+                help="parallel sweep workers, at most one per point and per CPU",
+            )
     subs.add_parser("selftest", help="run the acceptance suite")
     return parser
 
@@ -53,8 +56,6 @@ def main(argv=None) -> int:
             raise scenarios.ScenarioError(
                 f"field 'kind': scenario is '{scenario['kind']}', invoked as '{args.command}'"
             )
-        if args.seed is not None:
-            scenario["seed"] = args.seed
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "relations":

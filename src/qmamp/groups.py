@@ -194,15 +194,11 @@ def _perm_matrix(p: np.ndarray) -> np.ndarray:
     return m
 
 
-def translation_matrix(group: FiniteAbelianGroup, shift) -> np.ndarray:
-    """Permutation matrix |v> -> |shift + v> on l2 of the group."""
-    return _perm_matrix(group.add_indices(group.index(shift), np.arange(group.size)))
-
-
 def regular_representation(gamma: Character) -> np.ndarray:
     """Translation lambda_gamma |chi> = |gamma * chi> on l2 of the dual group.
 
-    The dual group shares the group's enumeration, so this is translation by
-    the exponent tuple of gamma.
+    The dual group shares the group's enumeration, so this is the permutation
+    matrix of translation by the exponent tuple of gamma.
     """
-    return translation_matrix(gamma.group, gamma.exponents)
+    group = gamma.group
+    return _perm_matrix(group.add_indices(gamma.index, np.arange(group.size)))

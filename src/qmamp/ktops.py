@@ -7,98 +7,86 @@ the first on the system space through a spectral family, and `build_UtildeV` is
 its Fourier transform, the coupling that correlates system sectors with probe
 labels.
 
-W, V and the group translations are permutations of basis indices.  Each is
-built once as an integer index map p (e_j -> e_{p[j]}) by vectorised index
-arithmetic; `build_W`/`build_V` return the dense 0/1 matrix of that map.
-Relation checks return Frobenius-norm residuals.  When the operator is a
-permutation, the pentagonal and intertwining relations are checked by
-composing index maps, and the residual sqrt(2 * #mismatched columns) equals
-the dense Frobenius norm exactly.  Generic dense operators, and the
-represented (system-space) relations, fall back to explicit matrix products,
-which the tests also use as the oracle for the index-map paths.
+W, V and the group translations are permutations of basis indices, and they
+are represented only as integer index maps p (e_j -> e_{p[j]}), built by
+vectorised index arithmetic.  Relation checks return Frobenius-norm
+residuals: the pentagonal and intertwining relations compose index maps, and
+the residual sqrt(2 * #mismatched columns) equals the dense Frobenius norm
+exactly.  The represented (system-space) relations are checked with explicit
+matrix products; `groups._perm_matrix` gives the dense 0/1 matrix of a map
+where an operator is used densely, as there and in the tests.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import (
-    Character,
-    FiniteAbelianGroup,
-    _perm_matrix,
-    fourier_matrix,
-    regular_representation,
-    translation_matrix,
-)
-from .hilbert import DenseOperator, LegSpace, embed, leg_space
+from .groups import FiniteAbelianGroup, _perm_matrix, fourier_matrix, regular_representation
+from .hilbert import DenseOperator, embed, leg_space
 
 
 class KTError(ValueError):
     pass
 
 
-def _pair_space(d1: int, d2: int, labels=("1", "2")) -> LegSpace:
-    return leg_space((labels[0], d1), (labels[1], d2))
-
-
-def _w_pair_map(group: FiniteAbelianGroup) -> np.ndarray:
-    """Index map of W on flattened pairs: (a, b) -> (a + b, b)."""
+def build_W(group: FiniteAbelianGroup) -> np.ndarray:
+    """Index map of W on flattened pairs: basis pair (a, b) -> (a + b, b)."""
     n = group.size
     a, b = np.arange(n)[:, None], np.arange(n)
     return (group.add_indices(a, b) * n + b).reshape(-1)
 
 
-def _v_pair_map(group: FiniteAbelianGroup) -> np.ndarray:
-    """Index map of V on flattened dual pairs: (a, b) -> (a, a + b)."""
-    n = group.size
-    a, b = np.arange(n)[:, None], np.arange(n)
-    return (a * n + group.add_indices(a, b)).reshape(-1)
-
-
-def build_W(group: FiniteAbelianGroup) -> DenseOperator:
-    """Permutation unitary sending basis pair (a, b) to (a + b, b)."""
-    n = group.size
-    return DenseOperator(_pair_space(n, n, ("g1", "g2")), _perm_matrix(_w_pair_map(group)))
-
-
-def build_V(group: FiniteAbelianGroup) -> DenseOperator:
-    """Permutation unitary sending dual basis pair (a, b) to (a, a + b).
+def build_V(group: FiniteAbelianGroup) -> np.ndarray:
+    """Index map of V on flattened dual pairs: basis pair (a, b) -> (a, a + b).
 
     In particular |gamma> x |trivial> -> |gamma> x |gamma>: the copy action
     that drives the amplification cascade.
     """
     n = group.size
-    return DenseOperator(_pair_space(n, n, ("c1", "c2")), _perm_matrix(_v_pair_map(group)))
+    a, b = np.arange(n)[:, None], np.arange(n)
+    return (a * n + group.add_indices(a, b)).reshape(-1)
 
 
 @dataclass(frozen=True)
 class KTOperatorPair:
     group: FiniteAbelianGroup
-    W: DenseOperator
-    V: DenseOperator
+    W: np.ndarray
+    V: np.ndarray
 
     def fourier_conjugation_residual(self) -> float:
-        """|| V - (F x F) W* (F x F)^-1 ||."""
+        """|| V - (F x F) W* (F x F)^-1 ||.
+
+        F x F is unitary, so this is || V (F x F) - (F x F) W* ||, whose terms
+        are F x F with its rows (columns) gathered through the inverse of V (W).
+        """
         f = fourier_matrix(self.group)
         ff = np.kron(f, f)
-        return float(np.linalg.norm(self.V.matrix - ff @ self.W.matrix.conj().T @ ff.conj().T))
+        diff = ff[np.argsort(self.V)]
+        diff -= ff[:, np.argsort(self.W)]
+        return float(np.linalg.norm(diff))
 
 
 def kt_pair(group: FiniteAbelianGroup) -> KTOperatorPair:
     return KTOperatorPair(group, build_W(group), build_V(group))
 
 
-def _as_permutation(mat: np.ndarray) -> np.ndarray | None:
-    """Return p with mat e_j = e_{p[j]} if mat is a 0/1 permutation, else None."""
-    d = mat.shape[0]
-    rows = np.argmax(np.abs(mat) > 0.5, axis=0)
-    ok = np.zeros_like(mat)
-    ok[rows, np.arange(d)] = 1.0
-    if np.array_equal(mat, ok) and len(set(rows.tolist())) == d:
-        return rows
-    return None
+def _check_pair_map(perm, d: int) -> np.ndarray:
+    """perm as an index array, if it is a permutation of range(d**2)."""
+    perm = np.asarray(perm)
+    if (
+        d < 1
+        or perm.shape != (d * d,)
+        or not np.issubdtype(perm.dtype, np.integer)
+        or not np.array_equal(np.sort(perm), np.arange(d * d))
+    ):
+        raise KTError(
+            f"operator must be an index map permuting range({d}**2),"
+            f" got shape {perm.shape} and dtype {perm.dtype}"
+        )
+    return perm.astype(np.intp, copy=False)
 
 
 def _kron_perm(*maps: np.ndarray) -> np.ndarray:
@@ -121,45 +109,26 @@ def _perm_residual(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.sqrt(2.0 * np.count_nonzero(p != q)))
 
 
-def verify_pentagonal(op: DenseOperator, orientation: str) -> float:
-    """Three-leg consistency residual for a two-leg unitary.
+def verify_pentagonal(perm, orientation: str) -> float:
+    """Three-leg consistency residual for the index map of a two-leg unitary.
 
     orientation "w": op_12 op_23 = op_23 op_13 op_12
     orientation "v": op_23 op_12 = op_12 op_13 op_23
     """
     if orientation not in ("w", "v"):
         raise KTError(f"orientation must be 'w' or 'v', got {orientation!r}")
-    dims = op.space.dims
-    if len(dims) != 2 or dims[0] != dims[1]:
-        raise KTError("pentagonal check needs a two-leg operator with equal legs")
-    d = dims[0]
-
-    perm = _as_permutation(op.matrix)
-    if perm is not None:
-        ident = np.arange(d)
-        e12, e23 = _kron_perm(perm, ident), _kron_perm(ident, perm)
-        swap23 = _kron_perm(ident, np.arange(d * d).reshape(d, d).T.reshape(-1))
-        e13 = _perm_product(swap23, e12, swap23)
-        if orientation == "w":
-            lhs = _perm_product(e12, e23)
-            rhs = _perm_product(e23, e13, e12)
-        else:
-            lhs = _perm_product(e23, e12)
-            rhs = _perm_product(e12, e13, e23)
-        return _perm_residual(lhs, rhs)
-
-    space3 = leg_space(("1", d), ("2", d), ("3", d))
-    o12 = embed(op, ["1", "2"], space3).matrix
-    o23 = embed(op, ["2", "3"], space3).matrix
-    o13 = embed(op, ["1", "3"], space3).matrix
+    d = math.isqrt(np.size(perm))
+    perm = _check_pair_map(perm, d)
+    ident = np.arange(d)
+    e12, e23 = _kron_perm(perm, ident), _kron_perm(ident, perm)
+    swap23 = _kron_perm(ident, np.arange(d * d).reshape(d, d).T.reshape(-1))
+    e13 = _perm_product(swap23, e12, swap23)
     if orientation == "w":
-        lhs, rhs = o12 @ o23, o23 @ o13 @ o12
-    else:
-        lhs, rhs = o23 @ o12, o12 @ o13 @ o23
-    return float(np.linalg.norm(lhs - rhs))
+        return _perm_residual(_perm_product(e12, e23), _perm_product(e23, e13, e12))
+    return _perm_residual(_perm_product(e23, e12), _perm_product(e12, e13, e23))
 
 
-def verify_intertwining(op: DenseOperator, group: FiniteAbelianGroup, orientation: str) -> float:
+def verify_intertwining(perm, group: FiniteAbelianGroup, orientation: str) -> float:
     """Max residual over the group of the translation intertwining relation.
 
     orientation "w": op (1 x t_u) = (t_u x t_u) op  for translations t_u on the group
@@ -168,21 +137,13 @@ def verify_intertwining(op: DenseOperator, group: FiniteAbelianGroup, orientatio
     if orientation not in ("w", "v"):
         raise KTError(f"orientation must be 'w' or 'v', got {orientation!r}")
     d = group.size
-    if op.space.dims != (d, d):
-        raise KTError("operator legs do not match the group size")
-    m = op.matrix
-    perm = _as_permutation(m)
-    ident, eye = np.arange(d), np.eye(d)
+    perm = _check_pair_map(perm, d)
+    ident = np.arange(d)
     worst = 0.0
     for u in range(d):
-        if perm is not None:
-            t = group.add_indices(u, ident)
-            moved = _kron_perm(ident, t) if orientation == "w" else _kron_perm(t, ident)
-            res = _perm_residual(_perm_product(perm, moved), _perm_product(_kron_perm(t, t), perm))
-        else:
-            t = translation_matrix(group, group.element(u))
-            moved = np.kron(eye, t) if orientation == "w" else np.kron(t, eye)
-            res = float(np.linalg.norm(m @ moved - np.kron(t, t) @ m))
+        t = group.add_indices(u, ident)
+        moved = _kron_perm(ident, t) if orientation == "w" else _kron_perm(t, ident)
+        res = _perm_residual(_perm_product(perm, moved), _perm_product(_kron_perm(t, t), perm))
         worst = max(worst, res)
     return worst
 
@@ -226,7 +187,7 @@ def verify_represented_pentagonal(rep) -> float:
     m, n = rep.system_dim, group.size
     space = leg_space(("sys", m), ("g1", n), ("g2", n))
     uw = build_UW(rep)
-    w = build_W(group)
+    w = DenseOperator(leg_space(("g1", n), ("g2", n)), _perm_matrix(build_W(group)))
     uw12 = embed(uw, ["sys", "g1"], space).matrix
     uw13 = embed(uw, ["sys", "g2"], space).matrix
     w23 = embed(w, ["g1", "g2"], space).matrix
@@ -240,8 +201,8 @@ def verify_represented_intertwining(rep) -> float:
     uw = build_UW(rep).matrix
     eye = np.eye(m)
     worst = 0.0
-    for u in group.elements():
-        t = translation_matrix(group, u)
+    for j, u in enumerate(group.elements()):
+        t = _perm_matrix(group.add_indices(j, np.arange(group.size)))
         res = np.linalg.norm(uw @ np.kron(eye, t) - np.kron(rep.unitary(u), t) @ uw)
         worst = max(worst, float(res))
     return worst

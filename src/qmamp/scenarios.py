@@ -1,20 +1,22 @@
 """Scenario files: a versioned JSON schema driving the command-line runs.
 
-Every scenario carries `version` (currently 1), `kind` (relations, measure,
-amplify, sterngerlach, sweep) and a `seed` recorded for reproducibility.
+Every scenario carries `version` (currently 1) and `kind` (relations, measure,
+amplify, sterngerlach, sweep); other top-level keys, such as a `seed` kept for
+the record, are ignored unless the kind reads them.
 Numbers may be given as plain reals or as [re, im] pairs wherever amplitudes
 or matrix entries appear.  Spectral representations accept the presets
 "sigma_z" and "z3_clock" or an explicit projection list.
 
 Outputs are CSV (floats printed with 12 significant digits) plus a summary
-JSON for the wavepacket runs; reruns with the same scenario and seed are
-byte-identical.
+JSON for the wavepacket runs; reruns with the same scenario are byte-identical.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -26,6 +28,10 @@ from . import groups, ktops, measurement, sterngerlach
 SCHEMA_VERSION = 1
 
 KINDS = ("relations", "measure", "amplify", "sterngerlach", "sweep")
+
+# Bytes the Fourier conjugation check of a relations group may allocate: it
+# holds three complex |G|^2 x |G|^2 arrays, 48 |G|^4 bytes, so |G| <= 68.
+FOURIER_CHECK_BYTES = 1 << 30
 
 
 class ScenarioError(ValueError):
@@ -73,7 +79,6 @@ def load_scenario(path) -> dict:
     kind = data.get("kind")
     if kind not in KINDS:
         raise ScenarioError(f"field 'kind': expected one of {KINDS}, got {kind!r}")
-    data.setdefault("seed", 0)
     return data
 
 
@@ -137,16 +142,35 @@ def build_observable(obj, rep, where: str = "observable") -> np.ndarray:
 # runners
 
 
+def build_relation_groups(obj, where: str = "groups") -> list[groups.FiniteAbelianGroup]:
+    """Groups of a relations scenario, each refused before anything is allocated
+    if its Fourier check would exceed FOURIER_CHECK_BYTES."""
+    if not isinstance(obj, list) or not obj:
+        raise ScenarioError(f"field '{where}': expected a non-empty list of order lists")
+    out = []
+    for i, orders in enumerate(obj):
+        if not (
+            isinstance(orders, list)
+            and orders
+            and all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in orders)
+        ):
+            raise ScenarioError(
+                f"field '{where}[{i}]': expected a non-empty list of integers >= 1, got {orders!r}"
+            )
+        size = math.prod(orders)
+        need = 48 * size**4
+        if need > FOURIER_CHECK_BYTES:
+            raise ScenarioError(
+                f"field '{where}[{i}]': group of order {size} needs {need} bytes"
+                f" for the Fourier check, over the limit of {FOURIER_CHECK_BYTES}"
+            )
+        out.append(groups.make_group(orders))
+    return out
+
+
 def run_relations(scenario: dict, out_dir: Path) -> list[Path]:
-    group_specs = scenario.get("groups")
-    if not isinstance(group_specs, list) or not group_specs:
-        raise ScenarioError("field 'groups': expected a non-empty list of order lists")
     rows = []
-    for orders in group_specs:
-        try:
-            g = groups.make_group(orders)
-        except groups.GroupError as exc:
-            raise ScenarioError(f"field 'groups': {exc}") from exc
+    for g in build_relation_groups(scenario.get("groups")):
         pair = ktops.kt_pair(g)
         rows.append(
             {
@@ -190,11 +214,16 @@ def run_amplify(scenario: dict, out_dir: Path) -> list[Path]:
     outcomes = build_outcomes(scenario.get("outcomes"), rep)
     b = build_observable(scenario.get("observable"), rep)
     n_values = scenario.get("n_values", [1, 2, 3])
-    if not isinstance(n_values, list) or not all(isinstance(n, int) and n >= 1 for n in n_values):
+    if not isinstance(n_values, list) or not all(
+        isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in n_values
+    ):
         raise ScenarioError("field 'n_values': expected a list of positive integers")
+    try:
+        cfgs = [amp.CascadeConfig(rep=rep, n_copies=n) for n in n_values]
+    except amp.CascadeError as exc:
+        raise ScenarioError(f"field 'n_values': {exc}") from exc
     rows = []
-    for n in n_values:
-        cfg = amp.CascadeConfig(rep=rep, n_copies=n)
+    for n, cfg in zip(n_values, cfgs):
         chain = max(
             amp.intertwiner_chain_check(rep.group, chi, n) for chi in rep.group.characters()
         )
@@ -347,6 +376,10 @@ def _sweep_point(args):
 
 
 def run_sweep(scenario: dict, out_dir: Path, jobs: int = 1) -> list[Path]:
+    """Run every sweep point; `jobs` > 1 runs them in a process pool of at most
+    min(jobs, points, cpu count) workers."""
+    if jobs < 1:
+        raise ScenarioError(f"option '--jobs': must be >= 1, got {jobs}")
     base = scenario.get("base")
     if not isinstance(base, dict):
         raise ScenarioError("field 'base': expected a sterngerlach parameter object")
@@ -373,8 +406,10 @@ def run_sweep(scenario: dict, out_dir: Path, jobs: int = 1) -> list[Path]:
     else:
         points = [[p, q] for p in grids[0] for q in grids[1]]
     tasks = [(base, pt) for pt in points]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
+    # the pool starts all its workers on the first submit
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             rows = list(ex.map(_sweep_point, tasks))
     else:
         rows = [_sweep_point(t) for t in tasks]

@@ -16,7 +16,7 @@ from qmamp.amplification import (
 )
 from qmamp.groups import _perm_matrix, canonical_groups, make_group, regular_representation
 from qmamp.hilbert import DenseOperator, StateVector, embed, leg_space
-from qmamp.ktops import _v_pair_map, build_V
+from qmamp.ktops import build_V
 from qmamp.measurement import clock_rep, instrument, make_spectral_rep, outcome, sigma_z_rep
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -105,11 +105,13 @@ def test_inverse_cascade_recovers_input():
 
 def test_cascade_unitary_lazy_threshold():
     rep = sigma_z_rep()
-    cfg = CascadeConfig(rep, 5, lazy_threshold=4)
-    with pytest.raises(CascadeError):
+    assert cascade_unitary(CascadeConfig(rep, 5)).is_unitary()
+    # a 4096 x 4096 cascade matrix exceeds the memory budget of the dense oracle
+    cfg = CascadeConfig(rep, 11)
+    assert cfg.state_dim**2 > amplification.DEFAULT_MEMORY_BUDGET
+    with pytest.raises(CascadeError, match="memory budget"):
         cascade_unitary(cfg)
-    assert cascade_unitary(cfg, force=True).is_unitary()
-    # cascade_apply is always available above the threshold
+    # cascade_apply is still available above the oracle's budget
     out = cascade_apply(cfg, np.array([1.0, 0.0]))
     assert abs(out.norm - 1.0) <= 1e-12
 
@@ -165,10 +167,14 @@ def dense_chain_residual(g, gamma, stages):
     return float(np.linalg.norm(chain @ lam_first - lam_all @ chain))
 
 
+def dense_v(g, perm):
+    return DenseOperator(leg_space(("c1", g.size), ("c2", g.size)), _perm_matrix(perm))
+
+
 def test_intertwiner_chain_matches_dense_oracle(monkeypatch):
     for orders in ([2], [3], [4], [2, 2]):
         g = make_group(orders)
-        v = build_V(g)
+        v = dense_v(g, build_V(g))
         for gamma in g.characters():
             for n in (1, 2, 3):
                 dense = dense_chain_residual(g, gamma, [v] * n)
@@ -176,7 +182,7 @@ def test_intertwiner_chain_matches_dense_oracle(monkeypatch):
 
     # swap two basis images of the copy map in the second stage only
     g = make_group([3])
-    bad = _v_pair_map(g)
+    bad = build_V(g)
     bad[[1, 4]] = bad[[4, 1]]
     kron_perm = amplification._kron_perm
 
@@ -186,7 +192,7 @@ def test_intertwiner_chain_matches_dense_oracle(monkeypatch):
         return kron_perm(*maps)
 
     monkeypatch.setattr(amplification, "_kron_perm", corrupt_second_stage)
-    v, v_bad = build_V(g), DenseOperator(build_V(g).space, _perm_matrix(bad))
+    v, v_bad = dense_v(g, build_V(g)), dense_v(g, bad)
     gamma = g.character([1])
     for n in (2, 3):
         dense = dense_chain_residual(g, gamma, [v, v_bad] + [v] * (n - 2))

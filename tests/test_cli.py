@@ -1,9 +1,11 @@
 import csv
 import json
+from concurrent.futures import Executor
 
 import numpy as np
 import pytest
 
+from qmamp import scenarios
 from qmamp.cli import EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, main
 from qmamp.scenarios import ScenarioError, load_scenario
 
@@ -31,7 +33,19 @@ def test_load_scenario_validation(tmp_path):
     with pytest.raises(ScenarioError, match="'kind'"):
         load_scenario(write_scenario(tmp_path, {"version": 1, "kind": "nope"}))
     ok = load_scenario(write_scenario(tmp_path, {"version": 1, "kind": "measure"}))
-    assert ok["seed"] == 0  # default applied
+    assert ok == {"version": 1, "kind": "measure"}  # no defaults are added
+    seeded = {"version": 1, "kind": "measure", "seed": 7}
+    assert load_scenario(write_scenario(tmp_path, seeded)) == seeded  # a seed key still loads
+
+
+@pytest.mark.parametrize(
+    "command, option", [("relations", "--jobs"), ("relations", "--seed"), ("sweep", "--seed")]
+)
+def test_cli_offers_jobs_on_sweep_only_and_no_seed(tmp_path, command, option):
+    path = write_scenario(tmp_path, {"version": 1, "kind": command})
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--scenario", path, option, "2"])
+    assert exc.value.code == 2  # argparse: unrecognized arguments
 
 
 def test_cli_rejects_missing_file(tmp_path, capsys):
@@ -65,6 +79,24 @@ def test_relations_run(tmp_path, capsys):
             "fourier_conjugation",
         ):
             assert float(r[col]) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "groups, field",
+    [
+        ([[2], "x"], "groups[1]"),
+        ([[2, True]], "groups[0]"),
+        ([[0]], "groups[0]"),
+        ([[]], "groups[0]"),
+        ([[128]], "groups[0]"),  # its Fourier check would need 12.9 GB
+    ],
+    ids=["not-a-list", "bool-order", "zero-order", "empty", "too-large"],
+)
+def test_relations_rejects_bad_group(tmp_path, capsys, groups, field):
+    path = write_scenario(tmp_path, {"version": 1, "kind": "relations", "groups": groups})
+    assert main(["relations", "--scenario", path, "--out", str(tmp_path)]) == EXIT_INPUT
+    assert f"field '{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "relations.csv").exists()
 
 
 def test_measure_run_sigma_z(tmp_path):
@@ -153,6 +185,24 @@ def test_amplify_run(tmp_path):
         by_outcome.setdefault(r["outcome"], set()).add(r["probability"])
     # probabilities are N-independent: one distinct value per outcome
     assert all(len(v) == 1 for v in by_outcome.values())
+
+
+def test_amplify_rejects_state_over_memory_budget(tmp_path, capsys):
+    path = write_scenario(
+        tmp_path,
+        {
+            "version": 1,
+            "kind": "amplify",
+            "rep": "sigma_z",
+            "state": [1.0, 0.0],
+            "outcomes": [[0]],
+            "n_values": [1, 30],
+        },
+    )
+    assert main(["amplify", "--scenario", path, "--out", str(tmp_path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "field 'n_values'" in err and "memory budget" in err
+    assert not (tmp_path / "amplify.csv").exists()
 
 
 def test_sterngerlach_run_and_determinism(tmp_path):
@@ -262,6 +312,56 @@ def test_sweep_parallel_matches_serial(tmp_path):
     for r in rows:
         assert abs(float(r["kick_up_error"])) <= 1e-3
         assert abs(float(r["kick_down_error"])) <= 1e-3
+
+
+SMALL_SWEEP = {
+    "version": 1,
+    "kind": "sweep",
+    "base": {
+        "field": {"b0": 1.0, "b1": 0.1},
+        "grid": {"points": 512, "extent": 40.0, "sigma": 1.0},
+        "time": {"dt": 0.005, "steps": 5},
+    },
+    "axes": [{"path": "field.b1", "values": [0.1, 0.2, 0.3, 0.4]}],
+}
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_sweep_rejects_nonpositive_jobs(tmp_path, capsys, jobs):
+    path = write_scenario(tmp_path, SMALL_SWEEP)
+    code = main(["sweep", "--scenario", path, "--out", str(tmp_path), "--jobs", jobs])
+    assert code == EXIT_INPUT
+    assert "--jobs" in capsys.readouterr().err
+
+
+class RecordingPool(Executor):
+    """Stands in for the process pool: records its size and runs the points in process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        RecordingPool.sizes.append(max_workers)
+
+    def map(self, fn, *iterables, **kwargs):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, points, expected",
+    [("1000", 3, 4, [3]), ("1000", 8, 2, [2]), ("2", 8, 4, [2]), ("1000", 1, 4, [])],
+)
+def test_sweep_clamps_jobs(tmp_path, monkeypatch, jobs, cpus, points, expected):
+    # --jobs never starts more workers than points or CPUs; no real pool is built here
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(scenarios, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(scenarios.os, "cpu_count", lambda: cpus)
+    payload = json.loads(json.dumps(SMALL_SWEEP))
+    payload["axes"][0]["values"] = payload["axes"][0]["values"][:points]
+    path = write_scenario(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["sweep", "--scenario", path, "--out", str(out), "--jobs", jobs]) == EXIT_OK
+    assert RecordingPool.sizes == expected
+    assert len(read_csv(out / "sweep.csv")) == points
 
 
 def test_sweep_rejects_non_numeric_axis(tmp_path, capsys):

@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
 
-from qmamp.groups import canonical_groups, make_group, regular_representation
+from qmamp.groups import (
+    _perm_matrix,
+    canonical_groups,
+    fourier_matrix,
+    make_group,
+    regular_representation,
+)
 from qmamp.hilbert import DenseOperator, embed, leg_space
 from qmamp.ktops import (
     KTError,
+    KTOperatorPair,
     build_UW,
     build_UtildeV,
     build_V,
@@ -20,10 +27,9 @@ from qmamp.ktops import (
 from qmamp.measurement import clock_rep, make_spectral_rep, sigma_z_rep
 
 
-def basis_image(op, group, a, b):
+def basis_image(perm, group, a, b):
     n = group.size
-    col = op.matrix[:, group.index(a) * n + group.index(b)]
-    (i,) = np.nonzero(np.abs(col) > 0.5)[0].reshape(1)
+    i = perm[group.index(a) * n + group.index(b)]
     return group.element(i // n), group.element(i % n)
 
 
@@ -108,25 +114,63 @@ def dense_pentagonal(m, orientation):
     return float(np.linalg.norm(o23 @ o12 - o12 @ o13 @ o23))
 
 
-def swap_basis_images(op, j1, j2):
-    m = op.matrix.copy()
-    m[:, [j1, j2]] = m[:, [j2, j1]]
-    return DenseOperator(op.space, m)
+def swap_basis_images(perm, j1, j2):
+    out = perm.copy()
+    out[[j1, j2]] = out[[j2, j1]]
+    return out
 
 
-@pytest.mark.parametrize(
-    "g", [g for g in canonical_groups(8) if g.size > 1], ids=lambda g: "x".join(map(str, g.orders))
-)
+def group_id(g):
+    return "x".join(map(str, g.orders))
+
+
+@pytest.mark.parametrize("g", [g for g in canonical_groups(8) if g.size > 1], ids=group_id)
 def test_index_map_relations_match_dense_oracle(g):
     pair = kt_pair(g)
     n = g.size
     corrupt_w = swap_basis_images(pair.W, 1, n + 1)
-    assert dense_intertwining(corrupt_w.matrix, g, "w") > 0.1
-    for op in (pair.W, pair.V, corrupt_w):
-        for orientation in ("w", "v"):
-            dense = dense_intertwining(op.matrix, g, orientation)
-            assert verify_intertwining(op, g, orientation) == dense
-            assert verify_pentagonal(op, orientation) == dense_pentagonal(op.matrix, orientation)
+    assert dense_intertwining(_perm_matrix(corrupt_w), g, "w") > 0.1
+    for perm in (pair.W, pair.V, corrupt_w):
+        m = _perm_matrix(perm)
+        for side in ("w", "v"):
+            assert verify_intertwining(perm, g, side) == dense_intertwining(m, g, side)
+            assert verify_pentagonal(perm, side) == dense_pentagonal(m, side)
+
+
+def dense_fourier_residual(g, w, v):
+    # oracle: || V - (F x F) W* (F x F)^-1 || as a triple product of dense matrices
+    ff = np.kron(fourier_matrix(g), fourier_matrix(g))
+    return float(np.linalg.norm(_perm_matrix(v) - ff @ _perm_matrix(w).conj().T @ ff.conj().T))
+
+
+@pytest.mark.parametrize("g", canonical_groups(8), ids=group_id)
+def test_gathered_fourier_residual_matches_dense_oracle(g):
+    pair = kt_pair(g)
+    dense = dense_fourier_residual(g, pair.W, pair.V)
+    assert abs(pair.fourier_conjugation_residual() - dense) <= 1e-13
+    if g.size > 1:
+        bad = KTOperatorPair(g, pair.W, swap_basis_images(pair.V, 1, g.size + 1))
+        res = bad.fourier_conjugation_residual()
+        assert res >= 1.0
+        assert abs(res - dense_fourier_residual(g, bad.W, bad.V)) <= 1e-13
+
+
+def test_relation_checks_reject_non_permutations():
+    g = make_group([2])
+    w = kt_pair(g).W
+    bad_maps = [
+        np.zeros(4, dtype=np.intp),  # not a permutation
+        np.array([0, 1, 2, 4]),  # index out of range
+        np.arange(9),  # wrong length for |G| = 2
+        np.arange(4.0),  # not integer indices
+        _perm_matrix(w),  # a dense matrix, not a map
+    ]
+    for perm in bad_maps:
+        with pytest.raises(KTError):
+            verify_intertwining(perm, g, "w")
+    for perm in bad_maps[:2] + [np.arange(5), bad_maps[3], np.arange(0)]:
+        with pytest.raises(KTError):
+            verify_pentagonal(perm, "w")
 
 
 def test_pentagonal_exhaustive_small_groups():
@@ -137,12 +181,12 @@ def test_pentagonal_exhaustive_small_groups():
 
 
 def test_random_unitary_fails_pentagonal():
+    # random permutation unitaries on two legs of dimension 3
     rng = np.random.default_rng(5)
-    space = leg_space(("1", 2), ("2", 2))
     for _ in range(10):
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        q, _ = np.linalg.qr(a)
-        res = verify_pentagonal(DenseOperator(space, q), "w")
+        perm = rng.permutation(9)
+        res = verify_pentagonal(perm, "w")
+        assert res == dense_pentagonal(_perm_matrix(perm), "w")
         if res > 0.1:
             return
     pytest.fail("no random counterexample found in 10 draws")
@@ -150,9 +194,7 @@ def test_random_unitary_fails_pentagonal():
 
 def test_identity_fails_intertwining():
     g = make_group([2])
-    space = leg_space(("1", 2), ("2", 2))
-    eye = DenseOperator(space, np.eye(4))
-    assert verify_intertwining(eye, g, "w") > 0.1
+    assert verify_intertwining(np.arange(4), g, "w") > 0.1
 
 
 def test_fourier_conjugation():
