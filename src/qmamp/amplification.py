@@ -40,6 +40,9 @@ class CascadeError(ValueError):
 
 
 DEFAULT_MEMORY_BUDGET = 1 << 22  # amplitudes
+# The cascade state is a tensor with one system and N probe axes, and numpy
+# arrays have at most 64 axes; a trivial group never reaches the budget.
+MAX_COPIES = 63
 
 
 @dataclass(frozen=True)
@@ -50,6 +53,11 @@ class CascadeConfig:
     def __post_init__(self):
         if self.n_copies < 1:
             raise CascadeError("need at least one probe copy")
+        if self.n_copies > MAX_COPIES:
+            raise CascadeError(
+                f"{self.n_copies} probe copies exceed the {MAX_COPIES} that a tensor of"
+                " at most 64 axes holds"
+            )
         if self.state_dim > DEFAULT_MEMORY_BUDGET:
             raise CascadeError(
                 f"state dimension {self.state_dim} exceeds memory budget {DEFAULT_MEMORY_BUDGET}"

@@ -13,11 +13,14 @@ import sys
 from pathlib import Path
 
 from . import scenarios, selfcheck
-from .sterngerlach import SolverError
+from .sterngerlach import FieldError, SolverError
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INVARIANT = 2
+
+# scenario kind -> scenarios.run_<kind>(scenario, out_dir, **options)
+RUNNERS = {kind: getattr(scenarios, f"run_{kind}") for kind in scenarios.KINDS}
 
 
 def _add_common(sub):
@@ -58,17 +61,9 @@ def main(argv=None) -> int:
             )
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "relations":
-            paths = scenarios.run_relations(scenario, out_dir)
-        elif args.command == "measure":
-            paths = scenarios.run_measure(scenario, out_dir)
-        elif args.command == "amplify":
-            paths = scenarios.run_amplify(scenario, out_dir)
-        elif args.command == "sterngerlach":
-            paths = scenarios.run_sterngerlach(scenario, out_dir)
-        else:
-            paths = scenarios.run_sweep(scenario, out_dir, jobs=args.jobs)
-    except scenarios.ScenarioError as exc:
+        options = {"jobs": args.jobs} if "jobs" in args else {}
+        paths = RUNNERS[args.command](scenario, out_dir, **options)
+    except (scenarios.ScenarioError, FieldError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (SolverError, ValueError) as exc:

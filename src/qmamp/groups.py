@@ -133,10 +133,10 @@ class Character:
         return self.group.index(self.exponents)
 
 
-def make_group(orders, cap: int = DEFAULT_SIZE_CAP) -> FiniteAbelianGroup:
+def make_group(orders) -> FiniteAbelianGroup:
     g = FiniteAbelianGroup(tuple(int(n) for n in orders))
-    if g.size > cap:
-        raise GroupError(f"group size {g.size} exceeds cap {cap}")
+    if g.size > DEFAULT_SIZE_CAP:
+        raise GroupError(f"group size {g.size} exceeds cap {DEFAULT_SIZE_CAP}")
     return g
 
 

@@ -7,6 +7,10 @@ Numbers may be given as plain reals or as [re, im] pairs wherever amplitudes
 or matrix entries appear.  Spectral representations accept the presets
 "sigma_z" and "z3_clock" or an explicit projection list.
 
+Every field is read through `read`, which checks its type and bound and names
+its dotted path in the error; the Stern-Gerlach fields, their defaults and
+bounds are the table SG_FIELDS.
+
 Outputs are CSV (floats printed with 12 significant digits) plus a summary
 JSON for the wavepacket runs; reruns with the same scenario are byte-identical.
 """
@@ -14,9 +18,12 @@ JSON for the wavepacket runs; reruns with the same scenario are byte-identical.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
+import re
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -33,6 +40,20 @@ KINDS = ("relations", "measure", "amplify", "sterngerlach", "sweep")
 # holds three complex |G|^2 x |G|^2 arrays, 48 |G|^4 bytes, so |G| <= 68.
 FOURIER_CHECK_BYTES = 1 << 30
 
+# Stern-Gerlach fields, "section.field" -> default.  The default's type is the
+# field's type (a list is a spinor of amplitudes); a required field's default
+# only gives its type.  Numbers are > 0 unless signed.
+SG_FIELDS = {
+    "field.b0": 1.0, "field.b1": 0.0, "field.b2": 0.0, "field.mu": 1.0,
+    "field.region_extent": 10.0,
+    "grid.points": 2048, "grid.extent": 40.0, "grid.sigma": 1.0, "grid.center": 0.0,
+    "grid.momentum": 0.0, "grid.spinor": [1.0, 0.0], "grid.mass": 1.0,
+    "time.dt": 0.005, "time.steps": 200, "time.record_every": 10,
+    "adiabaticity.v": 1.0, "adiabaticity.z_scale": 1.0,
+}
+SG_REQUIRED = frozenset({"field.b0"})
+SG_SIGNED = frozenset({"field.b1", "field.b2", "grid.center", "grid.momentum"})
+
 
 class ScenarioError(ValueError):
     pass
@@ -42,24 +63,83 @@ def fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def _as_complex(entry, where: str) -> complex:
-    if isinstance(entry, (int, float)):
-        return complex(entry)
-    if isinstance(entry, list) and len(entry) == 2:
-        return complex(entry[0], entry[1])
-    raise ScenarioError(f"field '{where}': expected number or [re, im], got {entry!r}")
+_REQUIRED = object()
+_STEP = re.compile(r"\[(\d+)\]|([^.\[]+)")
+_NOUNS = {
+    int: "an integer",
+    float: "a finite number",
+    complex: "a finite number or [re, im] pair",
+    str: "a string",
+    dict: "a non-empty object",
+}
 
 
-def _as_vector(obj, where: str) -> np.ndarray:
-    if not isinstance(obj, list) or not obj:
-        raise ScenarioError(f"field '{where}': expected a non-empty list")
-    return np.array([_as_complex(e, where) for e in obj])
+def _describe(type, bound=None) -> str:
+    if isinstance(type, list):
+        text = f"a non-empty list, each item {_describe(type[0])}"
+    else:
+        text = _NOUNS[type]
+    return text if bound is None else f"{text} > {bound}"
 
 
-def _as_matrix(obj, where: str) -> np.ndarray:
-    if not isinstance(obj, list) or not obj:
-        raise ScenarioError(f"field '{where}': expected a non-empty matrix")
-    return np.array([[_as_complex(e, where) for e in row] for row in obj])
+def _scalar(value, type, bound):
+    """`value` as a `type` greater than `bound`, or None if it is not one."""
+    if type is complex:
+        pair = isinstance(value, list) and len(value) == 2
+        parts = [_scalar(v, float, None) for v in (value if pair else [value])]
+        return None if None in parts else complex(*parts)
+    ok = isinstance(value, (int, float) if type is float else type) and not isinstance(value, bool)
+    if type is float:  # finite: this also refuses NaN and ints beyond the float range
+        ok = ok and abs(value) <= sys.float_info.max
+        value = float(value) if ok else value
+    ok = ok and (type is not dict or bool(value)) and (bound is None or value > bound)
+    return value if ok else None
+
+
+def _check(value, where: str, type, bound):
+    if isinstance(type, list) and isinstance(value, list) and value:
+        if isinstance(type[0], list):
+            return [_check(v, f"{where}[{i}]", type[0], bound) for i, v in enumerate(value)]
+        items = [_scalar(v, type[0], bound) for v in value]
+        if None not in items:
+            return items
+    elif not isinstance(type, list):
+        out = _scalar(value, type, bound)
+        if out is not None:
+            return out
+    raise ScenarioError(f"field '{where}': expected {_describe(type, bound)}, got {value!r}")
+
+
+def read(obj: dict, path: str, type, default=_REQUIRED, bound=None):
+    """The field at `path` ("a.b[0].c") of a scenario object, checked.
+
+    `type` is int (a JSON integer, never a bool), float (finite; ints
+    accepted), complex (a number or [re, im] pair), str, dict (non-empty), or
+    a one-item list such as [int] for a non-empty list of them.  Numbers must
+    be > `bound` unless it is None.  `default` is returned when a key on the
+    way is absent; without one the field is required.  Errors name the path.
+    """
+    where = ""
+    for index, key in _STEP.findall(path):
+        if index:
+            obj, where = obj[int(index)], f"{where}[{index}]"
+            continue
+        if not (isinstance(obj, dict) and obj):
+            raise ScenarioError(f"field '{where}': expected {_describe(dict)}, got {obj!r}")
+        where = f"{where}.{key}" if where else key
+        if key not in obj:
+            if default is _REQUIRED:
+                raise ScenarioError(f"field '{path}': expected {_describe(type, bound)}, missing")
+            return default
+        obj = obj[key]
+    return _check(obj, where, type, bound)
+
+
+def _matrix(scenario: dict, path: str, dim: int) -> np.ndarray:
+    rows = read(scenario, path, [[complex]])
+    if len(rows) != dim or any(len(row) != dim for row in rows):
+        raise ScenarioError(f"field '{path}': expected a {dim}x{dim} matrix, got {rows!r}")
+    return np.array(rows)
 
 
 def load_scenario(path) -> dict:
@@ -82,87 +162,74 @@ def load_scenario(path) -> dict:
     return data
 
 
-def build_rep(spec, where: str = "rep") -> measurement.SpectralRepresentation:
+def build_rep(scenario: dict) -> measurement.SpectralRepresentation:
+    spec = scenario.get("rep")
     if spec == "sigma_z":
         return measurement.sigma_z_rep()
     if spec == "z3_clock":
         return measurement.clock_rep(3)
-    if not isinstance(spec, dict):
-        raise ScenarioError(f"field '{where}': expected preset name or object")
+    if isinstance(spec, str):
+        raise ScenarioError(
+            f"field 'rep': expected 'sigma_z', 'z3_clock' or an object, got {spec!r}"
+        )
     try:
-        group = groups.make_group(spec["group"])
-        system_dim = int(spec["system_dim"])
+        group = groups.make_group(read(scenario, "rep.group", [int], bound=0))
+        system_dim = read(scenario, "rep.system_dim", int, bound=0)
         assignments = []
-        for item in spec["projections"]:
-            chi = group.character(item["character"])
-            mat = _as_matrix(item["matrix"], f"{where}.projections.matrix")
-            assignments.append((chi, mat))
+        for i in range(len(read(scenario, "rep.projections", [dict]))):
+            where = f"rep.projections[{i}]"
+            chi = group.character(read(scenario, f"{where}.character", [int]))
+            assignments.append((chi, _matrix(scenario, f"{where}.matrix", system_dim)))
         return measurement.make_spectral_rep(group, system_dim, assignments)
-    except KeyError as exc:
-        raise ScenarioError(f"field '{where}.{exc.args[0]}': missing") from exc
     except (groups.GroupError, measurement.MeasurementError) as exc:
-        raise ScenarioError(f"field '{where}': {exc}") from exc
+        raise ScenarioError(f"field 'rep': {exc}") from exc
 
 
-def build_state(obj, rep, where: str = "state") -> np.ndarray:
-    xi = _as_vector(obj, where)
+def build_state(scenario: dict, rep) -> np.ndarray:
+    xi = np.array(read(scenario, "state", [complex]))
     if xi.shape != (rep.system_dim,):
         raise ScenarioError(
-            f"field '{where}': length {len(xi)} does not match system dim {rep.system_dim}"
+            f"field 'state': length {len(xi)} does not match system dim {rep.system_dim}"
         )
     if abs(np.linalg.norm(xi) - 1.0) > 1e-9:
-        raise ScenarioError(f"field '{where}': coefficients are not normalized")
+        raise ScenarioError("field 'state': coefficients are not normalized")
     return xi
 
 
-def build_outcomes(obj, rep, where: str = "outcomes"):
-    if not isinstance(obj, list) or not obj:
-        raise ScenarioError(f"field '{where}': expected a non-empty list of index lists")
+def build_outcomes(scenario: dict, rep):
     chars = rep.group.characters()
     outcomes = []
-    for i, idx_list in enumerate(obj):
-        if not isinstance(idx_list, list):
-            raise ScenarioError(f"field '{where}[{i}]': expected a list of character indices")
-        chosen = []
-        for j in idx_list:
-            if not isinstance(j, int) or not 0 <= j < len(chars):
-                raise ScenarioError(f"field '{where}[{i}]': index {j!r} out of range")
-            chosen.append(chars[j])
-        outcomes.append((idx_list, measurement.outcome(chosen)))
+    for i, idx_list in enumerate(read(scenario, "outcomes", [[int]])):
+        if not all(0 <= j < len(chars) for j in idx_list):
+            raise ScenarioError(
+                f"field 'outcomes[{i}]': expected character indices in [0, {len(chars)}),"
+                f" got {idx_list!r}"
+            )
+        outcomes.append((idx_list, measurement.outcome([chars[j] for j in idx_list])))
     return outcomes
 
 
-def build_observable(obj, rep, where: str = "observable") -> np.ndarray:
-    if obj in (None, "identity"):
+def build_observable(scenario: dict, rep) -> np.ndarray:
+    if scenario.get("observable") in (None, "identity"):
         return np.eye(rep.system_dim, dtype=complex)
-    return _as_matrix(obj, where)
+    return _matrix(scenario, "observable", rep.system_dim)
 
 
 # ---------------------------------------------------------------------------
 # runners
 
 
-def build_relation_groups(obj, where: str = "groups") -> list[groups.FiniteAbelianGroup]:
+def build_relation_groups(scenario: dict) -> list[groups.FiniteAbelianGroup]:
     """Groups of a relations scenario, each refused before anything is allocated
     if its Fourier check would exceed FOURIER_CHECK_BYTES."""
-    if not isinstance(obj, list) or not obj:
-        raise ScenarioError(f"field '{where}': expected a non-empty list of order lists")
     out = []
-    for i, orders in enumerate(obj):
-        if not (
-            isinstance(orders, list)
-            and orders
-            and all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in orders)
-        ):
-            raise ScenarioError(
-                f"field '{where}[{i}]': expected a non-empty list of integers >= 1, got {orders!r}"
-            )
+    for i, orders in enumerate(read(scenario, "groups", [[int]], bound=0)):
         size = math.prod(orders)
         need = 48 * size**4
         if need > FOURIER_CHECK_BYTES:
             raise ScenarioError(
-                f"field '{where}[{i}]': group of order {size} needs {need} bytes"
-                f" for the Fourier check, over the limit of {FOURIER_CHECK_BYTES}"
+                f"field 'groups[{i}]': expected a group whose Fourier check fits in"
+                f" {FOURIER_CHECK_BYTES} bytes; order {size} needs {need}"
             )
         out.append(groups.make_group(orders))
     return out
@@ -170,7 +237,7 @@ def build_relation_groups(obj, where: str = "groups") -> list[groups.FiniteAbeli
 
 def run_relations(scenario: dict, out_dir: Path) -> list[Path]:
     rows = []
-    for g in build_relation_groups(scenario.get("groups")):
+    for g in build_relation_groups(scenario):
         pair = ktops.kt_pair(g)
         rows.append(
             {
@@ -182,16 +249,17 @@ def run_relations(scenario: dict, out_dir: Path) -> list[Path]:
                 "fourier_conjugation": pair.fourier_conjugation_residual(),
             }
         )
-    path = out_dir / "relations.csv"
-    _write_csv(path, rows)
-    return [path]
+    return [_write_csv(out_dir / "relations.csv", rows)]
+
+
+def _instrument_inputs(scenario: dict):
+    rep = build_rep(scenario)
+    xi, outcomes = build_state(scenario, rep), build_outcomes(scenario, rep)
+    return rep, xi, outcomes, build_observable(scenario, rep)
 
 
 def run_measure(scenario: dict, out_dir: Path) -> list[Path]:
-    rep = build_rep(scenario.get("rep"))
-    xi = build_state(scenario.get("state"), rep)
-    outcomes = build_outcomes(scenario.get("outcomes"), rep)
-    b = build_observable(scenario.get("observable"), rep)
+    rep, xi, outcomes, b = _instrument_inputs(scenario)
     rows = []
     for idx_list, delta in outcomes:
         res = measurement.instrument(rep, delta, xi, b)
@@ -203,21 +271,12 @@ def run_measure(scenario: dict, out_dir: Path) -> list[Path]:
                 "expectation_imag": res.conditional_expectation.imag,
             }
         )
-    path = out_dir / "measure.csv"
-    _write_csv(path, rows)
-    return [path]
+    return [_write_csv(out_dir / "measure.csv", rows)]
 
 
 def run_amplify(scenario: dict, out_dir: Path) -> list[Path]:
-    rep = build_rep(scenario.get("rep"))
-    xi = build_state(scenario.get("state"), rep)
-    outcomes = build_outcomes(scenario.get("outcomes"), rep)
-    b = build_observable(scenario.get("observable"), rep)
-    n_values = scenario.get("n_values", [1, 2, 3])
-    if not isinstance(n_values, list) or not all(
-        isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in n_values
-    ):
-        raise ScenarioError("field 'n_values': expected a list of positive integers")
+    rep, xi, outcomes, b = _instrument_inputs(scenario)
+    n_values = read(scenario, "n_values", [int], [1, 2, 3], bound=0)
     try:
         cfgs = [amp.CascadeConfig(rep=rep, n_copies=n) for n in n_values]
     except amp.CascadeError as exc:
@@ -238,68 +297,68 @@ def run_amplify(scenario: dict, out_dir: Path) -> list[Path]:
                     "chain_residual": chain,
                 }
             )
-    path = out_dir / "amplify.csv"
-    _write_csv(path, rows)
-    return [path]
+    return [_write_csv(out_dir / "amplify.csv", rows)]
 
 
-def _build_sg(scenario: dict):
-    fs = scenario.get("field")
-    if not isinstance(fs, dict):
-        raise ScenarioError("field 'field': expected an object")
-    try:
-        field = sterngerlach.FieldModel(
-            b0=float(fs["b0"]),
-            b1=float(fs.get("b1", 0.0)),
-            b2=float(fs.get("b2", 0.0)),
-            mu=float(fs.get("mu", 1.0)),
-            region_extent=float(fs.get("region_extent", 10.0)),
+def _sg_bound(path: str):
+    """Exclusive lower bound of a Stern-Gerlach field, None if it has none."""
+    return None if path in SG_SIGNED or isinstance(SG_FIELDS[path], list) else 0
+
+
+def _sg_fields(scenario: dict, prefix: str = "", swept=()) -> dict:
+    """The Stern-Gerlach fields under `prefix` as {SG_FIELDS path: value}, each
+    read and checked, except the `swept` paths (a sweep's axes); "adiabaticity"
+    says whether the U_fi report was asked for.  A sweep may give the
+    adiabaticity section at the top level instead of under its base."""
+    base = read(scenario, prefix[:-1], dict) if prefix else scenario
+    ad = prefix if "adiabaticity" in base else ""
+    fields = {"adiabaticity": "adiabaticity" in base or "adiabaticity" in scenario}
+    for path, default in SG_FIELDS.items():
+        if path in swept:
+            continue
+        fields[path] = read(
+            scenario,
+            (ad if path.startswith("adiabaticity.") else prefix) + path,
+            [complex] if isinstance(default, list) else type(default),
+            _REQUIRED if path in SG_REQUIRED else default,
+            _sg_bound(path),
         )
-    except KeyError as exc:
-        raise ScenarioError(f"field 'field.{exc.args[0]}': missing") from exc
-    except sterngerlach.FieldError as exc:
-        raise ScenarioError(f"field 'field': {exc}") from exc
+    spinor = fields["grid.spinor"]
+    if len(spinor) != 2 or not any(spinor):
+        raise ScenarioError(
+            f"field '{prefix}grid.spinor': expected 2 amplitudes, not both zero, got {spinor!r}"
+        )
+    return fields
 
-    gs = scenario.get("grid", {})
-    spinor = [_as_complex(e, "grid.spinor") for e in gs.get("spinor", [1.0, 0.0])]
+
+def _simulate(f: dict, record_every: int):
+    field = sterngerlach.FieldModel(
+        f["field.b0"], f["field.b1"], f["field.b2"], f["field.mu"], f["field.region_extent"]
+    )
     try:
         grid = sterngerlach.gaussian_packet(
-            n_points=int(gs.get("points", 2048)),
-            extent=float(gs.get("extent", 40.0)),
-            sigma=float(gs.get("sigma", 1.0)),
-            center=float(gs.get("center", 0.0)),
-            momentum=float(gs.get("momentum", 0.0)),
-            spinor=spinor,
-            mass=float(gs.get("mass", 1.0)),
+            f["grid.points"], f["grid.extent"], f["grid.sigma"], f["grid.center"],
+            f["grid.momentum"], f["grid.spinor"], f["grid.mass"],
         )
     except sterngerlach.SolverError as exc:
         raise ScenarioError(f"field 'grid': {exc}") from exc
-
-    ts = scenario.get("time", {})
-    dt = float(ts.get("dt", 0.005))
-    steps = int(ts.get("steps", 200))
-    record_every = int(ts.get("record_every", 10))
-    if dt <= 0 or steps < 1:
-        raise ScenarioError("field 'time': dt must be > 0 and steps >= 1")
-    if record_every < 1:
-        raise ScenarioError(f"field 'time.record_every': must be >= 1, got {record_every}")
-    return field, grid, dt, steps, record_every
+    result = sterngerlach.run_simulation(
+        grid, field, f["time.dt"], f["time.steps"], record_every=record_every
+    )
+    return field, result
 
 
-def _sg_summary(scenario: dict, field, result) -> dict:
-    dt = float(scenario.get("time", {}).get("dt", 0.005))
-    steps = int(scenario.get("time", {}).get("steps", 200))
+def _sg_summary(f: dict, field, result) -> dict:
     summary = {
         "kick_up": _try_kick(result, "up"),
         "kick_down": _try_kick(result, "down"),
         "flip_probability": float(result.series.flip_prob[-1]),
         "norm": float(result.series.norm[-1]),
-        "duration": dt * steps,
+        "duration": f["time.dt"] * f["time.steps"],
     }
-    ad = scenario.get("adiabaticity")
-    if isinstance(ad, dict):
+    if f["adiabaticity"]:
         report = sterngerlach.adiabaticity_parameter(
-            field, v=float(ad.get("v", 1.0)), z_scale=float(ad.get("z_scale", 1.0))
+            field, v=f["adiabaticity.v"], z_scale=f["adiabaticity.z_scale"]
         )
         summary.update(
             u_fi=report.u_fi,
@@ -317,24 +376,16 @@ def _try_kick(result, branch):
 
 
 def run_sterngerlach(scenario: dict, out_dir: Path) -> list[Path]:
-    field, grid, dt, steps, record_every = _build_sg(scenario)
-    result = sterngerlach.run_simulation(grid, field, dt, steps, record_every=record_every)
+    f = _sg_fields(scenario)
+    field, result = _simulate(f, f["time.record_every"])
     s = result.series
-    rows = [
-        {
-            "t": s.times[i],
-            "z_up": s.z_up[i],
-            "z_down": s.z_down[i],
-            "pz_up": s.pz_up[i],
-            "pz_down": s.pz_down[i],
-            "flip_prob": s.flip_prob[i],
-            "norm": s.norm[i],
-        }
-        for i in range(len(s.times))
-    ]
-    csv_path = out_dir / "sterngerlach.csv"
-    _write_csv(csv_path, rows)
-    summary = _sg_summary(scenario, field, result)
+    columns = {
+        "t": s.times, "z_up": s.z_up, "z_down": s.z_down, "pz_up": s.pz_up,
+        "pz_down": s.pz_down, "flip_prob": s.flip_prob, "norm": s.norm,
+    }
+    rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
+    csv_path = _write_csv(out_dir / "sterngerlach.csv", rows)
+    summary = _sg_summary(f, field, result)
     json_path = out_dir / "sterngerlach_summary.json"
     with open(json_path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -342,70 +393,48 @@ def run_sterngerlach(scenario: dict, out_dir: Path) -> list[Path]:
     return [csv_path, json_path]
 
 
-def _set_path(obj: dict, dotted: str, value) -> dict:
-    out = json.loads(json.dumps(obj))
-    parts = dotted.split(".")
-    cur = out
-    for p in parts[:-1]:
-        cur = cur.setdefault(p, {})
-    cur[parts[-1]] = value
-    return out
-
-
 def _sweep_point(args):
-    base, axis_values = args
-    scenario = base
-    for path, value in axis_values:
-        scenario = _set_path(scenario, path, value)
-    field, grid, dt, steps, _ = _build_sg(scenario)
-    result = sterngerlach.run_simulation(grid, field, dt, steps, record_every=steps)
-    summary = _sg_summary(scenario, field, result)
-    expected = field.mu * field.b1 * dt * steps
-    row = {path: value for path, value in axis_values}
-    row.update(
+    fields, axis_values = args
+    field, result = _simulate(fields, fields["time.steps"])
+    summary = _sg_summary(fields, field, result)
+    expected = field.mu * field.b1 * fields["time.dt"] * fields["time.steps"]
+    up, down = summary["kick_up"], summary["kick_down"]
+    return dict(
+        axis_values,
         u_fi=summary.get("u_fi", float("nan")),
         flip_probability=summary["flip_probability"],
-        kick_up=summary["kick_up"],
-        kick_down=summary["kick_down"],
-        kick_up_error=(summary["kick_up"] + expected) if summary["kick_up"] is not None else None,
-        kick_down_error=(summary["kick_down"] - expected)
-        if summary["kick_down"] is not None
-        else None,
+        kick_up=up,
+        kick_down=down,
+        kick_up_error=None if up is None else up + expected,
+        kick_down_error=None if down is None else down - expected,
     )
-    return row
 
 
 def run_sweep(scenario: dict, out_dir: Path, jobs: int = 1) -> list[Path]:
     """Run every sweep point; `jobs` > 1 runs them in a process pool of at most
-    min(jobs, points, cpu count) workers."""
+    min(jobs, points, cpu count) workers.  Every point's fields are read and
+    checked before any point runs."""
     if jobs < 1:
         raise ScenarioError(f"option '--jobs': must be >= 1, got {jobs}")
-    base = scenario.get("base")
-    if not isinstance(base, dict):
-        raise ScenarioError("field 'base': expected a sterngerlach parameter object")
-    base = dict(base)
-    if "adiabaticity" in scenario and "adiabaticity" not in base:
-        base["adiabaticity"] = scenario["adiabaticity"]
-    axes = scenario.get("axes")
-    if not isinstance(axes, list) or not 1 <= len(axes) <= 2:
-        raise ScenarioError("field 'axes': expected one or two sweep axes")
+    axes = read(scenario, "axes", [dict])
+    if len(axes) > 2:
+        raise ScenarioError(f"field 'axes': expected one or two sweep axes, got {len(axes)}")
     grids = []
-    for i, ax in enumerate(axes):
-        if not isinstance(ax, dict) or "path" not in ax:
-            raise ScenarioError(f"field 'axes[{i}]': expected object with 'path' and 'values'")
-        values = ax.get("values")
-        if not isinstance(values, list) or not values:
-            raise ScenarioError(f"field 'axes[{i}].values': expected a non-empty list")
-        if not all(isinstance(v, (int, float)) for v in values):
-            raise ScenarioError(f"field 'axes[{i}].values': axis over non-numeric field")
-        grids.append([(ax["path"], float(v)) for v in values])
-
-    points = []
-    if len(grids) == 1:
-        points = [[p] for p in grids[0]]
-    else:
-        points = [[p, q] for p in grids[0] for q in grids[1]]
-    tasks = [(base, pt) for pt in points]
+    for i in range(len(axes)):
+        path = read(scenario, f"axes[{i}].path", str)
+        default = SG_FIELDS.get(path)
+        if not isinstance(default, (int, float)):
+            numeric = [p for p, d in SG_FIELDS.items() if not isinstance(d, list)]
+            raise ScenarioError(
+                f"field 'axes[{i}].path': expected one of {numeric},"
+                f" got {path!r}, which is unknown or non-numeric"
+            )
+        values = read(scenario, f"axes[{i}].values", [type(default)], bound=_sg_bound(path))
+        grids.append([(path, v) for v in values])
+    swept = [g[0][0] for g in grids]
+    base = _sg_fields(scenario, "base.", swept)
+    base["adiabaticity"] |= any(p.startswith("adiabaticity.") for p in swept)
+    tasks = [({**base, **dict(pt)}, pt) for pt in itertools.product(*grids)]
     # the pool starts all its workers on the first submit
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
@@ -413,14 +442,10 @@ def run_sweep(scenario: dict, out_dir: Path, jobs: int = 1) -> list[Path]:
             rows = list(ex.map(_sweep_point, tasks))
     else:
         rows = [_sweep_point(t) for t in tasks]
-    path = out_dir / "sweep.csv"
-    _write_csv(path, rows)
-    return [path]
+    return [_write_csv(out_dir / "sweep.csv", rows)]
 
 
-def _write_csv(path: Path, rows: list[dict]) -> None:
-    if not rows:
-        raise ScenarioError("nothing to write")
+def _write_csv(path: Path, rows: list[dict]) -> Path:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         header = list(rows[0].keys())
@@ -438,3 +463,4 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
                 else:
                     out.append(fmt(v))
             writer.writerow(out)
+    return path

@@ -39,6 +39,11 @@ class BoundaryLeakError(SolverError):
     pass
 
 
+# Largest probability the outermost grid cells may hold before a run aborts,
+# well before periodic wraparound reaches the observables.
+BOUNDARY_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class FieldModel:
     b0: float  # uniform z-field
@@ -50,6 +55,8 @@ class FieldModel:
     def __post_init__(self):
         if self.b0 <= 0:
             raise FieldError("b0 must be positive (nondegenerate Larmor frequency)")
+        if self.region_extent <= 0:
+            raise FieldError(f"region_extent must be positive, got {self.region_extent}")
 
     def components(self, x, z):
         """(B_x, B_z) on arrays x, z (broadcastable)."""
@@ -154,6 +161,8 @@ def gaussian_packet(
 
     Requires at least 8 grid points per sigma so the packet is resolved.
     """
+    if n_points < 2:
+        raise SolverError(f"need at least 2 grid points, got {n_points}")
     z = np.linspace(-extent / 2, extent / 2, n_points, endpoint=False)
     dz = z[1] - z[0]
     if sigma / dz < 8:
@@ -206,13 +215,12 @@ def evolve(
     field: FieldModel,
     dt: float,
     steps: int,
-    boundary_tol: float = 1e-6,
     check_every: int = 100,
 ) -> SpinorGrid:
     """Strang-split evolution over `steps` time steps; returns a new grid.
 
     Rejects time steps with dt * mu * max|B| > 0.1 (accuracy of the potential
-    step); aborts with a diagnostic when boundary mass exceeds `boundary_tol`.
+    step); aborts with a diagnostic when boundary mass exceeds BOUNDARY_TOL.
     """
     bx, bz = _field_arrays(grid, field)
     max_b = float(np.max(np.sqrt(bx**2 + bz**2)))
@@ -236,9 +244,9 @@ def evolve(
         if (step + 1) % check_every == 0 or step + 1 == steps:
             current = replace(grid, psi=np.stack([up, down]))
             bm = current.boundary_mass()
-            if bm > boundary_tol:
+            if bm > BOUNDARY_TOL:
                 raise BoundaryLeakError(
-                    f"boundary mass {bm:.3g} > {boundary_tol:.3g} at step {step + 1};"
+                    f"boundary mass {bm:.3g} > {BOUNDARY_TOL:.3g} at step {step + 1};"
                     " enlarge the grid extent"
                 )
     return replace(grid, psi=np.stack([up, down]))
@@ -262,9 +270,6 @@ class AdiabaticityReport:
     u_fi: float
     larmor_omega: float
     inequality_margin: float  # (omega / v) * B0 / B2; inf when B2 = 0
-    flip_probability: float | None = None
-    kick_up: float | None = None
-    kick_down: float | None = None
 
 
 def adiabaticity_parameter(field: FieldModel, v: float, z_scale: float) -> AdiabaticityReport:
@@ -277,6 +282,8 @@ def adiabaticity_parameter(field: FieldModel, v: float, z_scale: float) -> Adiab
     if v <= 0:
         raise FieldError("beam speed must be positive")
     omega = field.larmor_omega
+    if omega == 0:
+        raise FieldError("Larmor frequency mu * b0 is zero")
     u_fi = v * z_scale * field.b2 / (omega * field.region_extent * field.b0)
     margin = (omega / v) * field.b0 / field.b2 if field.b2 != 0 else float("inf")
     return AdiabaticityReport(u_fi=abs(u_fi), larmor_omega=omega, inequality_margin=margin)
@@ -336,7 +343,6 @@ def run_simulation(
     dt: float,
     steps: int,
     record_every: int = 10,
-    boundary_tol: float = 1e-6,
 ) -> RunResult:
     """Evolve while recording the observables time series.
 
@@ -362,8 +368,7 @@ def run_simulation(
     done = 0
     while done < steps:
         chunk = min(record_every, steps - done)
-        current = evolve(current, field, dt, chunk, boundary_tol=boundary_tol,
-                         check_every=max(chunk, 1))
+        current = evolve(current, field, dt, chunk, check_every=max(chunk, 1))
         done += chunk
         t = done * dt
         rows.append(_observe(current, t, flip_branch))

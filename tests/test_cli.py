@@ -1,6 +1,9 @@
 import csv
 import json
+import re
+import time
 from concurrent.futures import Executor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -374,3 +377,255 @@ def test_sweep_rejects_non_numeric_axis(tmp_path, capsys):
     path = write_scenario(tmp_path, payload)
     assert main(["sweep", "--scenario", path, "--out", str(tmp_path)]) == EXIT_INPUT
     assert "non-numeric" in capsys.readouterr().err
+
+
+def test_amplify_bounds_copies_by_tensor_axes(tmp_path, capsys):
+    # a trivial group never grows the state, so only the 64-axis limit binds
+    payload = {
+        "version": 1,
+        "kind": "amplify",
+        "rep": {
+            "group": [1],
+            "system_dim": 1,
+            "projections": [{"character": [0], "matrix": [[1]]}],
+        },
+        "state": [1.0],
+        "outcomes": [[0]],
+        "n_values": [63],
+    }
+    out = tmp_path / "out"
+    path = write_scenario(tmp_path, payload)
+    assert main(["amplify", "--scenario", path, "--out", str(out)]) == EXIT_OK
+    assert read_csv(out / "amplify.csv")[0]["n"] == "63"
+    payload["n_values"] = [64]
+    path = write_scenario(tmp_path, payload, "over.json")
+    assert main(["amplify", "--scenario", path, "--out", str(tmp_path)]) == EXIT_INPUT
+    assert "field 'n_values'" in capsys.readouterr().err
+
+
+# One small valid scenario of each kind.
+VALID = {
+    "relations": {"version": 1, "kind": "relations", "groups": [[2], [2, 2]]},
+    "measure": {
+        "version": 1,
+        "kind": "measure",
+        "rep": {
+            "group": [2],
+            "system_dim": 2,
+            "projections": [
+                {"character": [0], "matrix": [[1, 0], [0, 0]]},
+                {"character": [1], "matrix": [[0, 0], [0, [1, 0]]]},
+            ],
+        },
+        "state": [0.6, [0.0, 0.8]],
+        "outcomes": [[0], [0, 1]],
+        "observable": [[1, 0], [0, -1]],
+    },
+    "amplify": {
+        "version": 1,
+        "kind": "amplify",
+        "rep": "sigma_z",
+        "state": [0.6, 0.8],
+        "outcomes": [[0], [0, 1]],
+        "observable": "identity",
+        "n_values": [1, 2],
+    },
+    "sterngerlach": {
+        "version": 1,
+        "kind": "sterngerlach",
+        "field": {"b0": 1.0, "b1": 0.5, "b2": 0.1, "mu": 1.0, "region_extent": 5.0},
+        "grid": {
+            "points": 512,
+            "extent": 40.0,
+            "sigma": 1.0,
+            "center": 0.5,
+            "momentum": 0.1,
+            "spinor": [1.0, [0.0, 1.0]],
+            "mass": 1.0,
+        },
+        "time": {"dt": 0.005, "steps": 4, "record_every": 2},
+        "adiabaticity": {"v": 2.0, "z_scale": 1.0},
+    },
+    "sweep": {
+        "version": 1,
+        "kind": "sweep",
+        "base": {
+            "field": {"b0": 1.0, "b1": 0.1},
+            "grid": {"points": 512, "extent": 40.0, "sigma": 1.0, "spinor": [1.0, 1.0]},
+            "time": {"dt": 0.005, "steps": 4},
+        },
+        "adiabaticity": {"v": 2.0, "z_scale": 1.0},
+        "axes": [
+            {"path": "field.b2", "values": [0.0, 0.1]},
+            {"path": "grid.points", "values": [512]},
+        ],
+    },
+}
+
+
+def with_value(payload, keys, value):
+    """Copy of `payload` with the entry at `keys` (object keys and list indices) set."""
+    out = json.loads(json.dumps(payload))
+    target = out
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    return out
+
+
+def dotted(keys):
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)[1:]
+
+
+@pytest.mark.parametrize(
+    "kind, keys, value, field",
+    [
+        ("sterngerlach", ("field", "b0"), float("nan"), "field.b0"),
+        ("sterngerlach", ("field", "b0"), "1", "field.b0"),
+        ("sterngerlach", ("grid", "points"), None, "grid.points"),
+        ("sterngerlach", ("grid", "points"), "abc", "grid.points"),
+        ("sterngerlach", ("grid",), "x", "grid"),
+        ("sterngerlach", ("grid", "spinor"), [0, 0], "grid.spinor"),
+        ("sterngerlach", ("grid", "mass"), 0, "grid.mass"),
+        ("sterngerlach", ("time", "steps"), True, "time.steps"),
+        ("sterngerlach", ("time", "dt"), float("inf"), "time.dt"),
+        ("sterngerlach", ("adiabaticity", "v"), 0, "adiabaticity.v"),
+        ("sterngerlach", ("field", "region_extent"), 0, "field.region_extent"),
+        ("measure", ("outcomes",), [[True]], "outcomes[0]"),
+        ("measure", ("outcomes",), [[0, 2]], "outcomes[0]"),
+        ("measure", ("rep", "group"), ["x"], "rep.group"),
+        ("measure", ("rep", "system_dim"), "q", "rep.system_dim"),
+        ("measure", ("rep", "projections", 0, "matrix"), [[1, 0], [0]],
+         "rep.projections[0].matrix"),
+        ("amplify", ("observable",), [[1]], "observable"),
+        ("sweep", ("axes", 0, "path"), "field.b0.x", "axes[0].path"),
+        ("sweep", ("axes", 0, "path"), "grid", "axes[0].path"),
+        ("sweep", ("axes", 0, "values"), [0.1, float("nan")], "axes[0].values"),
+    ],
+    ids=[
+        "b0-nan", "b0-string", "points-null", "points-string", "grid-string", "spinor-zero",
+        "mass-zero", "steps-bool", "dt-infinite", "v-zero", "region-extent-zero",
+        "outcome-bool", "outcome-out-of-range", "rep-group-string", "system-dim-string",
+        "ragged-matrix", "observable-shape", "axis-path-too-deep", "axis-path-section",
+        "axis-value-nan",
+    ],
+)
+def test_bad_field_exits_1_naming_it(tmp_path, capsys, kind, keys, value, field):
+    path = write_scenario(tmp_path, with_value(VALID[kind], keys, value))
+    assert main([kind, "--scenario", path, "--out", str(tmp_path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"field '{field}'" in err and "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "value, type, bound, expected",
+    [
+        (3, int, 0, 3),
+        (2, float, None, 2.0),
+        ([1, [0, 2]], [complex], None, [1 + 0j, 2j]),
+        ([[1], [2, 3]], [[int]], 0, [[1], [2, 3]]),
+        ({"k": 1}, dict, None, {"k": 1}),
+        (True, int, None, "an integer, got True"),
+        (2.0, int, None, "an integer, got 2.0"),
+        (0, int, 0, "an integer > 0, got 0"),
+        (float("nan"), float, None, "a finite number, got nan"),
+        (10**400, float, None, "a finite number, got 1000"),
+        (False, float, None, "a finite number, got False"),
+        ([1, True], [complex], None, "field 'a.b': expected a non-empty list"),
+        ([[1], [2, 0]], [[int]], 0, "field 'a.b[1]': expected a non-empty list"),
+        ([], [int], None, "a non-empty list, each item an integer, got []"),
+        ({}, dict, None, "a non-empty object, got {}"),
+    ],
+)
+def test_read_checks_type_and_bound(value, type, bound, expected):
+    scenario = {"a": {"b": value}}
+    if isinstance(expected, str):
+        with pytest.raises(ScenarioError, match=re.escape(expected)) as exc:
+            scenarios.read(scenario, "a.b", type, bound=bound)
+        assert str(exc.value).startswith("field 'a.b")
+    else:
+        assert scenarios.read(scenario, "a.b", type, bound=bound) == expected
+
+
+def test_read_walks_paths_and_defaults():
+    scenario = {"a": {"b": [{"c": 1}]}, "s": "x"}
+    assert scenarios.read(scenario, "a.b[0].c", int) == 1
+    assert scenarios.read(scenario, "a.z.c", int, 7) == 7  # an absent key gives the default
+    with pytest.raises(ScenarioError, match=r"field 'a\.z\.c': expected an integer, missing"):
+        scenarios.read(scenario, "a.z.c", int)
+    with pytest.raises(ScenarioError, match=r"field 's': expected a non-empty object, got 'x'"):
+        scenarios.read(scenario, "s.t", int, 7)  # a present non-object is never skipped
+
+
+def test_sweep_reads_every_point_before_running_one(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(scenarios.sterngerlach, "evolve", lambda *a, **k: calls.append(a))
+    payload = with_value(VALID["sweep"], ("axes", 1), {"path": "field.b0", "values": [1.0, -1.0]})
+    path = write_scenario(tmp_path, payload)
+    assert main(["sweep", "--scenario", path, "--out", str(tmp_path)]) == EXIT_INPUT
+    assert "field 'axes[1].values'" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_sweep_axes_supply_fields_the_base_leaves_out(tmp_path):
+    # an axis may give the required b0 and turn the U_fi report on by itself
+    payload = {
+        "version": 1,
+        "kind": "sweep",
+        "base": {"grid": {"points": 512}, "time": {"dt": 0.005, "steps": 4}},
+        "axes": [
+            {"path": "field.b0", "values": [1, 2.0]},
+            {"path": "adiabaticity.v", "values": [2.0]},
+        ],
+    }
+    out = tmp_path / "out"
+    path = write_scenario(tmp_path, payload)
+    assert main(["sweep", "--scenario", path, "--out", str(out)]) == EXIT_OK
+    rows = read_csv(out / "sweep.csv")
+    assert [r["field.b0"] for r in rows] == ["1", "2"]
+    assert all(float(r["u_fi"]) == 0.0 for r in rows)  # b2 = 0: no spin flip drive
+
+
+MUTATIONS = [None, True, "x", float("nan"), float("inf"), -1, 0, [], {}]
+
+
+def object_keys(obj, prefix=()):
+    """Key paths of every object inside `obj`, lists included."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield prefix + (key,)
+            yield from object_keys(value, prefix + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from object_keys(value, prefix + (i,))
+
+
+def test_mutation_table_exits_cleanly_naming_the_field(tmp_path, capsys):
+    # every key of every valid scenario, set to each malformed value in turn
+    start = time.perf_counter()
+    runs = 0
+    for kind, payload in VALID.items():
+        for keys in object_keys(payload):
+            for value in MUTATIONS:
+                path = write_scenario(tmp_path, with_value(payload, keys, value))
+                code = main([kind, "--scenario", path, "--out", str(tmp_path / "out")])
+                err = capsys.readouterr().err
+                case = f"{kind}: {dotted(keys)} = {value!r} -> {code}: {err}"
+                assert code in (EXIT_OK, EXIT_INPUT, EXIT_INVARIANT), case
+                if code == EXIT_INPUT:
+                    assert re.search(rf"field '{re.escape(dotted(keys))}[.\[']", err), case
+                runs += 1
+    assert runs > 500
+    assert time.perf_counter() - start < 30
+
+
+def test_readme_tables_every_stern_gerlach_field():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for path, default in scenarios.SG_FIELDS.items():
+        kind = {int: "integer", float: "number", list: "2 amplitudes"}[type(default)]
+        shown = "required" if path in scenarios.SG_REQUIRED else json.dumps(default)
+        bound = {0: "> 0", None: "any"}[scenarios._sg_bound(path)]
+        if isinstance(default, list):
+            bound = "not both zero"
+        assert f"| `{path}` | {kind} | {shown} | {bound} |" in readme

@@ -219,3 +219,20 @@ def test_2d_mode_matches_1d_at_frozen_x():
     assert out2.norm_squared() == pytest.approx(1.0, abs=1e-10)
     assert out2.branch_weight("up") == pytest.approx(out1.branch_weight("up"), abs=1e-10)
     assert out2.mean_pz("up") == pytest.approx(out1.mean_pz("up"), abs=1e-8)
+
+
+def test_gaussian_packet_needs_two_points():
+    with pytest.raises(SolverError, match="at least 2 grid points"):
+        gaussian_packet(1, 40.0, sigma=1.0)
+
+
+@pytest.mark.parametrize("extent", [0.0, -2.0])
+def test_field_model_rejects_nonpositive_region_extent(extent):
+    with pytest.raises(FieldError, match="region_extent"):
+        FieldModel(b0=1.0, b1=0.0, b2=0.1, region_extent=extent)
+
+
+def test_adiabaticity_parameter_rejects_zero_larmor_frequency():
+    field = FieldModel(b0=1.0, b1=0.0, b2=0.1, mu=0.0)
+    with pytest.raises(FieldError, match="Larmor frequency"):
+        adiabaticity_parameter(field, v=1.0, z_scale=1.0)
