@@ -2,16 +2,12 @@
 and a Stern-Gerlach wavepacket simulator."""
 
 from .groups import Character, FiniteAbelianGroup, make_group
-from .hilbert import DenseOperator, LegSpace, StateVector
 from .measurement import SpectralRepresentation, instrument, make_spectral_rep
 
 __all__ = [
     "Character",
     "FiniteAbelianGroup",
     "make_group",
-    "DenseOperator",
-    "LegSpace",
-    "StateVector",
     "SpectralRepresentation",
     "instrument",
     "make_spectral_rep",

@@ -7,14 +7,17 @@ output agree with the single-probe instrument for every N; the chain of copy
 unitaries intertwines a translation on the first probe leg with the diagonal
 translation on all legs.
 
-The copy stages and translations are permutations and run as integer index
-maps.  `cascade_apply` works stage-wise on the state tensor and never
+States are plain arrays: a cascade state is a tensor of shape
+`CascadeConfig.shape`, (system dim, |G|, ..., |G|) with N probe legs.  The
+copy stages and translations are permutations and run as integer index
+maps.  `cascade_apply` works stage-wise on that tensor and never
 materializes the cascade unitary: the first stage (UtildeV, not a
 permutation) is a small dense contraction, and each copy stage is a gather
 through the index map of V.  `intertwiner_chain_check` composes the stage
 maps exactly on basis indices.  `cascade_unitary` builds the full dense
-matrix, from the dense 0/1 matrix of V, and serves as the test oracle.
-DEFAULT_MEMORY_BUDGET bounds both the cascade state and that matrix.
+matrix with `hilbert.embed` on leg positions, from the dense 0/1 matrix of
+V, and serves as the test oracle, as does `heisenberg_T`, which conjugates
+by it.  DEFAULT_MEMORY_BUDGET bounds both the cascade state and that matrix.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import Character, FiniteAbelianGroup, _perm_matrix
-from .hilbert import DenseOperator, LegSpace, StateVector, embed, leg_space
+from .hilbert import embed
 from .ktops import _kron_perm, _perm_product, _perm_residual, build_UtildeV, build_V
 from .measurement import (
     InstrumentResult,
@@ -68,11 +71,9 @@ class CascadeConfig:
         return self.rep.system_dim * self.rep.group.size**self.n_copies
 
     @property
-    def space(self) -> LegSpace:
-        g = self.rep.group.size
-        legs = [("sys", self.rep.system_dim)]
-        legs += [(f"probe{i}", g) for i in range(1, self.n_copies + 1)]
-        return leg_space(*legs)
+    def shape(self) -> tuple[int, ...]:
+        """Tensor shape of a cascade state: the system leg, then N probe legs."""
+        return (self.rep.system_dim,) + (self.rep.group.size,) * self.n_copies
 
 
 def _adjacent_view(tensor: np.ndarray, axis: int) -> np.ndarray:
@@ -91,24 +92,27 @@ def _gather_on_adjacent(tensor: np.ndarray, src: np.ndarray, axis: int) -> np.nd
     return _adjacent_view(tensor, axis)[:, src, :].reshape(tensor.shape)
 
 
-def cascade_apply(cfg: CascadeConfig, xi, inverse: bool = False) -> StateVector:
-    """Stage-wise cascade output for a normalized system state.
+def cascade_apply(cfg: CascadeConfig, xi, inverse: bool = False) -> np.ndarray:
+    """Stage-wise cascade output, a tensor of shape cfg.shape, for a normalized
+    system state.
 
-    Probe legs start in the trivial character.  With `inverse=True` the adjoint
-    stages are applied in reverse to a cascade output, recovering the
-    decoupled state.
+    Probe legs start in the trivial character.  With `inverse=True`, xi is a
+    cascade state of cfg.state_dim entries (flat or a tensor), and the adjoint
+    stages are applied to it in reverse, recovering the decoupled state.
     """
     g = cfg.rep.group.size
     n = cfg.n_copies
-    if isinstance(xi, StateVector):
-        if xi.space != cfg.space:
-            raise CascadeError("state space does not match cascade configuration")
-        tensor = xi.as_tensor().copy()
+    if inverse:
+        if np.size(xi) != cfg.state_dim:
+            raise CascadeError(
+                f"cascade state has {np.size(xi)} entries, expected {cfg.state_dim}"
+            )
+        tensor = np.asarray(xi, dtype=complex).reshape(cfg.shape)
     else:
         xi = _check_state(cfg.rep, xi)
         tensor = xi.reshape(cfg.rep.system_dim, *(1,) * n) * _iota_block(g, n)
 
-    utv = build_UtildeV(cfg.rep).matrix
+    utv = build_UtildeV(cfg.rep)
     vp = build_V(cfg.rep.group)
     # V e_q = e_{vp[q]}: (V psi)[vp[q]] = psi[q] and (V* psi)[q] = psi[vp[q]]
     if inverse:
@@ -120,7 +124,7 @@ def cascade_apply(cfg: CascadeConfig, xi, inverse: bool = False) -> StateVector:
         src = np.argsort(vp)
         for k in range(1, n):
             tensor = _gather_on_adjacent(tensor, src, k)
-    return StateVector(cfg.space, tensor.reshape(-1))
+    return tensor
 
 
 def _iota_block(g: int, n: int) -> np.ndarray:
@@ -129,21 +133,18 @@ def _iota_block(g: int, n: int) -> np.ndarray:
     return block
 
 
-def cascade_unitary(cfg: CascadeConfig) -> DenseOperator:
+def cascade_unitary(cfg: CascadeConfig) -> np.ndarray:
     """Materialized cascade matrix V_{N,N+1} ... V_23 UtildeV_12 (oracle path)."""
     if cfg.state_dim**2 > DEFAULT_MEMORY_BUDGET:
         raise CascadeError(
             f"cascade matrix of {cfg.state_dim}**2 entries exceeds memory budget"
             f" {DEFAULT_MEMORY_BUDGET}; use cascade_apply"
         )
-    space = cfg.space
-    utv = build_UtildeV(cfg.rep)
-    g = cfg.rep.group.size
-    v = DenseOperator(leg_space(("c1", g), ("c2", g)), _perm_matrix(build_V(cfg.rep.group)))
-    mat = embed(utv, ["sys", "probe1"], space).matrix
+    v = _perm_matrix(build_V(cfg.rep.group))
+    mat = embed(build_UtildeV(cfg.rep), [0, 1], cfg.shape)
     for k in range(1, cfg.n_copies):
-        mat = embed(v, [f"probe{k}", f"probe{k + 1}"], space).matrix @ mat
-    return DenseOperator(space, mat)
+        mat = embed(v, [k, k + 1], cfg.shape) @ mat
+    return mat
 
 
 def amplified_instrument(cfg: CascadeConfig, delta: Outcome, xi, b) -> InstrumentResult:
@@ -153,12 +154,10 @@ def amplified_instrument(cfg: CascadeConfig, delta: Outcome, xi, b) -> Instrumen
     m = cfg.rep.system_dim
     if b.shape != (m, m):
         raise CascadeError(f"observable shape {b.shape} vs system dim {m}")
-    out = cascade_apply(cfg, xi).as_tensor()
-
     indicator = np.zeros(cfg.rep.group.size)
     for chi in delta.characters:
         indicator[chi.index] = 1.0
-    projected = out.copy()
+    projected = cascade_apply(cfg, xi)
     for axis in range(1, cfg.n_copies + 1):
         shape = [1] * projected.ndim
         shape[axis] = -1
@@ -210,7 +209,7 @@ def intertwiner_chain_check(group: FiniteAbelianGroup, gamma: Character, n: int)
     return _perm_residual(lhs, rhs)
 
 
-def heisenberg_T(cfg: CascadeConfig, a, fs) -> DenseOperator:
+def heisenberg_T(cfg: CascadeConfig, a, fs) -> np.ndarray:
     """Heisenberg-picture map conjugating A x f_2 x ... x f_{N+1} by the
     cascade stages; each f is a diagonal (character-basis) probe function."""
     a = np.asarray(a, dtype=complex)
@@ -233,5 +232,5 @@ def heisenberg_T(cfg: CascadeConfig, a, fs) -> DenseOperator:
     big = a
     for f in diags:
         big = np.kron(big, np.diag(f))
-    u = cascade_unitary(cfg).matrix
-    return DenseOperator(cfg.space, u.conj().T @ big @ u)
+    u = cascade_unitary(cfg)
+    return u.conj().T @ big @ u

@@ -125,10 +125,6 @@ class Character:
         return Character(self.group, self.group.negate(self.exponents))
 
     @property
-    def is_trivial(self) -> bool:
-        return all(m == 0 for m in self.exponents)
-
-    @property
     def index(self) -> int:
         return self.group.index(self.exponents)
 
@@ -138,10 +134,6 @@ def make_group(orders) -> FiniteAbelianGroup:
     if g.size > DEFAULT_SIZE_CAP:
         raise GroupError(f"group size {g.size} exceeds cap {DEFAULT_SIZE_CAP}")
     return g
-
-
-def char_value(chi: Character, u) -> complex:
-    return chi.value(u)
 
 
 def canonical_groups(max_size: int) -> list[FiniteAbelianGroup]:

@@ -1,14 +1,14 @@
-"""Dense vectors and operators on labeled tensor-product spaces.
+"""Dense-oracle embedding of an operator on given tensor legs.
 
-Flattening is row-major with the leftmost leg most significant, matching the
-group enumeration in :mod:`qmamp.groups`.  All values are immutable after
-construction; operations are pure functions.
+States and operators are plain numpy arrays.  Flattening is row-major with
+the leftmost leg most significant, matching the group enumeration in
+:mod:`qmamp.groups`.  `embed` builds the dense matrix of an operator acting on
+some legs of a tensor product and as the identity on the others; the dense
+oracles use it, the stage-wise code paths never do.
 """
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
 from math import prod
 
 import numpy as np
@@ -18,202 +18,18 @@ class HilbertError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class LegSpace:
-    legs: tuple[tuple[str, int], ...]
-
-    def __post_init__(self):
-        labels = [lab for lab, _ in self.legs]
-        if len(set(labels)) != len(labels):
-            raise HilbertError(f"duplicate leg labels in {labels}")
-        if any(d < 1 for _, d in self.legs):
-            raise HilbertError("leg dimensions must be >= 1")
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(lab for lab, _ in self.legs)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(d for _, d in self.legs)
-
-    @property
-    def dim(self) -> int:
-        return prod(self.dims)
-
-    def axis(self, label: str) -> int:
-        for i, (lab, _) in enumerate(self.legs):
-            if lab == label:
-                return i
-        raise HilbertError(f"unknown leg label {label!r}")
-
-    def leg_dim(self, label: str) -> int:
-        return self.legs[self.axis(label)][1]
-
-
-def leg_space(*legs: tuple[str, int]) -> LegSpace:
-    return LegSpace(tuple(legs))
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr = np.array(arr, dtype=complex)
-    arr.setflags(write=False)
-    return arr
-
-
-@dataclass(frozen=True)
-class StateVector:
-    space: LegSpace
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amp = _frozen(self.amplitudes)
-        if amp.shape != (self.space.dim,):
-            raise HilbertError(
-                f"amplitude shape {amp.shape} does not match dimension {self.space.dim}"
-            )
-        object.__setattr__(self, "amplitudes", amp)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def is_normalized(self, tol: float = 1e-10) -> bool:
-        return abs(self.norm - 1.0) <= tol
-
-    def as_tensor(self) -> np.ndarray:
-        return self.amplitudes.reshape(self.space.dims)
-
-    def overlap(self, other: "StateVector") -> complex:
-        if other.space != self.space:
-            raise HilbertError("spaces do not match")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-
-@dataclass(frozen=True)
-class DenseOperator:
-    space: LegSpace
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = _frozen(self.matrix)
-        d = self.space.dim
-        if mat.shape != (d, d):
-            raise HilbertError(f"matrix shape {mat.shape} does not match dimension {d}")
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-    def adjoint(self) -> "DenseOperator":
-        return DenseOperator(self.space, self.matrix.conj().T)
-
-    def __matmul__(self, other: "DenseOperator") -> "DenseOperator":
-        if other.space != self.space:
-            raise HilbertError("operator spaces do not match")
-        return DenseOperator(self.space, self.matrix @ other.matrix)
-
-    def is_unitary(self, tol: float = 1e-10) -> bool:
-        d = self.dim
-        res = np.linalg.norm(self.matrix.conj().T @ self.matrix - np.eye(d))
-        return res <= tol * d
-
-    def is_projection(self, tol: float = 1e-10) -> bool:
-        return (
-            np.linalg.norm(self.matrix @ self.matrix - self.matrix) <= tol
-            and self.is_hermitian(tol)
-        )
-
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        return np.linalg.norm(self.matrix - self.matrix.conj().T) <= tol
-
-
-def identity(space: LegSpace) -> DenseOperator:
-    return DenseOperator(space, np.eye(space.dim))
-
-
-def basis_state(space: LegSpace, indices) -> StateVector:
-    """Product basis state with the given index per leg (in leg order)."""
-    indices = tuple(int(i) for i in indices)
-    if len(indices) != len(space.legs):
-        raise HilbertError("one index per leg required")
-    flat = int(np.ravel_multi_index(indices, space.dims))
-    amp = np.zeros(space.dim, dtype=complex)
-    amp[flat] = 1.0
-    return StateVector(space, amp)
-
-
-def product_state(*parts: StateVector) -> StateVector:
-    """Tensor product, legs concatenated left to right."""
-    legs = tuple(leg for p in parts for leg in p.space.legs)
-    amp = parts[0].amplitudes
-    for p in parts[1:]:
-        amp = np.kron(amp, p.amplitudes)
-    return StateVector(LegSpace(legs), amp)
-
-
-def embed(op: DenseOperator, target_labels, space: LegSpace) -> DenseOperator:
-    """Tensor op (acting on the listed legs, in order) with identity elsewhere."""
-    target_labels = list(target_labels)
-    t_axes = [space.axis(lab) for lab in target_labels]
-    if len(set(t_axes)) != len(t_axes):
-        raise HilbertError("repeated target leg")
-    t_dims = [space.dims[a] for a in t_axes]
-    if prod(t_dims) != op.dim:
-        raise HilbertError(
-            f"operator dimension {op.dim} does not match target legs {t_dims}"
-        )
-    op_dims = op.space.dims
-    if len(op_dims) == len(t_dims) and tuple(op_dims) != tuple(t_dims):
-        raise HilbertError(f"operator leg dims {op_dims} do not match targets {t_dims}")
-
-    r_axes = [a for a in range(len(space.legs)) if a not in t_axes]
-    r_dims = [space.dims[a] for a in r_axes]
-    k, r = len(t_axes), len(r_axes)
-
-    a = op.matrix.reshape(t_dims + t_dims)
-    eye = np.eye(prod(r_dims) if r_dims else 1).reshape(r_dims + r_dims)
-    full = np.tensordot(a, eye, axes=0)
-    # axes of `full`: (t_out.., t_in.., r_out.., r_in..)
-    src_out = {}
-    src_in = {}
-    for j, axis in enumerate(t_axes):
-        src_out[axis] = j
-        src_in[axis] = k + j
-    for j, axis in enumerate(r_axes):
-        src_out[axis] = 2 * k + j
-        src_in[axis] = 2 * k + r + j
-    n = len(space.legs)
-    perm = [src_out[a_] for a_ in range(n)] + [src_in[a_] for a_ in range(n)]
-    mat = full.transpose(perm).reshape(space.dim, space.dim)
-    return DenseOperator(space, mat)
-
-
-def apply(op: DenseOperator, xi: StateVector) -> StateVector:
-    if op.space != xi.space:
-        raise HilbertError("operator and state spaces do not match")
-    return StateVector(xi.space, op.matrix @ xi.amplitudes)
-
-
-def expectation(xi: StateVector, op: DenseOperator) -> complex:
-    if op.space != xi.space:
-        raise HilbertError("operator and state spaces do not match")
-    return complex(np.vdot(xi.amplitudes, op.matrix @ xi.amplitudes))
-
-
-def dump_vector_csv(xi: StateVector, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "real", "imag"])
-        for i, a in enumerate(xi.amplitudes):
-            w.writerow([i, f"{a.real:.17g}", f"{a.imag:.17g}"])
-
-
-def dump_operator_csv(op: DenseOperator, path) -> None:
-    """Row-major flattened entries as (index, real, imag)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "real", "imag"])
-        for i, a in enumerate(op.matrix.ravel()):
-            w.writerow([i, f"{a.real:.17g}", f"{a.imag:.17g}"])
+def embed(op, axes, dims) -> np.ndarray:
+    """Matrix of op acting on the legs at positions `axes` (in that order) of a
+    space with leg dimensions `dims`, and as the identity on the other legs."""
+    axes, dims = [int(a) for a in axes], [int(d) for d in dims]
+    if len(set(axes)) != len(axes) or not all(0 <= a < len(dims) for a in axes):
+        raise HilbertError(f"legs {axes} must be distinct positions in range({len(dims)})")
+    rest = [a for a in range(len(dims)) if a not in axes]
+    op = np.asarray(op, dtype=complex)
+    t_dims, r_dims = [dims[a] for a in axes], [dims[a] for a in rest]
+    if op.shape != (prod(t_dims),) * 2:
+        raise HilbertError(f"operator shape {op.shape} does not match target legs {t_dims}")
+    # legs of kron(op, 1) are (axes, rest) for both row and column indices
+    full = np.kron(op, np.eye(prod(r_dims))).reshape(2 * (t_dims + r_dims))
+    order = list(np.argsort(axes + rest))
+    return full.transpose(order + [len(dims) + i for i in order]).reshape(2 * (prod(dims),))

@@ -12,9 +12,12 @@ are represented only as integer index maps p (e_j -> e_{p[j]}), built by
 vectorised index arithmetic.  Relation checks return Frobenius-norm
 residuals: the pentagonal and intertwining relations compose index maps, and
 the residual sqrt(2 * #mismatched columns) equals the dense Frobenius norm
-exactly.  The represented (system-space) relations are checked with explicit
-matrix products; `groups._perm_matrix` gives the dense 0/1 matrix of a map
-where an operator is used densely, as there and in the tests.
+exactly.  `build_UW`, `build_UtildeV` and `heisenberg_embed` are not
+permutations; they return plain dense matrices on system x group, the
+system leg most significant.  The represented (system-space) relations are
+checked with explicit matrix products, the three-leg one through
+`hilbert.embed` on leg positions; `groups._perm_matrix` gives the dense 0/1
+matrix of a map where an operator is used densely, as there and in the tests.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import FiniteAbelianGroup, _perm_matrix, fourier_matrix, regular_representation
-from .hilbert import DenseOperator, embed, leg_space
+from .hilbert import embed
 
 
 class KTError(ValueError):
@@ -148,49 +151,42 @@ def verify_intertwining(perm, group: FiniteAbelianGroup, orientation: str) -> fl
     return worst
 
 
-def build_UW(rep) -> DenseOperator:
+def build_UW(rep) -> np.ndarray:
     """Block-diagonal coupling on system x group with blocks
     U_u = sum_chi conj(chi(u)) E(chi)."""
     group = rep.group
     m, n = rep.system_dim, group.size
-    space = leg_space(("sys", m), ("g", n))
     mat = np.zeros((m * n, m * n), dtype=complex)
     for j, u in enumerate(group.elements()):
-        uu = rep.unitary(u)
-        mat[j::n, j::n] = uu
-    return DenseOperator(space, mat)
+        mat[j::n, j::n] = rep.unitary(u)
+    return mat
 
 
-def build_UtildeV(rep) -> DenseOperator:
+def build_UtildeV(rep) -> np.ndarray:
     """Coupling sum_chi E(chi) x lambda_chi on system x dual-group probe."""
-    group = rep.group
-    m, n = rep.system_dim, group.size
-    space = leg_space(("sys", m), ("probe", n))
+    m, n = rep.system_dim, rep.group.size
     mat = np.zeros((m * n, m * n), dtype=complex)
     for chi, proj in rep.projections.items():
         mat += np.kron(proj, regular_representation(chi))
-    return DenseOperator(space, mat)
+    return mat
 
 
 def uw_fourier_conjugation_residual(rep) -> float:
     """|| UtildeV - (id x F) UW* (id x F)^-1 ||."""
     f = fourier_matrix(rep.group)
     idf = np.kron(np.eye(rep.system_dim), f)
-    lhs = build_UtildeV(rep).matrix
-    rhs = idf @ build_UW(rep).matrix.conj().T @ idf.conj().T
+    lhs = build_UtildeV(rep)
+    rhs = idf @ build_UW(rep).conj().T @ idf.conj().T
     return float(np.linalg.norm(lhs - rhs))
 
 
 def verify_represented_pentagonal(rep) -> float:
     """Residual of UW_12 W_23 = W_23 UW_13 UW_12 on system x group x group."""
-    group = rep.group
-    m, n = rep.system_dim, group.size
-    space = leg_space(("sys", m), ("g1", n), ("g2", n))
+    n = rep.group.size
+    dims = (rep.system_dim, n, n)
     uw = build_UW(rep)
-    w = DenseOperator(leg_space(("g1", n), ("g2", n)), _perm_matrix(build_W(group)))
-    uw12 = embed(uw, ["sys", "g1"], space).matrix
-    uw13 = embed(uw, ["sys", "g2"], space).matrix
-    w23 = embed(w, ["g1", "g2"], space).matrix
+    uw12, uw13 = embed(uw, [0, 1], dims), embed(uw, [0, 2], dims)
+    w23 = embed(_perm_matrix(build_W(rep.group)), [1, 2], dims)
     return float(np.linalg.norm(uw12 @ w23 - w23 @ uw13 @ uw12))
 
 
@@ -198,7 +194,7 @@ def verify_represented_intertwining(rep) -> float:
     """Max residual over u of UW (1 x t_u) = (U_u x t_u) UW."""
     group = rep.group
     m = rep.system_dim
-    uw = build_UW(rep).matrix
+    uw = build_UW(rep)
     eye = np.eye(m)
     worst = 0.0
     for j, u in enumerate(group.elements()):
@@ -208,7 +204,7 @@ def verify_represented_intertwining(rep) -> float:
     return worst
 
 
-def heisenberg_embed(m_op: np.ndarray, rep) -> DenseOperator:
+def heisenberg_embed(m_op: np.ndarray, rep) -> np.ndarray:
     """Ad(UW*) of (M x 1): the system observable dressed by the coupling."""
     m_op = np.asarray(m_op, dtype=complex)
     if m_op.shape != (rep.system_dim, rep.system_dim):
@@ -217,4 +213,4 @@ def heisenberg_embed(m_op: np.ndarray, rep) -> DenseOperator:
         )
     uw = build_UW(rep)
     big = np.kron(m_op, np.eye(rep.group.size))
-    return DenseOperator(uw.space, uw.matrix.conj().T @ big @ uw.matrix)
+    return uw.conj().T @ big @ uw

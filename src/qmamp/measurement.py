@@ -16,12 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import Character, FiniteAbelianGroup
-from .hilbert import StateVector, basis_state, leg_space
 from .ktops import build_UtildeV
 
 
 class MeasurementError(ValueError):
     pass
+
+
+# Frobenius-norm tolerance of the spectral-family checks in make_spectral_rep.
+PROJECTION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -36,10 +39,6 @@ class SpectralRepresentation:
             return np.zeros((self.system_dim, self.system_dim), dtype=complex)
         return p
 
-    def spectrum(self, tol: float = 1e-12) -> list[Character]:
-        """Characters carrying a nonzero projection."""
-        return [chi for chi, p in self.projections.items() if np.linalg.norm(p) > tol]
-
     def unitary(self, u) -> np.ndarray:
         out = np.zeros((self.system_dim, self.system_dim), dtype=complex)
         for chi, p in self.projections.items():
@@ -47,11 +46,12 @@ class SpectralRepresentation:
         return out
 
 
-def make_spectral_rep(group, system_dim, assignments, tol=1e-10) -> SpectralRepresentation:
+def make_spectral_rep(group, system_dim, assignments) -> SpectralRepresentation:
     """Validate (character, projection) assignments into a spectral family.
 
     Requires: each matrix a hermitian idempotent, pairwise orthogonality, and
-    completeness sum E(chi) = I.  Characters not listed get the zero projection.
+    completeness sum E(chi) = I, each to within PROJECTION_TOL.  Characters not
+    listed get the zero projection.
     """
     projections: dict[Character, np.ndarray] = {}
     for chi, mat in assignments:
@@ -62,9 +62,9 @@ def make_spectral_rep(group, system_dim, assignments, tol=1e-10) -> SpectralRepr
             raise MeasurementError(
                 f"projection shape {mat.shape} does not match system dim {system_dim}"
             )
-        if np.linalg.norm(mat - mat.conj().T) > tol:
+        if np.linalg.norm(mat - mat.conj().T) > PROJECTION_TOL:
             raise MeasurementError(f"assignment for {chi.exponents} is not hermitian")
-        if np.linalg.norm(mat @ mat - mat) > tol:
+        if np.linalg.norm(mat @ mat - mat) > PROJECTION_TOL:
             raise MeasurementError(f"assignment for {chi.exponents} is not idempotent")
         if chi in projections:
             raise MeasurementError(f"duplicate assignment for {chi.exponents}")
@@ -74,12 +74,12 @@ def make_spectral_rep(group, system_dim, assignments, tol=1e-10) -> SpectralRepr
     items = list(projections.items())
     for i, (chi1, p1) in enumerate(items):
         for chi2, p2 in items[i + 1 :]:
-            if np.linalg.norm(p1 @ p2) > tol:
+            if np.linalg.norm(p1 @ p2) > PROJECTION_TOL:
                 raise MeasurementError(
                     f"projections for {chi1.exponents} and {chi2.exponents} overlap"
                 )
     total = sum((p for _, p in items), np.zeros((system_dim, system_dim), dtype=complex))
-    if np.linalg.norm(total - np.eye(system_dim)) > tol:
+    if np.linalg.norm(total - np.eye(system_dim)) > PROJECTION_TOL:
         raise MeasurementError("projections do not sum to the identity")
     return SpectralRepresentation(group, system_dim, projections)
 
@@ -104,8 +104,6 @@ class InstrumentResult:
 
 
 def _check_state(rep: SpectralRepresentation, xi) -> np.ndarray:
-    if isinstance(xi, StateVector):
-        xi = xi.amplitudes
     xi = np.asarray(xi, dtype=complex)
     if xi.shape != (rep.system_dim,):
         raise MeasurementError(f"state shape {xi.shape} vs system dim {rep.system_dim}")
@@ -114,28 +112,16 @@ def _check_state(rep: SpectralRepresentation, xi) -> np.ndarray:
     return xi
 
 
-def coupled_space(rep: SpectralRepresentation):
-    return leg_space(("sys", rep.system_dim), ("probe", rep.group.size))
+def couple(rep: SpectralRepresentation, xi) -> np.ndarray:
+    """The (system, probe) tensor of the coupling unitary applied to xi x |trivial>.
 
-
-def couple(rep: SpectralRepresentation, xi, probe_init: Character | None = None) -> StateVector:
-    """Apply the coupling unitary to xi x |probe_init> (default: trivial character).
-
-    The output is sum_chi c_chi xi_chi x |chi * probe_init>: perfect correlation
-    between system sectors and probe labels.
+    The output is sum_chi c_chi xi_chi x |chi>: perfect correlation between
+    system sectors and probe labels.
     """
     xi = _check_state(rep, xi)
-    if probe_init is None:
-        probe_init = rep.group.trivial_character
-    utv = build_UtildeV(rep)
-    joint = np.kron(xi, _one_hot(rep.group.size, probe_init.index))
-    return StateVector(coupled_space(rep), utv.matrix @ joint)
-
-
-def _one_hot(n: int, i: int) -> np.ndarray:
-    v = np.zeros(n, dtype=complex)
-    v[i] = 1.0
-    return v
+    g = rep.group.size
+    joint = np.kron(xi, np.eye(g, dtype=complex)[rep.group.trivial_character.index])
+    return (build_UtildeV(rep) @ joint).reshape(rep.system_dim, g)
 
 
 def instrument(rep: SpectralRepresentation, delta: Outcome, xi, b: np.ndarray) -> InstrumentResult:
@@ -171,20 +157,19 @@ def verify_instrument_equals_coupled_expectation(rep, delta: Outcome, xi, b) -> 
     explicit coupling unitary and the probe indicator of delta."""
     xi = _check_state(rep, xi)
     b = np.asarray(b, dtype=complex)
-    coupled = couple(rep, xi)
+    coupled = couple(rep, xi).reshape(-1)
     indicator = np.zeros(rep.group.size)
     for chi in delta.characters:
         indicator[chi.index] = 1.0
     big = np.kron(b, np.diag(indicator).astype(complex))
-    lhs = complex(np.vdot(coupled.amplitudes, big @ coupled.amplitudes))
+    lhs = complex(np.vdot(coupled, big @ coupled))
     rhs = instrument(rep, delta, xi, b).conditional_expectation
     return abs(lhs - rhs)
 
 
-def joint_probability(rep, coupled: StateVector, chi_sys: Character, chi_probe: Character) -> float:
-    """P(system in range E(chi_sys), probe at chi_probe) in a coupled state."""
-    t = coupled.as_tensor()
-    branch = t[:, chi_probe.index]
+def joint_probability(rep, coupled: np.ndarray, chi_sys: Character, chi_probe: Character) -> float:
+    """P(system in range E(chi_sys), probe at chi_probe) in a (system, probe) tensor."""
+    branch = coupled[:, chi_probe.index]
     p = rep.projection(chi_sys)
     return float(np.vdot(p @ branch, p @ branch).real)
 

@@ -9,7 +9,8 @@ or matrix entries appear.  Spectral representations accept the presets
 
 Every field is read through `read`, which checks its type and bound and names
 its dotted path in the error; the Stern-Gerlach fields, their defaults and
-bounds are the table SG_FIELDS.
+bounds are the table SG_FIELDS.  A Stern-Gerlach run whose grid or step count
+exceeds SG_SOLVER_BYTES or SG_POINT_STEPS is refused before it starts.
 
 Outputs are CSV (floats printed with 12 significant digits) plus a summary
 JSON for the wavepacket runs; reruns with the same scenario are byte-identical.
@@ -53,6 +54,13 @@ SG_FIELDS = {
 }
 SG_REQUIRED = frozenset({"field.b0"})
 SG_SIGNED = frozenset({"field.b1", "field.b2", "grid.center", "grid.momentum"})
+
+# Size limits of one Stern-Gerlach run, checked before a packet is built.  The
+# solver holds about 240 bytes per grid point at its peak, and a step costs
+# about 250 ns per point on one core, so SG_POINT_STEPS is about 40 minutes.
+SG_SOLVER_BYTES = 1 << 30
+SG_BYTES_PER_POINT = 256
+SG_POINT_STEPS = 10**10
 
 
 class ScenarioError(ValueError):
@@ -331,6 +339,23 @@ def _sg_fields(scenario: dict, prefix: str = "", swept=()) -> dict:
     return fields
 
 
+def _check_sg_size(f: dict, where) -> None:
+    """Refuse a run whose solver arrays exceed SG_SOLVER_BYTES or whose
+    points x steps exceed SG_POINT_STEPS; `where` maps a field to its path."""
+    points, steps = f["grid.points"], f["time.steps"]
+    if points * SG_BYTES_PER_POINT > SG_SOLVER_BYTES:
+        raise ScenarioError(
+            f"field '{where('grid.points')}': expected at most"
+            f" {SG_SOLVER_BYTES // SG_BYTES_PER_POINT} points, whose solver arrays fit in"
+            f" {SG_SOLVER_BYTES} bytes, got {points}"
+        )
+    if points * steps > SG_POINT_STEPS:
+        raise ScenarioError(
+            f"field '{where('time.steps')}': expected grid.points x time.steps <="
+            f" {SG_POINT_STEPS}, got {points} x {steps}"
+        )
+
+
 def _simulate(f: dict, record_every: int):
     field = sterngerlach.FieldModel(
         f["field.b0"], f["field.b1"], f["field.b2"], f["field.mu"], f["field.region_extent"]
@@ -377,6 +402,7 @@ def _try_kick(result, branch):
 
 def run_sterngerlach(scenario: dict, out_dir: Path) -> list[Path]:
     f = _sg_fields(scenario)
+    _check_sg_size(f, lambda path: path)
     field, result = _simulate(f, f["time.record_every"])
     s = result.series
     columns = {
@@ -435,6 +461,9 @@ def run_sweep(scenario: dict, out_dir: Path, jobs: int = 1) -> list[Path]:
     base = _sg_fields(scenario, "base.", swept)
     base["adiabaticity"] |= any(p.startswith("adiabaticity.") for p in swept)
     tasks = [({**base, **dict(pt)}, pt) for pt in itertools.product(*grids)]
+    axis_of = {path: f"axes[{i}].values" for i, path in enumerate(swept)}
+    for fields, _ in tasks:
+        _check_sg_size(fields, lambda path: axis_of.get(path, "base." + path))
     # the pool starts all its workers on the first submit
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:

@@ -78,7 +78,7 @@ def criterion_2_fourier_conjugation() -> tuple[bool, str]:
 
 
 def _correlation_residual(rep, xi) -> float:
-    coupled = measurement.couple(rep, xi).as_tensor()
+    coupled = measurement.couple(rep, xi)
     expected = np.zeros_like(coupled)
     for chi, p in rep.projections.items():
         expected[:, chi.index] += p @ xi

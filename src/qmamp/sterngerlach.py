@@ -42,6 +42,8 @@ class BoundaryLeakError(SolverError):
 # Largest probability the outermost grid cells may hold before a run aborts,
 # well before periodic wraparound reaches the observables.
 BOUNDARY_TOL = 1e-6
+# Outermost cells per side of every spatial axis that the guard sums over.
+BOUNDARY_CELLS = 2
 
 
 @dataclass(frozen=True)
@@ -103,15 +105,15 @@ class SpinorGrid:
     def norm_squared(self) -> float:
         return float(np.sum(self.density) * self.cell_volume)
 
-    def boundary_mass(self, cells: int = 2) -> float:
-        """Probability in the outermost cells of every spatial axis."""
+    def boundary_mass(self) -> float:
+        """Probability in the BOUNDARY_CELLS outermost cells of every spatial axis."""
         d = self.density
         total = 0.0
         for axis in range(d.ndim):
             sl_lo = [slice(None)] * d.ndim
             sl_hi = [slice(None)] * d.ndim
-            sl_lo[axis] = slice(0, cells)
-            sl_hi[axis] = slice(-cells, None)
+            sl_lo[axis] = slice(0, BOUNDARY_CELLS)
+            sl_hi[axis] = slice(-BOUNDARY_CELLS, None)
             total += float(np.sum(d[tuple(sl_lo)]) + np.sum(d[tuple(sl_hi)]))
         return total * self.cell_volume
 

@@ -15,7 +15,7 @@ from qmamp.amplification import (
     intertwiner_chain_check,
 )
 from qmamp.groups import _perm_matrix, canonical_groups, make_group, regular_representation
-from qmamp.hilbert import DenseOperator, StateVector, embed, leg_space
+from qmamp.hilbert import embed
 from qmamp.ktops import build_V
 from qmamp.measurement import clock_rep, instrument, make_spectral_rep, outcome, sigma_z_rep
 
@@ -63,12 +63,34 @@ def test_cascade_apply_matches_dense_unitary():
                 iota = np.zeros(rep.group.size)
                 iota[rep.group.trivial_character.index] = 1.0
                 joint = np.kron(joint, iota)
-            u = cascade_unitary(cfg).matrix
+            u = cascade_unitary(cfg)
             lazy = cascade_apply(cfg, xi)
-            assert np.linalg.norm(u @ joint - lazy.amplitudes) <= 1e-12
-            psi = StateVector(cfg.space, random_state(rng, cfg.state_dim))
+            assert np.linalg.norm(u @ joint - lazy.reshape(-1)) <= 1e-12
+            psi = random_state(rng, cfg.state_dim)
             back = cascade_apply(cfg, psi, inverse=True)
-            assert np.linalg.norm(u.conj().T @ psi.amplitudes - back.amplitudes) <= 1e-12
+            assert np.linalg.norm(u.conj().T @ psi - back.reshape(-1)) <= 1e-12
+
+
+def test_cascade_apply_matches_closed_form():
+    # second oracle: the cascade output is sum_gamma E(gamma) xi x |gamma>^N
+    rng = np.random.default_rng(5)
+    reps = [sigma_z_rep(), clock_rep(3)] + [rotated_rep(g, rng) for g in canonical_groups(6)]
+    for rep in reps:
+        for n in (1, 2, 3, 4):
+            cfg = CascadeConfig(rep, n)
+            xi = random_state(rng, rep.system_dim)
+            expected = np.zeros(cfg.shape, dtype=complex)
+            for chi, p in rep.projections.items():
+                expected[(slice(None),) + (chi.index,) * n] = p @ xi
+            assert np.abs(cascade_apply(cfg, xi) - expected).max() <= 1e-13
+
+
+def test_inverse_cascade_rejects_wrong_size():
+    cfg = CascadeConfig(clock_rep(3), 2)
+    assert cfg.shape == (3, 3, 3)
+    for size in (3, cfg.state_dim - 1, cfg.state_dim + 1):
+        with pytest.raises(CascadeError, match=f"{size} entries, expected {cfg.state_dim}"):
+            cascade_apply(cfg, np.ones(size) / np.sqrt(size), inverse=True)
 
 
 def test_cascade_output_is_branch_correlated():
@@ -77,7 +99,7 @@ def test_cascade_output_is_branch_correlated():
     rep = sigma_z_rep()
     cfg = CascadeConfig(rep, 3)
     xi = np.array([np.sqrt(0.3), np.sqrt(0.7)])
-    out = cascade_apply(cfg, xi).as_tensor()
+    out = cascade_apply(cfg, xi)
     chi_up = char_of(rep, np.diag([1.0, 0.0]))
     chi_dn = char_of(rep, np.diag([0.0, 1.0]))
     i, j = chi_up.index, chi_dn.index
@@ -98,14 +120,14 @@ def test_inverse_cascade_recovers_input():
     xi = random_state(rng, 3)
     out = cascade_apply(cfg, xi)
     back = cascade_apply(cfg, out, inverse=True)
-    tensor = back.as_tensor()
-    assert np.linalg.norm(tensor[:, 0, 0] - xi) <= 1e-12
-    assert abs(back.norm - 1.0) <= 1e-12
+    assert np.linalg.norm(back[:, 0, 0] - xi) <= 1e-12
+    assert abs(np.linalg.norm(back) - 1.0) <= 1e-12
 
 
 def test_cascade_unitary_lazy_threshold():
     rep = sigma_z_rep()
-    assert cascade_unitary(CascadeConfig(rep, 5)).is_unitary()
+    u = cascade_unitary(CascadeConfig(rep, 5))
+    assert np.linalg.norm(u.conj().T @ u - np.eye(len(u))) <= 1e-10 * len(u)
     # a 4096 x 4096 cascade matrix exceeds the memory budget of the dense oracle
     cfg = CascadeConfig(rep, 11)
     assert cfg.state_dim**2 > amplification.DEFAULT_MEMORY_BUDGET
@@ -113,7 +135,7 @@ def test_cascade_unitary_lazy_threshold():
         cascade_unitary(cfg)
     # cascade_apply is still available above the oracle's budget
     out = cascade_apply(cfg, np.array([1.0, 0.0]))
-    assert abs(out.norm - 1.0) <= 1e-12
+    assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
 
 
 @settings(deadline=None, max_examples=15)
@@ -154,13 +176,12 @@ def test_intertwiner_chain_exact():
 def dense_chain_residual(g, gamma, stages):
     # oracle: V_{N,N+1} ... V_12 (t_gamma x 1^N) - t_gamma^(N+1) V_{N,N+1} ... V_12,
     # with stages[k] the two-leg operator on legs (k, k+1)
-    legs = [f"p{k}" for k in range(len(stages) + 1)]
-    space = leg_space(*((lab, g.size) for lab in legs))
-    chain = np.eye(space.dim)
+    dims = (g.size,) * (len(stages) + 1)
+    chain = np.eye(g.size ** len(dims))
     for k, v in enumerate(stages):
-        chain = embed(v, legs[k : k + 2], space).matrix @ chain
+        chain = embed(v, [k, k + 1], dims) @ chain
     t = regular_representation(gamma)
-    lam_first = embed(DenseOperator(leg_space(("t", g.size)), t), legs[:1], space).matrix
+    lam_first = embed(t, [0], dims)
     lam_all = t
     for _ in stages:
         lam_all = np.kron(lam_all, t)
@@ -168,7 +189,7 @@ def dense_chain_residual(g, gamma, stages):
 
 
 def dense_v(g, perm):
-    return DenseOperator(leg_space(("c1", g.size), ("c2", g.size)), _perm_matrix(perm))
+    return _perm_matrix(perm)
 
 
 def test_intertwiner_chain_matches_dense_oracle(monkeypatch):
@@ -232,7 +253,7 @@ def test_heisenberg_duality():
             iota = np.zeros(2)
             iota[rep.group.trivial_character.index] = 1.0
             joint = np.kron(joint, iota)
-        lhs = complex(np.vdot(joint, t.matrix @ joint))
+        lhs = complex(np.vdot(joint, t @ joint))
         rhs = amplified_instrument(cfg, outcome([chi_dn]), xi, a).conditional_expectation
         assert abs(lhs - rhs) <= 1e-10
 

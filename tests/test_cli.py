@@ -587,6 +587,54 @@ def test_sweep_axes_supply_fields_the_base_leaves_out(tmp_path):
     assert all(float(r["u_fi"]) == 0.0 for r in rows)  # b2 = 0: no spin flip drive
 
 
+def test_sterngerlach_refuses_astronomical_grid(tmp_path, capsys):
+    payload = with_value(VALID["sterngerlach"], ("grid", "points"), 10**20)
+    path = write_scenario(tmp_path, payload)
+    assert main(["sterngerlach", "--scenario", path, "--out", str(tmp_path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "field 'grid.points'" in err and "Traceback" not in err
+
+
+MAX_POINTS = scenarios.SG_SOLVER_BYTES // scenarios.SG_BYTES_PER_POINT
+
+
+@pytest.mark.parametrize(
+    "kind, edits, field",
+    [
+        ("sterngerlach", {("grid", "points"): MAX_POINTS + 1}, "grid.points"),
+        ("sterngerlach", {("time", "steps"): 10**9}, "time.steps"),
+        ("sweep", {("base", "grid", "points"): 10**9, ("axes", 1, "path"): "time.dt",
+                   ("axes", 1, "values"): [0.005]}, "base.grid.points"),
+        ("sweep", {("axes", 1, "values"): [512, 10**9]}, "axes[1].values"),
+        ("sweep", {("base", "time", "steps"): 10**9}, "base.time.steps"),
+    ],
+    ids=["points", "steps", "sweep-base-points", "sweep-axis-points", "sweep-base-steps"],
+)
+def test_size_preflight_runs_before_any_packet_or_step(
+    tmp_path, capsys, monkeypatch, kind, edits, field
+):
+    def never(*args, **kwargs):
+        raise AssertionError("the size preflight let the run start")
+
+    monkeypatch.setattr(scenarios.sterngerlach, "gaussian_packet", never)
+    monkeypatch.setattr(scenarios.sterngerlach, "evolve", never)
+    payload = VALID[kind]
+    for keys, value in edits.items():
+        payload = with_value(payload, keys, value)
+    path = write_scenario(tmp_path, payload)
+    assert main([kind, "--scenario", path, "--out", str(tmp_path)]) == EXIT_INPUT
+    assert f"field '{field}'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_size_preflight_limits_are_inclusive():
+    fields = {"grid.points": MAX_POINTS, "time.steps": scenarios.SG_POINT_STEPS // MAX_POINTS}
+    scenarios._check_sg_size(fields, str)
+    for path in fields:
+        with pytest.raises(ScenarioError, match=f"field '{re.escape(path)}'"):
+            scenarios._check_sg_size({**fields, path: fields[path] + 1}, str)
+
+
 MUTATIONS = [None, True, "x", float("nan"), float("inf"), -1, 0, [], {}]
 
 

@@ -7,7 +7,6 @@ from qmamp import groups
 from qmamp.groups import (
     GroupError,
     canonical_groups,
-    char_value,
     fourier_matrix,
     fourier_transform,
     inverse_fourier_transform,
@@ -47,20 +46,20 @@ def test_make_group_rejects_empty_and_cap():
 
 def test_char_values():
     z2 = make_group([2])
-    assert char_value(z2.character([1]), (1,)) == pytest.approx(-1)
+    assert z2.character([1]).value((1,)) == pytest.approx(-1)
     z4 = make_group([4])
-    assert char_value(z4.character([1]), (1,)) == pytest.approx(1j)
+    assert z4.character([1]).value((1,)) == pytest.approx(1j)
     for g in (z2, z4, make_group([2, 3])):
         for u in g.elements():
-            assert char_value(g.trivial_character, u) == pytest.approx(1)
+            assert g.trivial_character.value(u) == pytest.approx(1)
 
 
 def test_char_value_rejects_mismatched_element():
     g = make_group([2])
     with pytest.raises(GroupError):
-        char_value(g.character([1]), (2,))
+        g.character([1]).value((2,))
     with pytest.raises(GroupError):
-        char_value(g.character([1]), (0, 0))
+        g.character([1]).value((0, 0))
 
 
 @settings(deadline=None, max_examples=30)

@@ -1,149 +1,98 @@
 import numpy as np
 import pytest
 
-from qmamp.hilbert import (
-    DenseOperator,
-    HilbertError,
-    StateVector,
-    apply,
-    basis_state,
-    dump_operator_csv,
-    dump_vector_csv,
-    embed,
-    expectation,
-    identity,
-    leg_space,
-    product_state,
-)
+from qmamp.hilbert import HilbertError, embed
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
 
-def rng_unitary(rng, d):
-    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, _ = np.linalg.qr(a)
-    return q
-
-
-def single_leg(label, d):
-    return leg_space((label, d))
-
-
-def test_leg_space_validation():
-    with pytest.raises(HilbertError):
-        leg_space(("a", 2), ("a", 3))
-    with pytest.raises(HilbertError):
-        leg_space(("a", 0))
+def basis_state(dims, indices):
+    """Product basis vector with the given index per leg."""
+    amp = np.zeros(int(np.prod(dims)), dtype=complex)
+    amp[np.ravel_multi_index(indices, dims)] = 1.0
+    return amp
 
 
 def test_embed_x_on_second_leg():
-    space = leg_space(("1", 2), ("2", 2))
-    x2 = embed(DenseOperator(single_leg("2", 2), SX), ["2"], space)
-    out = apply(x2, basis_state(space, (0, 0)))
-    assert np.allclose(out.amplitudes, basis_state(space, (0, 1)).amplitudes)
+    dims = (2, 2)
+    x2 = embed(SX, [1], dims)
+    assert np.allclose(x2 @ basis_state(dims, (0, 0)), basis_state(dims, (0, 1)))
 
 
 def test_embed_identity_is_identity():
-    space = leg_space(("a", 2), ("b", 3), ("c", 2))
-    for lab, d in space.legs:
-        op = embed(identity(single_leg(lab, d)), [lab], space)
-        assert np.allclose(op.matrix, np.eye(space.dim))
+    dims = (2, 3, 2)
+    for axis, d in enumerate(dims):
+        op = embed(np.eye(d), [axis], dims)
+        assert np.allclose(op, np.eye(12))
 
 
 def test_embed_disjoint_legs_commute():
     rng = np.random.default_rng(7)
-    space = leg_space(("1", 2), ("2", 3))
-    a = DenseOperator(single_leg("1", 2), rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-    b = DenseOperator(single_leg("2", 3), rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-    lhs = embed(a, ["1"], space) @ embed(b, ["2"], space)
-    rhs = embed(b, ["2"], space) @ embed(a, ["1"], space)
-    assert np.linalg.norm(lhs.matrix - rhs.matrix) <= 1e-10
-    assert np.allclose(lhs.matrix, np.kron(a.matrix, b.matrix))
+    dims = (2, 3)
+    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    lhs = embed(a, [0], dims) @ embed(b, [1], dims)
+    rhs = embed(b, [1], dims) @ embed(a, [0], dims)
+    assert np.linalg.norm(lhs - rhs) <= 1e-10
+    assert np.allclose(lhs, np.kron(a, b))
 
 
 def test_embed_is_homomorphism():
     rng = np.random.default_rng(11)
-    space = leg_space(("x", 2), ("y", 2), ("z", 3))
-    pair = leg_space(("x", 2), ("z", 3))
+    dims = (2, 2, 3)
     for _ in range(5):
         a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         b = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        ea = embed(DenseOperator(pair, a), ["x", "z"], space)
-        eb = embed(DenseOperator(pair, b), ["x", "z"], space)
-        eab = embed(DenseOperator(pair, a @ b), ["x", "z"], space)
-        assert np.linalg.norm((ea @ eb).matrix - eab.matrix) <= 1e-10
+        ea = embed(a, [0, 2], dims)
+        eb = embed(b, [0, 2], dims)
+        eab = embed(a @ b, [0, 2], dims)
+        assert np.linalg.norm(ea @ eb - eab) <= 1e-10
 
 
 def test_embed_nonadjacent_matches_kron_reordering():
-    # embedding on legs (1, 3) equals kron with identity in the middle,
+    # embedding on legs (0, 2) equals kron with identity in the middle,
     # permuted accordingly; check action on product basis states
-    space = leg_space(("1", 2), ("2", 3), ("3", 2))
-    op = embed(DenseOperator(leg_space(("1", 2), ("3", 2)), np.kron(SZ, SX)), ["1", "3"], space)
+    dims = (2, 3, 2)
+    op = embed(np.kron(SZ, SX), [0, 2], dims)
     for i in range(2):
         for j in range(3):
             for k in range(2):
-                out = apply(op, basis_state(space, (i, j, k)))
-                expected = (SZ[i, i]) * basis_state(space, (i, j, 1 - k)).amplitudes
-                assert np.allclose(out.amplitudes, expected)
+                out = op @ basis_state(dims, (i, j, k))
+                expected = (SZ[i, i]) * basis_state(dims, (i, j, 1 - k))
+                assert np.allclose(out, expected)
+
+
+def test_embed_leg_order_follows_axes():
+    # legs listed out of order: op on (leg 2, leg 0) is the swapped kron on (leg 0, leg 2)
+    rng = np.random.default_rng(5)
+    dims = (2, 3, 4)
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    expected = np.kron(np.kron(b, np.eye(3)), a)
+    assert np.allclose(embed(np.kron(a, b), [2, 0], dims), expected)
+    assert np.allclose(embed(np.kron(b, a), [0, 2], dims), expected)
 
 
 def test_embed_errors():
-    space = leg_space(("1", 2), ("2", 2))
+    dims = (2, 2)
     with pytest.raises(HilbertError):
-        embed(DenseOperator(single_leg("q", 2), SX), ["nope"], space)
+        embed(SX, [2], dims)  # no such leg
     with pytest.raises(HilbertError):
-        embed(DenseOperator(single_leg("q", 3), np.eye(3)), ["1"], space)
+        embed(np.eye(3), [0], dims)  # operator does not fit the leg
 
 
-def test_apply_identity_and_unitarity():
-    rng = np.random.default_rng(3)
-    space = single_leg("a", 5)
-    xi = StateVector(space, rng.standard_normal(5) + 1j * rng.standard_normal(5))
-    assert np.allclose(apply(identity(space), xi).amplitudes, xi.amplitudes)
-    u = DenseOperator(space, rng_unitary(rng, 5))
-    assert abs(apply(u, xi).norm - xi.norm) <= 1e-12
-
-
-def test_expectation_examples():
-    space = single_leg("spin", 2)
-    sz = DenseOperator(space, SZ)
-    up = basis_state(space, (0,))
-    assert expectation(up, sz) == pytest.approx(1.0)
-    plus = StateVector(space, np.array([1, 1]) / np.sqrt(2))
-    assert expectation(plus, sz) == pytest.approx(0.0)
-    assert expectation(plus, identity(space)) == pytest.approx(1.0)
+def test_embed_rejects_repeated_leg():
+    with pytest.raises(HilbertError, match="distinct"):
+        embed(np.kron(SX, SX), [1, 1], (2, 2))
 
 
 def test_flattening_is_row_major_leftmost_most_significant():
-    space = leg_space(("hi", 2), ("lo", 3))
-    assert np.argmax(np.abs(basis_state(space, (1, 2)).amplitudes)) == 1 * 3 + 2
-
-
-def test_product_state():
-    a = basis_state(single_leg("a", 2), (1,))
-    b = basis_state(single_leg("b", 3), (0,))
-    joint = product_state(a, b)
-    assert joint.space.labels == ("a", "b")
-    assert np.argmax(np.abs(joint.amplitudes)) == 3
-
-
-def test_operator_flags():
-    space = single_leg("a", 2)
-    assert DenseOperator(space, SZ).is_unitary()
-    assert DenseOperator(space, SZ).is_hermitian()
-    assert DenseOperator(space, np.diag([1.0, 0.0])).is_projection()
-    assert not DenseOperator(space, np.diag([2.0, 0.0])).is_projection()
-
-
-def test_csv_dumps(tmp_path):
-    space = single_leg("a", 2)
-    xi = StateVector(space, np.array([0.5, 0.5j]))
-    vpath = tmp_path / "v.csv"
-    dump_vector_csv(xi, vpath)
-    lines = vpath.read_text().strip().splitlines()
-    assert lines[0] == "index,real,imag"
-    assert lines[1].startswith("0,0.5,0")
-    opath = tmp_path / "o.csv"
-    dump_operator_csv(DenseOperator(space, SZ), opath)
-    assert len(opath.read_text().strip().splitlines()) == 5
+    # raise leg "hi" (dim 2) to 1 and leg "lo" (dim 3) to 2, starting from index 0
+    dims = (2, 3)
+    raise_hi = np.zeros((2, 2))
+    raise_hi[1, 0] = 1.0
+    raise_lo = np.zeros((3, 3))
+    raise_lo[2, 0] = 1.0
+    out = embed(raise_hi, [0], dims) @ embed(raise_lo, [1], dims) @ basis_state(dims, (0, 0))
+    assert np.argmax(np.abs(out)) == 1 * 3 + 2

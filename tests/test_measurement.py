@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmamp.groups import make_group
-from qmamp.hilbert import StateVector, leg_space
 from qmamp.measurement import (
     MeasurementError,
     clock_rep,
@@ -23,7 +22,7 @@ SZ = np.diag([1.0, -1.0]).astype(complex)
 
 def spin_state(a, b):
     v = np.array([a, b], dtype=complex)
-    return StateVector(leg_space(("sys", 2)), v / np.linalg.norm(v))
+    return v / np.linalg.norm(v)
 
 
 def char_of(rep, projection):
@@ -103,13 +102,13 @@ def test_instrument_full_outcome_is_nonselective():
     rep = clock_rep(3)
     rng = np.random.default_rng(2)
     v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    xi = StateVector(leg_space(("sys", 3)), v / np.linalg.norm(v))
+    xi = v / np.linalg.norm(v)
     b = rng.standard_normal((3, 3))
     b = b + b.T
     full = instrument(rep, outcome(rep.group.characters()), xi, b)
     assert full.probability == pytest.approx(1.0)
     dephased = sum(
-        p @ np.outer(xi.amplitudes, xi.amplitudes.conj()) @ p
+        p @ np.outer(xi, xi.conj()) @ p
         for p in rep.projections.values()
     )
     assert full.conditional_expectation == pytest.approx(np.trace(b @ dephased).real)
@@ -118,7 +117,7 @@ def test_instrument_full_outcome_is_nonselective():
 def test_instrument_rejects_unnormalized_state():
     rep = sigma_z_rep()
     chi = next(iter(rep.projections))
-    bad = StateVector(leg_space(("sys", 2)), np.array([1.0, 1.0]))
+    bad = np.array([1.0, 1.0])
     with pytest.raises(MeasurementError):
         instrument(rep, outcome([chi]), bad, SZ)
 
@@ -149,7 +148,7 @@ def test_projective_equals_coupled_picture(seed, n):
     rng = np.random.default_rng(seed)
     rep = clock_rep(n) if n > 2 else sigma_z_rep()
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    xi = StateVector(leg_space(("sys", n)), v / np.linalg.norm(v))
+    xi = v / np.linalg.norm(v)
     b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     b = b + b.conj().T
     chars = rep.group.characters()
