@@ -10,7 +10,12 @@ import argparse
 
 import numpy as np
 
-from qmamp.amplification import CascadeConfig, amplified_instrument, check_instrument_equality
+from qmamp.amplification import (
+    CascadeConfig,
+    amplified_instrument,
+    cascade_apply,
+    check_instrument_equality,
+)
 from qmamp.measurement import clock_rep, instrument, outcome, sigma_z_rep
 
 
@@ -37,12 +42,13 @@ def main() -> None:
     worst = 0.0
     for n in range(1, args.max_copies + 1):
         cfg = CascadeConfig(rep=rep, n_copies=n)
+        output = cascade_apply(cfg, xi)
         probs = []
         for chi in chars:
             delta = outcome([chi])
-            res = amplified_instrument(cfg, delta, xi, b)
+            res = amplified_instrument(cfg, delta, output, b)
             probs.append(res.probability)
-            worst = max(worst, check_instrument_equality(cfg, delta, xi, b))
+            worst = max(worst, check_instrument_equality(cfg, delta, xi, b, res))
         print(f"N={n}: " + " ".join(f"{p:.6f}" for p in probs))
     print(f"worst |single - amplified| residual: {worst:.3e}")
 

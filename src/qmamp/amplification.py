@@ -147,17 +147,19 @@ def cascade_unitary(cfg: CascadeConfig) -> np.ndarray:
     return mat
 
 
-def amplified_instrument(cfg: CascadeConfig, delta: Outcome, xi, b) -> InstrumentResult:
-    """Instrument read off the cascade output with the outcome indicator on
-    every probe leg."""
+def amplified_instrument(cfg: CascadeConfig, delta: Outcome, output, b) -> InstrumentResult:
+    """Instrument read off a cascade output, `cascade_apply(cfg, xi)`, with the
+    outcome indicator on every probe leg; one output serves every outcome."""
     b = np.asarray(b, dtype=complex)
     m = cfg.rep.system_dim
     if b.shape != (m, m):
         raise CascadeError(f"observable shape {b.shape} vs system dim {m}")
+    if np.shape(output) != cfg.shape:
+        raise CascadeError(f"cascade output shape {np.shape(output)} vs {cfg.shape}")
     indicator = np.zeros(cfg.rep.group.size)
     for chi in delta.characters:
         indicator[chi.index] = 1.0
-    projected = cascade_apply(cfg, xi)
+    projected = output
     for axis in range(1, cfg.n_copies + 1):
         shape = [1] * projected.ndim
         shape[axis] = -1
@@ -175,11 +177,13 @@ def amplified_instrument(cfg: CascadeConfig, delta: Outcome, xi, b) -> Instrumen
     )
 
 
-def check_instrument_equality(cfg: CascadeConfig, delta: Outcome, xi, b) -> float:
-    """|single-probe instrument - amplified instrument| on the observable."""
+def check_instrument_equality(
+    cfg: CascadeConfig, delta: Outcome, xi, b, amplified: InstrumentResult
+) -> float:
+    """|single-probe instrument - `amplified`| on the observable, where
+    `amplified` is the amplified instrument of the same delta, xi and b."""
     one = instrument(cfg.rep, delta, xi, np.asarray(b, dtype=complex))
-    many = amplified_instrument(cfg, delta, xi, b)
-    return abs(one.conditional_expectation - many.conditional_expectation)
+    return abs(one.conditional_expectation - amplified.conditional_expectation)
 
 
 def intertwiner_chain_check(group: FiniteAbelianGroup, gamma: Character, n: int) -> float:

@@ -294,14 +294,15 @@ def run_amplify(scenario: dict, out_dir: Path) -> list[Path]:
         chain = max(
             amp.intertwiner_chain_check(rep.group, chi, n) for chi in rep.group.characters()
         )
+        output = amp.cascade_apply(cfg, xi)
         for idx_list, delta in outcomes:
-            res = amp.amplified_instrument(cfg, delta, xi, b)
+            res = amp.amplified_instrument(cfg, delta, output, b)
             rows.append(
                 {
                     "n": n,
                     "outcome": "+".join(str(j) for j in idx_list),
                     "probability": res.probability,
-                    "equality_residual": amp.check_instrument_equality(cfg, delta, xi, b),
+                    "equality_residual": amp.check_instrument_equality(cfg, delta, xi, b, res),
                     "chain_residual": chain,
                 }
             )
@@ -438,8 +439,9 @@ def _sweep_point(args):
 
 def run_sweep(scenario: dict, out_dir: Path, jobs: int = 1) -> list[Path]:
     """Run every sweep point; `jobs` > 1 runs them in a process pool of at most
-    min(jobs, points, cpu count) workers.  Every point's fields are read and
-    checked before any point runs."""
+    min(jobs, points, cpu count) workers, and no more than SG_SOLVER_BYTES of
+    solver arrays hold at once.  Every point's fields are read and checked
+    before any point runs."""
     if jobs < 1:
         raise ScenarioError(f"option '--jobs': must be >= 1, got {jobs}")
     axes = read(scenario, "axes", [dict])
@@ -464,8 +466,9 @@ def run_sweep(scenario: dict, out_dir: Path, jobs: int = 1) -> list[Path]:
     axis_of = {path: f"axes[{i}].values" for i, path in enumerate(swept)}
     for fields, _ in tasks:
         _check_sg_size(fields, lambda path: axis_of.get(path, "base." + path))
-    # the pool starts all its workers on the first submit
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    # the pool starts all its workers on the first submit, each with a point's arrays
+    point_bytes = max(fields["grid.points"] for fields, _ in tasks) * SG_BYTES_PER_POINT
+    workers = min(jobs, len(tasks), os.cpu_count() or 1, SG_SOLVER_BYTES // point_bytes)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
             rows = list(ex.map(_sweep_point, tasks))

@@ -123,12 +123,14 @@ def criterion_5_amplification() -> tuple[bool, str]:
         probs = {c: [] for c in chars}
         for n in range(1, n_max + 1):
             cfg = amp.CascadeConfig(rep=rep, n_copies=n)
+            output = amp.cascade_apply(cfg, xi)
             mask = rng.integers(0, 2, size=len(chars)).astype(bool)
             delta = measurement.outcome([c for c, m in zip(chars, mask) if m])
-            worst = max(worst, amp.check_instrument_equality(cfg, delta, xi, b))
+            many = amp.amplified_instrument(cfg, delta, output, b)
+            worst = max(worst, amp.check_instrument_equality(cfg, delta, xi, b, many))
             for c in chars:
                 res = amp.amplified_instrument(
-                    cfg, measurement.outcome([c]), xi, np.eye(rep.system_dim)
+                    cfg, measurement.outcome([c]), output, np.eye(rep.system_dim)
                 )
                 probs[c].append(res.probability)
         for c in chars:

@@ -9,15 +9,16 @@ with the linearized, divergence- and curl-free field
 
     B_x(x, z) = b2 * z - b1 * x,      B_z(x, z) = b0 + b1 * z + b2 * x.
 
-Time stepping is second-order Strang splitting: half-step kinetic propagation
-in momentum space (FFT per spinor component), a full potential step applied as
-the exact pointwise 2x2 unitary exp(-i dt mu (B_x sigma_x + B_z sigma_z)),
-then another kinetic half step.  Boundaries are periodic; a boundary-mass
-guard aborts the run before wraparound contaminates observables.
+The packet lives on a 1-D z-grid with the transverse coordinate frozen at
+x = 0, so B_x reduces to the gradient approximation b2 * z; the spinor is one
+array psi of shape (2, n), psi[0] the up and psi[1] the down component.
 
-The default geometry is a 1D z-grid (transverse coordinate frozen at x = 0,
-so B_x reduces to the gradient approximation b2 * z).  A 2D (x, z) mode uses
-the same code path with psi arrays of shape (2, nx, nz).
+Time stepping is second-order Strang splitting: a kinetic half step in
+momentum space (one FFT pair over the last axis of psi), a full potential
+step applied as the exact pointwise 2x2 unitary
+exp(-i dt mu (B_x sigma_x + B_z sigma_z)), then another kinetic half step.
+Boundaries are periodic; a boundary-mass guard aborts the run before
+wraparound contaminates observables.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ class BoundaryLeakError(SolverError):
 # Largest probability the outermost grid cells may hold before a run aborts,
 # well before periodic wraparound reaches the observables.
 BOUNDARY_TOL = 1e-6
-# Outermost cells per side of every spatial axis that the guard sums over.
+# Outermost cells at each end of the grid that the guard sums over.
 BOUNDARY_CELLS = 2
 
 
@@ -73,79 +74,64 @@ class FieldModel:
 
 @dataclass(frozen=True)
 class SpinorGrid:
-    """Two-component wavefunction on a uniform grid; last axis is z."""
+    """Two-component wavefunction on a uniform z-grid."""
 
     z: np.ndarray
-    psi: np.ndarray  # shape (2, nz) or (2, nx, nz); psi[0] = up
-    x: np.ndarray | None = None
+    psi: np.ndarray  # shape (2, len(z)); psi[0] = up
     mass: float = 1.0
 
     def __post_init__(self):
         psi = np.asarray(self.psi, dtype=complex)
         object.__setattr__(self, "psi", psi)
-        if self.x is None and psi.shape != (2, len(self.z)):
+        if psi.shape != (2, len(self.z)):
             raise SolverError(f"psi shape {psi.shape} does not match grid")
-        if self.x is not None and psi.shape != (2, len(self.x), len(self.z)):
-            raise SolverError(f"psi shape {psi.shape} does not match 2D grid")
 
     @property
     def dz(self) -> float:
         return float(self.z[1] - self.z[0])
 
     @property
-    def cell_volume(self) -> float:
-        if self.x is None:
-            return self.dz
-        return self.dz * float(self.x[1] - self.x[0])
+    def kz(self) -> np.ndarray:
+        """Angular wavenumbers of the grid, in np.fft order."""
+        return 2 * np.pi * np.fft.fftfreq(len(self.z), d=self.dz)
 
     @property
     def density(self) -> np.ndarray:
         return np.abs(self.psi[0]) ** 2 + np.abs(self.psi[1]) ** 2
 
     def norm_squared(self) -> float:
-        return float(np.sum(self.density) * self.cell_volume)
+        return float(np.sum(self.density) * self.dz)
 
     def boundary_mass(self) -> float:
-        """Probability in the BOUNDARY_CELLS outermost cells of every spatial axis."""
+        """Probability in the BOUNDARY_CELLS outermost cells at each end."""
         d = self.density
-        total = 0.0
-        for axis in range(d.ndim):
-            sl_lo = [slice(None)] * d.ndim
-            sl_hi = [slice(None)] * d.ndim
-            sl_lo[axis] = slice(0, BOUNDARY_CELLS)
-            sl_hi[axis] = slice(-BOUNDARY_CELLS, None)
-            total += float(np.sum(d[tuple(sl_lo)]) + np.sum(d[tuple(sl_hi)]))
-        return total * self.cell_volume
+        return float(np.sum(d[:BOUNDARY_CELLS]) + np.sum(d[-BOUNDARY_CELLS:])) * self.dz
 
     def branch_weight(self, branch: str) -> float:
         c = _branch_index(branch)
-        return float(np.sum(np.abs(self.psi[c]) ** 2) * self.cell_volume)
+        return float(np.sum(np.abs(self.psi[c]) ** 2) * self.dz)
 
     def mean_z(self, branch: str) -> float:
         c = _branch_index(branch)
         w = np.abs(self.psi[c]) ** 2
         tot = np.sum(w)
-        if tot * self.cell_volume < 1e-12:
+        if tot * self.dz < 1e-12:
             return float("nan")
         return float(np.sum(w * self.z) / tot)
 
     def mean_pz(self, branch: str) -> float:
         """Spectral <p_z> within one spin branch."""
-        c = _branch_index(branch)
-        comp = self.psi[c]  # z is the last axis in both 1D and 2D mode
-        spec = np.fft.fft(comp, axis=-1)
-        k = 2 * np.pi * np.fft.fftfreq(len(self.z), d=self.dz)
-        weight = np.abs(spec) ** 2
+        weight = np.abs(np.fft.fft(self.psi[_branch_index(branch)])) ** 2
         tot = np.sum(weight)
         if tot <= 0:
             return float("nan")
-        return float(np.sum(weight * k) / tot)
+        return float(np.sum(weight * self.kz) / tot)
 
 
 def _branch_index(branch: str) -> int:
-    if branch in ("up", 0):
+    if branch == "up":
         return 0
-    if branch in ("down", 1):
+    if branch == "down":
         return 1
     raise SolverError(f"unknown branch {branch!r}")
 
@@ -183,23 +169,6 @@ def gaussian_packet(
     return SpinorGrid(z=z, psi=psi, mass=mass)
 
 
-def _field_arrays(grid: SpinorGrid, field: FieldModel):
-    if grid.x is None:
-        return field.components(0.0, grid.z)
-    xx, zz = np.meshgrid(grid.x, grid.z, indexing="ij")
-    return field.components(xx, zz)
-
-
-def _kinetic_phase(grid: SpinorGrid, dt: float) -> np.ndarray:
-    kz = 2 * np.pi * np.fft.fftfreq(len(grid.z), d=grid.dz)
-    if grid.x is None:
-        k2 = kz**2
-    else:
-        kx = 2 * np.pi * np.fft.fftfreq(len(grid.x), d=float(grid.x[1] - grid.x[0]))
-        k2 = kx[:, None] ** 2 + kz[None, :] ** 2
-    return np.exp(-0.5j * dt * k2 / (2 * grid.mass))
-
-
 def _spin_step(bx, bz, mu: float, dt: float):
     """Coefficients of the exact pointwise unitary exp(-i dt mu (Bx sx + Bz sz))."""
     mag = np.sqrt(bx**2 + bz**2)
@@ -224,34 +193,33 @@ def evolve(
     Rejects time steps with dt * mu * max|B| > 0.1 (accuracy of the potential
     step); aborts with a diagnostic when boundary mass exceeds BOUNDARY_TOL.
     """
-    bx, bz = _field_arrays(grid, field)
+    bx, bz = field.components(0.0, grid.z)
     max_b = float(np.max(np.sqrt(bx**2 + bz**2)))
     if dt * field.mu * max_b > 0.1:
         raise SolverError(
             f"dt*mu*max|B| = {dt * field.mu * max_b:.3g} > 0.1; reduce dt"
         )
-    half_kin = _kinetic_phase(grid, dt)
+    half_kin = np.exp(-0.5j * dt * grid.kz**2 / (2 * grid.mass))
     cos, ux, uz = _spin_step(bx, bz, field.mu, dt)
-    axes = (-1,) if grid.x is None else (-2, -1)
 
-    def kin(psi):
-        return np.fft.ifftn(np.fft.fftn(psi, axes=axes) * half_kin, axes=axes)
+    def kin(psi):  # both components in one FFT pair over the last axis
+        return np.fft.ifft(np.fft.fft(psi) * half_kin)
 
-    up, down = grid.psi[0].copy(), grid.psi[1].copy()
-    current = grid
+    psi = grid.psi
     for step in range(steps):
-        up, down = kin(up), kin(down)
-        up, down = (cos + uz) * up + ux * down, ux * up + (cos - uz) * down
-        up, down = kin(up), kin(down)
+        # one stage per statement: each frees the array before it, so the peak stays
+        # near 200 bytes per grid point
+        psi = kin(psi)
+        psi = np.stack([(cos + uz) * psi[0] + ux * psi[1], ux * psi[0] + (cos - uz) * psi[1]])
+        psi = kin(psi)
         if (step + 1) % check_every == 0 or step + 1 == steps:
-            current = replace(grid, psi=np.stack([up, down]))
-            bm = current.boundary_mass()
+            bm = replace(grid, psi=psi).boundary_mass()
             if bm > BOUNDARY_TOL:
                 raise BoundaryLeakError(
                     f"boundary mass {bm:.3g} > {BOUNDARY_TOL:.3g} at step {step + 1};"
                     " enlarge the grid extent"
                 )
-    return replace(grid, psi=np.stack([up, down]))
+    return replace(grid, psi=psi)
 
 
 def momentum_kick(final: SpinorGrid, initial: SpinorGrid, branch: str) -> float:
@@ -370,7 +338,7 @@ def run_simulation(
     done = 0
     while done < steps:
         chunk = min(record_every, steps - done)
-        current = evolve(current, field, dt, chunk, check_every=max(chunk, 1))
+        current = evolve(current, field, dt, chunk, check_every=chunk)
         done += chunk
         t = done * dt
         rows.append(_observe(current, t, flip_branch))

@@ -148,10 +148,11 @@ def test_amplified_instrument_is_n_independent(seed, n, dim):
     b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     b = b + b.conj().T
     chars = rep.group.characters()
+    output = cascade_apply(cfg, xi)
     for delta in (outcome([chars[0]]), outcome(chars[:2])):
-        assert check_instrument_equality(cfg, delta, xi, b) <= 1e-10
+        many = amplified_instrument(cfg, delta, output, b)
+        assert check_instrument_equality(cfg, delta, xi, b, many) <= 1e-10
         one = instrument(rep, delta, xi, b)
-        many = amplified_instrument(cfg, delta, xi, b)
         assert many.probability == pytest.approx(one.probability, abs=1e-10)
 
 
@@ -160,9 +161,11 @@ def test_singleton_probability_is_branch_weight():
     cfg = CascadeConfig(rep, 3)
     xi = np.array([np.sqrt(0.3), np.sqrt(0.7)])
     chi_dn = char_of(rep, np.diag([0.0, 1.0]))
-    res = amplified_instrument(cfg, outcome([chi_dn]), xi, SZ)
+    res = amplified_instrument(cfg, outcome([chi_dn]), cascade_apply(cfg, xi), SZ)
     assert res.probability == pytest.approx(0.7)
     assert np.allclose(res.post_state, np.diag([0.0, 1.0]), atol=1e-12)
+    with pytest.raises(CascadeError, match="cascade output shape"):
+        amplified_instrument(cfg, outcome([chi_dn]), xi, SZ)  # the state, not its cascade
 
 
 def test_intertwiner_chain_exact():
@@ -254,7 +257,8 @@ def test_heisenberg_duality():
             iota[rep.group.trivial_character.index] = 1.0
             joint = np.kron(joint, iota)
         lhs = complex(np.vdot(joint, t @ joint))
-        rhs = amplified_instrument(cfg, outcome([chi_dn]), xi, a).conditional_expectation
+        output = cascade_apply(cfg, xi)
+        rhs = amplified_instrument(cfg, outcome([chi_dn]), output, a).conditional_expectation
         assert abs(lhs - rhs) <= 1e-10
 
 

@@ -190,6 +190,35 @@ def test_amplify_run(tmp_path):
     assert all(len(v) == 1 for v in by_outcome.values())
 
 
+def test_amplify_runs_one_cascade_per_n(tmp_path, monkeypatch):
+    calls = []
+    cascade_apply = scenarios.amp.cascade_apply
+
+    def counted(cfg, xi, inverse=False):
+        calls.append(cfg.n_copies)
+        return cascade_apply(cfg, xi, inverse)
+
+    monkeypatch.setattr(scenarios.amp, "cascade_apply", counted)
+    s = np.sqrt
+    path = write_scenario(
+        tmp_path,
+        {
+            "version": 1,
+            "kind": "amplify",
+            "rep": "z3_clock",
+            "state": [s(0.5), s(0.3), s(0.2)],
+            "outcomes": [[0], [1], [2], [1, 2]],
+            "n_values": [1, 2, 4],
+        },
+    )
+    out = tmp_path / "out"
+    assert main(["amplify", "--scenario", path, "--out", str(out)]) == EXIT_OK
+    assert calls == [1, 2, 4]
+    rows = read_csv(out / "amplify.csv")
+    assert len(rows) == 12
+    assert all(float(r["equality_residual"]) <= 1e-10 for r in rows)
+
+
 def test_amplify_rejects_state_over_memory_budget(tmp_path, capsys):
     path = write_scenario(
         tmp_path,
@@ -365,6 +394,35 @@ def test_sweep_clamps_jobs(tmp_path, monkeypatch, jobs, cpus, points, expected):
     assert main(["sweep", "--scenario", path, "--out", str(out), "--jobs", jobs]) == EXIT_OK
     assert RecordingPool.sizes == expected
     assert len(read_csv(out / "sweep.csv")) == points
+
+
+HALF_POINT_LIMIT = scenarios.SG_SOLVER_BYTES // scenarios.SG_BYTES_PER_POINT // 2
+
+
+@pytest.mark.parametrize(
+    "base_points, axis, expected",
+    [
+        (HALF_POINT_LIMIT, ("field.b1", [0.1, 0.2, 0.3, 0.4]), [2]),
+        (HALF_POINT_LIMIT + 1, ("field.b1", [0.1, 0.2, 0.3, 0.4]), []),
+        (512, ("grid.points", [512, HALF_POINT_LIMIT + 1, 1024]), []),
+        (512, ("grid.points", [512, HALF_POINT_LIMIT, 1024]), [2]),
+    ],
+)
+def test_sweep_pool_fits_solver_memory(tmp_path, monkeypatch, base_points, axis, expected):
+    # at most SG_SOLVER_BYTES of solver arrays at once, sized by the largest grid;
+    # the points are stubbed, so no pool and no large array is made
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(scenarios, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(scenarios.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(scenarios, "_sweep_point", lambda task: dict(task[1]))
+    payload = json.loads(json.dumps(SMALL_SWEEP))
+    payload["base"]["grid"]["points"] = base_points
+    payload["axes"] = [{"path": axis[0], "values": axis[1]}]
+    path = write_scenario(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["sweep", "--scenario", path, "--out", str(out), "--jobs", "4"]) == EXIT_OK
+    assert RecordingPool.sizes == expected
+    assert len(read_csv(out / "sweep.csv")) == len(axis[1])
 
 
 def test_sweep_rejects_non_numeric_axis(tmp_path, capsys):

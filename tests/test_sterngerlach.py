@@ -204,21 +204,32 @@ def test_run_simulation_flip_branch_tracking():
     assert np.all(np.diff(res.series.flip_prob) >= -1e-12)
 
 
-def test_2d_mode_matches_1d_at_frozen_x():
-    # with b1 = b2 = 0 the field is x-independent and the 2D run factorizes
-    f = FieldModel(b0=1.0, b1=0.0, b2=0.0)
-    g1 = gaussian_packet(256, 40.0, sigma=1.5, spinor=(1.0, 1.0))
-    x = np.linspace(-20, 20, 64, endpoint=False)
-    envx = (2 * np.pi * 4.0) ** (-0.25) * np.exp(-(x**2) / 16.0)
-    psi2 = np.stack([np.outer(envx, g1.psi[0]), np.outer(envx, g1.psi[1])])
-    g2 = SpinorGrid(z=g1.z, psi=psi2, x=x)
-    psi2 = g2.psi / np.sqrt(g2.norm_squared())
-    g2 = SpinorGrid(z=g1.z, psi=psi2, x=x)
-    out1 = evolve(g1, f, dt=0.01, steps=50)
-    out2 = evolve(g2, f, dt=0.01, steps=50)
-    assert out2.norm_squared() == pytest.approx(1.0, abs=1e-10)
-    assert out2.branch_weight("up") == pytest.approx(out1.branch_weight("up"), abs=1e-10)
-    assert out2.mean_pz("up") == pytest.approx(out1.mean_pz("up"), abs=1e-8)
+def test_evolve_matches_per_component_strang_loop():
+    # oracle: each spinor component through its own FFT pair, and the spin
+    # rotation exp(-i dt H) of H = mu (Bx sx + Bz sz) from eigh at every point
+    f = FieldModel(b0=2.0, b1=0.3, b2=0.25, mu=1.5)
+    g = gaussian_packet(512, 40.0, sigma=1.0, center=0.5, momentum=0.7, spinor=(0.6, 0.8j))
+    dt, steps = 0.005, 57  # not a multiple of check_every
+    z = g.z
+    k = 2 * np.pi * np.fft.fftfreq(len(z), d=z[1] - z[0])
+    half = np.exp(-1j * (dt / 2) * k**2 / (2 * g.mass))
+    bx, bz = f.b2 * z, f.b0 + f.b1 * z
+    h = f.mu * np.stack([np.stack([bz, bx], -1), np.stack([bx, -bz], -1)], -2)
+    w, v = np.linalg.eigh(h)
+    u = np.einsum("nij,nj,nkj->nik", v, np.exp(-1j * dt * w), v.conj())
+
+    def kinetic(component):
+        return np.fft.ifft(np.fft.fft(component) * half)
+
+    up, down = g.psi
+    for _ in range(steps):
+        up, down = kinetic(up), kinetic(down)
+        up, down = u[:, 0, 0] * up + u[:, 0, 1] * down, u[:, 1, 0] * up + u[:, 1, 1] * down
+        up, down = kinetic(up), kinetic(down)
+    expected = np.stack([up, down])
+    assert min(np.linalg.norm(up), np.linalg.norm(down)) > 0.1 * np.linalg.norm(expected)
+    out = evolve(g, f, dt=dt, steps=steps, check_every=10)
+    assert np.linalg.norm(out.psi - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_gaussian_packet_needs_two_points():
