@@ -33,6 +33,7 @@ def main() -> None:
 
     rows = selfcheck.run_adiabaticity_sweep(b2_values, scenario, dt=converged_dt)
     payload = {
+        "description": ref["description"],
         "scenario": scenario,
         "converged_dt": converged_dt,
         "b2_values": b2_values,

@@ -55,9 +55,10 @@ SG_FIELDS = {
 SG_REQUIRED = frozenset({"field.b0"})
 SG_SIGNED = frozenset({"field.b1", "field.b2", "grid.center", "grid.momentum"})
 
-# Size limits of one Stern-Gerlach run, checked before a packet is built.  The
-# solver holds about 240 bytes per grid point at its peak, and a step costs
-# about 250 ns per point on one core, so SG_POINT_STEPS is about 40 minutes.
+# Size limits of one Stern-Gerlach run, checked before a packet is built.  A
+# run (packet, solver and observables) holds about 240 bytes per grid point at
+# its peak, and a step costs about 60 ns per point on one core at 4096 points,
+# rising to about 300 ns at 2^20 points, so SG_POINT_STEPS is 10 to 50 minutes.
 SG_SOLVER_BYTES = 1 << 30
 SG_BYTES_PER_POINT = 256
 SG_POINT_STEPS = 10**10

@@ -14,11 +14,15 @@ x = 0, so B_x reduces to the gradient approximation b2 * z; the spinor is one
 array psi of shape (2, n), psi[0] the up and psi[1] the down component.
 
 Time stepping is second-order Strang splitting: a kinetic half step in
-momentum space (one FFT pair over the last axis of psi), a full potential
-step applied as the exact pointwise 2x2 unitary
-exp(-i dt mu (B_x sigma_x + B_z sigma_z)), then another kinetic half step.
-Boundaries are periodic; a boundary-mass guard aborts the run before
-wraparound contaminates observables.
+momentum space, a full potential step applied as the exact pointwise 2x2
+unitary exp(-i dt mu (B_x sigma_x + B_z sigma_z)), then another kinetic half
+step.  The closing half step of one step and the opening half step of the
+next merge into one full kinetic step, so the spinor stays in momentum space
+between steps and each step costs one FFT pair over the last axis of psi.
+A closing half step completes the state only at each boundary check and at
+the last step.  Boundaries are periodic; the boundary-mass guard checks the
+completed state and aborts the run before wraparound contaminates
+observables.
 """
 
 from __future__ import annotations
@@ -191,34 +195,56 @@ def evolve(
     """Strang-split evolution over `steps` time steps; returns a new grid.
 
     Rejects time steps with dt * mu * max|B| > 0.1 (accuracy of the potential
-    step); aborts with a diagnostic when boundary mass exceeds BOUNDARY_TOL.
+    step) and loop arguments steps < 0 or check_every < 1; aborts with a
+    diagnostic when the boundary mass of the completed state exceeds
+    BOUNDARY_TOL at a multiple of check_every or at the last step.
     """
+    if steps < 0:
+        raise SolverError(f"steps must be >= 0, got {steps}")
+    if check_every < 1:
+        raise SolverError(f"check_every must be >= 1, got {check_every}")
     bx, bz = field.components(0.0, grid.z)
     max_b = float(np.max(np.sqrt(bx**2 + bz**2)))
     if dt * field.mu * max_b > 0.1:
         raise SolverError(
             f"dt*mu*max|B| = {dt * field.mu * max_b:.3g} > 0.1; reduce dt"
         )
-    half_kin = np.exp(-0.5j * dt * grid.kz**2 / (2 * grid.mass))
+    if steps == 0:
+        return replace(grid)
     cos, ux, uz = _spin_step(bx, bz, field.mu, dt)
+    a, d = cos + uz, cos - uz
+    del bx, bz, cos, uz
+    half_kin = np.exp(-0.5j * dt * grid.kz**2 / (2 * grid.mass))
+    full_kin = np.exp(-1j * dt * grid.kz**2 / (2 * grid.mass))
 
-    def kin(psi):  # both components in one FFT pair over the last axis
-        return np.fft.ifft(np.fft.fft(psi) * half_kin)
-
-    psi = grid.psi
-    for step in range(steps):
-        # one stage per statement: each frees the array before it, so the peak stays
-        # near 200 bytes per grid point
-        psi = kin(psi)
-        psi = np.stack([(cos + uz) * psi[0] + ux * psi[1], ux * psi[0] + (cos - uz) * psi[1]])
-        psi = kin(psi)
-        if (step + 1) % check_every == 0 or step + 1 == steps:
-            bm = replace(grid, psi=psi).boundary_mass()
-            if bm > BOUNDARY_TOL:
-                raise BoundaryLeakError(
-                    f"boundary mass {bm:.3g} > {BOUNDARY_TOL:.3g} at step {step + 1};"
-                    " enlarge the grid extent"
-                )
+    # between steps phi holds the spectrum of psi (one FFT over its last
+    # axis), and the kinetic half steps of adjacent steps merge into full_kin
+    phi = np.fft.fft(grid.psi)
+    phi *= half_kin
+    for step in range(1, steps + 1):
+        psi = np.fft.ifft(phi)
+        # the rotation reuses the spent spectrum buffer, and psi is freed before
+        # the FFT allocates, so the loop holds at most two spinor arrays
+        np.multiply(a, psi[0], out=phi[0])
+        phi[0] += ux * psi[1]
+        np.multiply(d, psi[1], out=phi[1])
+        phi[1] += ux * psi[0]
+        del psi
+        phi = np.fft.fft(phi)
+        if step % check_every and step < steps:
+            phi *= full_kin
+            continue
+        phi *= half_kin  # closes the step: the guard sees the completed state
+        psi = np.fft.ifft(phi)
+        bm = replace(grid, psi=psi).boundary_mass()
+        if bm > BOUNDARY_TOL:
+            raise BoundaryLeakError(
+                f"boundary mass {bm:.3g} > {BOUNDARY_TOL:.3g} at step {step};"
+                " enlarge the grid extent"
+            )
+        if step < steps:
+            del psi
+            phi *= half_kin  # reopens the next step
     return replace(grid, psi=psi)
 
 

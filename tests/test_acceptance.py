@@ -28,3 +28,14 @@ def test_all_criteria_summary():
     assert len(selfcheck.CRITERIA) == 10
     numbers = [num for num, _, _, _ in selfcheck.CRITERIA]
     assert numbers == list(range(1, 11))
+
+
+def test_adiabaticity_reference_reproduces_at_converged_dt():
+    # criterion 9 compares its coarse sweep with this stored reference; the
+    # sweep rerun at the reference's own time step must give its flips again
+    ref = selfcheck.load_adiabaticity_reference()
+    rows = selfcheck.run_adiabaticity_sweep(ref["b2_values"], ref["scenario"], dt=ref["converged_dt"])
+    assert [r["u_fi"] for r in rows] == pytest.approx(ref["u_fi_values"], rel=0, abs=1e-15)
+    assert [r["flip_probability"] for r in rows] == pytest.approx(
+        ref["converged_flips"], rel=0, abs=1e-12
+    )

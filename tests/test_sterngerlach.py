@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from qmamp.scenarios import SG_BYTES_PER_POINT
 from qmamp.sterngerlach import (
+    BOUNDARY_TOL,
     BoundaryLeakError,
     FieldError,
     FieldModel,
@@ -247,3 +251,89 @@ def test_adiabaticity_parameter_rejects_zero_larmor_frequency():
     field = FieldModel(b0=1.0, b1=0.0, b2=0.1, mu=0.0)
     with pytest.raises(FieldError, match="Larmor frequency"):
         adiabaticity_parameter(field, v=1.0, z_scale=1.0)
+
+
+def _strang_oracle(g, f, dt, steps):
+    """Per-component Strang loop with the spin rotation from eigh at every point."""
+    z = g.z
+    k = 2 * np.pi * np.fft.fftfreq(len(z), d=z[1] - z[0])
+    half = np.exp(-1j * (dt / 2) * k**2 / (2 * g.mass))
+    bx, bz = f.b2 * z, f.b0 + f.b1 * z
+    h = f.mu * np.stack([np.stack([bz, bx], -1), np.stack([bx, -bz], -1)], -2)
+    w, v = np.linalg.eigh(h)
+    u = np.einsum("nij,nj,nkj->nik", v, np.exp(-1j * dt * w), v.conj())
+
+    def kinetic(component):
+        return np.fft.ifft(np.fft.fft(component) * half)
+
+    up, down = g.psi
+    for _ in range(steps):
+        up, down = kinetic(up), kinetic(down)
+        up, down = u[:, 0, 0] * up + u[:, 0, 1] * down, u[:, 1, 0] * up + u[:, 1, 1] * down
+        up, down = kinetic(up), kinetic(down)
+    return np.stack([up, down])
+
+
+@pytest.mark.parametrize(
+    "steps,check_every",
+    [(1, 10), (7, 10), (40, 10), (40, 40)],
+    ids=["one-step", "under-check-every", "multiple-of-check-every", "one-check"],
+)
+def test_evolve_with_merged_half_steps_matches_strang_oracle(steps, check_every):
+    # the merged kinetic steps and the closing and reopening half steps at
+    # each check must leave the state of the unmerged loop
+    f = FieldModel(b0=2.0, b1=0.3, b2=0.25, mu=1.5)
+    g = gaussian_packet(512, 40.0, sigma=1.0, center=0.5, momentum=0.7, spinor=(0.6, 0.8j))
+    expected = _strang_oracle(g, f, 0.005, steps)
+    out = evolve(g, f, dt=0.005, steps=steps, check_every=check_every)
+    assert np.linalg.norm(out.psi - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_evolve_zero_steps_returns_the_input():
+    g = gaussian_packet(512, 40.0, sigma=1.0, spinor=(0.6, 0.8j))
+    out = evolve(g, FieldModel(b0=2.0, b1=0.3, b2=0.25), dt=0.005, steps=0)
+    assert out.psi.tobytes() == g.psi.tobytes()
+    assert out.z.tobytes() == g.z.tobytes()
+
+
+@pytest.mark.parametrize(
+    "steps,check_every,name",
+    [(-1, 100, "steps"), (-50, 10, "steps"), (10, 0, "check_every"), (10, -3, "check_every")],
+)
+def test_evolve_rejects_bad_loop_arguments(steps, check_every, name):
+    g = gaussian_packet(256, 40.0, sigma=1.5)
+    with pytest.raises(SolverError, match=f"{name} must be"):
+        evolve(g, FieldModel(b0=1.0, b1=0.0, b2=0.0), dt=0.005, steps=steps,
+               check_every=check_every)
+
+
+def test_boundary_guard_sees_the_completed_state():
+    # a check_every=10 run must stop at the first multiple of 10 whose
+    # completed state (the last step of a run of that length) leaks
+    g = gaussian_packet(256, 20.0, sigma=1.0, momentum=10.0)
+    f = FieldModel(b0=1e-6, b1=0.0, b2=0.0)
+    first = None
+    for k in range(10, 401, 10):
+        try:
+            out = evolve(g, f, dt=0.01, steps=k, check_every=k)
+        except BoundaryLeakError:
+            first = k
+            break
+        assert out.boundary_mass() <= BOUNDARY_TOL
+    assert first is not None and first > 10
+    with pytest.raises(BoundaryLeakError, match=f"at step {first};"):
+        evolve(g, f, dt=0.01, steps=400, check_every=10)
+
+
+def test_run_peak_memory_within_bytes_per_point():
+    # the size preflight and the sweep pool bound trust SG_BYTES_PER_POINT for
+    # the whole run: the packet, two record chunks of the solver, observables
+    n = 1 << 14
+    tracemalloc.start()
+    try:
+        g = gaussian_packet(n, 40.0, sigma=1.0)
+        run_simulation(g, FieldModel(b0=1.0, b1=0.5, b2=0.2), dt=0.005, steps=4, record_every=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= SG_BYTES_PER_POINT * n, f"{peak / n:.0f} bytes per point"
