@@ -2,26 +2,28 @@
 
 The cascade applies the coupling unitary on (system, probe 1) and then the
 copy unitary on successive probe pairs, turning xi x |trivial>^N into
-sum_gamma c_gamma xi_gamma x |gamma>^N.  Probabilities read off the cascade
+sum_gamma E(gamma) xi x |gamma>^N.  Probabilities read off the cascade
 output agree with the single-probe instrument for every N; the chain of copy
 unitaries intertwines a translation on the first probe leg with the diagonal
 translation on all legs.
 
-States are plain arrays: a cascade state is a tensor of shape
-`CascadeConfig.shape`, (system dim, |G|, ..., |G|) with N probe legs.  The
-copy stages and translations are permutations and run as integer index
-maps.  `cascade_apply` works stage-wise on that tensor and never
-materializes the cascade unitary: the first stage (UtildeV, not a
-permutation) is a small dense contraction, and each copy stage is a gather
-through the index map of V.  `intertwiner_chain_check` composes the stage
-maps exactly on basis indices.  `cascade_unitary` builds the full dense
-matrix with `hilbert.embed` on leg positions, from the dense 0/1 matrix of
-V, and serves as the test oracle, as does `heisenberg_T`, which conjugates
-by it.  DEFAULT_MEMORY_BUDGET bounds both the cascade state and that matrix.
+The cascade output is a redundant record with at most |G| nonzero probe
+tuples, so `cascade_apply` holds it on that support: a (k, N) array of probe
+labels and an (m, k) array of system amplitudes, never the m |G|^N tensor.
+The first stage (UtildeV, not a permutation) is applied to the trivial label
+columns only; each copy stage V is a permutation and moves the labels
+through its integer index map.  `amplified_instrument` keeps the columns
+whose labels all lie in the outcome.  `intertwiner_chain_check` composes the
+stage maps exactly on all g^(N+1) basis indices, and reuses the copy chain,
+which does not depend on gamma, across the characters at one N.
+`cascade_unitary` builds the full dense matrix with `hilbert.embed` on leg
+positions, from the dense 0/1 matrix of V; `heisenberg_T`, the
+Heisenberg-picture map, conjugates by it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +44,13 @@ class CascadeError(ValueError):
     pass
 
 
+# Bounds on N, kept from the dense cascade state that the amplify path no
+# longer holds (its support has at most m |G| amplitudes).  The budget bounds
+# m |G|^N, the size of that state, so the chain check's |G|^(N+1) basis
+# indices stay within |G| times it; `cascade_unitary` squares it.  MAX_COPIES
+# bounds the N + 1 tensor legs of the dense state and of `cascade_unitary`
+# (numpy arrays have at most 64 axes) and is the only bound for a trivial group.
 DEFAULT_MEMORY_BUDGET = 1 << 22  # amplitudes
-# The cascade state is a tensor with one system and N probe axes, and numpy
-# arrays have at most 64 axes; a trivial group never reaches the budget.
 MAX_COPIES = 63
 
 
@@ -72,65 +78,31 @@ class CascadeConfig:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        """Tensor shape of a cascade state: the system leg, then N probe legs."""
+        """Tensor shape of a dense cascade state: the system leg, then N probe legs."""
         return (self.rep.system_dim,) + (self.rep.group.size,) * self.n_copies
 
 
-def _adjacent_view(tensor: np.ndarray, axis: int) -> np.ndarray:
-    """(pre, pair, post) view of a tensor with axes (axis, axis + 1) flattened."""
-    pre = int(np.prod(tensor.shape[:axis], initial=1))
-    return tensor.reshape(pre, tensor.shape[axis] * tensor.shape[axis + 1], -1)
+def cascade_apply(cfg: CascadeConfig, xi) -> tuple[np.ndarray, np.ndarray]:
+    """Cascade output on its support, (tuples, amps), for a normalized system
+    state: the output is sum_j amps[:, j] x |tuples[j]>, with tuples a (k, N)
+    array of probe labels and amps an (m, k) array, k <= |G|.
 
-
-def _apply_on_adjacent(tensor: np.ndarray, op: np.ndarray, axis: int) -> np.ndarray:
-    """Apply a two-leg operator on tensor axes (axis, axis + 1)."""
-    return np.einsum("ab,xby->xay", op, _adjacent_view(tensor, axis)).reshape(tensor.shape)
-
-
-def _gather_on_adjacent(tensor: np.ndarray, src: np.ndarray, axis: int) -> np.ndarray:
-    """Pair entry q of the output is pair entry src[q] of the input, on axes (axis, axis + 1)."""
-    return _adjacent_view(tensor, axis)[:, src, :].reshape(tensor.shape)
-
-
-def cascade_apply(cfg: CascadeConfig, xi, inverse: bool = False) -> np.ndarray:
-    """Stage-wise cascade output, a tensor of shape cfg.shape, for a normalized
-    system state.
-
-    Probe legs start in the trivial character.  With `inverse=True`, xi is a
-    cascade state of cfg.state_dim entries (flat or a tensor), and the adjoint
-    stages are applied to it in reverse, recovering the decoupled state.
+    Probe legs start in the trivial character.  Stage one applies the trivial
+    label columns of UtildeV to xi and keeps the labels whose column is
+    nonzero; each copy stage maps the label pair on its two legs through the
+    index map of V and leaves the amplitudes alone.
     """
-    g = cfg.rep.group.size
-    n = cfg.n_copies
-    if inverse:
-        if np.size(xi) != cfg.state_dim:
-            raise CascadeError(
-                f"cascade state has {np.size(xi)} entries, expected {cfg.state_dim}"
-            )
-        tensor = np.asarray(xi, dtype=complex).reshape(cfg.shape)
-    else:
-        xi = _check_state(cfg.rep, xi)
-        tensor = xi.reshape(cfg.rep.system_dim, *(1,) * n) * _iota_block(g, n)
-
-    utv = build_UtildeV(cfg.rep)
+    xi = _check_state(cfg.rep, xi)
+    m, g = cfg.rep.system_dim, cfg.rep.group.size
+    iota = cfg.rep.group.trivial_character.index
+    amps = (build_UtildeV(cfg.rep)[:, iota::g] @ xi).reshape(m, g)
+    labels = np.flatnonzero(amps.any(axis=0))
+    tuples = np.full((len(labels), cfg.n_copies), iota, dtype=np.intp)
+    tuples[:, 0] = labels
     vp = build_V(cfg.rep.group)
-    # V e_q = e_{vp[q]}: (V psi)[vp[q]] = psi[q] and (V* psi)[q] = psi[vp[q]]
-    if inverse:
-        for k in range(n - 1, 0, -1):
-            tensor = _gather_on_adjacent(tensor, vp, k)
-        tensor = _apply_on_adjacent(tensor, utv.conj().T, 0)
-    else:
-        tensor = _apply_on_adjacent(tensor, utv, 0)
-        src = np.argsort(vp)
-        for k in range(1, n):
-            tensor = _gather_on_adjacent(tensor, src, k)
-    return tensor
-
-
-def _iota_block(g: int, n: int) -> np.ndarray:
-    block = np.zeros((1,) + (g,) * n, dtype=complex)
-    block[(0,) + (0,) * n] = 1.0
-    return block
+    for k in range(1, cfg.n_copies):
+        tuples[:, k - 1], tuples[:, k] = np.divmod(vp[tuples[:, k - 1] * g + tuples[:, k]], g)
+    return tuples, amps[:, labels]
 
 
 def cascade_unitary(cfg: CascadeConfig) -> np.ndarray:
@@ -151,22 +123,14 @@ def amplified_instrument(cfg: CascadeConfig, delta: Outcome, output, b) -> Instr
     """Instrument read off a cascade output, `cascade_apply(cfg, xi)`, with the
     outcome indicator on every probe leg; one output serves every outcome."""
     b = np.asarray(b, dtype=complex)
-    m = cfg.rep.system_dim
+    m, g = cfg.rep.system_dim, cfg.rep.group.size
     if b.shape != (m, m):
         raise CascadeError(f"observable shape {b.shape} vs system dim {m}")
-    if np.shape(output) != cfg.shape:
-        raise CascadeError(f"cascade output shape {np.shape(output)} vs {cfg.shape}")
-    indicator = np.zeros(cfg.rep.group.size)
-    for chi in delta.characters:
-        indicator[chi.index] = 1.0
-    projected = output
-    for axis in range(1, cfg.n_copies + 1):
-        shape = [1] * projected.ndim
-        shape[axis] = -1
-        projected = projected * indicator.reshape(shape)
-
-    mmat = projected.reshape(m, -1)
-    rho = mmat @ mmat.conj().T
+    tuples, amps = _check_support(cfg, output)
+    indicator = np.zeros(g, dtype=bool)
+    indicator[[chi.index for chi in delta.characters]] = True
+    kept = amps[:, indicator[tuples].all(axis=1)]
+    rho = kept @ kept.conj().T
     prob = float(np.trace(rho).real)
     cond = complex(np.trace(b @ rho))
     post = rho / prob if prob > 1e-300 else None
@@ -175,6 +139,28 @@ def amplified_instrument(cfg: CascadeConfig, delta: Outcome, output, b) -> Instr
         conditional_expectation=cond,
         post_state=post,
     )
+
+
+def _check_support(cfg: CascadeConfig, output) -> tuple[np.ndarray, np.ndarray]:
+    """(tuples, amps) of a cascade output, if it is a support of cfg's shape."""
+    try:
+        tuples, amps = output
+    except (TypeError, ValueError):
+        raise CascadeError("cascade output must be a (tuples, amps) pair") from None
+    tuples, amps = np.asarray(tuples), np.asarray(amps)
+    g = cfg.rep.group.size
+    if tuples.ndim != 2 or tuples.shape[1] != cfg.n_copies:
+        raise CascadeError(
+            f"cascade output tuples have shape {tuples.shape}, expected (k, {cfg.n_copies})"
+        )
+    if not np.issubdtype(tuples.dtype, np.integer) or not np.all((0 <= tuples) & (tuples < g)):
+        raise CascadeError(f"cascade output labels must be integers in range({g})")
+    if amps.shape != (cfg.rep.system_dim, len(tuples)):
+        raise CascadeError(
+            f"cascade output amplitudes have shape {amps.shape},"
+            f" expected ({cfg.rep.system_dim}, {len(tuples)})"
+        )
+    return tuples, amps
 
 
 def check_instrument_equality(
@@ -196,14 +182,7 @@ def intertwiner_chain_check(group: FiniteAbelianGroup, gamma: Character, n: int)
         raise CascadeError("character belongs to a different group")
     g = group.size
     legs = n + 1
-    vp = build_V(group)
-
-    chain = np.arange(g**legs)
-    # operator product V_{N,N+1} ... V_12: rightmost factor acts first
-    for k in range(n):  # pairs (k, k+1), applied in increasing k
-        stage = _kron_perm(np.arange(g**k), vp, np.arange(g ** (n - k - 1)))
-        chain = stage[chain]
-
+    chain = _copy_chain(group, n)
     t = group.add_indices(gamma.index, np.arange(g))
     lam_first = _kron_perm(t, np.arange(g**n))
     lam_all = _kron_perm(*[t] * legs)
@@ -211,6 +190,21 @@ def intertwiner_chain_check(group: FiniteAbelianGroup, gamma: Character, n: int)
     lhs = _perm_product(chain, lam_first)
     rhs = _perm_product(lam_all, chain)
     return _perm_residual(lhs, rhs)
+
+
+@functools.lru_cache(maxsize=1)
+def _copy_chain(group: FiniteAbelianGroup, n: int) -> np.ndarray:
+    """Read-only basis map of V_{N,N+1} ... V_12 on N + 1 legs; it does not
+    depend on gamma, so a loop over the characters at one N builds it once."""
+    g = group.size
+    vp = build_V(group)
+    chain = np.arange(g ** (n + 1))
+    # operator product V_{N,N+1} ... V_12: rightmost factor acts first
+    for k in range(n):  # pairs (k, k+1), applied in increasing k
+        stage = _kron_perm(np.arange(g**k), vp, np.arange(g ** (n - k - 1)))
+        chain = stage[chain]
+    chain.setflags(write=False)
+    return chain
 
 
 def heisenberg_T(cfg: CascadeConfig, a, fs) -> np.ndarray:

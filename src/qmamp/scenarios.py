@@ -41,6 +41,11 @@ KINDS = ("relations", "measure", "amplify", "sterngerlach", "sweep")
 # holds three complex |G|^2 x |G|^2 arrays, 48 |G|^4 bytes, so |G| <= 68.
 FOURIER_CHECK_BYTES = 1 << 30
 
+# Index operations the intertwiner chain check of one amplify N may take:
+# |G| characters, each composing maps on |G|^(N+1) basis indices.  This keeps
+# |G| = 512 at N = 1, sigma_z at N = 21 and the z3 clock at N = 12.
+AMPLIFY_CHAIN_WORK = 1 << 27
+
 # Stern-Gerlach fields, "section.field" -> default.  The default's type is the
 # field's type (a list is a spinor of amplitudes); a required field's default
 # only gives its type.  Numbers are > 0 unless signed.
@@ -290,6 +295,13 @@ def run_amplify(scenario: dict, out_dir: Path) -> list[Path]:
         cfgs = [amp.CascadeConfig(rep=rep, n_copies=n) for n in n_values]
     except amp.CascadeError as exc:
         raise ScenarioError(f"field 'n_values': {exc}") from exc
+    g = rep.group.size
+    for n in n_values:
+        if g ** (n + 2) > AMPLIFY_CHAIN_WORK:
+            raise ScenarioError(
+                f"field 'n_values': N = {n} needs a chain check of {g}**{n + 2} ="
+                f" {g ** (n + 2)} index operations, over the bound {AMPLIFY_CHAIN_WORK}"
+            )
     rows = []
     for n, cfg in zip(n_values, cfgs):
         chain = max(

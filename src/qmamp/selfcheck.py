@@ -143,8 +143,8 @@ def criterion_5_amplification() -> tuple[bool, str]:
 def criterion_6_intertwiner_chain() -> tuple[bool, str]:
     worst = 0.0
     for g in groups.canonical_groups(8):
-        for gamma in g.characters():
-            for n in range(1, 5):
+        for n in range(1, 5):  # N outer: the characters share one copy chain
+            for gamma in g.characters():
                 worst = max(worst, amp.intertwiner_chain_check(g, gamma, n))
     return worst <= 1e-12, f"max chain residual {worst:.2e}, |G|<=8, N<=4 (tol 1e-12)"
 

@@ -1,5 +1,9 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
+from cascade_oracle import scatter, tensor_cascade, tensor_instrument
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -64,25 +68,59 @@ def test_cascade_apply_matches_dense_unitary():
                 iota[rep.group.trivial_character.index] = 1.0
                 joint = np.kron(joint, iota)
             u = cascade_unitary(cfg)
-            lazy = cascade_apply(cfg, xi)
+            lazy = scatter(cfg, cascade_apply(cfg, xi))
             assert np.linalg.norm(u @ joint - lazy.reshape(-1)) <= 1e-12
             psi = random_state(rng, cfg.state_dim)
-            back = cascade_apply(cfg, psi, inverse=True)
+            back = tensor_cascade(cfg, psi, inverse=True)
             assert np.linalg.norm(u.conj().T @ psi - back.reshape(-1)) <= 1e-12
 
 
 def test_cascade_apply_matches_closed_form():
-    # second oracle: the cascade output is sum_gamma E(gamma) xi x |gamma>^N
+    # second oracle: the cascade output is sum_gamma E(gamma) xi x |gamma>^N;
+    # its support, scattered into the dense tensor, equals the closed form (up
+    # to the rounding of E(gamma) xi) and the tensor cascade exactly, and reads
+    # the same instrument off every outcome
     rng = np.random.default_rng(5)
     reps = [sigma_z_rep(), clock_rep(3)] + [rotated_rep(g, rng) for g in canonical_groups(6)]
     for rep in reps:
+        chars = rep.group.characters()
         for n in (1, 2, 3, 4):
             cfg = CascadeConfig(rep, n)
             xi = random_state(rng, rep.system_dim)
+            b = rng.standard_normal((rep.system_dim,) * 2)
+            b = b + b.T
             expected = np.zeros(cfg.shape, dtype=complex)
             for chi, p in rep.projections.items():
                 expected[(slice(None),) + (chi.index,) * n] = p @ xi
-            assert np.abs(cascade_apply(cfg, xi) - expected).max() <= 1e-13
+            output = cascade_apply(cfg, xi)
+            tuples, amps = output
+            assert tuples.dtype == np.intp and len(tuples) <= rep.group.size
+            assert amps.shape == (rep.system_dim, len(tuples))
+            dense = scatter(cfg, output)
+            assert np.abs(dense - expected).max() <= 1e-13
+            assert np.array_equal(dense, tensor_cascade(cfg, xi))
+            # and on a support of distinct tuples with mixed labels
+            k = min(cfg.state_dim // rep.system_dim, 2 * rep.group.size)
+            flat = rng.choice(cfg.state_dim // rep.system_dim, size=k, replace=False)
+            mixed = (
+                np.stack(np.unravel_index(flat, cfg.shape[1:]), axis=1),
+                random_state(rng, rep.system_dim * k).reshape(rep.system_dim, k),
+            )
+            for support in (output, mixed):
+                dense = scatter(cfg, support)
+                for size in range(1, len(chars) + 1):
+                    for subset in itertools.combinations(chars, size):
+                        delta = outcome(subset)
+                        got = amplified_instrument(cfg, delta, support, b)
+                        want = tensor_instrument(cfg, delta, dense, b)
+                        assert abs(got.probability - want.probability) <= 1e-15
+                        assert (
+                            abs(got.conditional_expectation - want.conditional_expectation)
+                            <= 1e-15
+                        )
+                        assert (got.post_state is None) == (want.post_state is None)
+                        if got.post_state is not None:
+                            assert np.abs(got.post_state - want.post_state).max() <= 1e-15
 
 
 def test_inverse_cascade_rejects_wrong_size():
@@ -90,7 +128,7 @@ def test_inverse_cascade_rejects_wrong_size():
     assert cfg.shape == (3, 3, 3)
     for size in (3, cfg.state_dim - 1, cfg.state_dim + 1):
         with pytest.raises(CascadeError, match=f"{size} entries, expected {cfg.state_dim}"):
-            cascade_apply(cfg, np.ones(size) / np.sqrt(size), inverse=True)
+            tensor_cascade(cfg, np.ones(size) / np.sqrt(size), inverse=True)
 
 
 def test_cascade_output_is_branch_correlated():
@@ -99,7 +137,7 @@ def test_cascade_output_is_branch_correlated():
     rep = sigma_z_rep()
     cfg = CascadeConfig(rep, 3)
     xi = np.array([np.sqrt(0.3), np.sqrt(0.7)])
-    out = cascade_apply(cfg, xi)
+    out = scatter(cfg, cascade_apply(cfg, xi))
     chi_up = char_of(rep, np.diag([1.0, 0.0]))
     chi_dn = char_of(rep, np.diag([0.0, 1.0]))
     i, j = chi_up.index, chi_dn.index
@@ -111,6 +149,9 @@ def test_cascade_output_is_branch_correlated():
     mask = np.zeros_like(weights)
     mask[0, i, i, i] = mask[1, j, j, j] = 1.0
     assert np.abs(weights * (1 - mask)).sum() <= 1e-24
+    # a label whose sector xi misses holds no tuple of the support
+    tuples, amps = cascade_apply(cfg, np.array([1.0, 0.0]))
+    assert tuples.tolist() == [[i] * 3] and amps.shape == (2, 1)
 
 
 def test_inverse_cascade_recovers_input():
@@ -118,8 +159,8 @@ def test_inverse_cascade_recovers_input():
     rep = clock_rep(3)
     cfg = CascadeConfig(rep, 2)
     xi = random_state(rng, 3)
-    out = cascade_apply(cfg, xi)
-    back = cascade_apply(cfg, out, inverse=True)
+    out = scatter(cfg, cascade_apply(cfg, xi))
+    back = tensor_cascade(cfg, out, inverse=True)
     assert np.linalg.norm(back[:, 0, 0] - xi) <= 1e-12
     assert abs(np.linalg.norm(back) - 1.0) <= 1e-12
 
@@ -134,7 +175,7 @@ def test_cascade_unitary_lazy_threshold():
     with pytest.raises(CascadeError, match="memory budget"):
         cascade_unitary(cfg)
     # cascade_apply is still available above the oracle's budget
-    out = cascade_apply(cfg, np.array([1.0, 0.0]))
+    out = scatter(cfg, cascade_apply(cfg, np.array([1.0, 0.0])))
     assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
 
 
@@ -164,8 +205,23 @@ def test_singleton_probability_is_branch_weight():
     res = amplified_instrument(cfg, outcome([chi_dn]), cascade_apply(cfg, xi), SZ)
     assert res.probability == pytest.approx(0.7)
     assert np.allclose(res.post_state, np.diag([0.0, 1.0]), atol=1e-12)
-    with pytest.raises(CascadeError, match="cascade output shape"):
+    with pytest.raises(CascadeError, match="cascade output"):
         amplified_instrument(cfg, outcome([chi_dn]), xi, SZ)  # the state, not its cascade
+    tuples, amps = cascade_apply(cfg, xi)
+    malformed = {
+        "tuple width": (tuples[:, :2], amps),
+        "tuple rank": (tuples[0], amps),
+        "label above range": (tuples + rep.group.size, amps),
+        "negative label": (tuples - rep.group.size, amps),
+        "float labels": (tuples.astype(float), amps),
+        "amplitude rows": (tuples, amps[:1]),
+        "amplitude columns": (tuples, amps[:, :1]),
+        "not a pair": (tuples, amps, amps),
+        "the dense tensor": scatter(cfg, (tuples, amps)),
+    }
+    for case, output in malformed.items():
+        with pytest.raises(CascadeError, match="cascade output"):
+            amplified_instrument(cfg, outcome([chi_dn]), output, SZ)
 
 
 def test_intertwiner_chain_exact():
@@ -218,10 +274,50 @@ def test_intertwiner_chain_matches_dense_oracle(monkeypatch):
     monkeypatch.setattr(amplification, "_kron_perm", corrupt_second_stage)
     v, v_bad = dense_v(g, build_V(g)), dense_v(g, bad)
     gamma = g.character([1])
-    for n in (2, 3):
-        dense = dense_chain_residual(g, gamma, [v, v_bad] + [v] * (n - 2))
-        assert dense > 0.1
-        assert intertwiner_chain_check(g, gamma, n) == dense
+    # the copy chain is cached per (group, N): build it afresh under the
+    # corrupted stage, and drop it afterwards
+    amplification._copy_chain.cache_clear()
+    try:
+        for n in (2, 3):
+            dense = dense_chain_residual(g, gamma, [v, v_bad] + [v] * (n - 2))
+            assert dense > 0.1
+            assert intertwiner_chain_check(g, gamma, n) == dense
+    finally:
+        amplification._copy_chain.cache_clear()
+
+
+def test_support_bounds_memory_at_largest_n():
+    # sigma_z at N = 21 fills the state budget: the dense output tensor would
+    # hold 2 * 2**21 amplitudes (64 MB), the support at most |G| columns
+    rep = sigma_z_rep()
+    cfg = CascadeConfig(rep, 21)
+    with pytest.raises(CascadeError, match="memory budget"):
+        CascadeConfig(rep, 22)
+    xi = np.array([np.sqrt(0.3), np.sqrt(0.7)])
+    chars = rep.group.characters()
+    tracemalloc.start()
+    try:
+        output = cascade_apply(cfg, xi)
+        for size in range(1, len(chars) + 1):
+            for subset in itertools.combinations(chars, size):
+                amplified_instrument(cfg, outcome(subset), output, SZ)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(output[0]) <= rep.group.size
+    assert peak < 1 << 20
+
+
+def test_copy_chain_is_cached_read_only():
+    g = make_group([3])
+    assert intertwiner_chain_check(g, g.character([1]), 3) == 0.0
+    chain = amplification._copy_chain(g, 3)
+    assert not chain.flags.writeable
+    with pytest.raises(ValueError):
+        chain[0] = 1
+    # the next character at the same N reuses it
+    assert intertwiner_chain_check(g, g.character([2]), 3) == 0.0
+    assert amplification._copy_chain(g, 3) is chain
 
 
 def test_intertwiner_chain_large_group():

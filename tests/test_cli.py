@@ -194,9 +194,9 @@ def test_amplify_runs_one_cascade_per_n(tmp_path, monkeypatch):
     calls = []
     cascade_apply = scenarios.amp.cascade_apply
 
-    def counted(cfg, xi, inverse=False):
+    def counted(cfg, xi):
         calls.append(cfg.n_copies)
-        return cascade_apply(cfg, xi, inverse)
+        return cascade_apply(cfg, xi)
 
     monkeypatch.setattr(scenarios.amp, "cascade_apply", counted)
     s = np.sqrt
@@ -459,6 +459,34 @@ def test_amplify_bounds_copies_by_tensor_axes(tmp_path, capsys):
     path = write_scenario(tmp_path, payload, "over.json")
     assert main(["amplify", "--scenario", path, "--out", str(tmp_path)]) == EXIT_INPUT
     assert "field 'n_values'" in capsys.readouterr().err
+
+
+def test_amplify_bounds_chain_check_work(tmp_path, capsys, monkeypatch):
+    # the chain check costs |G|**(N + 2) index operations: |G| = 4096 at N = 1
+    # is refused before any chain or cascade work
+    def unreachable(*args, **kwargs):
+        raise AssertionError("chain or cascade work started")
+
+    monkeypatch.setattr(scenarios.amp, "intertwiner_chain_check", unreachable)
+    monkeypatch.setattr(scenarios.amp, "cascade_apply", unreachable)
+    payload = {
+        "version": 1,
+        "kind": "amplify",
+        "rep": {
+            "group": [4096],
+            "system_dim": 1,
+            "projections": [{"character": [0], "matrix": [[1]]}],
+        },
+        "state": [1.0],
+        "outcomes": [[0]],
+        "n_values": [1],
+    }
+    path = write_scenario(tmp_path, payload)
+    assert main(["amplify", "--scenario", path, "--out", str(tmp_path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "field 'n_values'" in err and "Traceback" not in err
+    assert str(4096**3) in err and str(scenarios.AMPLIFY_CHAIN_WORK) in err
+    assert not (tmp_path / "amplify.csv").exists()
 
 
 # One small valid scenario of each kind.
