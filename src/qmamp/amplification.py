@@ -10,15 +10,14 @@ translation on all legs.
 The cascade output is a redundant record with at most |G| nonzero probe
 tuples, so `cascade_apply` holds it on that support: a (k, N) array of probe
 labels and an (m, k) array of system amplitudes, never the m |G|^N tensor.
-The first stage (UtildeV, not a permutation) is applied to the trivial label
-columns only; each copy stage V is a permutation and moves the labels
-through its integer index map.  `amplified_instrument` keeps the columns
-whose labels all lie in the outcome.  `intertwiner_chain_check` composes the
-stage maps exactly on all g^(N+1) basis indices, and reuses the copy chain,
-which does not depend on gamma, across the characters at one N.
-`cascade_unitary` builds the full dense matrix with `hilbert.embed` on leg
-positions, from the dense 0/1 matrix of V; `heisenberg_T`, the
-Heisenberg-picture map, conjugates by it.
+The first stage (UtildeV, not a permutation) is applied through its trivial
+label columns, which hold E(chi) at label chi, so no dense coupling matrix
+is built; each copy stage V is a permutation and moves the labels by the
+group law.  `amplified_instrument` keeps the columns whose labels all lie in
+the outcome.  `intertwiner_chain_check` composes the stage maps exactly on
+all g^(N+1) basis indices, and reuses the copy chain, which does not depend
+on gamma, across the characters at one N.  The dense cascade matrix and the
+Heisenberg-picture map are test oracles (`tests/dense_oracle.py`).
 """
 
 from __future__ import annotations
@@ -28,9 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import Character, FiniteAbelianGroup, _perm_matrix
-from .hilbert import embed
-from .ktops import _kron_perm, _perm_product, _perm_residual, build_UtildeV, build_V
+from .groups import Character, FiniteAbelianGroup
+from .ktops import _kron_perm, _perm_product, _perm_residual, build_V
 from .measurement import (
     InstrumentResult,
     Outcome,
@@ -44,12 +42,11 @@ class CascadeError(ValueError):
     pass
 
 
-# Bounds on N, kept from the dense cascade state that the amplify path no
-# longer holds (its support has at most m |G| amplitudes).  The budget bounds
-# m |G|^N, the size of that state, so the chain check's |G|^(N+1) basis
-# indices stay within |G| times it; `cascade_unitary` squares it.  MAX_COPIES
-# bounds the N + 1 tensor legs of the dense state and of `cascade_unitary`
-# (numpy arrays have at most 64 axes) and is the only bound for a trivial group.
+# Bounds on N.  The cascade output has at most m |G| amplitudes at any N, so
+# these bound the intertwiner chain check: the budget bounds m |G|^N, which
+# keeps the chain check's |G|^(N+1)-entry index arrays within |G| times it,
+# and MAX_COPIES keeps N finite for the trivial group, whose chain check is a
+# single index at every N.
 DEFAULT_MEMORY_BUDGET = 1 << 22  # amplitudes
 MAX_COPIES = 63
 
@@ -64,8 +61,7 @@ class CascadeConfig:
             raise CascadeError("need at least one probe copy")
         if self.n_copies > MAX_COPIES:
             raise CascadeError(
-                f"{self.n_copies} probe copies exceed the {MAX_COPIES} that a tensor of"
-                " at most 64 axes holds"
+                f"{self.n_copies} probe copies exceed the bound of {MAX_COPIES}"
             )
         if self.state_dim > DEFAULT_MEMORY_BUDGET:
             raise CascadeError(
@@ -76,11 +72,6 @@ class CascadeConfig:
     def state_dim(self) -> int:
         return self.rep.system_dim * self.rep.group.size**self.n_copies
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        """Tensor shape of a dense cascade state: the system leg, then N probe legs."""
-        return (self.rep.system_dim,) + (self.rep.group.size,) * self.n_copies
-
 
 def cascade_apply(cfg: CascadeConfig, xi) -> tuple[np.ndarray, np.ndarray]:
     """Cascade output on its support, (tuples, amps), for a normalized system
@@ -88,35 +79,25 @@ def cascade_apply(cfg: CascadeConfig, xi) -> tuple[np.ndarray, np.ndarray]:
     array of probe labels and amps an (m, k) array, k <= |G|.
 
     Probe legs start in the trivial character.  Stage one applies the trivial
-    label columns of UtildeV to xi and keeps the labels whose column is
-    nonzero; each copy stage maps the label pair on its two legs through the
-    index map of V and leaves the amplitudes alone.
+    label columns of UtildeV, the (m, |G|, m) array holding E(chi) at label
+    chi, to xi and keeps the labels whose column is nonzero; each copy stage
+    maps the label pair (a, b) on its two legs to (a, a + b), as V does, and
+    leaves the amplitudes alone.
     """
     xi = _check_state(cfg.rep, xi)
-    m, g = cfg.rep.system_dim, cfg.rep.group.size
-    iota = cfg.rep.group.trivial_character.index
-    amps = (build_UtildeV(cfg.rep)[:, iota::g] @ xi).reshape(m, g)
+    m, group = cfg.rep.system_dim, cfg.rep.group
+    cols = np.zeros((m, group.size, m), dtype=complex)
+    for chi, proj in cfg.rep.projections.items():
+        cols[:, chi.index, :] = proj
+    # einsum, not a BLAS product, so the amplitudes equal those of the dense
+    # stage-one contraction bit for bit
+    amps = np.einsum("rcs,s->rc", cols, xi)
     labels = np.flatnonzero(amps.any(axis=0))
-    tuples = np.full((len(labels), cfg.n_copies), iota, dtype=np.intp)
+    tuples = np.full((len(labels), cfg.n_copies), group.trivial_character.index, dtype=np.intp)
     tuples[:, 0] = labels
-    vp = build_V(cfg.rep.group)
     for k in range(1, cfg.n_copies):
-        tuples[:, k - 1], tuples[:, k] = np.divmod(vp[tuples[:, k - 1] * g + tuples[:, k]], g)
+        tuples[:, k] = group.add_indices(tuples[:, k - 1], tuples[:, k])
     return tuples, amps[:, labels]
-
-
-def cascade_unitary(cfg: CascadeConfig) -> np.ndarray:
-    """Materialized cascade matrix V_{N,N+1} ... V_23 UtildeV_12 (oracle path)."""
-    if cfg.state_dim**2 > DEFAULT_MEMORY_BUDGET:
-        raise CascadeError(
-            f"cascade matrix of {cfg.state_dim}**2 entries exceeds memory budget"
-            f" {DEFAULT_MEMORY_BUDGET}; use cascade_apply"
-        )
-    v = _perm_matrix(build_V(cfg.rep.group))
-    mat = embed(build_UtildeV(cfg.rep), [0, 1], cfg.shape)
-    for k in range(1, cfg.n_copies):
-        mat = embed(v, [k, k + 1], cfg.shape) @ mat
-    return mat
 
 
 def amplified_instrument(cfg: CascadeConfig, delta: Outcome, output, b) -> InstrumentResult:
@@ -205,30 +186,3 @@ def _copy_chain(group: FiniteAbelianGroup, n: int) -> np.ndarray:
         chain = stage[chain]
     chain.setflags(write=False)
     return chain
-
-
-def heisenberg_T(cfg: CascadeConfig, a, fs) -> np.ndarray:
-    """Heisenberg-picture map conjugating A x f_2 x ... x f_{N+1} by the
-    cascade stages; each f is a diagonal (character-basis) probe function."""
-    a = np.asarray(a, dtype=complex)
-    m, g, n = cfg.rep.system_dim, cfg.rep.group.size, cfg.n_copies
-    if a.shape != (m, m):
-        raise CascadeError(f"system operator shape {a.shape} vs system dim {m}")
-    if len(fs) != n:
-        raise CascadeError(f"need {n} probe functions, got {len(fs)}")
-    diags = []
-    for f in fs:
-        f = np.asarray(f, dtype=complex)
-        if f.shape == (g, g):
-            if np.linalg.norm(f - np.diag(np.diag(f))) > 1e-12:
-                raise CascadeError("probe operators must be diagonal in the character basis")
-            f = np.diag(f)
-        if f.shape != (g,):
-            raise CascadeError(f"probe function shape {f.shape} vs group size {g}")
-        diags.append(f)
-
-    big = a
-    for f in diags:
-        big = np.kron(big, np.diag(f))
-    u = cascade_unitary(cfg)
-    return u.conj().T @ big @ u

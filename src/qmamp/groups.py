@@ -12,6 +12,7 @@ every matrix in this package uses that index order.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,7 +37,7 @@ class FiniteAbelianGroup:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.orders))
+        return math.prod(self.orders)
 
     @property
     def identity(self) -> tuple[int, ...]:

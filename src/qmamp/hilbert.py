@@ -3,8 +3,9 @@
 States and operators are plain numpy arrays.  Flattening is row-major with
 the leftmost leg most significant, matching the group enumeration in
 :mod:`qmamp.groups`.  `embed` builds the dense matrix of an operator acting on
-some legs of a tensor product and as the identity on the others; the dense
-oracles use it, the stage-wise code paths never do.
+some legs of a tensor product and as the identity on the others.  Only the
+dense test oracle (`tests/dense_oracle.py`) uses it; no qmamp module imports
+this one.
 """
 
 from __future__ import annotations

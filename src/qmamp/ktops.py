@@ -2,22 +2,21 @@
 
 `build_W` acts on functions of two group arguments by (a, b) -> (a + b, b);
 `build_V` is its Fourier conjugate on the dual side, acting by (a, b) -> (a, a + b),
-i.e. it copies the first label onto a trivial second slot.  `build_UW` represents
-the first on the system space through a spectral family, and `build_UtildeV` is
-its Fourier transform, the coupling that correlates system sectors with probe
-labels.
+i.e. it copies the first label onto a trivial second slot.  `build_UtildeV`
+is the coupling on system x dual-group probe that correlates system sectors
+with probe labels, the Fourier transform of W represented on the system
+space through a spectral family.
 
 W, V and the group translations are permutations of basis indices, and they
 are represented only as integer index maps p (e_j -> e_{p[j]}), built by
 vectorised index arithmetic.  Relation checks return Frobenius-norm
 residuals: the pentagonal and intertwining relations compose index maps, and
 the residual sqrt(2 * #mismatched columns) equals the dense Frobenius norm
-exactly.  `build_UW`, `build_UtildeV` and `heisenberg_embed` are not
-permutations; they return plain dense matrices on system x group, the
-system leg most significant.  The represented (system-space) relations are
-checked with explicit matrix products, the three-leg one through
-`hilbert.embed` on leg positions; `groups._perm_matrix` gives the dense 0/1
-matrix of a map where an operator is used densely, as there and in the tests.
+exactly.  `build_UtildeV` is not a permutation; it returns a plain dense
+matrix on system x group, the system leg most significant, and is the
+reference the coupled picture of `measurement` is checked against.  The
+represented W and the represented relations are dense test oracles
+(`tests/dense_oracle.py`).
 """
 
 from __future__ import annotations
@@ -27,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import FiniteAbelianGroup, _perm_matrix, fourier_matrix, regular_representation
-from .hilbert import embed
+from .groups import FiniteAbelianGroup, fourier_matrix, regular_representation
 
 
 class KTError(ValueError):
@@ -151,17 +149,6 @@ def verify_intertwining(perm, group: FiniteAbelianGroup, orientation: str) -> fl
     return worst
 
 
-def build_UW(rep) -> np.ndarray:
-    """Block-diagonal coupling on system x group with blocks
-    U_u = sum_chi conj(chi(u)) E(chi)."""
-    group = rep.group
-    m, n = rep.system_dim, group.size
-    mat = np.zeros((m * n, m * n), dtype=complex)
-    for j, u in enumerate(group.elements()):
-        mat[j::n, j::n] = rep.unitary(u)
-    return mat
-
-
 def build_UtildeV(rep) -> np.ndarray:
     """Coupling sum_chi E(chi) x lambda_chi on system x dual-group probe."""
     m, n = rep.system_dim, rep.group.size
@@ -169,48 +156,3 @@ def build_UtildeV(rep) -> np.ndarray:
     for chi, proj in rep.projections.items():
         mat += np.kron(proj, regular_representation(chi))
     return mat
-
-
-def uw_fourier_conjugation_residual(rep) -> float:
-    """|| UtildeV - (id x F) UW* (id x F)^-1 ||."""
-    f = fourier_matrix(rep.group)
-    idf = np.kron(np.eye(rep.system_dim), f)
-    lhs = build_UtildeV(rep)
-    rhs = idf @ build_UW(rep).conj().T @ idf.conj().T
-    return float(np.linalg.norm(lhs - rhs))
-
-
-def verify_represented_pentagonal(rep) -> float:
-    """Residual of UW_12 W_23 = W_23 UW_13 UW_12 on system x group x group."""
-    n = rep.group.size
-    dims = (rep.system_dim, n, n)
-    uw = build_UW(rep)
-    uw12, uw13 = embed(uw, [0, 1], dims), embed(uw, [0, 2], dims)
-    w23 = embed(_perm_matrix(build_W(rep.group)), [1, 2], dims)
-    return float(np.linalg.norm(uw12 @ w23 - w23 @ uw13 @ uw12))
-
-
-def verify_represented_intertwining(rep) -> float:
-    """Max residual over u of UW (1 x t_u) = (U_u x t_u) UW."""
-    group = rep.group
-    m = rep.system_dim
-    uw = build_UW(rep)
-    eye = np.eye(m)
-    worst = 0.0
-    for j, u in enumerate(group.elements()):
-        t = _perm_matrix(group.add_indices(j, np.arange(group.size)))
-        res = np.linalg.norm(uw @ np.kron(eye, t) - np.kron(rep.unitary(u), t) @ uw)
-        worst = max(worst, float(res))
-    return worst
-
-
-def heisenberg_embed(m_op: np.ndarray, rep) -> np.ndarray:
-    """Ad(UW*) of (M x 1): the system observable dressed by the coupling."""
-    m_op = np.asarray(m_op, dtype=complex)
-    if m_op.shape != (rep.system_dim, rep.system_dim):
-        raise KTError(
-            f"observable shape {m_op.shape} does not match system dim {rep.system_dim}"
-        )
-    uw = build_UW(rep)
-    big = np.kron(m_op, np.eye(rep.group.size))
-    return uw.conj().T @ big @ uw

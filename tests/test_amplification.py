@@ -3,7 +3,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from cascade_oracle import scatter, tensor_cascade, tensor_instrument
+from dense_oracle import (
+    cascade_unitary,
+    dense_chain_residual,
+    heisenberg_T,
+    scatter,
+    shape,
+    tensor_cascade,
+    tensor_instrument,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,13 +21,10 @@ from qmamp.amplification import (
     CascadeError,
     amplified_instrument,
     cascade_apply,
-    cascade_unitary,
     check_instrument_equality,
-    heisenberg_T,
     intertwiner_chain_check,
 )
-from qmamp.groups import _perm_matrix, canonical_groups, make_group, regular_representation
-from qmamp.hilbert import embed
+from qmamp.groups import _perm_matrix, canonical_groups, make_group
 from qmamp.ktops import build_V
 from qmamp.measurement import clock_rep, instrument, make_spectral_rep, outcome, sigma_z_rep
 
@@ -89,7 +94,7 @@ def test_cascade_apply_matches_closed_form():
             xi = random_state(rng, rep.system_dim)
             b = rng.standard_normal((rep.system_dim,) * 2)
             b = b + b.T
-            expected = np.zeros(cfg.shape, dtype=complex)
+            expected = np.zeros(shape(cfg), dtype=complex)
             for chi, p in rep.projections.items():
                 expected[(slice(None),) + (chi.index,) * n] = p @ xi
             output = cascade_apply(cfg, xi)
@@ -103,7 +108,7 @@ def test_cascade_apply_matches_closed_form():
             k = min(cfg.state_dim // rep.system_dim, 2 * rep.group.size)
             flat = rng.choice(cfg.state_dim // rep.system_dim, size=k, replace=False)
             mixed = (
-                np.stack(np.unravel_index(flat, cfg.shape[1:]), axis=1),
+                np.stack(np.unravel_index(flat, shape(cfg)[1:]), axis=1),
                 random_state(rng, rep.system_dim * k).reshape(rep.system_dim, k),
             )
             for support in (output, mixed):
@@ -125,7 +130,7 @@ def test_cascade_apply_matches_closed_form():
 
 def test_inverse_cascade_rejects_wrong_size():
     cfg = CascadeConfig(clock_rep(3), 2)
-    assert cfg.shape == (3, 3, 3)
+    assert shape(cfg) == (3, 3, 3)
     for size in (3, cfg.state_dim - 1, cfg.state_dim + 1):
         with pytest.raises(CascadeError, match=f"{size} entries, expected {cfg.state_dim}"):
             tensor_cascade(cfg, np.ones(size) / np.sqrt(size), inverse=True)
@@ -232,29 +237,10 @@ def test_intertwiner_chain_exact():
                 assert intertwiner_chain_check(g, gamma, n) == 0.0
 
 
-def dense_chain_residual(g, gamma, stages):
-    # oracle: V_{N,N+1} ... V_12 (t_gamma x 1^N) - t_gamma^(N+1) V_{N,N+1} ... V_12,
-    # with stages[k] the two-leg operator on legs (k, k+1)
-    dims = (g.size,) * (len(stages) + 1)
-    chain = np.eye(g.size ** len(dims))
-    for k, v in enumerate(stages):
-        chain = embed(v, [k, k + 1], dims) @ chain
-    t = regular_representation(gamma)
-    lam_first = embed(t, [0], dims)
-    lam_all = t
-    for _ in stages:
-        lam_all = np.kron(lam_all, t)
-    return float(np.linalg.norm(chain @ lam_first - lam_all @ chain))
-
-
-def dense_v(g, perm):
-    return _perm_matrix(perm)
-
-
 def test_intertwiner_chain_matches_dense_oracle(monkeypatch):
     for orders in ([2], [3], [4], [2, 2]):
         g = make_group(orders)
-        v = dense_v(g, build_V(g))
+        v = _perm_matrix(build_V(g))
         for gamma in g.characters():
             for n in (1, 2, 3):
                 dense = dense_chain_residual(g, gamma, [v] * n)
@@ -272,7 +258,7 @@ def test_intertwiner_chain_matches_dense_oracle(monkeypatch):
         return kron_perm(*maps)
 
     monkeypatch.setattr(amplification, "_kron_perm", corrupt_second_stage)
-    v, v_bad = dense_v(g, build_V(g)), dense_v(g, bad)
+    v, v_bad = _perm_matrix(build_V(g)), _perm_matrix(bad)
     gamma = g.character([1])
     # the copy chain is cached per (group, N): build it afresh under the
     # corrupted stage, and drop it afterwards
@@ -306,6 +292,25 @@ def test_support_bounds_memory_at_largest_n():
         tracemalloc.stop()
     assert len(output[0]) <= rep.group.size
     assert peak < 1 << 20
+
+
+def test_stage_one_builds_no_dense_coupling():
+    # |G| = 512 with system_dim 4: the dense UtildeV would take 67 MB, the
+    # label columns E(chi) of stage one take 4 * 512 * 4 amplitudes (131 kB)
+    g = make_group([512])
+    chars = g.characters()
+    rep = make_spectral_rep(g, 4, [(chars[k], np.diag(np.eye(4)[k])) for k in range(4)])
+    cfg = CascadeConfig(rep, 2)
+    xi = np.full(4, 0.5)
+    tracemalloc.start()
+    try:
+        tuples, amps = cascade_apply(cfg, xi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tuples.tolist() == [[k, k] for k in range(4)]
+    assert np.array_equal(amps, np.diag(xi).astype(complex))
+    assert peak < 4 << 20
 
 
 def test_copy_chain_is_cached_read_only():

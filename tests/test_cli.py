@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from concurrent.futures import Executor
 from pathlib import Path
@@ -490,6 +493,65 @@ def test_amplify_bounds_chain_check_work(tmp_path, capsys, monkeypatch):
 
 
 # One small valid scenario of each kind.
+@pytest.mark.parametrize("kind", ["measure", "amplify"])
+def test_group_order_past_int64_exits_1_naming_rep(tmp_path, capsys, kind):
+    # |G| = 2**64 wraps to 0 in an int64 product of the orders, under the cap
+    payload = {
+        "version": 1,
+        "kind": kind,
+        "rep": {
+            "group": [2**32, 2**32],
+            "system_dim": 1,
+            "projections": [{"character": [0, 0], "matrix": [[1]]}],
+        },
+        "state": [1.0],
+        "outcomes": [[0]],
+    }
+    path = write_scenario(tmp_path, payload)
+    assert main([kind, "--scenario", path, "--out", str(tmp_path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "field 'rep'" in err and str(2**64) in err and "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+# Dense builders that only the tests use; they live in tests/dense_oracle.py.
+MOVED_TO_DENSE_ORACLE = {
+    "amplification": ["cascade_unitary", "heisenberg_T"],
+    "ktops": [
+        "build_UW",
+        "uw_fourier_conjugation_residual",
+        "verify_represented_pentagonal",
+        "verify_represented_intertwining",
+        "heisenberg_embed",
+    ],
+}
+
+
+def test_cli_imports_no_dense_oracle():
+    # a fresh interpreter, so no test's import of qmamp.hilbert counts
+    code = (
+        "import json, sys\n"
+        "import qmamp.cli\n"
+        "hilbert = 'qmamp.hilbert' in sys.modules\n"
+        "from qmamp import amplification, ktops\n"
+        "print(json.dumps({'hilbert': hilbert,"
+        " 'amplification': sorted(vars(amplification)), 'ktops': sorted(vars(ktops)),"
+        " 'shape': hasattr(amplification.CascadeConfig, 'shape')}))\n"
+    )
+    src = Path(scenarios.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    found = json.loads(done.stdout)
+    assert not found["hilbert"]
+    assert not found["shape"]
+    for module, names in MOVED_TO_DENSE_ORACLE.items():
+        assert not set(names) & set(found[module]), module
+
+
 VALID = {
     "relations": {"version": 1, "kind": "relations", "groups": [[2], [2, 2]]},
     "measure": {

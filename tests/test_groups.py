@@ -40,6 +40,8 @@ def test_make_group_rejects_empty_and_cap():
         make_group([])
     with pytest.raises(GroupError):
         make_group([2] * 13)  # 8192 > default cap
+    with pytest.raises(GroupError, match=str(2**64)):
+        make_group([2**32, 2**32])  # an int64 product of the orders wraps to 0
     with pytest.raises(GroupError):
         make_group([0, 2])
 

@@ -1,28 +1,26 @@
 import numpy as np
 import pytest
-
-from qmamp.groups import (
-    _perm_matrix,
-    canonical_groups,
-    fourier_matrix,
-    make_group,
-    regular_representation,
+from dense_oracle import (
+    build_UW,
+    dense_fourier_residual,
+    dense_intertwining,
+    dense_pentagonal,
+    heisenberg_embed,
+    uw_fourier_conjugation_residual,
+    verify_represented_intertwining,
+    verify_represented_pentagonal,
 )
-from qmamp.hilbert import embed
+
+from qmamp.groups import _perm_matrix, canonical_groups, make_group, regular_representation
 from qmamp.ktops import (
     KTError,
     KTOperatorPair,
-    build_UW,
     build_UtildeV,
     build_V,
     build_W,
-    heisenberg_embed,
     kt_pair,
-    uw_fourier_conjugation_residual,
     verify_intertwining,
     verify_pentagonal,
-    verify_represented_intertwining,
-    verify_represented_pentagonal,
 )
 from qmamp.measurement import clock_rep, make_spectral_rep, sigma_z_rep
 
@@ -85,33 +83,6 @@ def test_pentagonal_and_intertwining(orders):
     assert verify_intertwining(pair.V, g, "v") <= 1e-12
 
 
-def loop_translation(g, u):
-    t = np.zeros((g.size, g.size))
-    for j, v in enumerate(g.elements()):
-        t[g.index(g.add(u, v)), j] = 1.0
-    return t
-
-
-def dense_intertwining(m, g, orientation):
-    # oracle: explicit kron products with each translation
-    eye = np.eye(g.size)
-    worst = 0.0
-    for u in g.elements():
-        t = loop_translation(g, u)
-        moved = np.kron(eye, t) if orientation == "w" else np.kron(t, eye)
-        worst = max(worst, float(np.linalg.norm(m @ moved - np.kron(t, t) @ m)))
-    return worst
-
-
-def dense_pentagonal(m, orientation):
-    # oracle: embed the two-leg matrix on each leg pair of three legs
-    d = int(round(np.sqrt(m.shape[0])))
-    o12, o23, o13 = (embed(m, p, (d, d, d)) for p in ([0, 1], [1, 2], [0, 2]))
-    if orientation == "w":
-        return float(np.linalg.norm(o12 @ o23 - o23 @ o13 @ o12))
-    return float(np.linalg.norm(o23 @ o12 - o12 @ o13 @ o23))
-
-
 def swap_basis_images(perm, j1, j2):
     out = perm.copy()
     out[[j1, j2]] = out[[j2, j1]]
@@ -132,13 +103,7 @@ def test_index_map_relations_match_dense_oracle(g):
         m = _perm_matrix(perm)
         for side in ("w", "v"):
             assert verify_intertwining(perm, g, side) == dense_intertwining(m, g, side)
-            assert verify_pentagonal(perm, side) == dense_pentagonal(m, side)
-
-
-def dense_fourier_residual(g, w, v):
-    # oracle: || V - (F x F) W* (F x F)^-1 || as a triple product of dense matrices
-    ff = np.kron(fourier_matrix(g), fourier_matrix(g))
-    return float(np.linalg.norm(_perm_matrix(v) - ff @ _perm_matrix(w).conj().T @ ff.conj().T))
+            assert verify_pentagonal(perm, side) == dense_pentagonal(m, m, (n,) * 3, side)
 
 
 @pytest.mark.parametrize("g", canonical_groups(8), ids=group_id)
@@ -184,7 +149,8 @@ def test_random_unitary_fails_pentagonal():
     for _ in range(10):
         perm = rng.permutation(9)
         res = verify_pentagonal(perm, "w")
-        assert res == dense_pentagonal(_perm_matrix(perm), "w")
+        m = _perm_matrix(perm)
+        assert res == dense_pentagonal(m, m, (3, 3, 3), "w")
         if res > 0.1:
             return
     pytest.fail("no random counterexample found in 10 draws")
