@@ -15,9 +15,12 @@ label columns, which hold E(chi) at label chi, so no dense coupling matrix
 is built; each copy stage V is a permutation and moves the labels by the
 group law.  `amplified_instrument` keeps the columns whose labels all lie in
 the outcome.  `intertwiner_chain_check` composes the stage maps exactly on
-all g^(N+1) basis indices, and reuses the copy chain, which does not depend
-on gamma, across the characters at one N.  The dense cascade matrix and the
-Heisenberg-picture map are test oracles (`tests/dense_oracle.py`).
+all g^(N+1) basis indices, one first-leg value at a time, and reuses the
+copy chain, which does not depend on gamma, across the characters at one N.
+The chain is built one leg at a time by appending V on the last leg pair,
+so building and checking it hold about three g^(N+1)-entry index arrays.
+The dense cascade matrix and the Heisenberg-picture map are test oracles
+(`tests/dense_oracle.py`).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import Character, FiniteAbelianGroup
-from .ktops import _kron_perm, _perm_product, _perm_residual, build_V
+from .ktops import _kron_perm, build_V
 from .measurement import (
     InstrumentResult,
     Outcome,
@@ -44,8 +47,9 @@ class CascadeError(ValueError):
 
 # Bounds on N.  The cascade output has at most m |G| amplitudes at any N, so
 # these bound the intertwiner chain check: the budget bounds m |G|^N, which
-# keeps the chain check's |G|^(N+1)-entry index arrays within |G| times it,
-# and MAX_COPIES keeps N finite for the trivial group, whose chain check is a
+# keeps the chain check's |G|^(N+1)-entry index arrays within |G| times it
+# (the check holds about three of them, 96 MiB for sigma_z at N = 21), and
+# MAX_COPIES keeps N finite for the trivial group, whose chain check is a
 # single index at every N.
 DEFAULT_MEMORY_BUDGET = 1 << 22  # amplitudes
 MAX_COPIES = 63
@@ -157,32 +161,51 @@ def intertwiner_chain_check(group: FiniteAbelianGroup, gamma: Character, n: int)
     """Residual of  V_{N,N+1}...V_12 (t_gamma x 1^N) = t_gamma^(N+1) V_{N,N+1}...V_12.
 
     All factors are permutations, so both sides are composed exactly on basis
-    indices; the residual is the Frobenius norm of the difference.
+    indices, one first-leg value a at a time: t_gamma x 1 moves only the first
+    leg, so the left side on block a is the chain's contiguous block t[a],
+    and the right side applies t to the first leg and t^(x N) to the other
+    legs of the chain's block a.  The residual is the Frobenius norm of the
+    difference.
     """
     if gamma.group != group:
         raise CascadeError("character belongs to a different group")
     g = group.size
-    legs = n + 1
+    block = g**n
     chain = _copy_chain(group, n)
     t = group.add_indices(gamma.index, np.arange(g))
-    lam_first = _kron_perm(t, np.arange(g**n))
-    lam_all = _kron_perm(*[t] * legs)
-
-    lhs = _perm_product(chain, lam_first)
-    rhs = _perm_product(lam_all, chain)
-    return _perm_residual(lhs, rhs)
+    t_first, t_rest = t * block, _kron_perm(*[t] * n)
+    mismatches = 0
+    for a in range(g):
+        lhs = chain[t[a] * block : (t[a] + 1) * block]
+        image = chain[a * block : (a + 1) * block]
+        rhs = t_rest[image % block]
+        rhs += t_first[image // block]
+        mismatches += np.count_nonzero(lhs != rhs)
+    return float(np.sqrt(2.0 * mismatches))
 
 
 @functools.lru_cache(maxsize=1)
 def _copy_chain(group: FiniteAbelianGroup, n: int) -> np.ndarray:
-    """Read-only basis map of V_{N,N+1} ... V_12 on N + 1 legs; it does not
-    depend on gamma, so a loop over the characters at one N builds it once."""
-    g = group.size
-    vp = build_V(group)
-    chain = np.arange(g ** (n + 1))
-    # operator product V_{N,N+1} ... V_12: rightmost factor acts first
-    for k in range(n):  # pairs (k, k+1), applied in increasing k
-        stage = _kron_perm(np.arange(g**k), vp, np.arange(g ** (n - k - 1)))
-        chain = stage[chain]
+    """Read-only basis map of V_{N,N+1} ... V_12 on N + 1 legs, built one leg
+    at a time; it does not depend on gamma, so a loop over the characters at
+    one N builds it once."""
+    chain = build_V(group)  # V_12 on two legs
+    pair_map = chain.reshape(group.size, group.size)
+    for _ in range(n - 1):
+        chain = _extend_chain(chain, pair_map)
     chain.setflags(write=False)
     return chain
+
+
+def _extend_chain(chain: np.ndarray, pair_map: np.ndarray) -> np.ndarray:
+    """Basis map of V_{k+1,k+2} (chain x 1) for a chain on k + 1 legs, where
+    pair_map[p, q] is V's image of the leg pair (p, q).
+
+    chain x 1 sends (x, q) to y = chain[x] g + q, whose last two legs are
+    y % g^2 = (chain[x] % g, q); V replaces them and keeps y - y % g^2.
+    """
+    g = len(pair_map)
+    last = chain % g
+    out = pair_map[last]
+    out += ((chain - last) * g)[:, None]
+    return out.reshape(-1)

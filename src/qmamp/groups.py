@@ -153,13 +153,20 @@ def canonical_groups(max_size: int) -> list[FiniteAbelianGroup]:
     return [FiniteAbelianGroup(o) for o in sorted(found, key=lambda o: (int(np.prod(o)), o))]
 
 
+def _fft_shape(group: FiniteAbelianGroup) -> tuple[int, ...]:
+    """The group's cyclic orders without its trivial factors, which a DFT
+    leaves alone: numpy arrays have at most 64 axes, and a group under the
+    size cap has at most 12 nontrivial factors."""
+    return tuple(n for n in group.orders if n > 1) or (1,)
+
+
 @lru_cache(maxsize=4)
 def fourier_matrix(group: FiniteAbelianGroup) -> np.ndarray:
     """Unitary DFT matrix F[gamma, u] = conj(gamma(u)) / sqrt(|G|)."""
     n = group.size
-    axes = tuple(range(len(group.orders)))
-    eye = np.eye(n, dtype=complex).reshape(group.orders + (n,))
-    f = np.fft.fftn(eye, axes=axes, norm="ortho").reshape(n, n)
+    shape = _fft_shape(group)
+    eye = np.eye(n, dtype=complex).reshape(shape + (n,))
+    f = np.fft.fftn(eye, axes=tuple(range(len(shape))), norm="ortho").reshape(n, n)
     f.setflags(write=False)
     return f
 
@@ -168,7 +175,7 @@ def _check_vector(group: FiniteAbelianGroup, xi) -> np.ndarray:
     xi = np.asarray(xi, dtype=complex)
     if xi.shape != (group.size,):
         raise GroupError(f"vector has shape {xi.shape}, expected ({group.size},)")
-    return xi.reshape(group.orders)
+    return xi.reshape(_fft_shape(group))
 
 
 def fourier_transform(group: FiniteAbelianGroup, xi: np.ndarray) -> np.ndarray:

@@ -12,11 +12,13 @@ are represented only as integer index maps p (e_j -> e_{p[j]}), built by
 vectorised index arithmetic.  Relation checks return Frobenius-norm
 residuals: the pentagonal and intertwining relations compose index maps, and
 the residual sqrt(2 * #mismatched columns) equals the dense Frobenius norm
-exactly.  `build_UtildeV` is not a permutation; it returns a plain dense
-matrix on system x group, the system leg most significant, and is the
-reference the coupled picture of `measurement` is checked against.  The
-represented W and the represented relations are dense test oracles
-(`tests/dense_oracle.py`).
+exactly.  The Fourier conjugation residual gathers rows of F x F through
+the inverse maps of V and W and sums its square over the |G| first-leg row
+blocks, |G|^3 entries each, so F x F itself (|G|^4 entries) is never built.
+`build_UtildeV` is not a permutation; it returns a plain dense matrix on
+system x group, the system leg most significant, and is the reference the
+coupled picture of `measurement` is checked against.  The represented W and
+the represented relations are dense test oracles (`tests/dense_oracle.py`).
 """
 
 from __future__ import annotations
@@ -62,12 +64,23 @@ class KTOperatorPair:
 
         F x F is unitary, so this is || V (F x F) - (F x F) W* ||, whose terms
         are F x F with its rows (columns) gathered through the inverse of V (W).
+        Row (i, j) of F x F is kron(F[i], F[j]), so the squared norm is summed
+        over the |G| row blocks (a, .), each |G|^3 entries; F x F is never built.
+        Column (c, d) of kron(F[a], F[b]) is F[a, c] F[b, d], so the W side of
+        block a is F[a] and F gathered through the two legs of W's inverse.
         """
         f = fourier_matrix(self.group)
-        ff = np.kron(f, f)
-        diff = ff[np.argsort(self.V)]
-        diff -= ff[:, np.argsort(self.W)]
-        return float(np.linalg.norm(diff))
+        n = self.group.size
+        v_rows = np.divmod(np.argsort(self.V), n)
+        w_first, w_second = np.divmod(np.argsort(self.W), n)
+        f_second = f[:, w_second]  # F[b, d] at each gathered column, for every b
+        total = 0.0
+        for a in range(n):
+            i, j = (rows[a * n : (a + 1) * n] for rows in v_rows)
+            diff = (f[i][:, :, None] * f[j][:, None, :]).reshape(n, n * n)
+            diff -= f_second * f[a, w_first]
+            total += np.vdot(diff, diff).real
+        return math.sqrt(total)
 
 
 def kt_pair(group: FiniteAbelianGroup) -> KTOperatorPair:

@@ -37,9 +37,10 @@ SCHEMA_VERSION = 1
 
 KINDS = ("relations", "measure", "amplify", "sterngerlach", "sweep")
 
-# Bytes the Fourier conjugation check of a relations group may allocate: it
-# holds three complex |G|^2 x |G|^2 arrays, 48 |G|^4 bytes, so |G| <= 68.
-FOURIER_CHECK_BYTES = 1 << 30
+# Complex products the Fourier conjugation check of a relations group may
+# take: |G|^4, summed one |G|^3 block at a time (it holds three complex
+# blocks, 48 |G|^3 bytes).  This keeps |G| <= 107, about 4 s on one core.
+FOURIER_CHECK_WORK = 1 << 27
 
 # Index operations the intertwiner chain check of one amplify N may take:
 # |G| characters, each composing maps on |G|^(N+1) basis indices.  This keeps
@@ -235,15 +236,14 @@ def build_observable(scenario: dict, rep) -> np.ndarray:
 
 def build_relation_groups(scenario: dict) -> list[groups.FiniteAbelianGroup]:
     """Groups of a relations scenario, each refused before anything is allocated
-    if its Fourier check would exceed FOURIER_CHECK_BYTES."""
+    if its Fourier check would exceed FOURIER_CHECK_WORK."""
     out = []
     for i, orders in enumerate(read(scenario, "groups", [[int]], bound=0)):
         size = math.prod(orders)
-        need = 48 * size**4
-        if need > FOURIER_CHECK_BYTES:
+        if size**4 > FOURIER_CHECK_WORK:
             raise ScenarioError(
-                f"field 'groups[{i}]': expected a group whose Fourier check fits in"
-                f" {FOURIER_CHECK_BYTES} bytes; order {size} needs {need}"
+                f"field 'groups[{i}]': expected a group whose Fourier check takes at most"
+                f" {FOURIER_CHECK_WORK} products; order {size} needs {size}**4 = {size**4}"
             )
         out.append(groups.make_group(orders))
     return out

@@ -250,14 +250,14 @@ def test_intertwiner_chain_matches_dense_oracle(monkeypatch):
     g = make_group([3])
     bad = build_V(g)
     bad[[1, 4]] = bad[[4, 1]]
-    kron_perm = amplification._kron_perm
+    extend_chain = amplification._extend_chain
 
-    def corrupt_second_stage(*maps):
-        if len(maps) == 3 and len(maps[0]) == g.size and len(maps[1]) == g.size**2:
-            maps = (maps[0], bad, maps[2])  # the stage map pre x V x post with pre = g
-        return kron_perm(*maps)
+    def corrupt_second_stage(chain, pair_map):
+        if len(chain) == g.size**2:  # V_12 on two legs gets V_23 appended
+            pair_map = bad.reshape(g.size, g.size)
+        return extend_chain(chain, pair_map)
 
-    monkeypatch.setattr(amplification, "_kron_perm", corrupt_second_stage)
+    monkeypatch.setattr(amplification, "_extend_chain", corrupt_second_stage)
     v, v_bad = _perm_matrix(build_V(g)), _perm_matrix(bad)
     gamma = g.character([1])
     # the copy chain is cached per (group, N): build it afresh under the
@@ -292,6 +292,24 @@ def test_support_bounds_memory_at_largest_n():
         tracemalloc.stop()
     assert len(output[0]) <= rep.group.size
     assert peak < 1 << 20
+
+
+def test_chain_check_memory_at_largest_n():
+    # sigma_z at N = 21: the chain is 2**22 indices; it is built one leg at a
+    # time and checked one first-leg block at a time, so building and checking
+    # hold about three chain-sized index arrays
+    g = make_group([2])
+    n = 21
+    amplification._copy_chain.cache_clear()
+    tracemalloc.start()
+    try:
+        residuals = [intertwiner_chain_check(g, gamma, n) for gamma in g.characters()]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        amplification._copy_chain.cache_clear()
+    assert residuals == [0.0, 0.0]
+    assert peak < 3.5 * g.size ** (n + 1) * np.dtype(np.intp).itemsize
 
 
 def test_stage_one_builds_no_dense_coupling():

@@ -94,7 +94,7 @@ def test_relations_run(tmp_path, capsys):
         ([[2, True]], "groups[0]"),
         ([[0]], "groups[0]"),
         ([[]], "groups[0]"),
-        ([[128]], "groups[0]"),  # its Fourier check would need 12.9 GB
+        ([[128]], "groups[0]"),  # its Fourier check would take 128**4 products
     ],
     ids=["not-a-list", "bool-order", "zero-order", "empty", "too-large"],
 )
@@ -103,6 +103,40 @@ def test_relations_rejects_bad_group(tmp_path, capsys, groups, field):
     assert main(["relations", "--scenario", path, "--out", str(tmp_path)]) == EXIT_INPUT
     assert f"field '{field}'" in capsys.readouterr().err
     assert not (tmp_path / "relations.csv").exists()
+
+
+def test_relations_fourier_check_is_bounded_by_work(tmp_path, capsys, monkeypatch):
+    # the sliced Fourier check holds 48 |G|^3 bytes, so order 69, refused by
+    # the old 48 |G|^4 byte bound, runs; the first order over the work bound
+    # is refused before any W, V or Fourier work
+    path = write_scenario(tmp_path, {"version": 1, "kind": "relations", "groups": [[69]]})
+    out = tmp_path / "out"
+    assert main(["relations", "--scenario", path, "--out", str(out)]) == EXIT_OK
+    (row,) = read_csv(out / "relations.csv")
+    assert row["group"] == "69" and float(row["fourier_conjugation"]) <= 1e-10
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("relation work started")
+
+    monkeypatch.setattr(scenarios.ktops, "kt_pair", unreachable)
+    order = next(n for n in range(100, 200) if n**4 > scenarios.FOURIER_CHECK_WORK)
+    path = write_scenario(tmp_path, {"version": 1, "kind": "relations", "groups": [[2], [order]]})
+    assert main(["relations", "--scenario", path, "--out", str(tmp_path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "field 'groups[1]'" in err and str(order**4) in err and "Traceback" not in err
+    assert not (tmp_path / "relations.csv").exists()
+
+
+def test_relations_group_with_many_trivial_factors(tmp_path):
+    # 68 cyclic factors: more axes than a numpy array may have, so the DFT
+    # must drop the trivial ones or the run exits 2
+    orders = [1] * 67 + [2]
+    path = write_scenario(tmp_path, {"version": 1, "kind": "relations", "groups": [orders]})
+    out = tmp_path / "out"
+    assert main(["relations", "--scenario", path, "--out", str(out)]) == EXIT_OK
+    (row,) = read_csv(out / "relations.csv")
+    assert row["group"] == "x".join(map(str, orders))
+    assert all(float(v) <= 1e-10 for k, v in row.items() if k != "group")
 
 
 def test_measure_run_sigma_z(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from dense_oracle import (
@@ -116,6 +118,21 @@ def test_gathered_fourier_residual_matches_dense_oracle(g):
         res = bad.fourier_conjugation_residual()
         assert res >= 1.0
         assert abs(res - dense_fourier_residual(g, bad.W, bad.V)) <= 1e-13
+
+
+def test_fourier_residual_memory_is_one_block():
+    # summed in |G| row blocks of |G|^3 entries: the dense F x F alone would
+    # take 16 |G|^4 bytes (85 MB here), the check holds about three blocks
+    g = make_group([48])
+    pair = kt_pair(g)
+    tracemalloc.start()
+    try:
+        res = pair.fourier_conjugation_residual()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res <= 1e-10
+    assert peak < 4 * 16 * g.size**3
 
 
 def test_relation_checks_reject_non_permutations():
