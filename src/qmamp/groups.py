@@ -1,17 +1,16 @@
 """Finite abelian groups, their characters, and the discrete Fourier transform.
 
-A group is a product of cyclic factors Z_{n_1} x ... x Z_{n_k}.  Elements are
-integer tuples with componentwise addition mod n_i.  Characters are indexed by
-exponent tuples of the same shape, so the dual group shares the element
-enumeration with the group itself (self-duality of finite abelian groups).
-
-Enumeration is lexicographic with the leftmost coordinate most significant;
-every matrix in this package uses that index order.
+A group is a product of cyclic factors Z_{n_1} x ... x Z_{n_k}.  Elements
+and characters are integer indices into one enumeration of exponent tuples,
+lexicographic with the leftmost coordinate most significant, so the dual
+group shares the group's enumeration (self-duality of finite abelian groups);
+every matrix in this package uses that index order.  The group law on
+indices is `add_indices`.  Exponent tuples appear only where a character is
+read (`character`) and in error messages (`Character.exponents`).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -39,95 +38,55 @@ class FiniteAbelianGroup:
     def size(self) -> int:
         return math.prod(self.orders)
 
-    @property
-    def identity(self) -> tuple[int, ...]:
-        return (0,) * len(self.orders)
-
-    def elements(self) -> list[tuple[int, ...]]:
-        return list(itertools.product(*(range(n) for n in self.orders)))
-
-    def contains(self, a) -> bool:
-        return (
-            len(a) == len(self.orders)
-            and all(0 <= x < n for x, n in zip(a, self.orders))
-        )
-
-    def _check(self, a) -> tuple[int, ...]:
-        a = tuple(int(x) for x in a)
-        if not self.contains(a):
-            raise GroupError(f"{a} is not an element of {self}")
-        return a
-
-    def index(self, a) -> int:
-        a = self._check(a)
-        i = 0
-        for x, n in zip(a, self.orders):
-            i = i * n + x
-        return i
-
-    def element(self, i: int) -> tuple[int, ...]:
-        if not 0 <= i < self.size:
-            raise GroupError(f"index {i} out of range for group of size {self.size}")
-        out = []
-        for n in reversed(self.orders):
-            out.append(i % n)
-            i //= n
-        return tuple(reversed(out))
-
-    def add(self, a, b) -> tuple[int, ...]:
-        a, b = self._check(a), self._check(b)
-        return tuple((x + y) % n for x, y, n in zip(a, b, self.orders))
-
-    def add_indices(self, i, j) -> np.ndarray:
-        """Index of element(i) + element(j) for broadcastable arrays of indices."""
-        i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
-        out = np.zeros(np.broadcast_shapes(i.shape, j.shape), dtype=np.intp)
+    def _strides(self):
+        """(order, stride) of each cyclic factor: an index is the sum of its
+        exponents times their strides."""
         stride = self.size
         for n in self.orders:
             stride //= n
+            yield n, stride
+
+    def add_indices(self, i, j) -> np.ndarray:
+        """Index of the sum of the elements at indices i and j, for broadcastable arrays."""
+        i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
+        out = np.zeros(np.broadcast_shapes(i.shape, j.shape), dtype=np.intp)
+        for n, stride in self._strides():
             # i // stride is coordinate + n * (higher coordinates), so mod n leaves the sum
             out += (i // stride + j // stride) % n * stride
         return out
 
-    def negate(self, a) -> tuple[int, ...]:
-        a = self._check(a)
-        return tuple((-x) % n for x, n in zip(a, self.orders))
-
     def character(self, exponents) -> "Character":
-        return Character(self, self._check(exponents))
+        """The character with these exponents, one per cyclic factor."""
+        exponents = tuple(int(m) for m in exponents)
+        if len(exponents) != len(self.orders) or not all(
+            0 <= m < n for m, n in zip(exponents, self.orders)
+        ):
+            raise GroupError(f"{exponents} is not an element of {self}")
+        return Character(self, sum(m * s for m, (_, s) in zip(exponents, self._strides())))
 
     @property
     def trivial_character(self) -> "Character":
-        return Character(self, self.identity)
+        return Character(self, 0)
 
     def characters(self) -> list["Character"]:
-        return [Character(self, e) for e in self.elements()]
+        return [Character(self, i) for i in range(self.size)]
 
 
 @dataclass(frozen=True)
 class Character:
-    """Group character u -> exp(2*pi*i * sum_j m_j a_j / n_j)."""
+    """The character u -> exp(2 pi i sum_j m_j u_j / n_j) at `index`, the
+    index of its exponent tuple m."""
 
     group: FiniteAbelianGroup
-    exponents: tuple[int, ...]
+    index: int
 
-    def value(self, u) -> complex:
-        u = self.group._check(u)
-        phase = sum(m * a / n for m, a, n in zip(self.exponents, u, self.group.orders))
-        return complex(np.exp(2j * np.pi * phase))
-
-    def __mul__(self, other: "Character") -> "Character":
-        if other.group != self.group:
-            raise GroupError("characters belong to different groups")
-        return Character(self.group, self.group.add(self.exponents, other.exponents))
+    def __post_init__(self):
+        if not 0 <= self.index < self.group.size:
+            raise GroupError(f"character index {self.index} is out of range for {self.group}")
 
     @property
-    def inverse(self) -> "Character":
-        return Character(self.group, self.group.negate(self.exponents))
-
-    @property
-    def index(self) -> int:
-        return self.group.index(self.exponents)
+    def exponents(self) -> tuple[int, ...]:
+        return tuple(self.index // stride % n for n, stride in self.group._strides())
 
 
 def make_group(orders) -> FiniteAbelianGroup:
@@ -169,36 +128,3 @@ def fourier_matrix(group: FiniteAbelianGroup) -> np.ndarray:
     f = np.fft.fftn(eye, axes=tuple(range(len(shape))), norm="ortho").reshape(n, n)
     f.setflags(write=False)
     return f
-
-
-def _check_vector(group: FiniteAbelianGroup, xi) -> np.ndarray:
-    xi = np.asarray(xi, dtype=complex)
-    if xi.shape != (group.size,):
-        raise GroupError(f"vector has shape {xi.shape}, expected ({group.size},)")
-    return xi.reshape(_fft_shape(group))
-
-
-def fourier_transform(group: FiniteAbelianGroup, xi: np.ndarray) -> np.ndarray:
-    return np.fft.fftn(_check_vector(group, xi), norm="ortho").reshape(-1)
-
-
-def inverse_fourier_transform(group: FiniteAbelianGroup, xi_hat: np.ndarray) -> np.ndarray:
-    return np.fft.ifftn(_check_vector(group, xi_hat), norm="ortho").reshape(-1)
-
-
-def _perm_matrix(p: np.ndarray) -> np.ndarray:
-    """0/1 matrix of the basis map e_j -> e_{p[j]}."""
-    n = len(p)
-    m = np.zeros((n, n), dtype=complex)
-    m[p, np.arange(n)] = 1.0
-    return m
-
-
-def regular_representation(gamma: Character) -> np.ndarray:
-    """Translation lambda_gamma |chi> = |gamma * chi> on l2 of the dual group.
-
-    The dual group shares the group's enumeration, so this is the permutation
-    matrix of translation by the exponent tuple of gamma.
-    """
-    group = gamma.group
-    return _perm_matrix(group.add_indices(gamma.index, np.arange(group.size)))

@@ -16,8 +16,9 @@ exactly.  The Fourier conjugation residual gathers rows of F x F through
 the inverse maps of V and W and sums its square over the |G| first-leg row
 blocks, |G|^3 entries each, so F x F itself (|G|^4 entries) is never built.
 `build_UtildeV` is not a permutation; it returns a plain dense matrix on
-system x group, the system leg most significant, and is the reference the
-coupled picture of `measurement` is checked against.  The represented W and
+system x group, the system leg most significant, with each E(chi) written
+at the probe index pairs of lambda_chi, and is the reference the coupled
+picture of `measurement` is checked against.  The represented W and
 the represented relations are dense test oracles (`tests/dense_oracle.py`).
 """
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import FiniteAbelianGroup, fourier_matrix, regular_representation
+from .groups import FiniteAbelianGroup, fourier_matrix
 
 
 class KTError(ValueError):
@@ -163,9 +164,15 @@ def verify_intertwining(perm, group: FiniteAbelianGroup, orientation: str) -> fl
 
 
 def build_UtildeV(rep) -> np.ndarray:
-    """Coupling sum_chi E(chi) x lambda_chi on system x dual-group probe."""
+    """Coupling sum_chi E(chi) x lambda_chi on system x dual-group probe.
+
+    lambda_chi translates the probe label b to chi + b, so E(chi) is written
+    straight into the (system, probe, system, probe) array at the probe index
+    pairs (chi + b, b); no translation matrix is built.
+    """
     m, n = rep.system_dim, rep.group.size
-    mat = np.zeros((m * n, m * n), dtype=complex)
+    mat = np.zeros((m, n, m, n), dtype=complex)
+    b = np.arange(n)
     for chi, proj in rep.projections.items():
-        mat += np.kron(proj, regular_representation(chi))
-    return mat
+        mat[:, rep.group.add_indices(chi.index, b), :, b] += proj
+    return mat.reshape(m * n, m * n)

@@ -1,11 +1,13 @@
 """Spectral families, the perfect-correlation coupling, and the instrument.
 
 A `SpectralRepresentation` assigns an orthogonal projection on the system
-space to each character of the measured group; the reconstructed group
-unitaries are U_u = sum_chi conj(chi(u)) E(chi).  The instrument is the
-projective operation-valued measure
-I(Delta)(B) = sum_{chi in Delta} <xi| E(chi) B E(chi) |xi>, whose value at the
-identity is the outcome probability and whose normalized operation gives the
+space to each character of the measured group; the group unitaries it
+represents, U_u = sum_chi conj(chi(u)) E(chi), are a dense test oracle
+(`tests/dense_oracle.py`).  The instrument is the projective
+operation-valued measure
+I(Delta)(B) = sum_{chi in Delta} <xi| E(chi) B E(chi) |xi>, summed over the
+characters of Delta in index order; its value at the identity is the
+outcome probability and its normalized operation gives the
 post-measurement density matrix.
 """
 
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import Character, FiniteAbelianGroup
+from .groups import Character, FiniteAbelianGroup, make_group
 from .ktops import build_UtildeV
 
 
@@ -38,12 +40,6 @@ class SpectralRepresentation:
         if p is None:
             return np.zeros((self.system_dim, self.system_dim), dtype=complex)
         return p
-
-    def unitary(self, u) -> np.ndarray:
-        out = np.zeros((self.system_dim, self.system_dim), dtype=complex)
-        for chi, p in self.projections.items():
-            out += np.conj(chi.value(u)) * p
-        return out
 
 
 def make_spectral_rep(group, system_dim, assignments) -> SpectralRepresentation:
@@ -86,14 +82,15 @@ def make_spectral_rep(group, system_dim, assignments) -> SpectralRepresentation:
 
 @dataclass(frozen=True)
 class Outcome:
-    characters: frozenset[Character]
+    """A set Delta of characters, held distinct and in index order: the order
+    in which the instrument sums them, so its rounding does not depend on
+    how the set was given."""
 
-    def __contains__(self, chi: Character) -> bool:
-        return chi in self.characters
+    characters: tuple[Character, ...]
 
 
 def outcome(chars) -> Outcome:
-    return Outcome(frozenset(chars))
+    return Outcome(tuple(sorted(set(chars), key=lambda chi: chi.index)))
 
 
 @dataclass(frozen=True)
@@ -174,30 +171,24 @@ def joint_probability(rep, coupled: np.ndarray, chi_sys: Character, chi_probe: C
     return float(np.vdot(p @ branch, p @ branch).real)
 
 
+def _diagonal_rep(group: FiniteAbelianGroup) -> SpectralRepresentation:
+    """E(chi) = |k><k| on a system of dimension |G|, for chi at index k."""
+    eye = np.eye(group.size, dtype=complex)
+    assignments = [(chi, np.diag(eye[chi.index])) for chi in group.characters()]
+    return make_spectral_rep(group, group.size, assignments)
+
+
 def sigma_z_rep(group: FiniteAbelianGroup | None = None) -> SpectralRepresentation:
     """Two-level preset: trivial character -> |0><0|, the other -> |1><1|,
     so the reconstructed U at the generator is diag(1, -1)."""
-    from .groups import make_group
-
     if group is None:
         group = make_group([2])
     if group.size != 2:
         raise MeasurementError("two-level preset needs a group of size 2")
-    chars = group.characters()
-    e0 = np.diag([1.0, 0.0]).astype(complex)
-    e1 = np.diag([0.0, 1.0]).astype(complex)
-    return make_spectral_rep(group, 2, [(chars[0], e0), (chars[1], e1)])
+    return _diagonal_rep(group)
 
 
 def clock_rep(n: int = 3) -> SpectralRepresentation:
     """n-level preset over Z_n: E(chi_k) = |k><k|; U at the generator is the
     conjugate clock matrix diag(1, w^-1, ..., w^-(n-1))."""
-    from .groups import make_group
-
-    group = make_group([n])
-    assignments = []
-    for k, chi in enumerate(group.characters()):
-        e = np.zeros((n, n), dtype=complex)
-        e[k, k] = 1.0
-        assignments.append((chi, e))
-    return make_spectral_rep(group, n, assignments)
+    return _diagonal_rep(make_group([n]))

@@ -193,7 +193,10 @@ def build_rep(scenario: dict) -> measurement.SpectralRepresentation:
         assignments = []
         for i in range(len(read(scenario, "rep.projections", [dict]))):
             where = f"rep.projections[{i}]"
-            chi = group.character(read(scenario, f"{where}.character", [int]))
+            try:
+                chi = group.character(read(scenario, f"{where}.character", [int]))
+            except groups.GroupError as exc:
+                raise ScenarioError(f"field '{where}.character': {exc}") from exc
             assignments.append((chi, _matrix(scenario, f"{where}.matrix", system_dim)))
         return measurement.make_spectral_rep(group, system_dim, assignments)
     except (groups.GroupError, measurement.MeasurementError) as exc:
@@ -370,10 +373,30 @@ def _check_sg_size(f: dict, where) -> None:
         )
 
 
-def _simulate(f: dict, record_every: int):
-    field = sterngerlach.FieldModel(
+def _field(f: dict) -> sterngerlach.FieldModel:
+    return sterngerlach.FieldModel(
         f["field.b0"], f["field.b1"], f["field.b2"], f["field.mu"], f["field.region_extent"]
     )
+
+
+def _check_sg_step(f: dict, where) -> None:
+    """Refuse a run whose potential step evolve would refuse, before its packet
+    is built, naming time.dt and the field values that set the step angle;
+    `where` maps a field to its path."""
+    n = f["grid.points"]
+    ends = [sterngerlach.grid_z(n, f["grid.extent"], i) for i in (0, n - 1)]
+    angle = f["time.dt"] * f["field.mu"] * sterngerlach.max_field(_field(f), ends)
+    if not angle <= sterngerlach.MAX_STEP_ANGLE:
+        sources = ("field.mu", "field.b0", "field.b1", "field.b2")
+        values = ", ".join(f"field '{where(p)}' = {f[p]:.6g}" for p in sources)
+        raise ScenarioError(
+            f"field '{where('time.dt')}': expected dt*mu*max|B| <="
+            f" {sterngerlach.MAX_STEP_ANGLE}, got {angle:.3g} with {values}; reduce time.dt"
+        )
+
+
+def _simulate(f: dict, record_every: int):
+    field = _field(f)
     try:
         grid = sterngerlach.gaussian_packet(
             f["grid.points"], f["grid.extent"], f["grid.sigma"], f["grid.center"],
@@ -416,7 +439,8 @@ def _try_kick(result, branch):
 
 def run_sterngerlach(scenario: dict, out_dir: Path) -> list[Path]:
     f = _sg_fields(scenario)
-    _check_sg_size(f, lambda path: path)
+    _check_sg_size(f, str)
+    _check_sg_step(f, str)
     field, result = _simulate(f, f["time.record_every"])
     s = result.series
     columns = {
@@ -477,8 +501,10 @@ def run_sweep(scenario: dict, out_dir: Path, jobs: int = 1) -> list[Path]:
     base["adiabaticity"] |= any(p.startswith("adiabaticity.") for p in swept)
     tasks = [({**base, **dict(pt)}, pt) for pt in itertools.product(*grids)]
     axis_of = {path: f"axes[{i}].values" for i, path in enumerate(swept)}
+    where = {**{path: "base." + path for path in SG_FIELDS}, **axis_of}.get
     for fields, _ in tasks:
-        _check_sg_size(fields, lambda path: axis_of.get(path, "base." + path))
+        _check_sg_size(fields, where)
+        _check_sg_step(fields, where)
     # the pool starts all its workers on the first submit, each with a point's arrays
     point_bytes = max(fields["grid.points"] for fields, _ in tasks) * SG_BYTES_PER_POINT
     workers = min(jobs, len(tasks), os.cpu_count() or 1, SG_SOLVER_BYTES // point_bytes)

@@ -27,6 +27,7 @@ observables.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,6 +50,9 @@ class BoundaryLeakError(SolverError):
 BOUNDARY_TOL = 1e-6
 # Outermost cells at each end of the grid that the guard sums over.
 BOUNDARY_CELLS = 2
+# Largest spin rotation angle dt * mu * max|B| of one potential step that
+# evolve accepts (accuracy of the potential step).
+MAX_STEP_ANGLE = 0.1
 
 
 @dataclass(frozen=True)
@@ -155,7 +159,7 @@ def gaussian_packet(
     """
     if n_points < 2:
         raise SolverError(f"need at least 2 grid points, got {n_points}")
-    z = np.linspace(-extent / 2, extent / 2, n_points, endpoint=False)
+    z = grid_z(n_points, extent, np.arange(n_points))
     dz = z[1] - z[0]
     if sigma / dz < 8:
         raise SolverError(
@@ -171,6 +175,22 @@ def gaussian_packet(
     # discrete renormalization
     psi = psi / np.sqrt(grid.norm_squared())
     return SpinorGrid(z=z, psi=psi, mass=mass)
+
+
+def grid_z(n_points: int, extent: float, i):
+    """z at the indices i of the periodic grid of n_points cells over extent,
+    centred on 0, that `gaussian_packet` builds; i may be any subset of the
+    indices, so the grid's ends are known without building it."""
+    return i * (extent / n_points) - extent / 2
+
+
+def max_field(field: FieldModel, z_ends) -> float:
+    """max |B| on the line x = 0 over a uniform grid with first and last z
+    `z_ends`: |B|^2 is convex in z, so one of the ends holds the maximum.
+    Computed as `_spin_step` computes |B|, but on Python floats, so a field
+    whose square overflows gives inf without a numpy overflow warning."""
+    ends = (field.components(0.0, float(z)) for z in z_ends)
+    return max(math.sqrt(bx * bx + bz * bz) for bx, bz in ends)
 
 
 def _spin_step(bx, bz, mu: float, dt: float):
@@ -194,23 +214,21 @@ def evolve(
 ) -> SpinorGrid:
     """Strang-split evolution over `steps` time steps; returns a new grid.
 
-    Rejects time steps with dt * mu * max|B| > 0.1 (accuracy of the potential
-    step) and loop arguments steps < 0 or check_every < 1; aborts with a
-    diagnostic when the boundary mass of the completed state exceeds
-    BOUNDARY_TOL at a multiple of check_every or at the last step.
+    Rejects time steps with dt * mu * max|B| > MAX_STEP_ANGLE (accuracy of
+    the potential step) and loop arguments steps < 0 or check_every < 1;
+    aborts with a diagnostic when the boundary mass of the completed state
+    exceeds BOUNDARY_TOL at a multiple of check_every or at the last step.
     """
     if steps < 0:
         raise SolverError(f"steps must be >= 0, got {steps}")
     if check_every < 1:
         raise SolverError(f"check_every must be >= 1, got {check_every}")
-    bx, bz = field.components(0.0, grid.z)
-    max_b = float(np.max(np.sqrt(bx**2 + bz**2)))
-    if dt * field.mu * max_b > 0.1:
-        raise SolverError(
-            f"dt*mu*max|B| = {dt * field.mu * max_b:.3g} > 0.1; reduce dt"
-        )
+    angle = dt * field.mu * max_field(field, grid.z[[0, -1]])
+    if not angle <= MAX_STEP_ANGLE:  # a nan angle (0 * inf) is refused too
+        raise SolverError(f"dt*mu*max|B| = {angle:.3g} > {MAX_STEP_ANGLE}; reduce dt")
     if steps == 0:
         return replace(grid)
+    bx, bz = field.components(0.0, grid.z)
     cos, ux, uz = _spin_step(bx, bz, field.mu, dt)
     a, d = cos + uz, cos - uz
     del bx, bz, cos, uz

@@ -13,23 +13,77 @@ every probe leg.  `cascade_unitary` materializes the stage product, built by
 `heisenberg_T`, the Heisenberg-picture map, conjugates by it, and
 `dense_chain_residual` composes the copy chain the same way.
 
+Groups.  Closed forms from exponent tuples, computed without qmamp's index
+arithmetic (`add_indices`) or its DFT (`fourier_matrix`): `exponent_table`
+enumerates the tuples with itertools.product, `character_table` holds
+chi(u) = exp(2 pi i sum_j m_j u_j / n_j) for every (chi, u), and
+`addition_table` the index of u + v, added as exponent rows mod the orders.
+`perm_matrix` is the 0/1 matrix of an index map, `translation` that of t_u
+from the addition table, and `represented_unitary` is
+U_u = sum_chi conj(chi(u)) E(chi) of a spectral family.
+
 Couplings and relations.  `build_UW` is the coupling W represented on the
 system space; `uw_fourier_conjugation_residual`, `heisenberg_embed` and the
 represented relations use it.  `dense_pentagonal` and `dense_intertwining`
-check a two-leg operator on three legs and against `translation`, the
-translation matrix built entry by entry from the group law; the represented
-relations are the same checks with UW in place of the operator.
+check a two-leg operator on three legs and against `translation`; the
+represented relations are the same checks with UW in place of the operator.
 `dense_fourier_residual` is the Fourier conjugation of W and V as a triple
 product of dense matrices.
 """
 
+import itertools
+
 import numpy as np
 
 from qmamp.amplification import DEFAULT_MEMORY_BUDGET, CascadeConfig, CascadeError
-from qmamp.groups import _perm_matrix, fourier_matrix
+from qmamp.groups import fourier_matrix
 from qmamp.hilbert import embed
 from qmamp.ktops import KTError, build_UtildeV, build_V, build_W
 from qmamp.measurement import InstrumentResult, Outcome, _check_state
+
+
+def exponent_table(group) -> np.ndarray:
+    """(|G|, k) array of the exponent tuples in index order, leftmost most significant."""
+    rows = list(itertools.product(*(range(n) for n in group.orders)))
+    return np.array(rows, dtype=np.intp).reshape(group.size, len(group.orders))
+
+
+def character_table(group) -> np.ndarray:
+    """chi(u) = exp(2 pi i sum_j m_j u_j / n_j) at [chi, u]."""
+    e = exponent_table(group)
+    phase = (e[:, None, :] * e[None, :, :] / np.array(group.orders)).sum(axis=-1)
+    return np.exp(2j * np.pi * phase)
+
+
+def addition_table(group) -> np.ndarray:
+    """Index of u + v at [u, v]: the exponent rows added mod the orders, looked
+    up in the enumeration."""
+    e = exponent_table(group)
+    index = {tuple(row): i for i, row in enumerate(e.tolist())}
+    sums = (e[:, None, :] + e[None, :, :]) % np.array(group.orders)
+    return np.array([[index[tuple(s)] for s in row] for row in sums.tolist()], dtype=np.intp)
+
+
+def perm_matrix(p) -> np.ndarray:
+    """0/1 matrix of the basis map e_j -> e_{p[j]}."""
+    n = len(p)
+    m = np.zeros((n, n), dtype=complex)
+    m[p, np.arange(n)] = 1.0
+    return m
+
+
+def translation(group, u) -> np.ndarray:
+    """Matrix of the translation t_u by the element at index u."""
+    return perm_matrix(addition_table(group)[u])
+
+
+def represented_unitary(rep, u) -> np.ndarray:
+    """U_u = sum_chi conj(chi(u)) E(chi) for the element at index u."""
+    values = character_table(rep.group)[:, u]
+    out = np.zeros((rep.system_dim, rep.system_dim), dtype=complex)
+    for chi, p in rep.projections.items():
+        out += np.conj(values[chi.index]) * p
+    return out
 
 
 def shape(cfg: CascadeConfig) -> tuple[int, ...]:
@@ -143,7 +197,7 @@ def cascade_unitary(cfg: CascadeConfig) -> np.ndarray:
             f"cascade matrix of {cfg.state_dim}**2 entries exceeds memory budget"
             f" {DEFAULT_MEMORY_BUDGET}; use cascade_apply"
         )
-    v = _perm_matrix(build_V(cfg.rep.group))
+    v = perm_matrix(build_V(cfg.rep.group))
     return stage_product([build_UtildeV(cfg.rep)] + [v] * (cfg.n_copies - 1), shape(cfg))
 
 
@@ -174,20 +228,12 @@ def heisenberg_T(cfg: CascadeConfig, a, fs) -> np.ndarray:
     return u.conj().T @ big @ u
 
 
-def translation(group, u) -> np.ndarray:
-    """Matrix of the translation t_u, built entry by entry from the group law."""
-    t = np.zeros((group.size, group.size))
-    for j, v in enumerate(group.elements()):
-        t[group.index(group.add(u, v)), j] = 1.0
-    return t
-
-
 def dense_chain_residual(g, gamma, stages) -> float:
     """|| V_{N,N+1} ... V_12 (t_gamma x 1^N) - t_gamma^(N+1) V_{N,N+1} ... V_12 ||,
     with stages[k] the two-leg operator on legs (k, k+1)."""
     dims = (g.size,) * (len(stages) + 1)
     chain = stage_product(stages, dims)
-    t = translation(g, gamma.exponents)
+    t = translation(g, gamma.index)
     lam_first = embed(t, [0], dims)
     lam_all = t
     for _ in stages:
@@ -221,7 +267,7 @@ def dense_intertwining(op, group, orientation, unitary=None) -> float:
     """
     eye = np.eye(len(op) // group.size)
     worst = 0.0
-    for u in group.elements():
+    for u in range(group.size):
         t = translation(group, u)
         moved = np.kron(eye, t) if orientation == "w" else np.kron(t, eye)
         first = t if unitary is None else unitary(u)
@@ -232,7 +278,7 @@ def dense_intertwining(op, group, orientation, unitary=None) -> float:
 def dense_fourier_residual(g, w, v) -> float:
     """|| V - (F x F) W* (F x F)^-1 || as a triple product of dense matrices."""
     ff = np.kron(fourier_matrix(g), fourier_matrix(g))
-    return float(np.linalg.norm(_perm_matrix(v) - ff @ _perm_matrix(w).conj().T @ ff.conj().T))
+    return float(np.linalg.norm(perm_matrix(v) - ff @ perm_matrix(w).conj().T @ ff.conj().T))
 
 
 def build_UW(rep) -> np.ndarray:
@@ -241,8 +287,8 @@ def build_UW(rep) -> np.ndarray:
     group = rep.group
     m, n = rep.system_dim, group.size
     mat = np.zeros((m * n, m * n), dtype=complex)
-    for j, u in enumerate(group.elements()):
-        mat[j::n, j::n] = rep.unitary(u)
+    for u in range(n):
+        mat[u::n, u::n] = represented_unitary(rep, u)
     return mat
 
 
@@ -259,12 +305,14 @@ def verify_represented_pentagonal(rep) -> float:
     """Residual of UW_12 W_23 = W_23 UW_13 UW_12 on system x group x group."""
     n = rep.group.size
     dims = (rep.system_dim, n, n)
-    return dense_pentagonal(build_UW(rep), _perm_matrix(build_W(rep.group)), dims, "w")
+    return dense_pentagonal(build_UW(rep), perm_matrix(build_W(rep.group)), dims, "w")
 
 
 def verify_represented_intertwining(rep) -> float:
     """Max residual over u of UW (1 x t_u) = (U_u x t_u) UW."""
-    return dense_intertwining(build_UW(rep), rep.group, "w", rep.unitary)
+    return dense_intertwining(
+        build_UW(rep), rep.group, "w", lambda u: represented_unitary(rep, u)
+    )
 
 
 def heisenberg_embed(m_op: np.ndarray, rep) -> np.ndarray:

@@ -7,6 +7,7 @@ from dense_oracle import (
     cascade_unitary,
     dense_chain_residual,
     heisenberg_T,
+    perm_matrix,
     scatter,
     shape,
     tensor_cascade,
@@ -24,7 +25,7 @@ from qmamp.amplification import (
     check_instrument_equality,
     intertwiner_chain_check,
 )
-from qmamp.groups import _perm_matrix, canonical_groups, make_group
+from qmamp.groups import canonical_groups, make_group
 from qmamp.ktops import build_V
 from qmamp.measurement import clock_rep, instrument, make_spectral_rep, outcome, sigma_z_rep
 
@@ -240,7 +241,7 @@ def test_intertwiner_chain_exact():
 def test_intertwiner_chain_matches_dense_oracle(monkeypatch):
     for orders in ([2], [3], [4], [2, 2]):
         g = make_group(orders)
-        v = _perm_matrix(build_V(g))
+        v = perm_matrix(build_V(g))
         for gamma in g.characters():
             for n in (1, 2, 3):
                 dense = dense_chain_residual(g, gamma, [v] * n)
@@ -258,7 +259,7 @@ def test_intertwiner_chain_matches_dense_oracle(monkeypatch):
         return extend_chain(chain, pair_map)
 
     monkeypatch.setattr(amplification, "_extend_chain", corrupt_second_stage)
-    v, v_bad = _perm_matrix(build_V(g)), _perm_matrix(bad)
+    v, v_bad = perm_matrix(build_V(g)), perm_matrix(bad)
     gamma = g.character([1])
     # the copy chain is cached per (group, N): build it afresh under the
     # corrupted stage, and drop it afterwards

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from concurrent.futures import Executor
 from pathlib import Path
 
@@ -25,6 +26,13 @@ def write_scenario(tmp_path, payload, name="scenario.json"):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def trivial_rep_scenario(kind, orders, **fields):
+    """A scenario of one-dimensional explicit rep: E = 1 on the trivial character."""
+    projection = {"character": [0] * len(orders), "matrix": [[1]]}
+    rep = {"group": orders, "system_dim": 1, "projections": [projection]}
+    return {"version": 1, "kind": kind, "rep": rep, "state": [1.0], "outcomes": [[0]], **fields}
 
 
 def test_load_scenario_validation(tmp_path):
@@ -139,6 +147,28 @@ def test_relations_group_with_many_trivial_factors(tmp_path):
     assert all(float(v) <= 1e-10 for k, v in row.items() if k != "group")
 
 
+@pytest.mark.parametrize(
+    "kind, expected",
+    [
+        ("measure", "outcome,probability,expectation_real,expectation_imag\r\n"
+         "0,0.36,0.36,0\r\n0+1,1,-0.28,0\r\n"),
+        ("amplify", "n,outcome,probability,equality_residual,chain_residual\r\n"
+         "1,0,0.36,0,0\r\n1,0+1,1,0,0\r\n2,0,0.36,0,0\r\n2,0+1,1,0,0\r\n"),
+    ],
+    ids=["measure", "amplify"],
+)
+def test_rep_with_many_trivial_factors(tmp_path, kind, expected):
+    # 68 cyclic factors, more than numpy's ravel/unravel_index take: the run
+    # writes the bytes it wrote before characters became indices
+    payload = with_value({**VALID["measure"], "kind": kind}, ("rep", "group"), [1] * 67 + [2])
+    for i in (0, 1):
+        payload = with_value(payload, ("rep", "projections", i, "character"), [0] * 67 + [i])
+    out = tmp_path / "out"
+    path = write_scenario(tmp_path, {**payload, "n_values": [1, 2]})
+    assert main([kind, "--scenario", path, "--out", str(out)]) == EXIT_OK
+    assert (out / f"{kind}.csv").read_bytes() == expected.encode()
+
+
 def test_measure_run_sigma_z(tmp_path):
     s = np.sqrt
     path = write_scenario(
@@ -163,24 +193,9 @@ def test_measure_run_sigma_z(tmp_path):
 
 
 def test_measure_explicit_rep(tmp_path):
-    path = write_scenario(
-        tmp_path,
-        {
-            "version": 1,
-            "kind": "measure",
-            "rep": {
-                "group": [2],
-                "system_dim": 2,
-                "projections": [
-                    {"character": [0], "matrix": [[1, 0], [0, 0]]},
-                    {"character": [1], "matrix": [[0, 0], [0, 1]]},
-                ],
-            },
-            "state": [1.0, 0.0],
-            "outcomes": [[0]],
-        },
-    )
+    payload = {**VALID["measure"], "state": [1.0, 0.0], "outcomes": [[0]]}
     out = tmp_path / "out"
+    path = write_scenario(tmp_path, payload)
     assert main(["measure", "--scenario", path, "--out", str(out)]) == EXIT_OK
     rows = read_csv(out / "measure.csv")
     assert float(rows[0]["probability"]) == pytest.approx(1.0)
@@ -300,28 +315,21 @@ def test_sterngerlach_run_and_determinism(tmp_path):
 
 
 def test_sterngerlach_invariant_violation_exit_code(tmp_path, capsys):
-    payload = {
-        "version": 1,
-        "kind": "sterngerlach",
-        "field": {"b0": 100.0},
-        "grid": {"points": 256, "extent": 40.0, "sigma": 1.5},
-        "time": {"dt": 0.01, "steps": 10},
-    }
-    path = write_scenario(tmp_path, payload)
+    # a valid input whose fast packet reaches the box edge mid-run: the
+    # solver's boundary guard aborts it as an invariant violation (a step too
+    # coarse for evolve is an input error, see the preflight test below)
+    payload = with_value(VALID["sterngerlach"], ("grid", "momentum"), 20.0)
+    path = write_scenario(tmp_path, with_value(payload, ("time", "steps"), 400))
     code = main(["sterngerlach", "--scenario", path, "--out", str(tmp_path)])
     assert code == EXIT_INVARIANT
-    assert "invariant violation" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("invariant violation:") and "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("record_every", [0, -3])
 def test_sterngerlach_rejects_nonpositive_record_every(tmp_path, capsys, record_every):
-    payload = {
-        "version": 1,
-        "kind": "sterngerlach",
-        "field": {"b0": 1.0},
-        "grid": {"points": 512, "extent": 40.0, "sigma": 1.0},
-        "time": {"dt": 0.005, "steps": 10, "record_every": record_every},
-    }
+    payload = with_value(VALID["sterngerlach"], ("time", "record_every"), record_every)
     path = write_scenario(tmp_path, payload)
     code = main(["sterngerlach", "--scenario", path, "--out", str(tmp_path)])
     assert code == EXIT_INPUT
@@ -476,18 +484,7 @@ def test_sweep_rejects_non_numeric_axis(tmp_path, capsys):
 
 def test_amplify_bounds_copies_by_tensor_axes(tmp_path, capsys):
     # a trivial group never grows the state, so only the 64-axis limit binds
-    payload = {
-        "version": 1,
-        "kind": "amplify",
-        "rep": {
-            "group": [1],
-            "system_dim": 1,
-            "projections": [{"character": [0], "matrix": [[1]]}],
-        },
-        "state": [1.0],
-        "outcomes": [[0]],
-        "n_values": [63],
-    }
+    payload = trivial_rep_scenario("amplify", [1], n_values=[63])
     out = tmp_path / "out"
     path = write_scenario(tmp_path, payload)
     assert main(["amplify", "--scenario", path, "--out", str(out)]) == EXIT_OK
@@ -506,19 +503,7 @@ def test_amplify_bounds_chain_check_work(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(scenarios.amp, "intertwiner_chain_check", unreachable)
     monkeypatch.setattr(scenarios.amp, "cascade_apply", unreachable)
-    payload = {
-        "version": 1,
-        "kind": "amplify",
-        "rep": {
-            "group": [4096],
-            "system_dim": 1,
-            "projections": [{"character": [0], "matrix": [[1]]}],
-        },
-        "state": [1.0],
-        "outcomes": [[0]],
-        "n_values": [1],
-    }
-    path = write_scenario(tmp_path, payload)
+    path = write_scenario(tmp_path, trivial_rep_scenario("amplify", [4096], n_values=[1]))
     assert main(["amplify", "--scenario", path, "--out", str(tmp_path)]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert "field 'n_values'" in err and "Traceback" not in err
@@ -526,22 +511,10 @@ def test_amplify_bounds_chain_check_work(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "amplify.csv").exists()
 
 
-# One small valid scenario of each kind.
 @pytest.mark.parametrize("kind", ["measure", "amplify"])
 def test_group_order_past_int64_exits_1_naming_rep(tmp_path, capsys, kind):
     # |G| = 2**64 wraps to 0 in an int64 product of the orders, under the cap
-    payload = {
-        "version": 1,
-        "kind": kind,
-        "rep": {
-            "group": [2**32, 2**32],
-            "system_dim": 1,
-            "projections": [{"character": [0, 0], "matrix": [[1]]}],
-        },
-        "state": [1.0],
-        "outcomes": [[0]],
-    }
-    path = write_scenario(tmp_path, payload)
+    path = write_scenario(tmp_path, trivial_rep_scenario(kind, [2**32, 2**32]))
     assert main([kind, "--scenario", path, "--out", str(tmp_path)]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert "field 'rep'" in err and str(2**64) in err and "Traceback" not in err
@@ -551,6 +524,7 @@ def test_group_order_past_int64_exits_1_naming_rep(tmp_path, capsys, kind):
 # Dense builders that only the tests use; they live in tests/dense_oracle.py.
 MOVED_TO_DENSE_ORACLE = {
     "amplification": ["cascade_unitary", "heisenberg_T"],
+    "groups": ["fourier_transform", "regular_representation", "_perm_matrix"],
     "ktops": [
         "build_UW",
         "uw_fourier_conjugation_residual",
@@ -567,9 +541,10 @@ def test_cli_imports_no_dense_oracle():
         "import json, sys\n"
         "import qmamp.cli\n"
         "hilbert = 'qmamp.hilbert' in sys.modules\n"
-        "from qmamp import amplification, ktops\n"
+        "from qmamp import amplification, groups, ktops\n"
         "print(json.dumps({'hilbert': hilbert,"
         " 'amplification': sorted(vars(amplification)), 'ktops': sorted(vars(ktops)),"
+        " 'groups': sorted(vars(groups)),"
         " 'shape': hasattr(amplification.CascadeConfig, 'shape')}))\n"
     )
     src = Path(scenarios.__file__).resolve().parents[1]
@@ -586,6 +561,7 @@ def test_cli_imports_no_dense_oracle():
         assert not set(names) & set(found[module]), module
 
 
+# One small valid scenario of each kind.
 VALID = {
     "relations": {"version": 1, "kind": "relations", "groups": [[2], [2, 2]]},
     "measure": {
@@ -679,6 +655,10 @@ def dotted(keys):
         ("measure", ("rep", "system_dim"), "q", "rep.system_dim"),
         ("measure", ("rep", "projections", 0, "matrix"), [[1, 0], [0]],
          "rep.projections[0].matrix"),
+        ("measure", ("rep", "projections", 1, "character"), [5],
+         "rep.projections[1].character"),
+        ("measure", ("rep", "projections", 0, "character"), [0, 0],
+         "rep.projections[0].character"),
         ("amplify", ("observable",), [[1]], "observable"),
         ("sweep", ("axes", 0, "path"), "field.b0.x", "axes[0].path"),
         ("sweep", ("axes", 0, "path"), "grid", "axes[0].path"),
@@ -688,8 +668,8 @@ def dotted(keys):
         "b0-nan", "b0-string", "points-null", "points-string", "grid-string", "spinor-zero",
         "mass-zero", "steps-bool", "dt-infinite", "v-zero", "region-extent-zero",
         "outcome-bool", "outcome-out-of-range", "rep-group-string", "system-dim-string",
-        "ragged-matrix", "observable-shape", "axis-path-too-deep", "axis-path-section",
-        "axis-value-nan",
+        "ragged-matrix", "character-out-of-range", "character-length", "observable-shape",
+        "axis-path-too-deep", "axis-path-section", "axis-value-nan",
     ],
 )
 def test_bad_field_exits_1_naming_it(tmp_path, capsys, kind, keys, value, field):
@@ -789,8 +769,21 @@ MAX_POINTS = scenarios.SG_SOLVER_BYTES // scenarios.SG_BYTES_PER_POINT
                    ("axes", 1, "values"): [0.005]}, "base.grid.points"),
         ("sweep", {("axes", 1, "values"): [512, 10**9]}, "axes[1].values"),
         ("sweep", {("base", "time", "steps"): 10**9}, "base.time.steps"),
+        # a step evolve would refuse, dt * mu * max|B| > 0.1: time.dt is named
+        # first, then the field values that set max|B|
+        ("sterngerlach", {("time", "dt"): 1}, "time.dt"),
+        ("sterngerlach", {("field", "b1"): 1e308}, "time.dt"),
+        # |B| is finite but its square, which the solver takes, overflows
+        ("sterngerlach", {("field", "b0"): 1e200, ("time", "dt"): 1e-202}, "time.dt"),
+        ("sweep", {("base", "time", "dt"): 1}, "base.time.dt"),
+        ("sweep", {("axes", 0, "path"): "field.b1", ("axes", 0, "values"): [0.1, 1e308]},
+         "axes[0].values"),
+        ("sweep", {("axes", 1, "path"): "time.dt", ("axes", 1, "values"): [0.005, 1.0]},
+         "axes[1].values"),
     ],
-    ids=["points", "steps", "sweep-base-points", "sweep-axis-points", "sweep-base-steps"],
+    ids=["points", "steps", "sweep-base-points", "sweep-axis-points", "sweep-base-steps",
+         "dt", "huge-gradient", "huge-uniform-field", "sweep-base-dt", "sweep-axis-gradient",
+         "sweep-axis-dt"],
 )
 def test_size_preflight_runs_before_any_packet_or_step(
     tmp_path, capsys, monkeypatch, kind, edits, field
@@ -804,8 +797,11 @@ def test_size_preflight_runs_before_any_packet_or_step(
     for keys, value in edits.items():
         payload = with_value(payload, keys, value)
     path = write_scenario(tmp_path, payload)
-    assert main([kind, "--scenario", path, "--out", str(tmp_path)]) == EXIT_INPUT
-    assert f"field '{field}'" in capsys.readouterr().err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warnings either
+        assert main([kind, "--scenario", path, "--out", str(tmp_path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"field '{field}'" in err and "Traceback" not in err
     assert not list(tmp_path.glob("*.csv"))
 
 

@@ -7,13 +7,16 @@ from dense_oracle import (
     dense_fourier_residual,
     dense_intertwining,
     dense_pentagonal,
+    exponent_table,
     heisenberg_embed,
+    perm_matrix,
+    translation,
     uw_fourier_conjugation_residual,
     verify_represented_intertwining,
     verify_represented_pentagonal,
 )
 
-from qmamp.groups import _perm_matrix, canonical_groups, make_group, regular_representation
+from qmamp.groups import canonical_groups, make_group
 from qmamp.ktops import (
     KTError,
     KTOperatorPair,
@@ -27,10 +30,15 @@ from qmamp.ktops import (
 from qmamp.measurement import clock_rep, make_spectral_rep, sigma_z_rep
 
 
+def elements(group):
+    return [tuple(row) for row in exponent_table(group).tolist()]
+
+
 def basis_image(perm, group, a, b):
-    n = group.size
-    i = perm[group.index(a) * n + group.index(b)]
-    return group.element(i // n), group.element(i % n)
+    """Exponent tuples of the image of the basis pair (a, b) under an index map."""
+    n, table = group.size, elements(group)
+    i = perm[table.index(a) * n + table.index(b)]
+    return table[i // n], table[i % n]
 
 
 def test_w_z2_basis_action():
@@ -46,8 +54,9 @@ def test_w_fixes_identity_second_slot():
     for orders in ([3], [2, 2]):
         g = make_group(orders)
         w = build_W(g)
-        for a in g.elements():
-            assert basis_image(w, g, a, g.identity) == (a, g.identity)
+        identity = (0,) * len(orders)
+        for a in elements(g):
+            assert basis_image(w, g, a, identity) == (a, identity)
 
 
 def test_w_z3_example():
@@ -59,15 +68,15 @@ def test_v_copy_action():
     for orders in ([2], [3], [2, 2]):
         g = make_group(orders)
         v = build_V(g)
-        for a in g.elements():
-            assert basis_image(v, g, a, g.identity) == (a, a)
+        for a in elements(g):
+            assert basis_image(v, g, a, (0,) * len(orders)) == (a, a)
 
 
 def test_v_trivial_first_slot_is_identity():
     g = make_group([4])
     v = build_V(g)
-    for b in g.elements():
-        assert basis_image(v, g, g.identity, b) == (g.identity, b)
+    for b in elements(g):
+        assert basis_image(v, g, (0,), b) == ((0,), b)
 
 
 def test_v_z2_wraparound():
@@ -100,9 +109,9 @@ def test_index_map_relations_match_dense_oracle(g):
     pair = kt_pair(g)
     n = g.size
     corrupt_w = swap_basis_images(pair.W, 1, n + 1)
-    assert dense_intertwining(_perm_matrix(corrupt_w), g, "w") > 0.1
+    assert dense_intertwining(perm_matrix(corrupt_w), g, "w") > 0.1
     for perm in (pair.W, pair.V, corrupt_w):
-        m = _perm_matrix(perm)
+        m = perm_matrix(perm)
         for side in ("w", "v"):
             assert verify_intertwining(perm, g, side) == dense_intertwining(m, g, side)
             assert verify_pentagonal(perm, side) == dense_pentagonal(m, m, (n,) * 3, side)
@@ -143,7 +152,7 @@ def test_relation_checks_reject_non_permutations():
         np.array([0, 1, 2, 4]),  # index out of range
         np.arange(9),  # wrong length for |G| = 2
         np.arange(4.0),  # not integer indices
-        _perm_matrix(w),  # a dense matrix, not a map
+        perm_matrix(w),  # a dense matrix, not a map
     ]
     for perm in bad_maps:
         with pytest.raises(KTError):
@@ -166,7 +175,7 @@ def test_random_unitary_fails_pentagonal():
     for _ in range(10):
         perm = rng.permutation(9)
         res = verify_pentagonal(perm, "w")
-        m = _perm_matrix(perm)
+        m = perm_matrix(perm)
         assert res == dense_pentagonal(m, m, (3, 3, 3), "w")
         if res > 0.1:
             return
@@ -195,16 +204,9 @@ def test_uw_trivial_rep_is_identity():
 
 
 def test_uw_sigma_z_blocks():
-    rep = sigma_z_rep()
-    uw = build_UW(rep)
-    # oracle: assemble U_u = sum conj(chi(u)) E(chi) and place on the diagonal
-    g = rep.group
-    expected = np.zeros((4, 4), dtype=complex)
-    for j, u in enumerate(g.elements()):
-        uu = sum(np.conj(chi.value(u)) * p for chi, p in rep.projections.items())
-        expected[j::2, j::2] = uu
-    assert np.allclose(uw, expected)
-    assert np.allclose(expected[1::2, 1::2], np.diag([1, -1]))  # the sigma_z block
+    # U_u on probe label u, the system leg most significant: U_0 = 1, U_1 = sigma_z
+    expected = np.kron(np.eye(2), np.diag([1, 0])) + np.kron(np.diag([1, -1]), np.diag([0, 1]))
+    assert np.allclose(build_UW(sigma_z_rep()), expected)
 
 
 def test_represented_relations():
@@ -233,14 +235,14 @@ def test_utildev_trivial_rep():
     chi0 = g.character([1])
     rep = make_spectral_rep(g, 2, [(chi0, np.eye(2))])
     utv = build_UtildeV(rep)
-    assert np.allclose(utv, np.kron(np.eye(2), regular_representation(chi0)))
+    assert np.allclose(utv, np.kron(np.eye(2), translation(g, chi0.index)))
 
 
 def test_utildev_reconstruction_from_effects():
     for rep in (sigma_z_rep(), clock_rep(3)):
         utv = build_UtildeV(rep)
         rebuilt = sum(
-            np.kron(rep.projection(chi), regular_representation(chi))
+            np.kron(rep.projection(chi), translation(rep.group, chi.index))
             for chi in rep.group.characters()
         )
         assert np.linalg.norm(utv - rebuilt) == 0.0

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from dense_oracle import represented_unitary
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -48,14 +49,13 @@ def test_make_spectral_rep_validation():
 
 def test_sigma_z_rep_unitary_family():
     rep = sigma_z_rep()
-    nontrivial = next(u for u in rep.group.elements() if u != rep.group.identity)
-    assert np.allclose(rep.unitary(nontrivial), SZ)
-    assert np.allclose(rep.unitary(rep.group.identity), np.eye(2))
+    assert np.allclose(represented_unitary(rep, 1), SZ)  # at the generator
+    assert np.allclose(represented_unitary(rep, 0), np.eye(2))
 
 
 def test_clock_rep_spectrum():
     rep = clock_rep(3)
-    u1 = rep.unitary((1,))
+    u1 = represented_unitary(rep, 1)  # at the generator
     omega = np.exp(2j * np.pi / 3)
     ev = np.linalg.eigvals(u1)
     expected = np.array([1, omega, omega**2])
@@ -155,3 +155,27 @@ def test_projective_equals_coupled_picture(seed, n):
     for delta in (outcome([chars[0]]), outcome(chars[:2]), outcome(chars)):
         res = verify_instrument_equals_coupled_expectation(rep, delta, xi, b)
         assert res <= 1e-10
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_instrument_sums_outcome_in_index_order(n):
+    # the outcome's characters are summed in index order, whatever order they
+    # were given in (or a set would iterate them in), so the rounding is
+    # reproducible bit for bit
+    rep = clock_rep(n)
+    chars = rep.group.characters()
+    rng = np.random.default_rng(11)
+    b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    b = b + b.conj().T
+    for _ in range(50):
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        xi = v / np.linalg.norm(v)
+        prob, cond, rho = 0.0, 0.0, 0.0
+        for pxi in (rep.projection(chi) @ xi for chi in chars):
+            prob += float(np.vdot(pxi, pxi).real)
+            cond += complex(np.vdot(pxi, b @ pxi))
+            rho += np.outer(pxi, pxi.conj())
+        for given in (chars, chars[::-1]):
+            res = instrument(rep, outcome(given), xi, b)
+            assert (res.probability, res.conditional_expectation) == (prob, cond)
+            assert np.array_equal(res.post_state, rho / prob)

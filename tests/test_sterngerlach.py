@@ -3,9 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qmamp import scenarios
 from qmamp.scenarios import SG_BYTES_PER_POINT
 from qmamp.sterngerlach import (
     BOUNDARY_TOL,
+    MAX_STEP_ANGLE,
     BoundaryLeakError,
     FieldError,
     FieldModel,
@@ -15,6 +17,8 @@ from qmamp.sterngerlach import (
     coupling_factorization_check,
     evolve,
     gaussian_packet,
+    grid_z,
+    max_field,
     momentum_kick,
     run_simulation,
     spin_flip_probability,
@@ -127,6 +131,32 @@ def test_evolve_rejects_coarse_time_step():
     f = FieldModel(b0=50.0, b1=0.0, b2=0.0)
     with pytest.raises(SolverError):
         evolve(g, f, dt=0.01, steps=1)  # dt*mu*max|B| = 0.5
+
+
+@pytest.mark.parametrize("points, extent", [(256, 40.0), (777, 80.0), (3000, 40.0), (4099, 7.77)])
+def test_step_preflight_and_evolve_agree_at_the_border(points, extent):
+    # the preflight takes max|B| at the packet grid's ends without building
+    # it, and refuses exactly the steps evolve refuses, within a few ulps of
+    # the largest step accepted
+    fields = {"field.b0": 2.0, "field.b1": 0.3, "field.b2": -0.25, "field.mu": 1.5,
+              "field.region_extent": 10.0, "grid.points": points, "grid.extent": extent}
+    field, grid = scenarios._field(fields), gaussian_packet(points, extent, 16 * extent / points)
+    assert [grid_z(points, extent, i) for i in (0, points - 1)] == [grid.z[0], grid.z[-1]]
+    max_b = max_field(field, grid.z[[0, -1]])
+    bx, bz = field.components(0.0, grid.z)
+    assert max_b == np.sqrt(bx**2 + bz**2).max()  # |B| as the solver's step takes it
+    verdicts = set()
+    for dt in MAX_STEP_ANGLE / (1.5 * max_b) * (1 + np.spacing(1.0) * np.arange(-3, 4)):
+        try:
+            evolve(grid, field, dt, steps=0)
+        except SolverError:
+            with pytest.raises(scenarios.ScenarioError, match="time.dt"):
+                scenarios._check_sg_step({**fields, "time.dt": float(dt)}, str)
+            verdicts.add("refused")
+        else:
+            scenarios._check_sg_step({**fields, "time.dt": float(dt)}, str)
+            verdicts.add("accepted")
+    assert verdicts == {"refused", "accepted"}
 
 
 def test_boundary_leak_detection():
