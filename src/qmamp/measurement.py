@@ -42,6 +42,15 @@ class SpectralRepresentation:
         return p
 
 
+def check_projection(chi: Character, mat: np.ndarray) -> None:
+    """Refuse the square matrix `mat` assigned to `chi` unless it is a
+    hermitian idempotent to within PROJECTION_TOL."""
+    if np.linalg.norm(mat - mat.conj().T) > PROJECTION_TOL:
+        raise MeasurementError(f"assignment for {chi.exponents} is not hermitian")
+    if np.linalg.norm(mat @ mat - mat) > PROJECTION_TOL:
+        raise MeasurementError(f"assignment for {chi.exponents} is not idempotent")
+
+
 def make_spectral_rep(group, system_dim, assignments) -> SpectralRepresentation:
     """Validate (character, projection) assignments into a spectral family.
 
@@ -53,17 +62,14 @@ def make_spectral_rep(group, system_dim, assignments) -> SpectralRepresentation:
     for chi, mat in assignments:
         if chi.group != group:
             raise MeasurementError("character belongs to a different group")
+        if chi in projections:
+            raise MeasurementError(f"duplicate assignment for {chi.exponents}")
         mat = np.array(mat, dtype=complex)
         if mat.shape != (system_dim, system_dim):
             raise MeasurementError(
                 f"projection shape {mat.shape} does not match system dim {system_dim}"
             )
-        if np.linalg.norm(mat - mat.conj().T) > PROJECTION_TOL:
-            raise MeasurementError(f"assignment for {chi.exponents} is not hermitian")
-        if np.linalg.norm(mat @ mat - mat) > PROJECTION_TOL:
-            raise MeasurementError(f"assignment for {chi.exponents} is not idempotent")
-        if chi in projections:
-            raise MeasurementError(f"duplicate assignment for {chi.exponents}")
+        check_projection(chi, mat)
         mat.setflags(write=False)
         projections[chi] = mat
 

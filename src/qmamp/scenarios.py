@@ -14,10 +14,13 @@ exceeds SG_SOLVER_BYTES or SG_POINT_STEPS is refused before it starts.
 
 Outputs are CSV (floats printed with 12 significant digits) plus a summary
 JSON for the wavepacket runs; reruns with the same scenario are byte-identical.
+A value that is undefined (NaN) or infinite is written as an empty CSV cell
+and as null in JSON.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import json
@@ -25,7 +28,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +179,16 @@ def load_scenario(path) -> dict:
     return data
 
 
+@contextlib.contextmanager
+def _names(where: str):
+    """Re-raise a qmamp input error of the block as a ScenarioError naming the
+    field at `where`."""
+    try:
+        yield
+    except (groups.GroupError, measurement.MeasurementError, amp.CascadeError) as exc:
+        raise ScenarioError(f"field '{where}': {exc}") from exc
+
+
 def build_rep(scenario: dict) -> measurement.SpectralRepresentation:
     spec = scenario.get("rep")
     if spec == "sigma_z":
@@ -187,20 +199,20 @@ def build_rep(scenario: dict) -> measurement.SpectralRepresentation:
         raise ScenarioError(
             f"field 'rep': expected 'sigma_z', 'z3_clock' or an object, got {spec!r}"
         )
-    try:
+    with _names("rep.group"):
         group = groups.make_group(read(scenario, "rep.group", [int], bound=0))
-        system_dim = read(scenario, "rep.system_dim", int, bound=0)
-        assignments = []
-        for i in range(len(read(scenario, "rep.projections", [dict]))):
-            where = f"rep.projections[{i}]"
-            try:
-                chi = group.character(read(scenario, f"{where}.character", [int]))
-            except groups.GroupError as exc:
-                raise ScenarioError(f"field '{where}.character': {exc}") from exc
-            assignments.append((chi, _matrix(scenario, f"{where}.matrix", system_dim)))
+    system_dim = read(scenario, "rep.system_dim", int, bound=0)
+    assignments = []
+    for i in range(len(read(scenario, "rep.projections", [dict]))):
+        where = f"rep.projections[{i}]"
+        with _names(f"{where}.character"):
+            chi = group.character(read(scenario, f"{where}.character", [int]))
+        matrix = _matrix(scenario, f"{where}.matrix", system_dim)
+        with _names(f"{where}.matrix"):
+            measurement.check_projection(chi, matrix)
+        assignments.append((chi, matrix))
+    with _names("rep.projections"):
         return measurement.make_spectral_rep(group, system_dim, assignments)
-    except (groups.GroupError, measurement.MeasurementError) as exc:
-        raise ScenarioError(f"field 'rep': {exc}") from exc
 
 
 def build_state(scenario: dict, rep) -> np.ndarray:
@@ -294,10 +306,8 @@ def run_measure(scenario: dict, out_dir: Path) -> list[Path]:
 def run_amplify(scenario: dict, out_dir: Path) -> list[Path]:
     rep, xi, outcomes, b = _instrument_inputs(scenario)
     n_values = read(scenario, "n_values", [int], [1, 2, 3], bound=0)
-    try:
+    with _names("n_values"):
         cfgs = [amp.CascadeConfig(rep=rep, n_copies=n) for n in n_values]
-    except amp.CascadeError as exc:
-        raise ScenarioError(f"field 'n_values': {exc}") from exc
     g = rep.group.size
     for n in n_values:
         if g ** (n + 2) > AMPLIFY_CHAIN_WORK:
@@ -452,7 +462,8 @@ def run_sterngerlach(scenario: dict, out_dir: Path) -> list[Path]:
     summary = _sg_summary(f, field, result)
     json_path = out_dir / "sterngerlach_summary.json"
     with open(json_path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        summary = {k: _defined(v) for k, v in summary.items()}
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return [csv_path, json_path]
 
@@ -465,7 +476,7 @@ def _sweep_point(args):
     up, down = summary["kick_up"], summary["kick_down"]
     return dict(
         axis_values,
-        u_fi=summary.get("u_fi", float("nan")),
+        u_fi=summary.get("u_fi"),
         flip_probability=summary["flip_probability"],
         kick_up=up,
         kick_down=down,
@@ -509,11 +520,20 @@ def run_sweep(scenario: dict, out_dir: Path, jobs: int = 1) -> list[Path]:
     point_bytes = max(fields["grid.points"] for fields, _ in tasks) * SG_BYTES_PER_POINT
     workers = min(jobs, len(tasks), os.cpu_count() or 1, SG_SOLVER_BYTES // point_bytes)
     if workers > 1:
+        # imported here, as only a pooled sweep needs it (about 10 ms of import)
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as ex:
             rows = list(ex.map(_sweep_point, tasks))
     else:
         rows = [_sweep_point(t) for t in tasks]
     return [_write_csv(out_dir / "sweep.csv", rows)]
+
+
+def _defined(v):
+    """An output value, None where it is a float that is NaN or infinite: the
+    writers print None as an empty CSV cell and a JSON null."""
+    return None if isinstance(v, float) and not math.isfinite(v) else v
 
 
 def _write_csv(path: Path, rows: list[dict]) -> Path:
@@ -524,7 +544,7 @@ def _write_csv(path: Path, rows: list[dict]) -> Path:
         for row in rows:
             out = []
             for key in header:
-                v = row[key]
+                v = _defined(row[key])
                 if v is None:
                     out.append("")
                 elif isinstance(v, str):

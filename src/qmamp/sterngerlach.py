@@ -23,6 +23,11 @@ A closing half step completes the state only at each boundary check and at
 the last step.  Boundaries are periodic; the boundary-mass guard checks the
 completed state and aborts the run before wraparound contaminates
 observables.
+
+`evolve` is the module's one stepping loop.  At each check it can hand the
+completed state and its spectrum to a callback, and `run_simulation` records
+its time series that way, in one `evolve` call with a check at every record:
+<z> from the completed state, <p_z> from the spectrum, with no FFT of its own.
 """
 
 from __future__ import annotations
@@ -129,11 +134,17 @@ class SpinorGrid:
 
     def mean_pz(self, branch: str) -> float:
         """Spectral <p_z> within one spin branch."""
-        weight = np.abs(np.fft.fft(self.psi[_branch_index(branch)])) ** 2
-        tot = np.sum(weight)
-        if tot <= 0:
-            return float("nan")
-        return float(np.sum(weight * self.kz) / tot)
+        return _spectral_mean(np.fft.fft(self.psi[_branch_index(branch)]), self.kz)
+
+
+def _spectral_mean(spectrum: np.ndarray, kz: np.ndarray) -> float:
+    """<p_z> of one spinor component from its spectrum (np.fft order); NaN
+    when the component has no weight."""
+    weight = np.abs(spectrum) ** 2
+    tot = np.sum(weight)
+    if tot <= 0:
+        return float("nan")
+    return float(np.sum(weight * kz) / tot)
 
 
 def _branch_index(branch: str) -> int:
@@ -211,6 +222,7 @@ def evolve(
     dt: float,
     steps: int,
     check_every: int = 100,
+    on_check=None,
 ) -> SpinorGrid:
     """Strang-split evolution over `steps` time steps; returns a new grid.
 
@@ -218,6 +230,9 @@ def evolve(
     the potential step) and loop arguments steps < 0 or check_every < 1;
     aborts with a diagnostic when the boundary mass of the completed state
     exceeds BOUNDARY_TOL at a multiple of check_every or at the last step.
+    Each check that passes calls on_check(step, psi, phi), if given, with the
+    completed (2, n) state psi and its spectrum phi (one FFT over the last
+    axis); it must not modify them, and phi goes on stepping after it.
     """
     if steps < 0:
         raise SolverError(f"steps must be >= 0, got {steps}")
@@ -260,6 +275,8 @@ def evolve(
                 f"boundary mass {bm:.3g} > {BOUNDARY_TOL:.3g} at step {step};"
                 " enlarge the grid extent"
             )
+        if on_check is not None:
+            on_check(step, psi, phi)
         if step < steps:
             del psi
             phi *= half_kin  # reopens the next step
@@ -303,36 +320,6 @@ def adiabaticity_parameter(field: FieldModel, v: float, z_scale: float) -> Adiab
     return AdiabaticityReport(u_fi=abs(u_fi), larmor_omega=omega, inequality_margin=margin)
 
 
-def coupling_factorization_check(field: FieldModel, dt: float, z=None) -> float:
-    """Max grid-point residual of the phase/translation factorization of the
-    diagonal coupling:
-
-        exp(i dt mu sigma_z B_z(z)) = e^{i sigma_z mu b0 dt} *
-                                      diag(e^{i mu b1 z dt}, e^{-i mu b1 z dt}).
-
-    Exact only for b2 = 0 (diagonal coupling); rejected otherwise.
-    """
-    if field.b2 != 0:
-        raise FieldError("factorization is exact only for b2 = 0")
-    if z is None:
-        z = np.linspace(-field.region_extent / 2, field.region_extent / 2, 101)
-    z = np.asarray(z, dtype=float)
-    bz = field.b0 + field.b1 * z
-    worst = 0.0
-    for zi, bzi in zip(z, bz):
-        full = np.diag(
-            [np.exp(1j * field.mu * bzi * dt), np.exp(-1j * field.mu * bzi * dt)]
-        )
-        uniform = np.diag(
-            [np.exp(1j * field.mu * field.b0 * dt), np.exp(-1j * field.mu * field.b0 * dt)]
-        )
-        gradient = np.diag(
-            [np.exp(1j * field.mu * field.b1 * zi * dt), np.exp(-1j * field.mu * field.b1 * zi * dt)]
-        )
-        worst = max(worst, float(np.linalg.norm(full - uniform @ gradient)))
-    return worst
-
-
 @dataclass(frozen=True)
 class TimeSeries:
     times: np.ndarray
@@ -358,11 +345,13 @@ def run_simulation(
     steps: int,
     record_every: int = 10,
 ) -> RunResult:
-    """Evolve while recording the observables time series.
+    """Evolve while recording the observables time series, in one `evolve`
+    call that checks and records every `record_every` steps and at the last.
 
     flip_prob tracks the weight of the minority branch relative to the
-    initially dominant spinor component; NaN when the initial state is not a
-    pure eigenbranch.
+    initially dominant spinor component; it is NaN when the initial state is
+    not a pure eigenbranch, as are z and p_z of a branch without weight.  The
+    CLI writes each NaN as an empty CSV cell and a JSON null.
     """
     if record_every < 1:
         raise SolverError(f"record_every must be >= 1, got {record_every}")
@@ -374,31 +363,23 @@ def run_simulation(
         flip_branch = "down"
     else:
         flip_branch = None
-
+    kz = grid.kz
     rows = []
-    current = grid
-    t = 0.0
-    rows.append(_observe(current, t, flip_branch))
-    done = 0
-    while done < steps:
-        chunk = min(record_every, steps - done)
-        current = evolve(current, field, dt, chunk, check_every=chunk)
-        done += chunk
-        t = done * dt
-        rows.append(_observe(current, t, flip_branch))
-    cols = list(zip(*rows))
-    series = TimeSeries(*(np.array(c) for c in cols))
-    return RunResult(initial=grid, final=current, series=series)
 
+    def record(step, psi, phi):
+        now = replace(grid, psi=psi)
+        flip = spin_flip_probability(now, flip_branch) if flip_branch else float("nan")
+        rows.append((
+            step * dt,
+            now.mean_z("up"),
+            now.mean_z("down"),
+            _spectral_mean(phi[0], kz),
+            _spectral_mean(phi[1], kz),
+            flip,
+            now.norm_squared(),
+        ))
 
-def _observe(grid: SpinorGrid, t: float, flip_branch: str | None):
-    flip = spin_flip_probability(grid, flip_branch) if flip_branch else float("nan")
-    return (
-        t,
-        grid.mean_z("up"),
-        grid.mean_z("down"),
-        grid.mean_pz("up"),
-        grid.mean_pz("down"),
-        flip,
-        grid.norm_squared(),
-    )
+    record(0, grid.psi, np.fft.fft(grid.psi))
+    final = evolve(grid, field, dt, steps, check_every=record_every, on_check=record)
+    series = TimeSeries(*(np.array(c) for c in zip(*rows)))
+    return RunResult(initial=grid, final=final, series=series)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import os
@@ -327,6 +328,45 @@ def test_sterngerlach_invariant_violation_exit_code(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, as strict JSON parsers do."""
+
+    def refuse(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+NONFINITE_CELL = re.compile(r"[+-]?(nan|inf|infinity)", re.IGNORECASE)
+
+
+@pytest.mark.parametrize("spinor", [None, [1.0, [0.0, 1.0]]], ids=["default", "superposed"])
+def test_sterngerlach_writes_no_nan(tmp_path, spinor):
+    # undefined observables are empty cells and nulls: z and p_z of the down
+    # branch that the default spin-up start never fills (b2 = 0), the flip
+    # probability of a superposed start, and the margin, infinite at b2 = 0
+    payload = with_value(VALID["sterngerlach"], ("field", "b2"), 0.0)
+    if spinor is None:
+        del payload["grid"]["spinor"]
+    else:
+        payload["grid"]["spinor"] = spinor
+    path = write_scenario(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["sterngerlach", "--scenario", path, "--out", str(out)]) == EXIT_OK
+    summary = strict_json((out / "sterngerlach_summary.json").read_text())
+    rows = read_csv(out / "sterngerlach.csv")
+    assert len(rows) == 3
+    assert not [c for r in rows for c in r.values() if NONFINITE_CELL.fullmatch(c.strip())]
+    assert summary["inequality_margin"] is None
+    if spinor is None:
+        assert all(r["z_down"] == r["pz_down"] == "" for r in rows)
+        assert all(float(r["flip_prob"]) == 0.0 for r in rows)
+        assert summary["kick_down"] is None and summary["flip_probability"] == 0.0
+    else:
+        assert all(r["flip_prob"] == "" and r["z_down"] != "" for r in rows)
+        assert summary["flip_probability"] is None and summary["kick_down"] > 0
+
+
 @pytest.mark.parametrize("record_every", [0, -3])
 def test_sterngerlach_rejects_nonpositive_record_every(tmp_path, capsys, record_every):
     payload = with_value(VALID["sterngerlach"], ("time", "record_every"), record_every)
@@ -389,6 +429,8 @@ def test_sweep_parallel_matches_serial(tmp_path):
     for r in rows:
         assert abs(float(r["kick_up_error"])) <= 1e-3
         assert abs(float(r["kick_down_error"])) <= 1e-3
+        # no adiabaticity section, and a superposed spinor: undefined, so empty
+        assert r["u_fi"] == r["flip_probability"] == ""
 
 
 SMALL_SWEEP = {
@@ -430,7 +472,7 @@ class RecordingPool(Executor):
 def test_sweep_clamps_jobs(tmp_path, monkeypatch, jobs, cpus, points, expected):
     # --jobs never starts more workers than points or CPUs; no real pool is built here
     monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(scenarios, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(scenarios.os, "cpu_count", lambda: cpus)
     payload = json.loads(json.dumps(SMALL_SWEEP))
     payload["axes"][0]["values"] = payload["axes"][0]["values"][:points]
@@ -457,7 +499,7 @@ def test_sweep_pool_fits_solver_memory(tmp_path, monkeypatch, base_points, axis,
     # at most SG_SOLVER_BYTES of solver arrays at once, sized by the largest grid;
     # the points are stubbed, so no pool and no large array is made
     monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(scenarios, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(scenarios.os, "cpu_count", lambda: 8)
     monkeypatch.setattr(scenarios, "_sweep_point", lambda task: dict(task[1]))
     payload = json.loads(json.dumps(SMALL_SWEEP))
@@ -517,7 +559,7 @@ def test_group_order_past_int64_exits_1_naming_rep(tmp_path, capsys, kind):
     path = write_scenario(tmp_path, trivial_rep_scenario(kind, [2**32, 2**32]))
     assert main([kind, "--scenario", path, "--out", str(tmp_path)]) == EXIT_INPUT
     err = capsys.readouterr().err
-    assert "field 'rep'" in err and str(2**64) in err and "Traceback" not in err
+    assert "field 'rep.group'" in err and str(2**64) in err and "Traceback" not in err
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -541,8 +583,9 @@ def test_cli_imports_no_dense_oracle():
         "import json, sys\n"
         "import qmamp.cli\n"
         "hilbert = 'qmamp.hilbert' in sys.modules\n"
+        "pool = 'concurrent.futures.process' in sys.modules\n"
         "from qmamp import amplification, groups, ktops\n"
-        "print(json.dumps({'hilbert': hilbert,"
+        "print(json.dumps({'hilbert': hilbert, 'pool': pool,"
         " 'amplification': sorted(vars(amplification)), 'ktops': sorted(vars(ktops)),"
         " 'groups': sorted(vars(groups)),"
         " 'shape': hasattr(amplification.CascadeConfig, 'shape')}))\n"
@@ -556,6 +599,7 @@ def test_cli_imports_no_dense_oracle():
     assert done.returncode == 0, done.stderr
     found = json.loads(done.stdout)
     assert not found["hilbert"]
+    assert not found["pool"]  # only a pooled sweep imports the process pool
     assert not found["shape"]
     for module, names in MOVED_TO_DENSE_ORACLE.items():
         assert not set(names) & set(found[module]), module
@@ -659,6 +703,14 @@ def dotted(keys):
          "rep.projections[1].character"),
         ("measure", ("rep", "projections", 0, "character"), [0, 0],
          "rep.projections[0].character"),
+        ("measure", ("rep", "group"), [4097], "rep.group"),
+        ("measure", ("rep", "projections", 0, "matrix"), [[1, 1], [0, 0]],
+         "rep.projections[0].matrix"),
+        ("measure", ("rep", "projections", 1, "matrix"), [[0, 0], [0, 2]],
+         "rep.projections[1].matrix"),
+        ("measure", ("rep", "projections", 1, "matrix"), [[0, 0], [0, 0]],
+         "rep.projections"),
+        ("measure", ("rep", "projections", 1, "character"), [0], "rep.projections"),
         ("amplify", ("observable",), [[1]], "observable"),
         ("sweep", ("axes", 0, "path"), "field.b0.x", "axes[0].path"),
         ("sweep", ("axes", 0, "path"), "grid", "axes[0].path"),
@@ -668,7 +720,9 @@ def dotted(keys):
         "b0-nan", "b0-string", "points-null", "points-string", "grid-string", "spinor-zero",
         "mass-zero", "steps-bool", "dt-infinite", "v-zero", "region-extent-zero",
         "outcome-bool", "outcome-out-of-range", "rep-group-string", "system-dim-string",
-        "ragged-matrix", "character-out-of-range", "character-length", "observable-shape",
+        "ragged-matrix", "character-out-of-range", "character-length", "group-over-cap",
+        "projection-not-hermitian", "projection-not-idempotent", "projections-incomplete",
+        "projections-duplicate", "observable-shape",
         "axis-path-too-deep", "axis-path-section", "axis-value-nan",
     ],
 )

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qmamp import scenarios
+from qmamp import scenarios, sterngerlach
 from qmamp.scenarios import SG_BYTES_PER_POINT
 from qmamp.sterngerlach import (
     BOUNDARY_TOL,
@@ -13,8 +13,9 @@ from qmamp.sterngerlach import (
     FieldModel,
     SolverError,
     SpinorGrid,
+    TimeSeries,
+    _spin_step,
     adiabaticity_parameter,
-    coupling_factorization_check,
     evolve,
     gaussian_packet,
     grid_z,
@@ -200,10 +201,22 @@ def test_adiabaticity_parameter_closed_form():
 
 
 def test_coupling_factorization():
-    f = FieldModel(b0=1.0, b1=0.7, b2=0.0, mu=2.0)
-    assert coupling_factorization_check(f, dt=0.01) <= 1e-12
-    with pytest.raises(FieldError):
-        coupling_factorization_check(FieldModel(b0=1.0, b1=0.0, b2=0.1), dt=0.01)
+    # for the diagonal coupling (b2 = 0), at every point of the field region,
+    #   exp(i dt mu sigma_z B_z(z))
+    #     = e^{i sigma_z mu b0 dt} diag(e^{i mu b1 z dt}, e^{-i mu b1 z dt}),
+    # and the solver's potential step is its inverse exp(-i dt mu sigma_z B_z(z))
+    f, dt = FieldModel(b0=1.0, b1=0.7, b2=0.0, mu=2.0), 0.01
+    z = np.linspace(-f.region_extent / 2, f.region_extent / 2, 101)
+    bx, bz = f.components(0.0, z)
+    sign = np.array([[1.0], [-1.0]])  # the diagonal of sigma_z
+    full = np.exp(1j * sign * f.mu * bz * dt)
+    uniform = np.exp(1j * sign * f.mu * f.b0 * dt)
+    gradient = np.exp(1j * sign * f.mu * f.b1 * z * dt)
+    assert np.linalg.norm(full - uniform * gradient, axis=0).max() <= 1e-12
+    cos, ux, uz = _spin_step(bx, bz, f.mu, dt)
+    assert not ux.any()
+    step = np.stack([cos + uz, cos - uz])
+    assert np.linalg.norm(step * full - 1.0, axis=0).max() <= 1e-12
 
 
 def test_run_simulation_series():
@@ -357,7 +370,7 @@ def test_boundary_guard_sees_the_completed_state():
 
 def test_run_peak_memory_within_bytes_per_point():
     # the size preflight and the sweep pool bound trust SG_BYTES_PER_POINT for
-    # the whole run: the packet, two record chunks of the solver, observables
+    # the whole run: the packet, the solver, and the observables of two records
     n = 1 << 14
     tracemalloc.start()
     try:
@@ -367,3 +380,67 @@ def test_run_peak_memory_within_bytes_per_point():
     finally:
         tracemalloc.stop()
     assert peak <= SG_BYTES_PER_POINT * n, f"{peak / n:.0f} bytes per point"
+
+
+def _restart_per_chunk(grid, field, dt, steps, record_every):
+    """Oracle of run_simulation: a loop that restarts evolve at every record
+    and takes each row from the grid's own observables."""
+
+    def observe(g, t):
+        flip = spin_flip_probability(g, "up") if up_start else float("nan")
+        return (t, g.mean_z("up"), g.mean_z("down"), g.mean_pz("up"), g.mean_pz("down"),
+                flip, g.norm_squared())
+
+    up_start = grid.branch_weight("down") < 1e-12
+    rows, current, done = [], grid, 0
+    rows.append(observe(grid, 0.0))
+    while done < steps:
+        chunk = min(record_every, steps - done)
+        current = evolve(current, field, dt, chunk, check_every=chunk)
+        done += chunk
+        rows.append(observe(current, done * dt))
+    return [np.array(c) for c in zip(*rows)]
+
+
+RUN_STEPS = 20
+
+
+@pytest.mark.parametrize("record_every", [1, 7, RUN_STEPS])
+@pytest.mark.parametrize("spinor", [(1.0, 0.0), (0.6, 0.8j)], ids=["up", "superposed"])
+def test_run_simulation_matches_restart_per_chunk_oracle(record_every, spinor):
+    # one evolve call with a record at every check leaves the series of a loop
+    # that restarts evolve at every record, and the final state of evolve alone
+    f = FieldModel(b0=2.0, b1=0.3, b2=0.25, mu=1.5)
+    g = gaussian_packet(512, 40.0, sigma=1.0, center=0.5, momentum=0.7, spinor=spinor)
+    res = run_simulation(g, f, dt=0.005, steps=RUN_STEPS, record_every=record_every)
+    expected = _restart_per_chunk(g, f, 0.005, RUN_STEPS, record_every)
+    s = res.series
+    got = [s.times, s.z_up, s.z_down, s.pz_up, s.pz_down, s.flip_prob, s.norm]
+    assert len(s.times) == -(-RUN_STEPS // record_every) + 1
+    for name, x, y in zip(TimeSeries.__dataclass_fields__, got, expected):
+        assert np.array_equal(np.isnan(x), np.isnan(y)), name
+        ok = ~np.isnan(y)
+        assert np.all(np.abs(x[ok] - y[ok]) <= 1e-12 * np.maximum(1.0, np.abs(y[ok]))), name
+    if spinor[1] == 0:
+        assert np.isnan(s.z_down[0]) and np.isfinite(s.flip_prob).all()
+    else:
+        assert np.isnan(s.flip_prob).all() and np.isfinite(s.z_down).all()
+    final = evolve(g, f, dt=0.005, steps=RUN_STEPS, check_every=record_every)
+    assert res.final.psi.tobytes() == final.psi.tobytes()
+    assert res.final.z.tobytes() == g.z.tobytes()
+
+
+@pytest.mark.parametrize("steps", [0, 1, 9])
+def test_run_simulation_calls_evolve_once(monkeypatch, steps):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("check_every"))
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(sterngerlach, "evolve", counting)
+    g = gaussian_packet(256, 40.0, sigma=1.5, spinor=(0.6, 0.8))
+    res = run_simulation(g, FieldModel(b0=1.0, b1=0.2, b2=0.1), dt=0.005, steps=steps,
+                         record_every=4)
+    assert calls == [4]
+    assert len(res.series.times) == -(-steps // 4) + 1
