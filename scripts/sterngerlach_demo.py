@@ -7,6 +7,7 @@ probability is reported against the adiabaticity parameter U_fi.
 """
 
 import argparse
+import math
 
 from qmamp.sterngerlach import (
     FieldModel,
@@ -15,6 +16,13 @@ from qmamp.sterngerlach import (
     momentum_kick,
     run_simulation,
 )
+
+
+def cell(x: float, spec: str) -> str:
+    """x formatted by `spec`, or blanks of the same width where x is undefined
+    (NaN, as the flip probability of a superposed start): the CLI writes an
+    empty cell there."""
+    return format(x, spec) if math.isfinite(x) else " " * len(format(0.0, spec))
 
 
 def main() -> None:
@@ -37,11 +45,10 @@ def main() -> None:
 
     s = result.series
     print(f"{'t':>6} {'<p_z>_up':>10} {'<p_z>_down':>11} {'flip':>10} {'norm':>12}")
+    columns = [(s.times, "6.2f"), (s.pz_up, "10.4f"), (s.pz_down, "11.4f"),
+               (s.flip_prob, "10.3e"), (s.norm, "12.9f")]
     for i in range(len(s.times)):
-        print(
-            f"{s.times[i]:6.2f} {s.pz_up[i]:10.4f} {s.pz_down[i]:11.4f}"
-            f" {s.flip_prob[i]:10.3e} {s.norm[i]:12.9f}"
-        )
+        print(" ".join(cell(column[i], spec) for column, spec in columns))
 
     expected = args.mu * args.b1 * args.duration
     if args.b2 == 0:

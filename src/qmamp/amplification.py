@@ -10,17 +10,22 @@ translation on all legs.
 The cascade output is a redundant record with at most |G| nonzero probe
 tuples, so `cascade_apply` holds it on that support: a (k, N) array of probe
 labels and an (m, k) array of system amplitudes, never the m |G|^N tensor.
-The first stage (UtildeV, not a permutation) is applied through its trivial
-label columns, which hold E(chi) at label chi, so no dense coupling matrix
-is built; each copy stage V is a permutation and moves the labels by the
-group law.  `amplified_instrument` keeps the columns whose labels all lie in
-the outcome.  `intertwiner_chain_check` composes the stage maps exactly on
-all g^(N+1) basis indices, one first-leg value at a time, and reuses the
-copy chain, which does not depend on gamma, across the characters at one N.
-The chain is built one leg at a time by appending V on the last leg pair,
-so building and checking it hold about three g^(N+1)-entry index arrays.
-The dense cascade matrix and the Heisenberg-picture map are test oracles
-(`tests/dense_oracle.py`).
+The first stage (UtildeV, not a permutation) is `measurement.couple`, which
+applies its trivial label columns, E(chi) at label chi, so no dense
+coupling matrix is built.  The copy stages V_{N-1,N} ... V_12 each map the
+label pair (a, b) on their legs to (a, a + b), so together they are a
+prefix sum along the legs in the group law, `copy_scan`: one cumulative sum
+per cyclic factor, with no loop over the legs.  `amplified_instrument`
+keeps the columns whose labels all lie in the outcome.
+
+`intertwiner_chain_check` composes V's index map exactly on all g^(N+1)
+basis indices, one first-leg value at a time, while that is small
+(`chain_samples`); it reuses the copy chain, which does not depend on gamma,
+across the characters at one N, and builds it one leg at a time by
+appending V on the last leg pair, so it holds about three g^(N+1)-entry
+index arrays.  Above that it checks the same identity through `copy_scan`
+on a fixed-seed sample of basis tuples.  The dense cascade matrix and the
+Heisenberg-picture map are test oracles (`tests/dense_oracle.py`).
 """
 
 from __future__ import annotations
@@ -32,27 +37,25 @@ import numpy as np
 
 from .groups import Character, FiniteAbelianGroup
 from .ktops import _kron_perm, build_V
-from .measurement import (
-    InstrumentResult,
-    Outcome,
-    SpectralRepresentation,
-    _check_state,
-    instrument,
-)
+from .measurement import InstrumentResult, Outcome, SpectralRepresentation, couple, instrument
 
 
 class CascadeError(ValueError):
     pass
 
 
-# Bounds on N.  The cascade output has at most m |G| amplitudes at any N, so
-# these bound the intertwiner chain check: the budget bounds m |G|^N, which
-# keeps the chain check's |G|^(N+1)-entry index arrays within |G| times it
-# (the check holds about three of them, 96 MiB for sigma_z at N = 21), and
-# MAX_COPIES keeps N finite for the trivial group, whose chain check is a
-# single index at every N.
-DEFAULT_MEMORY_BUDGET = 1 << 22  # amplitudes
-MAX_COPIES = 63
+# Sizes of the chain check at one N.  It composes V's index map on every
+# basis index while its |G| characters take at most CHAIN_WORK index
+# operations, |G|^(N+2), it holds at most CHAIN_BYTES (8 |G|^N (|G| + 5)
+# bytes: the chain, its block temporaries and the last N's cached chain, as
+# tracemalloc peaks show), and its one-leg-at-a-time build loops over fewer
+# than 64 legs.  Above that each character scans the same CHAIN_SEED sample
+# of basis tuples, sized so that the |G| characters scan about
+# CHAIN_SAMPLE_WORK labels, at least one tuple.
+CHAIN_WORK = 1 << 27
+CHAIN_BYTES = 3 << 27
+CHAIN_SAMPLE_WORK = 1 << 21
+CHAIN_SEED = 20240817
 
 
 @dataclass(frozen=True)
@@ -63,18 +66,23 @@ class CascadeConfig:
     def __post_init__(self):
         if self.n_copies < 1:
             raise CascadeError("need at least one probe copy")
-        if self.n_copies > MAX_COPIES:
-            raise CascadeError(
-                f"{self.n_copies} probe copies exceed the bound of {MAX_COPIES}"
-            )
-        if self.state_dim > DEFAULT_MEMORY_BUDGET:
-            raise CascadeError(
-                f"state dimension {self.state_dim} exceeds memory budget {DEFAULT_MEMORY_BUDGET}"
-            )
 
     @property
     def state_dim(self) -> int:
+        """Dimension of the dense cascade state, m |G|^N, which nothing in
+        qmamp allocates (the dense test oracle does)."""
         return self.rep.system_dim * self.rep.group.size**self.n_copies
+
+
+def copy_scan(group: FiniteAbelianGroup, tuples: np.ndarray) -> np.ndarray:
+    """Labels of the (k, L) label tuples after V_{L-1,L} ... V_12: leg j
+    gets the group sum of legs 0..j, one cumulative sum per cyclic factor.
+    It holds about four (k, L) index arrays, input and output included."""
+    out = np.zeros_like(tuples)
+    for n, stride in group._strides():
+        if n > 1:  # a trivial factor adds nothing
+            out += np.cumsum(tuples // stride % n, axis=1) % n * stride
+    return out
 
 
 def cascade_apply(cfg: CascadeConfig, xi) -> tuple[np.ndarray, np.ndarray]:
@@ -82,26 +90,15 @@ def cascade_apply(cfg: CascadeConfig, xi) -> tuple[np.ndarray, np.ndarray]:
     state: the output is sum_j amps[:, j] x |tuples[j]>, with tuples a (k, N)
     array of probe labels and amps an (m, k) array, k <= |G|.
 
-    Probe legs start in the trivial character.  Stage one applies the trivial
-    label columns of UtildeV, the (m, |G|, m) array holding E(chi) at label
-    chi, to xi and keeps the labels whose column is nonzero; each copy stage
-    maps the label pair (a, b) on its two legs to (a, a + b), as V does, and
-    leaves the amplitudes alone.
+    Probe legs start in the trivial character.  Stage one is `couple`, and
+    the labels whose column is nonzero are kept; the copy stages are
+    `copy_scan`, and leave the amplitudes alone.
     """
-    xi = _check_state(cfg.rep, xi)
-    m, group = cfg.rep.system_dim, cfg.rep.group
-    cols = np.zeros((m, group.size, m), dtype=complex)
-    for chi, proj in cfg.rep.projections.items():
-        cols[:, chi.index, :] = proj
-    # einsum, not a BLAS product, so the amplitudes equal those of the dense
-    # stage-one contraction bit for bit
-    amps = np.einsum("rcs,s->rc", cols, xi)
+    amps = couple(cfg.rep, xi)
     labels = np.flatnonzero(amps.any(axis=0))
-    tuples = np.full((len(labels), cfg.n_copies), group.trivial_character.index, dtype=np.intp)
+    tuples = np.zeros((len(labels), cfg.n_copies), dtype=np.intp)  # index 0 is trivial
     tuples[:, 0] = labels
-    for k in range(1, cfg.n_copies):
-        tuples[:, k] = group.add_indices(tuples[:, k - 1], tuples[:, k])
-    return tuples, amps[:, labels]
+    return copy_scan(cfg.rep.group, tuples), amps[:, labels]
 
 
 def amplified_instrument(cfg: CascadeConfig, delta: Outcome, output, b) -> InstrumentResult:
@@ -119,11 +116,8 @@ def amplified_instrument(cfg: CascadeConfig, delta: Outcome, output, b) -> Instr
     prob = float(np.trace(rho).real)
     cond = complex(np.trace(b @ rho))
     post = rho / prob if prob > 1e-300 else None
-    return InstrumentResult(
-        probability=prob if post is not None else 0.0,
-        conditional_expectation=cond,
-        post_state=post,
-    )
+    prob = prob if post is not None else 0.0
+    return InstrumentResult(probability=prob, conditional_expectation=cond, post_state=post)
 
 
 def _check_support(cfg: CascadeConfig, output) -> tuple[np.ndarray, np.ndarray]:
@@ -157,6 +151,26 @@ def check_instrument_equality(
     return abs(one.conditional_expectation - amplified.conditional_expectation)
 
 
+def chain_samples(group: FiniteAbelianGroup, n: int) -> int:
+    """Basis tuples of N + 1 labels that `intertwiner_chain_check` samples at
+    N = n, or 0 where it checks every basis index."""
+    g = group.size
+    if n < 64 and g ** (n + 2) <= CHAIN_WORK and 8 * g**n * (g + 5) <= CHAIN_BYTES:
+        return 0
+    return max(1, CHAIN_SAMPLE_WORK // (g * (n + 1)))
+
+
+def label_bytes(rep: SpectralRepresentation, n: int) -> int:
+    """Bytes of label arrays that `cascade_apply`, its instruments and the
+    chain checks hold at N = n, estimated from tracemalloc peaks: 32 per
+    label of the (k, N) support, k at most the assigned characters (the
+    scan's four arrays), plus 8 |G|^N (|G| + 5) for an exhaustive chain
+    check or 40 per label of a sampled one."""
+    g, samples = rep.group.size, chain_samples(rep.group, n)
+    chain = 40 * samples * (n + 1) if samples else 8 * g**n * (g + 5)
+    return 32 * len(rep.projections) * n + chain
+
+
 def intertwiner_chain_check(group: FiniteAbelianGroup, gamma: Character, n: int) -> float:
     """Residual of  V_{N,N+1}...V_12 (t_gamma x 1^N) = t_gamma^(N+1) V_{N,N+1}...V_12.
 
@@ -165,10 +179,19 @@ def intertwiner_chain_check(group: FiniteAbelianGroup, gamma: Character, n: int)
     leg, so the left side on block a is the chain's contiguous block t[a],
     and the right side applies t to the first leg and t^(x N) to the other
     legs of the chain's block a.  The residual is the Frobenius norm of the
-    difference.
+    difference.  Where `chain_samples` is s > 0, both sides are evaluated
+    through `copy_scan` on s fixed-seed basis tuples instead, and the
+    residual is sqrt(2 x the tuples whose images differ).
     """
     if gamma.group != group:
         raise CascadeError("character belongs to a different group")
+    samples = chain_samples(group, n)
+    if samples:
+        x = np.random.default_rng(CHAIN_SEED).integers(group.size, size=(samples, n + 1))
+        rhs = group.add_indices(gamma.index, copy_scan(group, x))
+        x[:, 0] = group.add_indices(gamma.index, x[:, 0])
+        mismatches = np.count_nonzero((copy_scan(group, x) != rhs).any(axis=1))
+        return float(np.sqrt(2.0 * mismatches))
     g = group.size
     block = g**n
     chain = _copy_chain(group, n)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import Character, FiniteAbelianGroup, make_group
-from .ktops import build_UtildeV
 
 
 class MeasurementError(ValueError):
@@ -118,13 +117,19 @@ def _check_state(rep: SpectralRepresentation, xi) -> np.ndarray:
 def couple(rep: SpectralRepresentation, xi) -> np.ndarray:
     """The (system, probe) tensor of the coupling unitary applied to xi x |trivial>.
 
-    The output is sum_chi c_chi xi_chi x |chi>: perfect correlation between
-    system sectors and probe labels.
+    The output is sum_chi E(chi) xi x |chi>: perfect correlation between
+    system sectors and probe labels.  It is read off the trivial label
+    columns of UtildeV, the (m, |G|, m) array holding E(chi) at label chi,
+    so the dense coupling (`ktops.build_UtildeV`, which selftest criterion 3
+    checks this against) is never built.
     """
     xi = _check_state(rep, xi)
-    g = rep.group.size
-    joint = np.kron(xi, np.eye(g, dtype=complex)[rep.group.trivial_character.index])
-    return (build_UtildeV(rep) @ joint).reshape(rep.system_dim, g)
+    cols = np.zeros((rep.system_dim, rep.group.size, rep.system_dim), dtype=complex)
+    for chi, proj in rep.projections.items():
+        cols[:, chi.index, :] = proj
+    # einsum, not a BLAS product, so the amplitudes equal those of the dense
+    # stage-one contraction bit for bit
+    return np.einsum("rcs,s->rc", cols, xi)
 
 
 def instrument(rep: SpectralRepresentation, delta: Outcome, xi, b: np.ndarray) -> InstrumentResult:
@@ -156,18 +161,13 @@ def outcome_probability(rep, delta: Outcome, xi) -> float:
 
 
 def verify_instrument_equals_coupled_expectation(rep, delta: Outcome, xi, b) -> float:
-    """|projective-sum instrument - coupled-picture expectation| using the
-    explicit coupling unitary and the probe indicator of delta."""
-    xi = _check_state(rep, xi)
-    b = np.asarray(b, dtype=complex)
-    coupled = couple(rep, xi).reshape(-1)
-    indicator = np.zeros(rep.group.size)
-    for chi in delta.characters:
-        indicator[chi.index] = 1.0
-    big = np.kron(b, np.diag(indicator).astype(complex))
-    lhs = complex(np.vdot(coupled, big @ coupled))
+    """|projective-sum instrument - coupled-picture expectation of B x 1_Delta|
+    on the coupled state `couple`; 1_Delta, the probe indicator of delta,
+    keeps the columns at its labels, so the expectation is sum <c, B c> over
+    those columns c."""
     rhs = instrument(rep, delta, xi, b).conditional_expectation
-    return abs(lhs - rhs)
+    kept = couple(rep, xi)[:, [chi.index for chi in delta.characters]]
+    return abs(complex(np.vdot(kept, np.asarray(b, dtype=complex) @ kept)) - rhs)
 
 
 def joint_probability(rep, coupled: np.ndarray, chi_sys: Character, chi_probe: Character) -> float:

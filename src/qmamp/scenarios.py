@@ -10,7 +10,11 @@ or matrix entries appear.  Spectral representations accept the presets
 Every field is read through `read`, which checks its type and bound and names
 its dotted path in the error; the Stern-Gerlach fields, their defaults and
 bounds are the table SG_FIELDS.  A Stern-Gerlach run whose grid or step count
-exceeds SG_SOLVER_BYTES or SG_POINT_STEPS is refused before it starts.
+exceeds SG_SOLVER_BYTES or SG_POINT_STEPS, whose step the solver would
+refuse, or whose packet the grid cannot hold is refused before it starts; a
+run whose packet reaches the box edge is refused naming its grid.extent.  An
+amplify N whose label arrays exceed AMPLIFY_BYTES is refused before any
+cascade or chain work.
 
 Outputs are CSV (floats printed with 12 significant digits) plus a summary
 JSON for the wavepacket runs; reruns with the same scenario are byte-identical.
@@ -44,9 +48,11 @@ KINDS = ("relations", "measure", "amplify", "sterngerlach", "sweep")
 # blocks, 48 |G|^3 bytes).  This keeps |G| <= 107, about 4 s on one core.
 FOURIER_CHECK_WORK = 1 << 27
 
-# Index operations the intertwiner chain check of one amplify N may take:
-# |G| characters, each composing maps on |G|^(N+1) basis indices.  This keeps
-# |G| = 512 at N = 1, sigma_z at N = 21 and the z3 clock at N = 12.
+# Size limits of one amplify N, checked before any cascade or chain work: the
+# label arrays it holds (`amp.label_bytes`; 400 MiB keeps every exhaustive
+# chain check, which holds at most amp.CHAIN_BYTES = 384 MiB), and the labels
+# its |G| sampled chain checks scan, at least |G| (N + 1).
+AMPLIFY_BYTES = 25 << 24
 AMPLIFY_CHAIN_WORK = 1 << 27
 
 # Stern-Gerlach fields, "section.field" -> default.  The default's type is the
@@ -74,10 +80,6 @@ SG_POINT_STEPS = 10**10
 
 class ScenarioError(ValueError):
     pass
-
-
-def fmt(x: float) -> str:
-    return f"{float(x):.12g}"
 
 
 _REQUIRED = object()
@@ -185,7 +187,7 @@ def _names(where: str):
     field at `where`."""
     try:
         yield
-    except (groups.GroupError, measurement.MeasurementError, amp.CascadeError) as exc:
+    except (groups.GroupError, measurement.MeasurementError) as exc:
         raise ScenarioError(f"field '{where}': {exc}") from exc
 
 
@@ -306,17 +308,17 @@ def run_measure(scenario: dict, out_dir: Path) -> list[Path]:
 def run_amplify(scenario: dict, out_dir: Path) -> list[Path]:
     rep, xi, outcomes, b = _instrument_inputs(scenario)
     n_values = read(scenario, "n_values", [int], [1, 2, 3], bound=0)
-    with _names("n_values"):
-        cfgs = [amp.CascadeConfig(rep=rep, n_copies=n) for n in n_values]
-    g = rep.group.size
     for n in n_values:
-        if g ** (n + 2) > AMPLIFY_CHAIN_WORK:
+        need, g = amp.label_bytes(rep, n), rep.group.size
+        if need > AMPLIFY_BYTES or g * (n + 1) > AMPLIFY_CHAIN_WORK:
             raise ScenarioError(
-                f"field 'n_values': N = {n} needs a chain check of {g}**{n + 2} ="
-                f" {g ** (n + 2)} index operations, over the bound {AMPLIFY_CHAIN_WORK}"
+                f"field 'n_values': N = {n} needs about {need} bytes of label arrays and a chain"
+                f" check of at least {g} x {n + 1} labels; the bounds are {AMPLIFY_BYTES} bytes"
+                f" and {AMPLIFY_CHAIN_WORK} labels"
             )
     rows = []
-    for n, cfg in zip(n_values, cfgs):
+    for n in n_values:
+        cfg = amp.CascadeConfig(rep=rep, n_copies=n)
         chain = max(
             amp.intertwiner_chain_check(rep.group, chi, n) for chi in rep.group.characters()
         )
@@ -405,18 +407,44 @@ def _check_sg_step(f: dict, where) -> None:
         )
 
 
-def _simulate(f: dict, record_every: int):
+def _check_sg_packet(f: dict, where) -> None:
+    """Refuse a packet that the grid cannot hold or resolve (the refusals of
+    `sterngerlach.gaussian_packet` among them) and a U_fi report that would
+    divide by zero, before the packet is built; `where` maps a field to its
+    path.  On Python floats, so an overflow gives inf without a numpy warning."""
+    n, extent, sigma = f["grid.points"], f["grid.extent"], f["grid.sigma"]
+    kmax = math.pi * n / extent  # the grid's largest wavenumber
+    dz = sterngerlach.grid_z(n, extent, 1) - sterngerlach.grid_z(n, extent, 0)
+    u_fi_denominator = f["field.mu"] * f["field.b0"] * f["field.region_extent"] * f["field.b0"]
+    for path, ok, expected in (
+        ("grid.extent", math.isfinite(kmax * kmax * f["time.dt"] / f["grid.mass"]),
+         "a finite kinetic phase, dt (pi points / extent)^2 / (2 mass)"),
+        ("grid.center", abs(f["grid.center"]) < extent / 2, f"|center| < {extent / 2:.6g}"),
+        ("grid.sigma", sigma < extent, f"a packet narrower than the grid, < {extent:.6g}"),
+        ("grid.sigma", sigma / dz >= 8, f"at least 8 points per sigma, >= {8 * dz:.6g}"),
+        ("grid.momentum", abs(f["grid.momentum"]) < kmax, f"|momentum| < pi points / extent"
+         f" = {kmax:.6g}, the grid's largest wavenumber"),
+        ("field.b0", not f["adiabaticity"] or u_fi_denominator > 0,
+         "mu b0^2 region_extent > 0 in floating point, as U_fi divides by it"),
+    ):
+        if not ok:
+            raise ScenarioError(f"field '{where(path)}': expected {expected}, got {f[path]!r}")
+
+
+def _simulate(f: dict, record_every: int, extent_path: str):
+    """Build the packet and run it; a run whose packet reaches the box edge
+    is refused naming `extent_path`, the path of its grid.extent."""
     field = _field(f)
-    try:
-        grid = sterngerlach.gaussian_packet(
-            f["grid.points"], f["grid.extent"], f["grid.sigma"], f["grid.center"],
-            f["grid.momentum"], f["grid.spinor"], f["grid.mass"],
-        )
-    except sterngerlach.SolverError as exc:
-        raise ScenarioError(f"field 'grid': {exc}") from exc
-    result = sterngerlach.run_simulation(
-        grid, field, f["time.dt"], f["time.steps"], record_every=record_every
+    grid = sterngerlach.gaussian_packet(
+        f["grid.points"], f["grid.extent"], f["grid.sigma"], f["grid.center"],
+        f["grid.momentum"], f["grid.spinor"], f["grid.mass"],
     )
+    try:
+        result = sterngerlach.run_simulation(
+            grid, field, f["time.dt"], f["time.steps"], record_every=record_every
+        )
+    except sterngerlach.BoundaryLeakError as exc:
+        raise ScenarioError(f"field '{extent_path}': {exc}") from exc
     return field, result
 
 
@@ -451,7 +479,8 @@ def run_sterngerlach(scenario: dict, out_dir: Path) -> list[Path]:
     f = _sg_fields(scenario)
     _check_sg_size(f, str)
     _check_sg_step(f, str)
-    field, result = _simulate(f, f["time.record_every"])
+    _check_sg_packet(f, str)
+    field, result = _simulate(f, f["time.record_every"], "grid.extent")
     s = result.series
     columns = {
         "t": s.times, "z_up": s.z_up, "z_down": s.z_down, "pz_up": s.pz_up,
@@ -469,8 +498,8 @@ def run_sterngerlach(scenario: dict, out_dir: Path) -> list[Path]:
 
 
 def _sweep_point(args):
-    fields, axis_values = args
-    field, result = _simulate(fields, fields["time.steps"])
+    fields, axis_values, extent_path = args
+    field, result = _simulate(fields, fields["time.steps"], extent_path)
     summary = _sg_summary(fields, field, result)
     expected = field.mu * field.b1 * fields["time.dt"] * fields["time.steps"]
     up, down = summary["kick_up"], summary["kick_down"]
@@ -510,14 +539,15 @@ def run_sweep(scenario: dict, out_dir: Path, jobs: int = 1) -> list[Path]:
     swept = [g[0][0] for g in grids]
     base = _sg_fields(scenario, "base.", swept)
     base["adiabaticity"] |= any(p.startswith("adiabaticity.") for p in swept)
-    tasks = [({**base, **dict(pt)}, pt) for pt in itertools.product(*grids)]
     axis_of = {path: f"axes[{i}].values" for i, path in enumerate(swept)}
     where = {**{path: "base." + path for path in SG_FIELDS}, **axis_of}.get
-    for fields, _ in tasks:
+    tasks = [({**base, **dict(pt)}, pt, where("grid.extent")) for pt in itertools.product(*grids)]
+    for fields, _, _ in tasks:
         _check_sg_size(fields, where)
         _check_sg_step(fields, where)
+        _check_sg_packet(fields, where)
     # the pool starts all its workers on the first submit, each with a point's arrays
-    point_bytes = max(fields["grid.points"] for fields, _ in tasks) * SG_BYTES_PER_POINT
+    point_bytes = max(task[0]["grid.points"] for task in tasks) * SG_BYTES_PER_POINT
     workers = min(jobs, len(tasks), os.cpu_count() or 1, SG_SOLVER_BYTES // point_bytes)
     if workers > 1:
         # imported here, as only a pooled sweep needs it (about 10 ms of import)
@@ -542,16 +572,9 @@ def _write_csv(path: Path, rows: list[dict]) -> Path:
         header = list(rows[0].keys())
         writer.writerow(header)
         for row in rows:
-            out = []
-            for key in header:
-                v = _defined(row[key])
-                if v is None:
-                    out.append("")
-                elif isinstance(v, str):
-                    out.append(v)
-                elif isinstance(v, int):
-                    out.append(str(v))
-                else:
-                    out.append(fmt(v))
-            writer.writerow(out)
+            values = (_defined(row[key]) for key in header)
+            writer.writerow(
+                "" if v is None else str(v) if isinstance(v, (str, int)) else f"{float(v):.12g}"
+                for v in values
+            )
     return path

@@ -78,11 +78,12 @@ def criterion_2_fourier_conjugation() -> tuple[bool, str]:
 
 
 def _correlation_residual(rep, xi) -> float:
+    """|couple - dense UtildeV (xi x |trivial>)|: `couple` reads the closed form
+    sum_chi E(chi) xi x |chi> off the label columns of UtildeV."""
     coupled = measurement.couple(rep, xi)
-    expected = np.zeros_like(coupled)
-    for chi, p in rep.projections.items():
-        expected[:, chi.index] += p @ xi
-    return float(np.linalg.norm(coupled - expected))
+    joint = np.kron(xi, np.eye(rep.group.size)[rep.group.trivial_character.index])
+    dense = (ktops.build_UtildeV(rep) @ joint).reshape(coupled.shape)
+    return float(np.linalg.norm(coupled - dense))
 
 
 def criterion_3_perfect_correlation() -> tuple[bool, str]:

@@ -19,9 +19,10 @@ unitary exp(-i dt mu (B_x sigma_x + B_z sigma_z)), then another kinetic half
 step.  The closing half step of one step and the opening half step of the
 next merge into one full kinetic step, so the spinor stays in momentum space
 between steps and each step costs one FFT pair over the last axis of psi.
-A closing half step completes the state only at each boundary check and at
-the last step.  Boundaries are periodic; the boundary-mass guard checks the
-completed state and aborts the run before wraparound contaminates
+A closing half step completes the state only at each check and at the last
+step.  Boundaries are periodic; the boundary-mass guard reads the edge
+cells of the state that each step's inverse FFT makes, and of each
+completed state, and aborts the run before wraparound contaminates
 observables.
 
 `evolve` is the module's one stepping loop.  At each check it can hand the
@@ -80,10 +81,6 @@ class FieldModel:
         bz = self.b0 + self.b1 * z + self.b2 * x
         return bx, bz
 
-    @property
-    def larmor_omega(self) -> float:
-        return self.mu * self.b0
-
 
 @dataclass(frozen=True)
 class SpinorGrid:
@@ -108,17 +105,8 @@ class SpinorGrid:
         """Angular wavenumbers of the grid, in np.fft order."""
         return 2 * np.pi * np.fft.fftfreq(len(self.z), d=self.dz)
 
-    @property
-    def density(self) -> np.ndarray:
-        return np.abs(self.psi[0]) ** 2 + np.abs(self.psi[1]) ** 2
-
     def norm_squared(self) -> float:
-        return float(np.sum(self.density) * self.dz)
-
-    def boundary_mass(self) -> float:
-        """Probability in the BOUNDARY_CELLS outermost cells at each end."""
-        d = self.density
-        return float(np.sum(d[:BOUNDARY_CELLS]) + np.sum(d[-BOUNDARY_CELLS:])) * self.dz
+        return float(np.sum(np.abs(self.psi[0]) ** 2 + np.abs(self.psi[1]) ** 2) * self.dz)
 
     def branch_weight(self, branch: str) -> float:
         c = _branch_index(branch)
@@ -228,11 +216,14 @@ def evolve(
 
     Rejects time steps with dt * mu * max|B| > MAX_STEP_ANGLE (accuracy of
     the potential step) and loop arguments steps < 0 or check_every < 1;
-    aborts with a diagnostic when the boundary mass of the completed state
-    exceeds BOUNDARY_TOL at a multiple of check_every or at the last step.
-    Each check that passes calls on_check(step, psi, phi), if given, with the
-    completed (2, n) state psi and its spectrum phi (one FFT over the last
-    axis); it must not modify them, and phi goes on stepping after it.
+    aborts with a BoundaryLeakError when the boundary mass exceeds
+    BOUNDARY_TOL, read at every step on the state between the kinetic and
+    the potential step (the potential step keeps the density) and on the
+    completed state at each check.  The checks fall at the multiples of
+    check_every and at the last step; each calls on_check(step, psi, phi),
+    if given, with the completed (2, n) state psi and its spectrum phi (one
+    FFT over the last axis); it must not modify them, and phi goes on
+    stepping after it.
     """
     if steps < 0:
         raise SolverError(f"steps must be >= 0, got {steps}")
@@ -247,6 +238,8 @@ def evolve(
     cos, ux, uz = _spin_step(bx, bz, field.mu, dt)
     a, d = cos + uz, cos - uz
     del bx, bz, cos, uz
+    n, b, dz = len(grid.z), BOUNDARY_CELLS, grid.dz
+    edges = np.r_[:b, n - b : n + b, 2 * n - b : 2 * n]  # of both components, flattened
     half_kin = np.exp(-0.5j * dt * grid.kz**2 / (2 * grid.mass))
     full_kin = np.exp(-1j * dt * grid.kz**2 / (2 * grid.mass))
 
@@ -256,6 +249,7 @@ def evolve(
     phi *= half_kin
     for step in range(1, steps + 1):
         psi = np.fft.ifft(phi)
+        _guard(psi, edges, dz, step)
         # the rotation reuses the spent spectrum buffer, and psi is freed before
         # the FFT allocates, so the loop holds at most two spinor arrays
         np.multiply(a, psi[0], out=phi[0])
@@ -269,18 +263,25 @@ def evolve(
             continue
         phi *= half_kin  # closes the step: the guard sees the completed state
         psi = np.fft.ifft(phi)
-        bm = replace(grid, psi=psi).boundary_mass()
-        if bm > BOUNDARY_TOL:
-            raise BoundaryLeakError(
-                f"boundary mass {bm:.3g} > {BOUNDARY_TOL:.3g} at step {step};"
-                " enlarge the grid extent"
-            )
+        _guard(psi, edges, dz, step)
         if on_check is not None:
             on_check(step, psi, phi)
         if step < steps:
             del psi
             phi *= half_kin  # reopens the next step
     return replace(grid, psi=psi)
+
+
+def _guard(psi: np.ndarray, edges: np.ndarray, dz: float, step: int) -> None:
+    """Abort when the cells at `edges` of the flattened (2, n) state psi, the
+    BOUNDARY_CELLS outermost at each end, hold more than BOUNDARY_TOL
+    probability; reads only those cells."""
+    cells = psi.ravel().take(edges).view(float)  # real and imaginary parts
+    bm = float(cells @ cells) * dz
+    if bm > BOUNDARY_TOL:
+        raise BoundaryLeakError(
+            f"boundary mass {bm:.3g} > {BOUNDARY_TOL:.3g} at step {step}; enlarge the grid extent"
+        )
 
 
 def momentum_kick(final: SpinorGrid, initial: SpinorGrid, branch: str) -> float:
@@ -312,7 +313,7 @@ def adiabaticity_parameter(field: FieldModel, v: float, z_scale: float) -> Adiab
     """
     if v <= 0:
         raise FieldError("beam speed must be positive")
-    omega = field.larmor_omega
+    omega = field.mu * field.b0
     if omega == 0:
         raise FieldError("Larmor frequency mu * b0 is zero")
     u_fi = v * z_scale * field.b2 / (omega * field.region_extent * field.b0)

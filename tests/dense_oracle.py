@@ -35,11 +35,16 @@ import itertools
 
 import numpy as np
 
-from qmamp.amplification import DEFAULT_MEMORY_BUDGET, CascadeConfig, CascadeError
+from qmamp.amplification import CascadeConfig, CascadeError
 from qmamp.groups import fourier_matrix
 from qmamp.hilbert import embed
 from qmamp.ktops import KTError, build_UtildeV, build_V, build_W
 from qmamp.measurement import InstrumentResult, Outcome, _check_state
+
+
+# Largest cascade matrix, in entries, that `cascade_unitary` builds (64 MiB
+# of complex): a 2048 x 2048 matrix, sigma_z at N = 10.
+ORACLE_MATRIX_ENTRIES = 1 << 22
 
 
 def exponent_table(group) -> np.ndarray:
@@ -192,10 +197,10 @@ def stage_product(stages, dims) -> np.ndarray:
 
 def cascade_unitary(cfg: CascadeConfig) -> np.ndarray:
     """Materialized cascade matrix V_{N,N+1} ... V_23 UtildeV_12 (oracle path)."""
-    if cfg.state_dim**2 > DEFAULT_MEMORY_BUDGET:
+    if cfg.state_dim**2 > ORACLE_MATRIX_ENTRIES:
         raise CascadeError(
-            f"cascade matrix of {cfg.state_dim}**2 entries exceeds memory budget"
-            f" {DEFAULT_MEMORY_BUDGET}; use cascade_apply"
+            f"cascade matrix of {cfg.state_dim}**2 entries exceeds the oracle's memory budget"
+            f" of {ORACLE_MATRIX_ENTRIES} entries; use cascade_apply"
         )
     v = perm_matrix(build_V(cfg.rep.group))
     return stage_product([build_UtildeV(cfg.rep)] + [v] * (cfg.n_copies - 1), shape(cfg))

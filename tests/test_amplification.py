@@ -4,25 +4,29 @@ import tracemalloc
 import numpy as np
 import pytest
 from dense_oracle import (
+    ORACLE_MATRIX_ENTRIES,
     cascade_unitary,
     dense_chain_residual,
     heisenberg_T,
     perm_matrix,
     scatter,
     shape,
+    stage_product,
     tensor_cascade,
     tensor_instrument,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmamp import amplification
+from qmamp import amplification, scenarios
 from qmamp.amplification import (
     CascadeConfig,
     CascadeError,
     amplified_instrument,
     cascade_apply,
+    chain_samples,
     check_instrument_equality,
+    copy_scan,
     intertwiner_chain_check,
 )
 from qmamp.groups import canonical_groups, make_group
@@ -47,8 +51,9 @@ def test_config_validation():
     rep = sigma_z_rep()
     with pytest.raises(CascadeError):
         CascadeConfig(rep, 0)
-    with pytest.raises(CascadeError):
-        CascadeConfig(rep, 30)  # 2 * 2**30 amplitudes over the default budget
+    # no cap on N: the cascade holds its support, never the 2 * 2**N tensor,
+    # and the scenario reader bounds the arrays a run holds
+    assert CascadeConfig(rep, 10**6).n_copies == 10**6
 
 
 def rotated_rep(g, rng):
@@ -177,7 +182,7 @@ def test_cascade_unitary_lazy_threshold():
     assert np.linalg.norm(u.conj().T @ u - np.eye(len(u))) <= 1e-10 * len(u)
     # a 4096 x 4096 cascade matrix exceeds the memory budget of the dense oracle
     cfg = CascadeConfig(rep, 11)
-    assert cfg.state_dim**2 > amplification.DEFAULT_MEMORY_BUDGET
+    assert cfg.state_dim**2 > ORACLE_MATRIX_ENTRIES
     with pytest.raises(CascadeError, match="memory budget"):
         cascade_unitary(cfg)
     # cascade_apply is still available above the oracle's budget
@@ -274,25 +279,32 @@ def test_intertwiner_chain_matches_dense_oracle(monkeypatch):
 
 
 def test_support_bounds_memory_at_largest_n():
-    # sigma_z at N = 21 fills the state budget: the dense output tensor would
-    # hold 2 * 2**21 amplitudes (64 MB), the support at most |G| columns
+    # sigma_z at N = 10**6: the dense output tensor would hold 2 * 2**(10**6)
+    # amplitudes; the cascade, every outcome's instrument and the sampled
+    # chain checks stay within the scenario reader's byte estimate
     rep = sigma_z_rep()
-    cfg = CascadeConfig(rep, 21)
-    with pytest.raises(CascadeError, match="memory budget"):
-        CascadeConfig(rep, 22)
+    n = 10**6
+    cfg = CascadeConfig(rep, n)
     xi = np.array([np.sqrt(0.3), np.sqrt(0.7)])
     chars = rep.group.characters()
+    estimate = amplification.label_bytes(rep, n)
+    assert estimate <= scenarios.AMPLIFY_BYTES
     tracemalloc.start()
     try:
+        residuals = [intertwiner_chain_check(rep.group, chi, n) for chi in chars]
         output = cascade_apply(cfg, xi)
-        for size in range(1, len(chars) + 1):
-            for subset in itertools.combinations(chars, size):
-                amplified_instrument(cfg, outcome(subset), output, SZ)
+        probabilities = [
+            amplified_instrument(cfg, outcome(subset), output, SZ).probability
+            for size in range(1, len(chars) + 1)
+            for subset in itertools.combinations(chars, size)
+        ]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(output[0]) <= rep.group.size
-    assert peak < 1 << 20
+    assert residuals == [0.0, 0.0]
+    assert output[0].shape == (rep.group.size, n)
+    assert probabilities == pytest.approx([0.3, 0.7, 1.0], abs=1e-12)
+    assert peak < estimate
 
 
 def test_chain_check_memory_at_largest_n():
@@ -311,6 +323,106 @@ def test_chain_check_memory_at_largest_n():
         amplification._copy_chain.cache_clear()
     assert residuals == [0.0, 0.0]
     assert peak < 3.5 * g.size ** (n + 1) * np.dtype(np.intp).itemsize
+
+
+def all_tuples(g, n):
+    """Every basis tuple of n legs over g, in index order."""
+    return np.stack(np.unravel_index(np.arange(g.size**n), (g.size,) * n), axis=1)
+
+
+def test_copy_scan_matches_dense_oracle():
+    # on every basis tuple, the scan is the basis map of the dense product
+    # V_{N-1,N} ... V_12 of copy-stage matrices
+    for g in canonical_groups(6):
+        v = perm_matrix(build_V(g))
+        for n in range(1, 5):
+            dims = (g.size,) * n
+            image = np.ravel_multi_index(copy_scan(g, all_tuples(g, n)).T, dims)
+            dense = stage_product([v] * (n - 1), dims) if n > 1 else np.eye(g.size)
+            assert np.array_equal(perm_matrix(image), dense), (g.orders, n)
+
+
+@pytest.mark.parametrize("orders", [[2], [3], [1], [6, 4], [2, 3, 4]])
+def test_copy_scan_matches_sequential_stages(orders):
+    # the copy stages one at a time, leg pair (k - 1, k) by the group law,
+    # on random label tuples at N in the hundreds
+    g = make_group(orders)
+    rng = np.random.default_rng(sum(orders))
+    for n in (1, 2, 257, 300):
+        tuples = rng.integers(g.size, size=(7, n))
+        before = tuples.copy()
+        staged = tuples.copy()
+        for k in range(1, n):
+            staged[:, k] = g.add_indices(staged[:, k - 1], staged[:, k])
+        assert np.array_equal(copy_scan(g, tuples), staged)
+        assert np.array_equal(tuples, before)  # the input is left alone
+
+
+def test_chain_check_is_exhaustive_where_it_always_was():
+    # every (|G|, N) that amplify ran before the scan keeps the exhaustive
+    # check on V's index map; the sample starts above
+    exhaustive = [(2, 22), (3, 13), (512, 1), (4, 11), (1, 63), (8, 7), (16, 4)]
+    for order, n in exhaustive:
+        assert chain_samples(make_group([order]), n) == 0, order
+    # an exhaustive check holds at most CHAIN_BYTES, 384 MiB ([4] at N = 11
+    # holds 288 MiB; sigma_z at N = 23 would hold 448 MiB), within the bound
+    # on a run
+    assert 8 * 4**11 * (4 + 5) <= amplification.CHAIN_BYTES < 8 * 2**23 * (2 + 5)
+    assert amplification.CHAIN_BYTES < scenarios.AMPLIFY_BYTES
+    sampled = [(2, 23, 43690), (3, 15, 43690), (1, 64, 32263), (2, 10**6, 1)]
+    for order, n, samples in sampled:
+        assert chain_samples(make_group([order]), n) == samples, order
+    assert chain_samples(make_group([4096]), 1) == 256
+    assert chain_samples(make_group([2]), 2**62) == 1
+
+
+@pytest.mark.parametrize("orders, n", [([2], 30), ([3], 20), ([1], 10**6), ([2, 3, 4], 500)])
+def test_sampled_chain_check(orders, n):
+    g = make_group(orders)
+    assert chain_samples(g, n) > 0
+    assert [intertwiner_chain_check(g, chi, n) for chi in g.characters()] == [0.0] * g.size
+
+
+def test_sampled_chain_check_catches_a_wrong_scan(monkeypatch):
+    # a scan that leaves the first leg out of every later leg's sum breaks the
+    # identity on every sampled tuple whose image it moves
+    g = make_group([3])
+    right = amplification.copy_scan
+
+    def wrong(group, tuples):
+        out = right(group, tuples)
+        out[:, 1:] = group.add_indices(out[:, 1:], (-tuples[:, :1]) % group.size)
+        return out
+
+    monkeypatch.setattr(amplification, "copy_scan", wrong)
+    samples = chain_samples(g, 20)
+    residual = intertwiner_chain_check(g, g.character([1]), 20)
+    assert residual == np.sqrt(2.0 * samples)
+    assert intertwiner_chain_check(g, g.trivial_character, 20) == 0.0
+
+
+def test_sampled_chain_check_reads_a_fixed_sample(monkeypatch):
+    # the same tuples for every character and every call
+    g = make_group([2, 3])
+    seen = []
+    right = amplification.copy_scan
+
+    def recording(group, tuples):
+        seen.append(tuples.copy())
+        return right(group, tuples)
+
+    monkeypatch.setattr(amplification, "copy_scan", recording)
+    for _ in range(2):
+        for chi in g.characters():
+            assert intertwiner_chain_check(g, chi, 40) == 0.0
+    assert len(seen) == 4 * g.size
+    base = seen[0]
+    assert base.shape == (chain_samples(g, 40), 41)
+    for i, tuples in enumerate(seen):
+        assert np.array_equal(tuples[:, 1:], base[:, 1:])
+        chi = (i // 2) % g.size
+        first = base[:, 0] if i % 2 == 0 else g.add_indices(chi, base[:, 0])
+        assert np.array_equal(tuples[:, 0], first)
 
 
 def test_stage_one_builds_no_dense_coupling():

@@ -3,6 +3,7 @@ import csv
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -272,7 +273,14 @@ def test_amplify_runs_one_cascade_per_n(tmp_path, monkeypatch):
     assert all(float(r["equality_residual"]) <= 1e-10 for r in rows)
 
 
-def test_amplify_rejects_state_over_memory_budget(tmp_path, capsys):
+def test_amplify_rejects_state_over_memory_budget(tmp_path, capsys, monkeypatch):
+    # the support of 2 x 2**62 labels and its chain check: refused before
+    # any chain or cascade work, naming n_values
+    def unreachable(*args, **kwargs):
+        raise AssertionError("chain or cascade work started")
+
+    monkeypatch.setattr(scenarios.amp, "intertwiner_chain_check", unreachable)
+    monkeypatch.setattr(scenarios.amp, "cascade_apply", unreachable)
     path = write_scenario(
         tmp_path,
         {
@@ -281,13 +289,34 @@ def test_amplify_rejects_state_over_memory_budget(tmp_path, capsys):
             "rep": "sigma_z",
             "state": [1.0, 0.0],
             "outcomes": [[0]],
-            "n_values": [1, 30],
+            "n_values": [1, 2**62],
         },
     )
     assert main(["amplify", "--scenario", path, "--out", str(tmp_path)]) == EXIT_INPUT
     err = capsys.readouterr().err
-    assert "field 'n_values'" in err and "memory budget" in err
+    assert "field 'n_values'" in err and str(scenarios.AMPLIFY_BYTES) in err
+    assert f"N = {2**62}" in err and "Traceback" not in err
     assert not (tmp_path / "amplify.csv").exists()
+
+
+@pytest.mark.parametrize("rep", ["sigma_z", "z3_clock"])
+def test_amplify_at_a_million_copies(tmp_path, rep):
+    # a macroscopic record: one copy scan and a sampled chain check per N
+    state, outcomes = [0.6, 0.8], [[0], [1], [0, 1]]
+    if rep == "z3_clock":
+        state, outcomes = [0.6, 0.0, 0.8], [[0], [2], [0, 1, 2]]
+    payload = {
+        "version": 1, "kind": "amplify", "rep": rep, "state": state,
+        "outcomes": outcomes, "n_values": [10**6],
+    }
+    out, path = tmp_path / "out", write_scenario(tmp_path, payload)
+    start = time.perf_counter()
+    assert main(["amplify", "--scenario", path, "--out", str(out)]) == EXIT_OK
+    assert time.perf_counter() - start < 2
+    rows = read_csv(out / "amplify.csv")
+    assert [r["probability"] for r in rows] == ["0.36", "0.64", "1"]
+    assert all(r["n"] == "1000000" and r["chain_residual"] == "0" for r in rows)
+    assert all(float(r["equality_residual"]) <= 1e-12 for r in rows)
 
 
 def test_sterngerlach_run_and_determinism(tmp_path):
@@ -317,14 +346,41 @@ def test_sterngerlach_run_and_determinism(tmp_path):
 
 def test_sterngerlach_invariant_violation_exit_code(tmp_path, capsys):
     # a valid input whose fast packet reaches the box edge mid-run: the
-    # solver's boundary guard aborts it as an invariant violation (a step too
-    # coarse for evolve is an input error, see the preflight test below)
+    # solver's boundary guard aborts it, and the fix is an input change, so
+    # the run exits 1 naming grid.extent
     payload = with_value(VALID["sterngerlach"], ("grid", "momentum"), 20.0)
     path = write_scenario(tmp_path, with_value(payload, ("time", "steps"), 400))
     code = main(["sterngerlach", "--scenario", path, "--out", str(tmp_path)])
-    assert code == EXIT_INVARIANT
+    assert code == EXIT_INPUT
     err = capsys.readouterr().err
-    assert err.startswith("invariant violation:") and "Traceback" not in err
+    assert err.startswith("error: field 'grid.extent': boundary mass") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "kind, edits, field",
+    [
+        ("sterngerlach", {("time", "record_every"): 400}, "grid.extent"),
+        ("sweep", {}, "base.grid.extent"),
+        ("sweep", {("axes", 1): {"path": "grid.extent", "values": [40.0]}}, "axes[1].values"),
+    ],
+    ids=["record-at-end", "sweep-base", "sweep-axis"],
+)
+def test_packet_wrapping_around_the_box_is_refused(tmp_path, capsys, kind, edits, field):
+    # the packet crosses the edge and wraps round the periodic box between
+    # records: a guard that read only the recorded states passed it with
+    # exit 0 and a wrong kick; the guard reads every step
+    payload = VALID[kind]
+    section = ("base",) if kind == "sweep" else ()
+    payload = with_value(payload, section + ("grid", "momentum"), 20.0)
+    payload = with_value(payload, section + ("time", "steps"), 400)
+    for keys, value in edits.items():
+        payload = with_value(payload, keys, value)
+    path = write_scenario(tmp_path, payload)
+    assert main([kind, "--scenario", path, "--out", str(tmp_path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: field '{field}': boundary mass") and "Traceback" not in err
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -524,32 +580,42 @@ def test_sweep_rejects_non_numeric_axis(tmp_path, capsys):
     assert "non-numeric" in capsys.readouterr().err
 
 
-def test_amplify_bounds_copies_by_tensor_axes(tmp_path, capsys):
-    # a trivial group never grows the state, so only the 64-axis limit binds
-    payload = trivial_rep_scenario("amplify", [1], n_values=[63])
+def test_amplify_bounds_copies_by_label_bytes(tmp_path, capsys):
+    # the trivial group's cascade and chain check never loop over the legs:
+    # a million copies take well under a second, and only the byte bound on
+    # the label arrays limits N
+    payload = trivial_rep_scenario("amplify", [1], n_values=[64, 10**6])
     out = tmp_path / "out"
     path = write_scenario(tmp_path, payload)
+    start = time.perf_counter()
     assert main(["amplify", "--scenario", path, "--out", str(out)]) == EXIT_OK
-    assert read_csv(out / "amplify.csv")[0]["n"] == "63"
-    payload["n_values"] = [64]
+    assert time.perf_counter() - start < 1
+    assert [r["n"] for r in read_csv(out / "amplify.csv")] == ["64", "1000000"]
+    n = next(n for n in range(10**6, 10**8, 10**5)
+             if scenarios.amp.label_bytes(scenarios.build_rep(payload), n) > scenarios.AMPLIFY_BYTES)
+    payload["n_values"] = [n]
     path = write_scenario(tmp_path, payload, "over.json")
     assert main(["amplify", "--scenario", path, "--out", str(tmp_path)]) == EXIT_INPUT
-    assert "field 'n_values'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "field 'n_values'" in err and f"N = {n}" in err
 
 
 def test_amplify_bounds_chain_check_work(tmp_path, capsys, monkeypatch):
-    # the chain check costs |G|**(N + 2) index operations: |G| = 4096 at N = 1
-    # is refused before any chain or cascade work
+    # the |G| chain checks of one N scan at least |G| (N + 1) labels: |G| =
+    # 4096 at N = 2**15 is refused before any chain or cascade work, though
+    # its label arrays are small
     def unreachable(*args, **kwargs):
         raise AssertionError("chain or cascade work started")
 
     monkeypatch.setattr(scenarios.amp, "intertwiner_chain_check", unreachable)
     monkeypatch.setattr(scenarios.amp, "cascade_apply", unreachable)
-    path = write_scenario(tmp_path, trivial_rep_scenario("amplify", [4096], n_values=[1]))
+    payload = trivial_rep_scenario("amplify", [4096], n_values=[1, 2**15])
+    assert scenarios.amp.label_bytes(scenarios.build_rep(payload), 2**15) < 1 << 23
+    path = write_scenario(tmp_path, payload)
     assert main(["amplify", "--scenario", path, "--out", str(tmp_path)]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert "field 'n_values'" in err and "Traceback" not in err
-    assert str(4096**3) in err and str(scenarios.AMPLIFY_CHAIN_WORK) in err
+    assert f"4096 x {2**15 + 1} labels" in err and str(scenarios.AMPLIFY_CHAIN_WORK) in err
     assert not (tmp_path / "amplify.csv").exists()
 
 
@@ -909,3 +975,41 @@ def test_readme_tables_every_stern_gerlach_field():
         if isinstance(default, list):
             bound = "not both zero"
         assert f"| `{path}` | {kind} | {shown} | {bound} |" in readme
+
+
+EXTREMES = [10**6, 1e308, 2**62, 1e-300]
+NONFINITE_TEXT = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+def test_extreme_value_table_exits_cleanly(tmp_path, capsys):
+    # every key of every valid scenario set to each in-range but unphysical
+    # value in turn, and two copy counts: exit 0 or 1, at most one error
+    # line, no numpy warning, and no nan or inf in any output
+    cases = [
+        (kind, keys, value)
+        for kind, payload in VALID.items()
+        for keys in object_keys(payload)
+        for value in EXTREMES
+    ]
+    cases += [("amplify", ("n_values",), [2**62]), ("amplify", ("n_values",), [10**6])]
+    start = time.perf_counter()
+    for kind, keys, value in cases:
+        out = tmp_path / "out"
+        shutil.rmtree(out, ignore_errors=True)
+        path = write_scenario(tmp_path, with_value(VALID[kind], keys, value))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([kind, "--scenario", path, "--out", str(out)])
+        err = capsys.readouterr().err
+        case = f"{kind}: {dotted(keys)} = {value!r} -> {code}: {err} {caught}"
+        assert code in (EXIT_OK, EXIT_INPUT), case
+        assert not caught, case
+        assert len(err.splitlines()) == (code == EXIT_INPUT), case
+        if code == EXIT_INPUT:
+            assert err.startswith("error: field '"), case
+        for written in out.glob("*"):
+            assert not NONFINITE_TEXT.search(written.read_text()), case
+    assert len(cases) > 250
+    # about 3.5 s on a 2-vCPU Xeon, 2.2 s of it the 10**6-point grid; the
+    # gate leaves room for a slower runner
+    assert time.perf_counter() - start < 10

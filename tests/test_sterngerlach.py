@@ -1,4 +1,9 @@
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +11,7 @@ import pytest
 from qmamp import scenarios, sterngerlach
 from qmamp.scenarios import SG_BYTES_PER_POINT
 from qmamp.sterngerlach import (
+    BOUNDARY_CELLS,
     BOUNDARY_TOL,
     MAX_STEP_ANGLE,
     BoundaryLeakError,
@@ -350,22 +356,66 @@ def test_evolve_rejects_bad_loop_arguments(steps, check_every, name):
                check_every=check_every)
 
 
+def edge_mass(grid):
+    """Probability in the BOUNDARY_CELLS outermost cells at each end."""
+    density = np.abs(grid.psi[0]) ** 2 + np.abs(grid.psi[1]) ** 2
+    return (density[:BOUNDARY_CELLS].sum() + density[-BOUNDARY_CELLS:].sum()) * grid.dz
+
+
 def test_boundary_guard_sees_the_completed_state():
-    # a check_every=10 run must stop at the first multiple of 10 whose
-    # completed state (the last step of a run of that length) leaks
+    # the guard reads every step's state (between its kinetic and potential
+    # steps) and the completed state at each check, so the first run length
+    # k whose run leaks stops at step k, and a longer run stops there or one
+    # step later, whatever its check_every
     g = gaussian_packet(256, 20.0, sigma=1.0, momentum=10.0)
     f = FieldModel(b0=1e-6, b1=0.0, b2=0.0)
     first = None
-    for k in range(10, 401, 10):
+    for k in range(1, 401):
         try:
             out = evolve(g, f, dt=0.01, steps=k, check_every=k)
-        except BoundaryLeakError:
+        except BoundaryLeakError as exc:
+            assert f"at step {k};" in str(exc)
             first = k
             break
-        assert out.boundary_mass() <= BOUNDARY_TOL
+        assert edge_mass(out) <= BOUNDARY_TOL
     assert first is not None and first > 10
     with pytest.raises(BoundaryLeakError, match=f"at step {first};"):
-        evolve(g, f, dt=0.01, steps=400, check_every=10)
+        evolve(g, f, dt=0.01, steps=400, check_every=1)
+    for check_every in (10, 400):
+        with pytest.raises(BoundaryLeakError, match=f"at step ({first}|{first + 1});"):
+            evolve(g, f, dt=0.01, steps=400, check_every=check_every)
+
+
+def test_boundary_guard_catches_a_packet_that_wraps_between_checks(monkeypatch):
+    # the packet leaves through one edge and wraps round the periodic box
+    # long before the last step; a guard that read only the completed state
+    # at the end passed this run, whose packet then sits mid-box again
+    g = gaussian_packet(512, 40.0, sigma=1.0, momentum=20.0)
+    f = FieldModel(b0=1.0, b1=0.0, b2=0.0)
+    steps = 400  # the packet travels 20 * 0.005 * 400 = 40, once round the box
+    with pytest.raises(BoundaryLeakError) as leak:
+        evolve(g, f, dt=0.005, steps=steps, check_every=steps)
+    assert int(re.search(r"at step (\d+);", str(leak.value))[1]) < steps / 2
+    # one read per step, and one of the completed state at the check
+    steps_read = []
+    guard = sterngerlach._guard
+    monkeypatch.setattr(
+        sterngerlach, "_guard", lambda psi, *args: steps_read.append(args[-1]) or guard(psi, *args)
+    )
+    evolve(g, f, dt=0.005, steps=20, check_every=20)
+    assert steps_read == list(range(1, 21)) + [20]
+    # the guard reads the density of the grid's edge cells: over a step too
+    # short to move a wide packet, a tolerance just under its edge mass
+    # aborts the run, one just over it passes
+    wide = gaussian_packet(64, 8.0, sigma=1.0, spinor=(0.6, 0.8j))
+    for tol, leaks in ((0.99, True), (1.01, False)):
+        monkeypatch.setattr(sterngerlach, "BOUNDARY_TOL", tol * edge_mass(wide))
+        try:
+            evolve(wide, f, dt=1e-9, steps=1)
+        except BoundaryLeakError:
+            assert leaks
+        else:
+            assert not leaks
 
 
 def test_run_peak_memory_within_bytes_per_point():
@@ -444,3 +494,19 @@ def test_run_simulation_calls_evolve_once(monkeypatch, steps):
                          record_every=4)
     assert calls == [4]
     assert len(res.series.times) == -(-steps // 4) + 1
+
+
+@pytest.mark.parametrize("args", [[], ["--b2", "0.2"]], ids=["superposed", "transverse"])
+def test_demo_prints_no_nan(args):
+    # the demo's table leaves an undefined value blank, as the CLI writers do
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "sterngerlach_demo.py"), "--points", "512", *args],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    rows = done.stdout.splitlines()[1:12]
+    assert len(rows) == 11 and not re.search(r"(?i)nan|inf", done.stdout)
+    assert all(len(row) == len(done.stdout.splitlines()[0]) for row in rows)
