@@ -46,10 +46,9 @@ class CascadeError(ValueError):
 
 # Sizes of the chain check at one N.  It composes V's index map on every
 # basis index while its |G| characters take at most CHAIN_WORK index
-# operations, |G|^(N+2), it holds at most CHAIN_BYTES (8 |G|^N (|G| + 5)
-# bytes: the chain, its block temporaries and the last N's cached chain, as
-# tracemalloc peaks show), and its one-leg-at-a-time build loops over fewer
-# than 64 legs.  Above that each character scans the same CHAIN_SEED sample
+# operations, |G|^(N+2), it holds at most CHAIN_BYTES
+# (`_exhaustive_chain_bytes`), and its one-leg-at-a-time build loops over
+# fewer than 64 legs.  Above that each character scans the same CHAIN_SEED sample
 # of basis tuples, sized so that the |G| characters scan about
 # CHAIN_SAMPLE_WORK labels, at least one tuple.
 CHAIN_WORK = 1 << 27
@@ -155,7 +154,7 @@ def chain_samples(group: FiniteAbelianGroup, n: int) -> int:
     """Basis tuples of N + 1 labels that `intertwiner_chain_check` samples at
     N = n, or 0 where it checks every basis index."""
     g = group.size
-    if n < 64 and g ** (n + 2) <= CHAIN_WORK and 8 * g**n * (g + 5) <= CHAIN_BYTES:
+    if n < 64 and g ** (n + 2) <= CHAIN_WORK and _exhaustive_chain_bytes(g, n) <= CHAIN_BYTES:
         return 0
     return max(1, CHAIN_SAMPLE_WORK // (g * (n + 1)))
 
@@ -167,8 +166,15 @@ def label_bytes(rep: SpectralRepresentation, n: int) -> int:
     scan's four arrays), plus 8 |G|^N (|G| + 5) for an exhaustive chain
     check or 40 per label of a sampled one."""
     g, samples = rep.group.size, chain_samples(rep.group, n)
-    chain = 40 * samples * (n + 1) if samples else 8 * g**n * (g + 5)
+    chain = 40 * samples * (n + 1) if samples else _exhaustive_chain_bytes(g, n)
     return 32 * len(rep.projections) * n + chain
+
+
+def _exhaustive_chain_bytes(g: int, n: int) -> int:
+    """Bytes an exhaustive chain check holds at |G| = g and N = n, 8 g^N
+    (g + 5): the chain, its block temporaries and the last N's cached chain,
+    as tracemalloc peaks show."""
+    return 8 * g**n * (g + 5)
 
 
 def intertwiner_chain_check(group: FiniteAbelianGroup, gamma: Character, n: int) -> float:

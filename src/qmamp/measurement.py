@@ -119,17 +119,18 @@ def couple(rep: SpectralRepresentation, xi) -> np.ndarray:
 
     The output is sum_chi E(chi) xi x |chi>: perfect correlation between
     system sectors and probe labels.  It is read off the trivial label
-    columns of UtildeV, the (m, |G|, m) array holding E(chi) at label chi,
-    so the dense coupling (`ktops.build_UtildeV`, which selftest criterion 3
-    checks this against) is never built.
+    columns of UtildeV, E(chi) at label chi: column chi is E(chi) xi, filled
+    for the assigned characters only, so neither the dense coupling
+    (`ktops.build_UtildeV`, which selftest criterion 3 checks this against)
+    nor any array larger than the output is built.
     """
     xi = _check_state(rep, xi)
-    cols = np.zeros((rep.system_dim, rep.group.size, rep.system_dim), dtype=complex)
+    out = np.zeros((rep.system_dim, rep.group.size), dtype=complex)
     for chi, proj in rep.projections.items():
-        cols[:, chi.index, :] = proj
-    # einsum, not a BLAS product, so the amplitudes equal those of the dense
-    # stage-one contraction bit for bit
-    return np.einsum("rcs,s->rc", cols, xi)
+        # einsum, not a BLAS product, so the amplitudes equal those of the
+        # dense stage-one contraction bit for bit
+        out[:, chi.index] = np.einsum("rs,s->r", proj, xi)
+    return out
 
 
 def instrument(rep: SpectralRepresentation, delta: Outcome, xi, b: np.ndarray) -> InstrumentResult:
@@ -184,14 +185,10 @@ def _diagonal_rep(group: FiniteAbelianGroup) -> SpectralRepresentation:
     return make_spectral_rep(group, group.size, assignments)
 
 
-def sigma_z_rep(group: FiniteAbelianGroup | None = None) -> SpectralRepresentation:
-    """Two-level preset: trivial character -> |0><0|, the other -> |1><1|,
-    so the reconstructed U at the generator is diag(1, -1)."""
-    if group is None:
-        group = make_group([2])
-    if group.size != 2:
-        raise MeasurementError("two-level preset needs a group of size 2")
-    return _diagonal_rep(group)
+def sigma_z_rep() -> SpectralRepresentation:
+    """Two-level preset over Z_2: trivial character -> |0><0|, the other ->
+    |1><1|, so the reconstructed U at the generator is diag(1, -1)."""
+    return _diagonal_rep(make_group([2]))
 
 
 def clock_rep(n: int = 3) -> SpectralRepresentation:

@@ -16,6 +16,10 @@ run whose packet reaches the box edge is refused naming its grid.extent.  An
 amplify N whose label arrays exceed AMPLIFY_BYTES is refused before any
 cascade or chain work.
 
+`simulate` and `sweep` read, preflight and run a sterngerlach or sweep
+scenario object and return the run and its summary, or the rows; the
+`run_<kind>` functions that the CLI calls write what they return.
+
 Outputs are CSV (floats printed with 12 significant digits) plus a summary
 JSON for the wavepacket runs; reruns with the same scenario are byte-identical.
 A value that is undefined (NaN) or infinite is written as an empty CSV cell
@@ -431,7 +435,7 @@ def _check_sg_packet(f: dict, where) -> None:
             raise ScenarioError(f"field '{where(path)}': expected {expected}, got {f[path]!r}")
 
 
-def _simulate(f: dict, record_every: int, extent_path: str):
+def _run_packet(f: dict, record_every: int, extent_path: str):
     """Build the packet and run it; a run whose packet reaches the box edge
     is refused naming `extent_path`, the path of its grid.extent."""
     field = _field(f)
@@ -475,12 +479,19 @@ def _try_kick(result, branch):
         return None
 
 
-def run_sterngerlach(scenario: dict, out_dir: Path) -> list[Path]:
+def simulate(scenario: dict) -> tuple[sterngerlach.RunResult, dict]:
+    """Read, preflight and run a sterngerlach scenario object: its run, with
+    the time series recorded every time.record_every steps, and its summary."""
     f = _sg_fields(scenario)
     _check_sg_size(f, str)
     _check_sg_step(f, str)
     _check_sg_packet(f, str)
-    field, result = _simulate(f, f["time.record_every"], "grid.extent")
+    field, result = _run_packet(f, f["time.record_every"], "grid.extent")
+    return result, _sg_summary(f, field, result)
+
+
+def run_sterngerlach(scenario: dict, out_dir: Path) -> list[Path]:
+    result, summary = simulate(scenario)
     s = result.series
     columns = {
         "t": s.times, "z_up": s.z_up, "z_down": s.z_down, "pz_up": s.pz_up,
@@ -488,7 +499,6 @@ def run_sterngerlach(scenario: dict, out_dir: Path) -> list[Path]:
     }
     rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
     csv_path = _write_csv(out_dir / "sterngerlach.csv", rows)
-    summary = _sg_summary(f, field, result)
     json_path = out_dir / "sterngerlach_summary.json"
     with open(json_path, "w") as fh:
         summary = {k: _defined(v) for k, v in summary.items()}
@@ -499,7 +509,7 @@ def run_sterngerlach(scenario: dict, out_dir: Path) -> list[Path]:
 
 def _sweep_point(args):
     fields, axis_values, extent_path = args
-    field, result = _simulate(fields, fields["time.steps"], extent_path)
+    field, result = _run_packet(fields, fields["time.steps"], extent_path)
     summary = _sg_summary(fields, field, result)
     expected = field.mu * field.b1 * fields["time.dt"] * fields["time.steps"]
     up, down = summary["kick_up"], summary["kick_down"]
@@ -514,8 +524,9 @@ def _sweep_point(args):
     )
 
 
-def run_sweep(scenario: dict, out_dir: Path, jobs: int = 1) -> list[Path]:
-    """Run every sweep point; `jobs` > 1 runs them in a process pool of at most
+def sweep(scenario: dict, jobs: int = 1) -> list[dict]:
+    """Read, preflight and run every point of a sweep scenario object: its
+    rows, one per point.  `jobs` > 1 runs them in a process pool of at most
     min(jobs, points, cpu count) workers, and no more than SG_SOLVER_BYTES of
     solver arrays hold at once.  Every point's fields are read and checked
     before any point runs."""
@@ -554,10 +565,12 @@ def run_sweep(scenario: dict, out_dir: Path, jobs: int = 1) -> list[Path]:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            rows = list(ex.map(_sweep_point, tasks))
-    else:
-        rows = [_sweep_point(t) for t in tasks]
-    return [_write_csv(out_dir / "sweep.csv", rows)]
+            return list(ex.map(_sweep_point, tasks))
+    return [_sweep_point(t) for t in tasks]
+
+
+def run_sweep(scenario: dict, out_dir: Path, jobs: int = 1) -> list[Path]:
+    return [_write_csv(out_dir / "sweep.csv", sweep(scenario, jobs))]
 
 
 def _defined(v):

@@ -2,7 +2,9 @@
 
 Each criterion returns a pass/fail result with the worst residual observed
 and is bounded by a wall-clock limit.  Randomized checks draw from a fixed
-seed so reruns are reproducible.
+seed so reruns are reproducible.  The Stern-Gerlach criteria (8-10) are
+scenario objects run through `scenarios.simulate` and `scenarios.sweep`, the
+reader, preflight and runner of the CLI.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from importlib import resources
 import numpy as np
 
 from . import amplification as amp
-from . import groups, ktops, measurement, sterngerlach
+from . import groups, ktops, measurement, scenarios
 from .measurement import clock_rep, sigma_z_rep
 
 SEED = 20240817
@@ -211,23 +213,17 @@ def criterion_7_measurement_properties() -> tuple[bool, str]:
     return violations == 0, f"{violations} violations in {cases} random property cases"
 
 
-KICK_SCENARIO = dict(
-    b0=1.0, b1=0.5, b2=0.0, mu=1.0, duration=1.0, dt=0.005,
-    points=2048, extent=40.0, sigma=1.0,
-)
-
-
 def criterion_8_kick() -> tuple[bool, str]:
-    p = KICK_SCENARIO
-    field = sterngerlach.FieldModel(b0=p["b0"], b1=p["b1"], b2=p["b2"], mu=p["mu"])
-    grid = sterngerlach.gaussian_packet(
-        p["points"], p["extent"], sigma=p["sigma"], spinor=(1 / np.sqrt(2), 1 / np.sqrt(2))
-    )
-    steps = round(p["duration"] / p["dt"])
-    result = sterngerlach.run_simulation(grid, field, p["dt"], steps, record_every=10)
-    kick_up = sterngerlach.momentum_kick(result.final, result.initial, "up")
-    kick_down = sterngerlach.momentum_kick(result.final, result.initial, "down")
-    expected = p["mu"] * p["b1"] * p["duration"]
+    # a superposed spin split by the longitudinal gradient b1
+    field = {"b0": 1.0, "b1": 0.5, "mu": 1.0}
+    result, summary = scenarios.simulate({
+        "version": 1, "kind": "sterngerlach", "field": field,
+        "grid": {"points": 2048, "extent": 40.0, "spinor": [1.0, 1.0]},
+        "time": {"dt": 0.005, "steps": 200, "record_every": 10},
+    })
+    kick_up, kick_down = summary["kick_up"], summary["kick_down"]
+    mu_b1 = field["mu"] * field["b1"]
+    expected = mu_b1 * summary["duration"]
 
     ok = (
         abs(abs(kick_up) - expected) <= 0.02 * expected
@@ -238,8 +234,8 @@ def criterion_8_kick() -> tuple[bool, str]:
     s = result.series
     rate_up = np.polyfit(s.times, s.pz_up, 1)[0]
     rate_down = np.polyfit(s.times, s.pz_down, 1)[0]
-    ok = ok and abs(rate_up + p["mu"] * p["b1"]) <= 0.01 * p["mu"] * p["b1"]
-    ok = ok and abs(rate_down - p["mu"] * p["b1"]) <= 0.01 * p["mu"] * p["b1"]
+    ok = ok and abs(rate_up + mu_b1) <= 0.01 * mu_b1
+    ok = ok and abs(rate_down - mu_b1) <= 0.01 * mu_b1
     return ok, (
         f"kicks ({kick_up:+.4f}, {kick_down:+.4f}) vs ±{expected}; "
         f"rates ({rate_up:+.4f}, {rate_down:+.4f})"
@@ -247,54 +243,35 @@ def criterion_8_kick() -> tuple[bool, str]:
 
 
 def load_adiabaticity_reference() -> dict:
+    """The stored `qmamp sweep` scenario over field.b2 ("scenario") and the
+    columns of its rows at the time step "converged_dt"."""
     with resources.files("qmamp").joinpath("data/adiabaticity_reference.json").open() as fh:
         return json.load(fh)
 
 
-def run_adiabaticity_sweep(b2_values, scenario: dict, dt: float | None = None):
-    """Flip probability and U_fi for each transverse gradient value."""
-    rows = []
-    dt = dt if dt is not None else scenario["dt"]
-    steps = round(scenario["duration"] / dt)
-    for b2 in b2_values:
-        field = sterngerlach.FieldModel(
-            b0=scenario["b0"], b1=scenario["b1"], b2=b2,
-            mu=scenario["mu"], region_extent=scenario["region_extent"],
-        )
-        grid = sterngerlach.gaussian_packet(
-            scenario["points"], scenario["extent"], sigma=scenario["sigma"]
-        )
-        final = sterngerlach.evolve(grid, field, dt, steps)
-        report = sterngerlach.adiabaticity_parameter(
-            field, v=scenario["v"], z_scale=scenario["z_scale"]
-        )
-        rows.append(
-            {
-                "b2": b2,
-                "u_fi": report.u_fi,
-                "flip_probability": sterngerlach.spin_flip_probability(final, "up"),
-            }
-        )
-    return rows
+def at_time_step(scenario: dict, dt: float) -> dict:
+    """A sweep scenario run with time step dt over the same duration."""
+    time = scenario["base"]["time"]
+    steps = round(time["steps"] * time["dt"] / dt)
+    return {**scenario, "base": {**scenario["base"], "time": {"dt": dt, "steps": steps}}}
 
 
 def criterion_9_adiabaticity() -> tuple[bool, str]:
-    # closed-form substitution check
-    f = sterngerlach.FieldModel(b0=1.0, b1=0.0, b2=0.1, mu=10.0, region_extent=10.0)
-    report = sterngerlach.adiabaticity_parameter(f, v=1.0, z_scale=1.0)
-    if abs(report.u_fi - 1e-3) > 1e-15:
-        return False, f"U_fi formula gave {report.u_fi}, expected 1e-3"
-
     ref = load_adiabaticity_reference()
-    rows = run_adiabaticity_sweep(ref["b2_values"], ref["scenario"])
+    rows = scenarios.sweep(ref["scenario"])
     flips = [r["flip_probability"] for r in rows]
-    u_fis = [r["u_fi"] for r in rows]
+
+    # closed-form substitution: U_fi = v z_scale b2 / (mu b0^2 region_extent),
+    # which is b2 / 10 at the reference's v = 4, b0 = 4 and region_extent = 2.5
+    for r in rows:
+        if abs(r["u_fi"] - r["field.b2"] / 10) > 1e-15:
+            return False, f"U_fi formula gave {r['u_fi']}, expected {r['field.b2'] / 10}"
 
     ok = flips[0] <= 1e-14
     ok = ok and all(b >= a - 1e-12 for a, b in zip(flips, flips[1:]))
-    for u, p in zip(u_fis, flips):
-        if u <= 0.01:
-            ok = ok and p <= 1e-2
+    for r in rows:
+        if r["u_fi"] <= 0.01:
+            ok = ok and r["flip_probability"] <= 1e-2
     for p, p_ref in zip(flips, ref["converged_flips"]):
         ok = ok and abs(p - p_ref) <= max(2e-4, 0.05 * p_ref)
     return ok, (
@@ -303,32 +280,28 @@ def criterion_9_adiabaticity() -> tuple[bool, str]:
     )
 
 
-HYGIENE_DRIFT = dict(
-    b0=1.0, b1=0.05, b2=0.0, mu=1.0, dt=1e-3, steps=10_000,
-    points=1024, extent=60.0, sigma=2.0,
-)
-HYGIENE_CONV = dict(
-    b0=2.0, b1=0.3, b2=0.4, mu=1.0, duration=1.0,
-    points=1024, extent=30.0, sigma=1.0,
-)
+def _spin_up_run(field: dict, grid: dict, dt: float, steps: int, record_every: int) -> dict:
+    """Summary of a sterngerlach scenario starting spin up."""
+    return scenarios.simulate({
+        "version": 1, "kind": "sterngerlach", "field": field, "grid": grid,
+        "time": {"dt": dt, "steps": steps, "record_every": record_every},
+    })[1]
 
 
 def criterion_10_solver_hygiene() -> tuple[bool, str]:
-    p = HYGIENE_DRIFT
-    field = sterngerlach.FieldModel(b0=p["b0"], b1=p["b1"], b2=p["b2"], mu=p["mu"])
-    grid = sterngerlach.gaussian_packet(p["points"], p["extent"], sigma=p["sigma"])
-    final = sterngerlach.evolve(grid, field, p["dt"], p["steps"], check_every=1000)
-    drift = abs(final.norm_squared() - 1.0)
+    steps = 10_000
+    drift = abs(_spin_up_run(
+        {"b0": 1.0, "b1": 0.05}, {"points": 1024, "extent": 60.0, "sigma": 2.0},
+        dt=1e-3, steps=steps, record_every=1000,
+    )["norm"] - 1.0)
     if drift > 1e-8:
-        return False, f"norm drift {drift:.2e} > 1e-8 over {p['steps']} steps"
-
-    q = HYGIENE_CONV
-    field = sterngerlach.FieldModel(b0=q["b0"], b1=q["b1"], b2=q["b2"], mu=q["mu"])
+        return False, f"norm drift {drift:.2e} > 1e-8 over {steps} steps"
 
     def flip_at(n_steps: int) -> float:
-        grid = sterngerlach.gaussian_packet(q["points"], q["extent"], sigma=q["sigma"])
-        final = sterngerlach.evolve(grid, field, q["duration"] / n_steps, n_steps)
-        return sterngerlach.spin_flip_probability(final, "up")
+        return _spin_up_run(
+            {"b0": 2.0, "b1": 0.3, "b2": 0.4}, {"points": 1024, "extent": 30.0},
+            dt=1.0 / n_steps, steps=n_steps, record_every=n_steps,
+        )["flip_probability"]
 
     ref = flip_at(2048)
     err1 = abs(flip_at(128) - ref)

@@ -5,7 +5,7 @@ Run with `pytest tests/test_acceptance.py -s` to see one line per criterion.
 
 import pytest
 
-from qmamp import selfcheck
+from qmamp import scenarios, selfcheck
 
 
 @pytest.mark.parametrize(
@@ -32,9 +32,11 @@ def test_all_criteria_summary():
 
 def test_adiabaticity_reference_reproduces_at_converged_dt():
     # criterion 9 compares its coarse sweep with this stored reference; the
-    # sweep rerun at the reference's own time step must give its flips again
+    # reference's sweep scenario rerun at its converged time step must give
+    # its columns again
     ref = selfcheck.load_adiabaticity_reference()
-    rows = selfcheck.run_adiabaticity_sweep(ref["b2_values"], ref["scenario"], dt=ref["converged_dt"])
+    rows = scenarios.sweep(selfcheck.at_time_step(ref["scenario"], ref["converged_dt"]))
+    assert [r["field.b2"] for r in rows] == ref["b2_values"]
     assert [r["u_fi"] for r in rows] == pytest.approx(ref["u_fi_values"], rel=0, abs=1e-15)
     assert [r["flip_probability"] for r in rows] == pytest.approx(
         ref["converged_flips"], rel=0, abs=1e-12

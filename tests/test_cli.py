@@ -1013,3 +1013,34 @@ def test_extreme_value_table_exits_cleanly(tmp_path, capsys):
     # about 3.5 s on a 2-vCPU Xeon, 2.2 s of it the 10**6-point grid; the
     # gate leaves room for a slower runner
     assert time.perf_counter() - start < 10
+
+
+ROOT = Path(__file__).resolve().parents[1]
+README_SCENARIOS = re.findall(r"```json\n(.*?)```", (ROOT / "README.md").read_text(), re.DOTALL)
+EXAMPLES = sorted((ROOT / "examples").glob("*.json"))
+
+
+@pytest.mark.parametrize(
+    "text",
+    README_SCENARIOS + [path.read_text() for path in EXAMPLES],
+    ids=[f"readme-{i}" for i in range(len(README_SCENARIOS))] + [p.stem for p in EXAMPLES],
+)
+def test_readme_and_example_scenarios_run(tmp_path, text):
+    # every scenario the README shows and every file in examples/ runs as
+    # written, with no undefined value in its outputs
+    scenario = json.loads(text)
+    path = write_scenario(tmp_path, scenario)
+    out = tmp_path / "out"
+    assert main([scenario["kind"], "--scenario", path, "--out", str(out)]) == EXIT_OK
+    written = list(out.glob("*"))
+    assert written
+    for output in written:
+        assert not NONFINITE_TEXT.search(output.read_text()), output.name
+
+
+def test_readme_lists_every_example():
+    assert README_SCENARIOS and EXAMPLES
+    readme = (ROOT / "README.md").read_text()
+    for path in EXAMPLES:
+        kind = json.loads(path.read_text())["kind"]
+        assert f"qmamp {kind} --scenario examples/{path.name}" in readme

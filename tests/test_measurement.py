@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from dense_oracle import represented_unitary
@@ -179,3 +181,20 @@ def test_instrument_sums_outcome_in_index_order(n):
             res = instrument(rep, outcome(given), xi, b)
             assert (res.probability, res.conditional_expectation) == (prob, cond)
             assert np.array_equal(res.post_state, rho / prob)
+
+
+def test_couple_holds_only_its_output():
+    # a large group with one assigned character: couple fills that one column
+    # and allocates nothing of size m |G| m (256 MiB here) on the way
+    g, m = make_group([4096]), 64
+    rep = make_spectral_rep(g, m, [(g.trivial_character, np.eye(m))])
+    xi = np.full(m, m**-0.5, dtype=complex)
+    tracemalloc.start()
+    try:
+        coupled = couple(rep, xi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert coupled.shape == (m, g.size)
+    assert np.array_equal(coupled[:, 0], xi) and not coupled[:, 1:].any()
+    assert peak < 2 * coupled.nbytes

@@ -1,9 +1,5 @@
-import os
 import re
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -494,19 +490,3 @@ def test_run_simulation_calls_evolve_once(monkeypatch, steps):
                          record_every=4)
     assert calls == [4]
     assert len(res.series.times) == -(-steps // 4) + 1
-
-
-@pytest.mark.parametrize("args", [[], ["--b2", "0.2"]], ids=["superposed", "transverse"])
-def test_demo_prints_no_nan(args):
-    # the demo's table leaves an undefined value blank, as the CLI writers do
-    root = Path(__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, str(root / "scripts" / "sterngerlach_demo.py"), "--points", "512", *args],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    rows = done.stdout.splitlines()[1:12]
-    assert len(rows) == 11 and not re.search(r"(?i)nan|inf", done.stdout)
-    assert all(len(row) == len(done.stdout.splitlines()[0]) for row in rows)
