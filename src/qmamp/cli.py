@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import scenarios, selfcheck
+from . import scenarios
 from .sterngerlach import FieldError, SolverError
 
 EXIT_OK = 0
@@ -50,6 +50,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.command == "selftest":
+        # imported here, as only the self-test needs it
+        from . import selfcheck
+
         ok = selfcheck.run_all()
         return EXIT_OK if ok else EXIT_INVARIANT
 

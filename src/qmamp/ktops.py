@@ -80,7 +80,8 @@ class KTOperatorPair:
             i, j = (rows[a * n : (a + 1) * n] for rows in v_rows)
             diff = (f[i][:, :, None] * f[j][:, None, :]).reshape(n, n * n)
             diff -= f_second * f[a, w_first]
-            total += np.vdot(diff, diff).real
+            # summed without BLAS, whose sum order would follow its thread count
+            total += np.einsum("ij,ij->", diff.view(float), diff.view(float))
         return math.sqrt(total)
 
 

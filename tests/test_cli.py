@@ -1,11 +1,8 @@
 import concurrent.futures
 import csv
 import json
-import os
 import re
 import shutil
-import subprocess
-import sys
 import time
 import warnings
 from concurrent.futures import Executor
@@ -13,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from fresh_interpreter import REPO, run_fresh
 
 from qmamp import scenarios
 from qmamp.cli import EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, main
@@ -645,30 +643,55 @@ MOVED_TO_DENSE_ORACLE = {
 
 def test_cli_imports_no_dense_oracle():
     # a fresh interpreter, so no test's import of qmamp.hilbert counts
-    code = (
+    found = run_fresh(
         "import json, sys\n"
         "import qmamp.cli\n"
         "hilbert = 'qmamp.hilbert' in sys.modules\n"
         "pool = 'concurrent.futures.process' in sys.modules\n"
+        "selfcheck = 'qmamp.selfcheck' in sys.modules\n"
         "from qmamp import amplification, groups, ktops\n"
-        "print(json.dumps({'hilbert': hilbert, 'pool': pool,"
+        "print(json.dumps({'hilbert': hilbert, 'pool': pool, 'selfcheck': selfcheck,"
         " 'amplification': sorted(vars(amplification)), 'ktops': sorted(vars(ktops)),"
         " 'groups': sorted(vars(groups)),"
         " 'shape': hasattr(amplification.CascadeConfig, 'shape')}))\n"
     )
-    src = Path(scenarios.__file__).resolve().parents[1]
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert done.returncode == 0, done.stderr
-    found = json.loads(done.stdout)
     assert not found["hilbert"]
     assert not found["pool"]  # only a pooled sweep imports the process pool
+    assert not found["selfcheck"]  # only `qmamp selftest` imports the acceptance suite
     assert not found["shape"]
     for module, names in MOVED_TO_DENSE_ORACLE.items():
         assert not set(names) & set(found[module]), module
+
+
+# Whether `import qmamp.cli` left the environment as it found it, and the live
+# thread count of the loaded OpenBLAS as the benchmark reads it (None under
+# another BLAS).
+BLAS_THREADS_CODE = f"""
+import json, os, sys
+before = dict(os.environ)
+import qmamp.cli
+sys.path.insert(0, {str(REPO)!r})
+from perfbench.child import _blas_threads
+try:
+    threads = _blas_threads()
+except OSError:
+    threads = None
+print(json.dumps({{"env_kept": dict(os.environ) == before, "threads": threads}}))
+"""
+
+
+def test_cli_runs_blas_on_one_thread():
+    found = run_fresh(BLAS_THREADS_CODE)
+    # the variables hold only while numpy loads: the importing program's
+    # environment, which its subprocesses inherit, is left as it was
+    assert found["env_kept"]
+    if found["threads"] is None:
+        pytest.skip("the BLAS numpy loaded is not OpenBLAS")
+    assert found["threads"] == 1
+
+
+def test_cli_keeps_a_blas_thread_count_the_user_set():
+    assert run_fresh(BLAS_THREADS_CODE, OMP_NUM_THREADS="3")["env_kept"]
 
 
 # One small valid scenario of each kind.

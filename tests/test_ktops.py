@@ -15,6 +15,7 @@ from dense_oracle import (
     verify_represented_intertwining,
     verify_represented_pentagonal,
 )
+from fresh_interpreter import run_fresh
 
 from qmamp.groups import canonical_groups, make_group
 from qmamp.ktops import (
@@ -127,6 +128,26 @@ def test_gathered_fourier_residual_matches_dense_oracle(g):
         res = bad.fourier_conjugation_residual()
         assert res >= 1.0
         assert abs(res - dense_fourier_residual(g, bad.W, bad.V)) <= 1e-13
+
+
+RESIDUAL_GROUPS = ([24], [2, 12], [3, 8])
+
+
+def test_fourier_residual_is_independent_of_blas_threads():
+    # each block of |G|^3 = 13824 entries is above OpenBLAS's threading cutoff,
+    # so a BLAS dot product's sum order would follow the thread count
+    code = (
+        "import json\n"
+        "from qmamp.groups import make_group\n"
+        "from qmamp.ktops import kt_pair\n"
+        f"print(json.dumps([repr(kt_pair(make_group(o)).fourier_conjugation_residual())"
+        f" for o in {RESIDUAL_GROUPS!r}]))\n"
+    )
+    found = [run_fresh(code, OPENBLAS_NUM_THREADS=t) for t in ("1", "2")]
+    assert found[0] == found[1]
+    for orders, res in zip(RESIDUAL_GROUPS, found[0]):
+        pair = kt_pair(make_group(orders))
+        assert abs(float(res) - dense_fourier_residual(pair.group, pair.W, pair.V)) <= 1e-13
 
 
 def test_fourier_residual_memory_is_one_block():
