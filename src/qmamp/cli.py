@@ -4,11 +4,23 @@ Subcommands mirror the scenario kinds (`relations`, `measure`, `amplify`,
 `sterngerlach`, `sweep`) plus `selftest`, which runs the built-in acceptance
 suite.  Exit codes: 0 success, 1 input/schema error, 2 runtime invariant
 violation.
+
+`main` first moves every object alive at its start to the garbage
+collector's permanent generation (`gc.freeze`): the modules, types and
+functions that importing numpy and qmamp made, about 22,000 objects.  At exit
+CPython runs full cyclic collections, each of which would otherwise walk all
+of them again, about 21 ms of CPU per process; objects the run makes are
+collected as before.  Where `sweep`'s process pool forks (Linux before Python
+3.14), its workers start after the freeze, so collections in a worker do not
+write to the inherited objects and their pages stay shared.  A long-lived
+program that calls `main` freezes what is alive at each call, garbage that
+awaits collection included, and the cycle collector never reclaims it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -47,6 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    gc.freeze()  # the imports: the collections at exit need not walk them again
     args = build_parser().parse_args(argv)
 
     if args.command == "selftest":

@@ -35,6 +35,7 @@ import json
 import math
 import os
 import re
+import reprlib
 import sys
 from pathlib import Path
 
@@ -87,6 +88,12 @@ class ScenarioError(ValueError):
 
 
 _REQUIRED = object()
+# Values echoed in error messages are cut to 4 items per list or object, two
+# levels deep and 30 characters per scalar: under 1 KB whatever the value.
+_REPR = reprlib.Repr()
+_REPR.maxlevel, _REPR.maxlist, _REPR.maxdict = 2, 4, 4
+_REPR.maxstring = _REPR.maxother = _REPR.maxlong = 30
+_shown = _REPR.repr
 _STEP = re.compile(r"\[(\d+)\]|([^.\[]+)")
 _NOUNS = {
     int: "an integer",
@@ -130,7 +137,7 @@ def _check(value, where: str, type, bound):
         out = _scalar(value, type, bound)
         if out is not None:
             return out
-    raise ScenarioError(f"field '{where}': expected {_describe(type, bound)}, got {value!r}")
+    raise ScenarioError(f"field '{where}': expected {_describe(type, bound)}, got {_shown(value)}")
 
 
 def read(obj: dict, path: str, type, default=_REQUIRED, bound=None):
@@ -148,7 +155,7 @@ def read(obj: dict, path: str, type, default=_REQUIRED, bound=None):
             obj, where = obj[int(index)], f"{where}[{index}]"
             continue
         if not (isinstance(obj, dict) and obj):
-            raise ScenarioError(f"field '{where}': expected {_describe(dict)}, got {obj!r}")
+            raise ScenarioError(f"field '{where}': expected {_describe(dict)}, got {_shown(obj)}")
         where = f"{where}.{key}" if where else key
         if key not in obj:
             if default is _REQUIRED:
@@ -160,8 +167,11 @@ def read(obj: dict, path: str, type, default=_REQUIRED, bound=None):
 
 def _matrix(scenario: dict, path: str, dim: int) -> np.ndarray:
     rows = read(scenario, path, [[complex]])
-    if len(rows) != dim or any(len(row) != dim for row in rows):
-        raise ScenarioError(f"field '{path}': expected a {dim}x{dim} matrix, got {rows!r}")
+    widths = sorted({len(row) for row in rows})
+    if len(rows) != dim or widths != [dim]:
+        shape = (f"{len(rows)}x{widths[0]}" if len(widths) == 1
+                 else f"{len(rows)} rows of {widths[0]} to {widths[-1]} entries")
+        raise ScenarioError(f"field '{path}': expected a {dim}x{dim} matrix, got {shape}")
     return np.array(rows)
 
 
@@ -177,11 +187,11 @@ def load_scenario(path) -> dict:
         raise ScenarioError("field 'root': scenario must be a JSON object")
     if data.get("version") != SCHEMA_VERSION:
         raise ScenarioError(
-            f"field 'version': expected {SCHEMA_VERSION}, got {data.get('version')!r}"
+            f"field 'version': expected {SCHEMA_VERSION}, got {_shown(data.get('version'))}"
         )
     kind = data.get("kind")
     if kind not in KINDS:
-        raise ScenarioError(f"field 'kind': expected one of {KINDS}, got {kind!r}")
+        raise ScenarioError(f"field 'kind': expected one of {KINDS}, got {_shown(kind)}")
     return data
 
 
@@ -203,7 +213,7 @@ def build_rep(scenario: dict) -> measurement.SpectralRepresentation:
         return measurement.clock_rep(3)
     if isinstance(spec, str):
         raise ScenarioError(
-            f"field 'rep': expected 'sigma_z', 'z3_clock' or an object, got {spec!r}"
+            f"field 'rep': expected 'sigma_z', 'z3_clock' or an object, got {_shown(spec)}"
         )
     with _names("rep.group"):
         group = groups.make_group(read(scenario, "rep.group", [int], bound=0))
@@ -239,7 +249,7 @@ def build_outcomes(scenario: dict, rep):
         if not all(0 <= j < len(chars) for j in idx_list):
             raise ScenarioError(
                 f"field 'outcomes[{i}]': expected character indices in [0, {len(chars)}),"
-                f" got {idx_list!r}"
+                f" got {_shown(idx_list)}"
             )
         outcomes.append((idx_list, measurement.outcome([chars[j] for j in idx_list])))
     return outcomes
@@ -367,7 +377,8 @@ def _sg_fields(scenario: dict, prefix: str = "", swept=()) -> dict:
     spinor = fields["grid.spinor"]
     if len(spinor) != 2 or not any(spinor):
         raise ScenarioError(
-            f"field '{prefix}grid.spinor': expected 2 amplitudes, not both zero, got {spinor!r}"
+            f"field '{prefix}grid.spinor': expected 2 amplitudes, not both zero,"
+            f" got {_shown(spinor)}"
         )
     return fields
 
@@ -543,7 +554,7 @@ def sweep(scenario: dict, jobs: int = 1) -> list[dict]:
             numeric = [p for p, d in SG_FIELDS.items() if not isinstance(d, list)]
             raise ScenarioError(
                 f"field 'axes[{i}].path': expected one of {numeric},"
-                f" got {path!r}, which is unknown or non-numeric"
+                f" got {_shown(path)}, which is unknown or non-numeric"
             )
         values = read(scenario, f"axes[{i}].values", [type(default)], bound=_sg_bound(path))
         grids.append([(path, v) for v in values])

@@ -1,0 +1,26 @@
+"""Closed-form solutions that the Stern-Gerlach solver is checked against.
+
+With b2 = 0 the field has no B_x on the line x = 0, so each spin component
+moves in its own linear potential +-mu (b0 + b1 z): the up component feels the
+force -mu b1, the down component +mu b1.  Strang splitting of p^2/2m + F z is
+exact up to a global phase for every dt (Strang, SIAM J. Numer. Anal. 5
+(1968) 506): its error terms [T, [T, V]] are proportional to [p^2, p] = 0, and
+[V, [V, T]] is a constant.  So at every record each branch's means follow
+Newton's law exactly,
+
+    <z>(t)   = z0 + p0 t / m -+ mu b1 t^2 / (2 m),
+    <p_z>(t) = p0 -+ mu b1 t,
+
+the upper sign for up.  On the grid they hold to rounding while the packet
+stays well inside the box and is well resolved.
+"""
+
+import numpy as np
+
+
+def linear_potential_means(t, branch, *, center, momentum, mass, mu, b1):
+    """(<z>, <p_z>) of spin `branch` ("up" or "down") at the times `t`, for a
+    packet starting at `center` with `momentum` in a field with b2 = 0."""
+    t = np.asarray(t, dtype=float)
+    force = -mu * b1 if branch == "up" else mu * b1
+    return center + momentum * t / mass + force * t**2 / (2 * mass), momentum + force * t

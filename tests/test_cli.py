@@ -694,6 +694,34 @@ def test_cli_keeps_a_blas_thread_count_the_user_set():
     assert run_fresh(BLAS_THREADS_CODE, OMP_NUM_THREADS="3")["env_kept"]
 
 
+def test_cli_freezes_the_imports_before_the_work(tmp_path):
+    # a fresh interpreter, so the count is of what `import qmamp.cli` leaves
+    # tracked; the spy on load_scenario, the run's first step, reads how many
+    # objects were frozen when the work began
+    path = write_scenario(tmp_path, {"version": 1, "kind": "relations", "groups": [[2], [3]]})
+    outs = [str(tmp_path / "first"), str(tmp_path / "second")]
+    found = run_fresh(f"""
+import contextlib, gc, io, json
+import qmamp.cli
+tracked = len(gc.get_objects())
+from qmamp import scenarios
+frozen_at_load = []
+load = scenarios.load_scenario
+def spy(path):
+    frozen_at_load.append(gc.get_freeze_count())
+    return load(path)
+scenarios.load_scenario = spy
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [qmamp.cli.main(["relations", "--scenario", {path!r}, "--out", out])
+             for out in {outs!r}]
+print(json.dumps({{"tracked": tracked, "frozen_at_load": frozen_at_load, "codes": codes}}))
+""")
+    assert found["codes"] == [EXIT_OK, EXIT_OK]
+    assert found["frozen_at_load"][0] >= found["tracked"] > 1000
+    first, second = (Path(out, "relations.csv").read_bytes() for out in outs)
+    assert first == second
+
+
 # One small valid scenario of each kind.
 VALID = {
     "relations": {"version": 1, "kind": "relations", "groups": [[2], [2, 2]]},
@@ -821,6 +849,27 @@ def test_bad_field_exits_1_naming_it(tmp_path, capsys, kind, keys, value, field)
     err = capsys.readouterr().err
     assert f"field '{field}'" in err and "Traceback" not in err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "field, value, shown",
+    [
+        ("observable", [[0.5] * 128] * 127, "expected a 128x128 matrix, got 127x128"),
+        ("state", [0.0] * 9999 + ["x"], "got [0.0, 0.0, 0.0, 0.0, ...]"),
+    ],
+    ids=["observable-127x128", "state-with-a-string"],
+)
+def test_error_line_is_bounded_for_a_large_value(tmp_path, capsys, field, value, shown):
+    dim = 128
+    rep = {"group": [1], "system_dim": dim,
+           "projections": [{"character": [0], "matrix": np.eye(dim).tolist()}]}
+    scenario = {"version": 1, "kind": "measure", "rep": rep, "state": [1.0] + [0.0] * (dim - 1),
+                "outcomes": [[0]], field: value}
+    path = write_scenario(tmp_path, scenario)
+    assert main(["measure", "--scenario", path, "--out", str(tmp_path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and len(err.encode()) < 1024
+    assert err.startswith(f"error: field '{field}'") and shown in err
 
 
 @pytest.mark.parametrize(

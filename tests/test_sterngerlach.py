@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from solver_oracle import linear_potential_means
 
 from qmamp import scenarios, sterngerlach
 from qmamp.scenarios import SG_BYTES_PER_POINT
@@ -490,3 +491,18 @@ def test_run_simulation_calls_evolve_once(monkeypatch, steps):
                          record_every=4)
     assert calls == [4]
     assert len(res.series.times) == -(-steps // 4) + 1
+
+
+@pytest.mark.parametrize("dt", [0.005, 0.0025, 0.00125])
+def test_run_simulation_follows_the_linear_potential_closed_form(dt):
+    # with b2 = 0 Strang splitting is exact for any dt, so only rounding,
+    # 5e-14 to 2e-13 here, separates every record from Newton's law
+    packet = {"center": 0.0, "momentum": 0.3, "mass": 1.0}
+    field = FieldModel(b0=1.0, b1=0.5, b2=0.0, mu=1.0)
+    g = gaussian_packet(2048, 40.0, spinor=(1.0, 1.0), **packet)
+    s = run_simulation(g, field, dt=dt, steps=round(2.0 / dt), record_every=10).series
+    assert s.times[-1] == pytest.approx(2.0)
+    for branch in ("up", "down"):
+        z, pz = linear_potential_means(s.times, branch, mu=field.mu, b1=field.b1, **packet)
+        assert np.abs(getattr(s, f"z_{branch}") - z).max() < 1e-11, branch
+        assert np.abs(getattr(s, f"pz_{branch}") - pz).max() < 1e-11, branch
