@@ -18,7 +18,11 @@ cascade or chain work.
 
 `simulate` and `sweep` read, preflight and run a sterngerlach or sweep
 scenario object and return the run and its summary, or the rows; the
-`run_<kind>` functions that the CLI calls write what they return.
+`run_<kind>` functions that the CLI calls write what they return.  A run's
+summary comes from its recorded time series alone: a branch's kick is the
+change of its recorded <p_z> between the first and the last record, and a
+branch holding under 1e-6 of the probability at the start or the end has no
+kick (None).
 
 Outputs are CSV (floats printed with 12 significant digits) plus a summary
 JSON for the wavepacket runs; reruns with the same scenario are byte-identical.
@@ -177,11 +181,13 @@ def _matrix(scenario: dict, path: str, dim: int) -> np.ndarray:
 
 def load_scenario(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # ValueError covers malformed JSON, bytes that are not UTF-8 and integer
+    # literals past Python's digit limit; RecursionError, nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ScenarioError("field 'root': scenario must be a JSON object")
@@ -446,9 +452,13 @@ def _check_sg_packet(f: dict, where) -> None:
             raise ScenarioError(f"field '{where(path)}': expected {expected}, got {f[path]!r}")
 
 
-def _run_packet(f: dict, record_every: int, extent_path: str):
-    """Build the packet and run it; a run whose packet reaches the box edge
-    is refused naming `extent_path`, the path of its grid.extent."""
+def _run(f: dict, record_every: int, extent_path: str):
+    """Build the packet, run it recording every `record_every` steps, and
+    summarise the run from its recorded series: a branch's kick is the change
+    of its <p_z> between the first and the last record, None when the branch
+    holds under 1e-6 of the probability at the start or the end.  A run whose
+    packet reaches the box edge is refused naming `extent_path`, the path of
+    its grid.extent."""
     field = _field(f)
     grid = sterngerlach.gaussian_packet(
         f["grid.points"], f["grid.extent"], f["grid.sigma"], f["grid.center"],
@@ -460,17 +470,15 @@ def _run_packet(f: dict, record_every: int, extent_path: str):
         )
     except sterngerlach.BoundaryLeakError as exc:
         raise ScenarioError(f"field '{extent_path}': {exc}") from exc
-    return field, result
-
-
-def _sg_summary(f: dict, field, result) -> dict:
+    s = result.series
     summary = {
-        "kick_up": _try_kick(result, "up"),
-        "kick_down": _try_kick(result, "down"),
-        "flip_probability": float(result.series.flip_prob[-1]),
-        "norm": float(result.series.norm[-1]),
+        "flip_probability": float(s.flip_prob[-1]),
+        "norm": float(s.norm[-1]),
         "duration": f["time.dt"] * f["time.steps"],
     }
+    for branch, pz in (("up", s.pz_up), ("down", s.pz_down)):
+        held = min(result.initial.branch_weight(branch), result.final.branch_weight(branch))
+        summary[f"kick_{branch}"] = float(pz[-1] - pz[0]) if held >= 1e-6 else None
     if f["adiabaticity"]:
         report = sterngerlach.adiabaticity_parameter(
             field, v=f["adiabaticity.v"], z_scale=f["adiabaticity.z_scale"]
@@ -480,14 +488,7 @@ def _sg_summary(f: dict, field, result) -> dict:
             larmor_omega=report.larmor_omega,
             inequality_margin=report.inequality_margin,
         )
-    return summary
-
-
-def _try_kick(result, branch):
-    try:
-        return sterngerlach.momentum_kick(result.final, result.initial, branch)
-    except sterngerlach.SolverError:
-        return None
+    return result, summary
 
 
 def simulate(scenario: dict) -> tuple[sterngerlach.RunResult, dict]:
@@ -497,8 +498,7 @@ def simulate(scenario: dict) -> tuple[sterngerlach.RunResult, dict]:
     _check_sg_size(f, str)
     _check_sg_step(f, str)
     _check_sg_packet(f, str)
-    field, result = _run_packet(f, f["time.record_every"], "grid.extent")
-    return result, _sg_summary(f, field, result)
+    return _run(f, f["time.record_every"], "grid.extent")
 
 
 def run_sterngerlach(scenario: dict, out_dir: Path) -> list[Path]:
@@ -520,9 +520,8 @@ def run_sterngerlach(scenario: dict, out_dir: Path) -> list[Path]:
 
 def _sweep_point(args):
     fields, axis_values, extent_path = args
-    field, result = _run_packet(fields, fields["time.steps"], extent_path)
-    summary = _sg_summary(fields, field, result)
-    expected = field.mu * field.b1 * fields["time.dt"] * fields["time.steps"]
+    summary = _run(fields, fields["time.steps"], extent_path)[1]
+    expected = fields["field.mu"] * fields["field.b1"] * fields["time.dt"] * fields["time.steps"]
     up, down = summary["kick_up"], summary["kick_down"]
     return dict(
         axis_values,

@@ -29,6 +29,9 @@ observables.
 completed state and its spectrum to a callback, and `run_simulation` records
 its time series that way, in one `evolve` call with a check at every record:
 <z> from the completed state, <p_z> from the spectrum, with no FFT of its own.
+A run's momentum kicks are read off that series: `scenarios` takes each
+branch's kick as the change of its recorded <p_z> between the first and the
+last record.
 """
 
 from __future__ import annotations
@@ -282,13 +285,6 @@ def _guard(psi: np.ndarray, edges: np.ndarray, dz: float, step: int) -> None:
         raise BoundaryLeakError(
             f"boundary mass {bm:.3g} > {BOUNDARY_TOL:.3g} at step {step}; enlarge the grid extent"
         )
-
-
-def momentum_kick(final: SpinorGrid, initial: SpinorGrid, branch: str) -> float:
-    """Change of the branch-restricted <p_z> between two snapshots."""
-    if min(final.branch_weight(branch), initial.branch_weight(branch)) < 1e-6:
-        raise SolverError(f"branch {branch!r} carries negligible weight")
-    return final.mean_pz(branch) - initial.mean_pz(branch)
 
 
 def spin_flip_probability(final: SpinorGrid, initial_branch: str) -> float:

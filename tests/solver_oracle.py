@@ -13,6 +13,18 @@ Newton's law exactly,
 
 the upper sign for up.  On the grid they hold to rounding while the packet
 stays well inside the box and is well resolved.
+
+With b1 = b2 = 0 as well, the field is the uniform b0 along z and
+H = p^2/2m + mu b0 sigma_z.  Both spin components carry the same spatial
+wavefunction, so a spinor (1, 1)/sqrt(2) precesses about z at the Larmor
+frequency 2 mu b0 whatever the packet does:
+
+    <sigma_x>(t) = 2 Re sum conj(psi_up) psi_down dz = cos(2 mu b0 t),
+    <sigma_y>(t) = 2 Im sum conj(psi_up) psi_down dz = sin(2 mu b0 t).
+
+Strang splitting is exact here too, as the kinetic and the potential step
+commute; <sigma_y> fixes the sense of the rotation, which <sigma_x> alone
+does not.
 """
 
 import numpy as np
@@ -24,3 +36,10 @@ def linear_potential_means(t, branch, *, center, momentum, mass, mu, b1):
     t = np.asarray(t, dtype=float)
     force = -mu * b1 if branch == "up" else mu * b1
     return center + momentum * t / mass + force * t**2 / (2 * mass), momentum + force * t
+
+
+def precession_spin(t, *, b0, mu):
+    """(<sigma_x>, <sigma_y>) at the times `t` of the spinor (1, 1)/sqrt(2) in
+    the uniform field b0 (b1 = b2 = 0)."""
+    angle = 2 * mu * b0 * np.asarray(t, dtype=float)
+    return np.cos(angle), np.sin(angle)

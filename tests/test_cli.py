@@ -53,7 +53,30 @@ def test_load_scenario_validation(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command, option", [("relations", "--jobs"), ("relations", "--seed"), ("sweep", "--seed")]
+    "content",
+    [
+        b'{"version": 1, "kind": "relations", "groups": [[' + b"1" * 5000 + b"]]}",
+        b"[" * 200_000,
+        b"\xe9",
+    ],
+    ids=["int-of-5000-digits", "nested-200000-deep", "not-utf-8"],
+)
+def test_scenario_file_the_decoder_refuses_exits_1(tmp_path, capsys, content):
+    # an integer past Python's digit limit, nesting past the recursion limit
+    # and a byte that is not UTF-8 each made the decoder raise past the
+    # JSONDecodeError handler: exit 2, or a RecursionError traceback
+    path = tmp_path / "scenario.json"
+    path.write_bytes(content)
+    out = tmp_path / "out"
+    assert main(["relations", "--scenario", str(path), "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenario file is not valid JSON: ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, option", [("relations", "--jobs"),("relations", "--seed"), ("sweep", "--seed")]
 )
 def test_cli_offers_jobs_on_sweep_only_and_no_seed(tmp_path, command, option):
     path = write_scenario(tmp_path, {"version": 1, "kind": command})

@@ -1,9 +1,11 @@
+import json
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from solver_oracle import linear_potential_means
+from solver_oracle import linear_potential_means, precession_spin
 
 from qmamp import scenarios, sterngerlach
 from qmamp.scenarios import SG_BYTES_PER_POINT
@@ -23,7 +25,6 @@ from qmamp.sterngerlach import (
     gaussian_packet,
     grid_z,
     max_field,
-    momentum_kick,
     run_simulation,
     spin_flip_probability,
 )
@@ -105,29 +106,89 @@ def test_uniform_field_larmor_precession():
     assert phase % (2 * np.pi) == pytest.approx(expected, abs=1e-6)
 
 
+def sg_scenario(field, grid, dt, steps, record_every):
+    return {"version": 1, "kind": "sterngerlach", "field": field, "grid": grid,
+            "time": {"dt": dt, "steps": steps, "record_every": record_every}}
+
+
 def test_gradient_kick_magnitude_and_sign():
     # longitudinal gradient b1 pushes the branches apart by mu*b1*T each
     mu, b1, t, dt = 1.0, 0.5, 1.0, 0.005
-    f = FieldModel(b0=1.0, b1=b1, b2=0.0, mu=mu)
-    g = gaussian_packet(2048, 40.0, sigma=1.0, spinor=(1.0, 1.0))
-    out = evolve(g, f, dt=dt, steps=int(round(t / dt)))
-    kick_up = momentum_kick(out, g, "up")
-    kick_down = momentum_kick(out, g, "down")
+    _, summary = scenarios.simulate(sg_scenario(
+        {"b0": 1.0, "b1": b1, "b2": 0.0, "mu": mu},
+        {"points": 2048, "extent": 40.0, "sigma": 1.0, "spinor": [1.0, 1.0]},
+        dt, round(t / dt), 20,
+    ))
+    kick_up, kick_down = summary["kick_up"], summary["kick_down"]
     assert abs(kick_up) == pytest.approx(mu * b1 * t, rel=1e-3)
     assert abs(kick_down) == pytest.approx(mu * b1 * t, rel=1e-3)
     assert kick_up == pytest.approx(-kick_down, rel=1e-3)
     assert kick_up * kick_down < 0
 
 
-def test_momentum_kick_needs_the_branch_in_both_snapshots():
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
+SUPERPOSED_TRAJECTORY = sg_scenario(
+    {"b0": 4.0, "b1": 0.2, "b2": 0.0, "mu": 1.0},
+    {"points": 4096, "extent": 80.0, "sigma": 1.0, "center": 1.3, "spinor": [0.8, [0.0, 0.6]]},
+    0.002, 500, 1,
+)
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [json.loads((EXAMPLES / name).read_text())
+     for name in ("sterngerlach_split.json", "sterngerlach_flip.json")]
+    + [SUPERPOSED_TRAJECTORY],
+    ids=["split", "flip", "superposed-trajectory"],
+)
+def test_summary_kicks_are_the_spectral_change_of_pz(scenario):
+    # the summary reads each kick off the recorded series; the oracle takes a
+    # fresh FFT of the initial and the final state
+    result, summary = scenarios.simulate(scenario)
+    kicks = 0
+    for branch in ("up", "down"):
+        held = min(result.initial.branch_weight(branch), result.final.branch_weight(branch))
+        kick = summary[f"kick_{branch}"]
+        if held < 1e-6:
+            assert kick is None, branch
+            continue
+        expected = result.final.mean_pz(branch) - result.initial.mean_pz(branch)
+        assert abs(kick - expected) <= 1e-12 * abs(expected), branch
+        kicks += 1
+    assert kicks == (1 if scenario["grid"]["spinor"][1] == 0.0 else 2)
+
+
+def test_kick_needs_the_branch_at_the_start_and_the_end():
     # a spin-up start gains down weight through the transverse field, but
     # the down branch has no initial <p_z> to take the kick from
-    g = gaussian_packet(512, 40.0, sigma=1.0)
-    out = evolve(g, FieldModel(b0=2.0, b1=0.1, b2=0.3), dt=0.005, steps=50)
-    assert out.branch_weight("down") > 1e-6
-    assert np.isfinite(momentum_kick(out, g, "up"))
-    with pytest.raises(SolverError, match="negligible weight"):
-        momentum_kick(out, g, "down")
+    result, summary = scenarios.simulate(sg_scenario(
+        {"b0": 2.0, "b1": 0.1, "b2": 0.3},
+        {"points": 512, "extent": 40.0, "sigma": 1.0},
+        0.005, 50, 10,
+    ))
+    assert result.final.branch_weight("down") > 1e-6
+    assert np.isfinite(result.series.pz_down[-1])
+    assert summary["kick_down"] is None
+    assert np.isfinite(summary["kick_up"])
+
+
+def test_sweep_kicks_are_simulate_kicks_bit_for_bit():
+    # a sweep point records only at its start and its end; a sterngerlach run
+    # of the same fields recording there gives the same kicks to the last bit
+    base = {
+        "field": {"b0": 2.0, "b1": 0.1, "b2": 0.05, "mu": 1.3},
+        "grid": {"points": 1024, "extent": 40.0, "sigma": 1.0, "center": 0.4,
+                 "momentum": 0.2, "spinor": [0.6, [0.0, 0.8]]},
+        "time": {"dt": 0.004, "steps": 150},
+    }
+    b1_values = [0.1, 0.35]
+    rows = scenarios.sweep({"version": 1, "kind": "sweep", "base": base,
+                            "axes": [{"path": "field.b1", "values": b1_values}]})
+    for b1, row in zip(b1_values, rows):
+        _, summary = scenarios.simulate(sg_scenario(
+            {**base["field"], "b1": b1}, base["grid"], 0.004, 150, 150))
+        assert row["kick_up"] is not None and row["kick_down"] is not None
+        assert (row["kick_up"], row["kick_down"]) == (summary["kick_up"], summary["kick_down"])
 
 
 def test_evolve_rejects_coarse_time_step():
@@ -506,3 +567,21 @@ def test_run_simulation_follows_the_linear_potential_closed_form(dt):
         z, pz = linear_potential_means(s.times, branch, mu=field.mu, b1=field.b1, **packet)
         assert np.abs(getattr(s, f"z_{branch}") - z).max() < 1e-11, branch
         assert np.abs(getattr(s, f"pz_{branch}") - pz).max() < 1e-11, branch
+
+
+@pytest.mark.parametrize("b0, mu, dt", [(1.0, 1.0, 0.005), (0.7, 1.3, 0.01), (2.0, 0.5, 0.0025)])
+def test_evolve_follows_the_precession_closed_form(b0, mu, dt):
+    # with b1 = b2 = 0 the spinor (1, 1) precesses about z at 2 mu b0; every
+    # check's <sigma_x> and <sigma_y> match to rounding, at most 8.5e-14 measured
+    g = gaussian_packet(1024, 40.0, sigma=1.0, spinor=(1.0, 1.0))
+    steps, seen = round(2.0 / dt), []
+
+    def spin(step, psi, phi):
+        overlap = np.vdot(psi[0], psi[1]) * g.dz
+        sx, sy = precession_spin(step * dt, b0=b0, mu=mu)
+        seen.append(max(abs(2 * overlap.real - sx), abs(2 * overlap.imag - sy)))
+
+    evolve(g, FieldModel(b0=b0, b1=0.0, b2=0.0, mu=mu), dt, steps, check_every=10,
+           on_check=spin)
+    assert len(seen) == steps // 10
+    assert max(seen) <= 1e-12
