@@ -8,24 +8,27 @@ unitaries intertwines a translation on the first probe leg with the diagonal
 translation on all legs.
 
 The cascade output is a redundant record with at most |G| nonzero probe
-tuples, so `cascade_apply` holds it on that support: a (k, N) array of probe
-labels and an (m, k) array of system amplitudes, never the m |G|^N tensor.
+tuples, so `cascade_apply` returns it on that support as one value, a
+`CascadeOutput`: its config, a (k, N) array of probe labels and an (m, k)
+array of system amplitudes, never the m |G|^N tensor.
 The first stage (UtildeV, not a permutation) is `measurement.couple`, which
 applies its trivial label columns, E(chi) at label chi, so no dense
 coupling matrix is built.  The copy stages V_{N-1,N} ... V_12 each map the
 label pair (a, b) on their legs to (a, a + b), so together they are a
 prefix sum along the legs in the group law, `copy_scan`: one cumulative sum
 per cyclic factor, with no loop over the legs.  `amplified_instrument`
-keeps the columns whose labels all lie in the outcome.
+reads the output whole, its config included, and keeps the columns whose
+labels all lie in the outcome.
 
-`intertwiner_chain_check` composes V's index map exactly on all g^(N+1)
-basis indices, one first-leg value at a time, while that is small
-(`chain_samples`); it reuses the copy chain, which does not depend on gamma,
-across the characters at one N, and builds it one leg at a time by
-appending V on the last leg pair, so it holds about three g^(N+1)-entry
-index arrays.  Above that it checks the same identity through `copy_scan`
-on a fixed-seed sample of basis tuples.  The dense cascade matrix and the
-Heisenberg-picture map are test oracles (`tests/dense_oracle.py`).
+`intertwiner_chain_check` takes its group from the character gamma.  It
+composes V's index map exactly on all g^(N+1) basis indices, one first-leg
+value at a time, while that is small (`chain_samples`); it reuses the copy
+chain, which does not depend on gamma, across the characters at one N, and
+builds it one leg at a time by appending V on the last leg pair, so it
+holds about three g^(N+1)-entry index arrays.  Above that it checks the
+same identity through `copy_scan` on a fixed-seed sample of basis tuples.
+The dense cascade matrix and the Heisenberg-picture map are test oracles
+(`tests/dense_oracle.py`).
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import numpy as np
 from .groups import Character, FiniteAbelianGroup
 from .ktops import _kron_perm, build_V
 from .measurement import InstrumentResult, Outcome, SpectralRepresentation, couple, instrument
+from .measurement import _instrument_result
 
 
 class CascadeError(ValueError):
@@ -84,10 +88,20 @@ def copy_scan(group: FiniteAbelianGroup, tuples: np.ndarray) -> np.ndarray:
     return out
 
 
-def cascade_apply(cfg: CascadeConfig, xi) -> tuple[np.ndarray, np.ndarray]:
-    """Cascade output on its support, (tuples, amps), for a normalized system
-    state: the output is sum_j amps[:, j] x |tuples[j]>, with tuples a (k, N)
-    array of probe labels and amps an (m, k) array, k <= |G|.
+@dataclass(frozen=True, eq=False)
+class CascadeOutput:
+    """The cascade output of `cascade_apply(cfg, xi)` on its support:
+    sum_j amps[:, j] x |tuples[j]>, with tuples a (k, N) array of probe
+    labels and amps an (m, k) array, k <= |G|.  Only `cascade_apply` builds
+    one, so it checks nothing itself."""
+
+    cfg: CascadeConfig
+    tuples: np.ndarray
+    amps: np.ndarray
+
+
+def cascade_apply(cfg: CascadeConfig, xi) -> CascadeOutput:
+    """Cascade output of a normalized system state, on its support.
 
     Probe legs start in the trivial character.  Stage one is `couple`, and
     the labels whose column is nonzero are kept; the copy stages are
@@ -97,48 +111,23 @@ def cascade_apply(cfg: CascadeConfig, xi) -> tuple[np.ndarray, np.ndarray]:
     labels = np.flatnonzero(amps.any(axis=0))
     tuples = np.zeros((len(labels), cfg.n_copies), dtype=np.intp)  # index 0 is trivial
     tuples[:, 0] = labels
-    return copy_scan(cfg.rep.group, tuples), amps[:, labels]
+    return CascadeOutput(cfg, copy_scan(cfg.rep.group, tuples), amps[:, labels])
 
 
-def amplified_instrument(cfg: CascadeConfig, delta: Outcome, output, b) -> InstrumentResult:
-    """Instrument read off a cascade output, `cascade_apply(cfg, xi)`, with the
-    outcome indicator on every probe leg; one output serves every outcome."""
+def amplified_instrument(output: CascadeOutput, delta: Outcome, b) -> InstrumentResult:
+    """Instrument read off a cascade output with the outcome indicator on
+    every probe leg; one output serves every outcome."""
+    if not isinstance(output, CascadeOutput):
+        raise CascadeError("cascade output must be the CascadeOutput that cascade_apply returns")
+    rep = output.cfg.rep
     b = np.asarray(b, dtype=complex)
-    m, g = cfg.rep.system_dim, cfg.rep.group.size
-    if b.shape != (m, m):
-        raise CascadeError(f"observable shape {b.shape} vs system dim {m}")
-    tuples, amps = _check_support(cfg, output)
-    indicator = np.zeros(g, dtype=bool)
+    if b.shape != (rep.system_dim, rep.system_dim):
+        raise CascadeError(f"observable shape {b.shape} vs system dim {rep.system_dim}")
+    indicator = np.zeros(rep.group.size, dtype=bool)
     indicator[[chi.index for chi in delta.characters]] = True
-    kept = amps[:, indicator[tuples].all(axis=1)]
+    kept = output.amps[:, indicator[output.tuples].all(axis=1)]
     rho = kept @ kept.conj().T
-    prob = float(np.trace(rho).real)
-    cond = complex(np.trace(b @ rho))
-    post = rho / prob if prob > 1e-300 else None
-    prob = prob if post is not None else 0.0
-    return InstrumentResult(probability=prob, conditional_expectation=cond, post_state=post)
-
-
-def _check_support(cfg: CascadeConfig, output) -> tuple[np.ndarray, np.ndarray]:
-    """(tuples, amps) of a cascade output, if it is a support of cfg's shape."""
-    try:
-        tuples, amps = output
-    except (TypeError, ValueError):
-        raise CascadeError("cascade output must be a (tuples, amps) pair") from None
-    tuples, amps = np.asarray(tuples), np.asarray(amps)
-    g = cfg.rep.group.size
-    if tuples.ndim != 2 or tuples.shape[1] != cfg.n_copies:
-        raise CascadeError(
-            f"cascade output tuples have shape {tuples.shape}, expected (k, {cfg.n_copies})"
-        )
-    if not np.issubdtype(tuples.dtype, np.integer) or not np.all((0 <= tuples) & (tuples < g)):
-        raise CascadeError(f"cascade output labels must be integers in range({g})")
-    if amps.shape != (cfg.rep.system_dim, len(tuples)):
-        raise CascadeError(
-            f"cascade output amplitudes have shape {amps.shape},"
-            f" expected ({cfg.rep.system_dim}, {len(tuples)})"
-        )
-    return tuples, amps
+    return _instrument_result(float(np.trace(rho).real), complex(np.trace(b @ rho)), rho)
 
 
 def check_instrument_equality(
@@ -177,7 +166,7 @@ def _exhaustive_chain_bytes(g: int, n: int) -> int:
     return 8 * g**n * (g + 5)
 
 
-def intertwiner_chain_check(group: FiniteAbelianGroup, gamma: Character, n: int) -> float:
+def intertwiner_chain_check(gamma: Character, n: int) -> float:
     """Residual of  V_{N,N+1}...V_12 (t_gamma x 1^N) = t_gamma^(N+1) V_{N,N+1}...V_12.
 
     All factors are permutations, so both sides are composed exactly on basis
@@ -189,8 +178,7 @@ def intertwiner_chain_check(group: FiniteAbelianGroup, gamma: Character, n: int)
     through `copy_scan` on s fixed-seed basis tuples instead, and the
     residual is sqrt(2 x the tuples whose images differ).
     """
-    if gamma.group != group:
-        raise CascadeError("character belongs to a different group")
+    group = gamma.group
     samples = chain_samples(group, n)
     if samples:
         x = np.random.default_rng(CHAIN_SEED).integers(group.size, size=(samples, n + 1))

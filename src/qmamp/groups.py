@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -119,12 +118,9 @@ def _fft_shape(group: FiniteAbelianGroup) -> tuple[int, ...]:
     return tuple(n for n in group.orders if n > 1) or (1,)
 
 
-@lru_cache(maxsize=4)
 def fourier_matrix(group: FiniteAbelianGroup) -> np.ndarray:
     """Unitary DFT matrix F[gamma, u] = conj(gamma(u)) / sqrt(|G|)."""
     n = group.size
     shape = _fft_shape(group)
     eye = np.eye(n, dtype=complex).reshape(shape + (n,))
-    f = np.fft.fftn(eye, axes=tuple(range(len(shape))), norm="ortho").reshape(n, n)
-    f.setflags(write=False)
-    return f
+    return np.fft.fftn(eye, axes=tuple(range(len(shape))), norm="ortho").reshape(n, n)

@@ -43,11 +43,13 @@ class SpectralRepresentation:
 
 def check_projection(chi: Character, mat: np.ndarray) -> None:
     """Refuse the square matrix `mat` assigned to `chi` unless it is a
-    hermitian idempotent to within PROJECTION_TOL."""
-    if np.linalg.norm(mat - mat.conj().T) > PROJECTION_TOL:
-        raise MeasurementError(f"assignment for {chi.exponents} is not hermitian")
-    if np.linalg.norm(mat @ mat - mat) > PROJECTION_TOL:
-        raise MeasurementError(f"assignment for {chi.exponents} is not idempotent")
+    hermitian idempotent to within PROJECTION_TOL.  A residual that overflows
+    to inf or NaN is refused, with no numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.linalg.norm(mat - mat.conj().T) <= PROJECTION_TOL:
+            raise MeasurementError(f"assignment for {chi.exponents} is not hermitian")
+        if not np.linalg.norm(mat @ mat - mat) <= PROJECTION_TOL:
+            raise MeasurementError(f"assignment for {chi.exponents} is not idempotent")
 
 
 def make_spectral_rep(group, system_dim, assignments) -> SpectralRepresentation:
@@ -109,8 +111,9 @@ def _check_state(rep: SpectralRepresentation, xi) -> np.ndarray:
     xi = np.asarray(xi, dtype=complex)
     if xi.shape != (rep.system_dim,):
         raise MeasurementError(f"state shape {xi.shape} vs system dim {rep.system_dim}")
-    if abs(np.linalg.norm(xi) - 1.0) > 1e-9:
-        raise MeasurementError("state is not normalized")
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, and refused
+        if not abs(np.linalg.norm(xi) - 1.0) <= 1e-9:
+            raise MeasurementError("state is not normalized")
     return xi
 
 
@@ -149,12 +152,16 @@ def instrument(rep: SpectralRepresentation, delta: Outcome, xi, b: np.ndarray) -
         prob += float(np.vdot(pxi, pxi).real)
         cond += complex(np.vdot(pxi, b @ pxi))
         rho += np.outer(pxi, pxi.conj())
+    return _instrument_result(prob, cond, rho)
+
+
+def _instrument_result(prob: float, cond: complex, rho: np.ndarray) -> InstrumentResult:
+    """Result of an outcome of probability `prob`, expectation `cond` and
+    unnormalized post state `rho`: the post state is rho / prob, or None with
+    probability 0 for an outcome of probability at most 1e-300."""
     if prob > 1e-300:
-        post = rho / prob
-    else:
-        post = None
-        prob = 0.0
-    return InstrumentResult(probability=prob, conditional_expectation=cond, post_state=post)
+        return InstrumentResult(prob, cond, rho / prob)
+    return InstrumentResult(0.0, cond, None)
 
 
 def outcome_probability(rep, delta: Outcome, xi) -> float:

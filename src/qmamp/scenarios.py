@@ -238,14 +238,8 @@ def build_rep(scenario: dict) -> measurement.SpectralRepresentation:
 
 
 def build_state(scenario: dict, rep) -> np.ndarray:
-    xi = np.array(read(scenario, "state", [complex]))
-    if xi.shape != (rep.system_dim,):
-        raise ScenarioError(
-            f"field 'state': length {len(xi)} does not match system dim {rep.system_dim}"
-        )
-    if abs(np.linalg.norm(xi) - 1.0) > 1e-9:
-        raise ScenarioError("field 'state': coefficients are not normalized")
-    return xi
+    with _names("state"):
+        return measurement._check_state(rep, read(scenario, "state", [complex]))
 
 
 def build_outcomes(scenario: dict, rep):
@@ -339,12 +333,10 @@ def run_amplify(scenario: dict, out_dir: Path) -> list[Path]:
     rows = []
     for n in n_values:
         cfg = amp.CascadeConfig(rep=rep, n_copies=n)
-        chain = max(
-            amp.intertwiner_chain_check(rep.group, chi, n) for chi in rep.group.characters()
-        )
+        chain = max(amp.intertwiner_chain_check(chi, n) for chi in rep.group.characters())
         output = amp.cascade_apply(cfg, xi)
         for idx_list, delta in outcomes:
-            res = amp.amplified_instrument(cfg, delta, output, b)
+            res = amp.amplified_instrument(output, delta, b)
             rows.append(
                 {
                     "n": n,
@@ -381,10 +373,10 @@ def _sg_fields(scenario: dict, prefix: str = "", swept=()) -> dict:
             _sg_bound(path),
         )
     spinor = fields["grid.spinor"]
-    if len(spinor) != 2 or not any(spinor):
+    if len(spinor) != 2 or not 0 < sterngerlach._spinor_norm(spinor) < math.inf:
         raise ScenarioError(
-            f"field '{prefix}grid.spinor': expected 2 amplitudes, not both zero,"
-            f" got {_shown(spinor)}"
+            f"field '{prefix}grid.spinor': expected 2 amplitudes whose norm is finite and > 0"
+            f" in floating point, got {_shown(spinor)}"
         )
     return fields
 
@@ -545,7 +537,7 @@ def sweep(scenario: dict, jobs: int = 1) -> list[dict]:
     axes = read(scenario, "axes", [dict])
     if len(axes) > 2:
         raise ScenarioError(f"field 'axes': expected one or two sweep axes, got {len(axes)}")
-    grids = []
+    swept, grids = [], []
     for i in range(len(axes)):
         path = read(scenario, f"axes[{i}].path", str)
         default = SG_FIELDS.get(path)
@@ -555,9 +547,14 @@ def sweep(scenario: dict, jobs: int = 1) -> list[dict]:
                 f"field 'axes[{i}].path': expected one of {numeric},"
                 f" got {_shown(path)}, which is unknown or non-numeric"
             )
+        if path in swept or path == "time.record_every":
+            raise ScenarioError(
+                f"field 'axes[{i}].path': expected a field that no other axis sweeps, and not"
+                f" time.record_every, as a sweep records only the last step; got {_shown(path)}"
+            )
         values = read(scenario, f"axes[{i}].values", [type(default)], bound=_sg_bound(path))
+        swept.append(path)
         grids.append([(path, v) for v in values])
-    swept = [g[0][0] for g in grids]
     base = _sg_fields(scenario, "base.", swept)
     base["adiabaticity"] |= any(p.startswith("adiabaticity.") for p in swept)
     axis_of = {path: f"axes[{i}].values" for i, path in enumerate(swept)}

@@ -129,12 +129,10 @@ def criterion_5_amplification() -> tuple[bool, str]:
             output = amp.cascade_apply(cfg, xi)
             mask = rng.integers(0, 2, size=len(chars)).astype(bool)
             delta = measurement.outcome([c for c, m in zip(chars, mask) if m])
-            many = amp.amplified_instrument(cfg, delta, output, b)
+            many = amp.amplified_instrument(output, delta, b)
             worst = max(worst, amp.check_instrument_equality(cfg, delta, xi, b, many))
             for c in chars:
-                res = amp.amplified_instrument(
-                    cfg, measurement.outcome([c]), output, np.eye(rep.system_dim)
-                )
+                res = amp.amplified_instrument(output, measurement.outcome([c]), b)
                 probs[c].append(res.probability)
         for c in chars:
             expected = float(np.vdot(rep.projection(c) @ xi, rep.projection(c) @ xi).real)
@@ -148,7 +146,7 @@ def criterion_6_intertwiner_chain() -> tuple[bool, str]:
     for g in groups.canonical_groups(8):
         for n in range(1, 5):  # N outer: the characters share one copy chain
             for gamma in g.characters():
-                worst = max(worst, amp.intertwiner_chain_check(g, gamma, n))
+                worst = max(worst, amp.intertwiner_chain_check(gamma, n))
     return worst <= 1e-12, f"max chain residual {worst:.2e}, |G|<=8, N<=4 (tol 1e-12)"
 
 

@@ -170,13 +170,22 @@ def gaussian_packet(
     envelope = (2 * np.pi * sigma**2) ** (-0.25) * np.exp(
         -((z - center) ** 2) / (4 * sigma**2) + 1j * momentum * z
     )
-    c = np.asarray(spinor, dtype=complex)
-    c = c / np.linalg.norm(c)
+    norm = _spinor_norm(spinor)
+    if not 0 < norm < np.inf:
+        raise SolverError(f"spinor norm {norm} is not finite and > 0 in floating point")
+    c = np.asarray(spinor, dtype=complex) / norm
     psi = np.stack([c[0] * envelope, c[1] * envelope])
     grid = SpinorGrid(z=z, psi=psi, mass=mass)
     # discrete renormalization
     psi = psi / np.sqrt(grid.norm_squared())
     return SpinorGrid(z=z, psi=psi, mass=mass)
+
+
+def _spinor_norm(spinor) -> float:
+    """Norm of the spinor amplitudes: 0 where their squares underflow, inf
+    where they overflow, with no numpy warning."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(np.asarray(spinor, dtype=complex)))
 
 
 def grid_z(n_points: int, extent: float, i):

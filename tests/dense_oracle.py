@@ -5,8 +5,8 @@ Cascade.  A cascade state here is the full tensor of shape `shape(cfg)`, the
 system leg then N probe legs.  `tensor_cascade` applies the stages to it one
 at a time (UtildeV as a dense contraction, each copy stage V as a gather
 through its index map), forward on xi x |trivial>^N or, with `inverse=True`,
-adjoint and in reverse on any cascade state.  `scatter` writes the support
-form returned by `amplification.cascade_apply` into that tensor, and
+adjoint and in reverse on any cascade state.  `scatter` writes the
+`CascadeOutput` of `amplification.cascade_apply` into that tensor, and
 `tensor_instrument` reads an outcome off the tensor with the indicator on
 every probe leg.  `cascade_unitary` materializes the stage product, built by
 `stage_product` as `hilbert.embed` of each stage on its leg pair;
@@ -35,7 +35,7 @@ import itertools
 
 import numpy as np
 
-from qmamp.amplification import CascadeConfig, CascadeError
+from qmamp.amplification import CascadeConfig, CascadeError, CascadeOutput
 from qmamp.groups import fourier_matrix
 from qmamp.hilbert import embed
 from qmamp.ktops import KTError, build_UtildeV, build_V, build_W
@@ -153,11 +153,10 @@ def tensor_cascade(cfg: CascadeConfig, xi, inverse: bool = False) -> np.ndarray:
     return tensor
 
 
-def scatter(cfg: CascadeConfig, output) -> np.ndarray:
-    """Dense tensor of shape shape(cfg) holding a (tuples, amps) cascade output."""
-    tuples, amps = output
-    tensor = np.zeros(shape(cfg), dtype=complex)
-    for labels, column in zip(tuples, amps.T):
+def scatter(output: CascadeOutput) -> np.ndarray:
+    """Dense tensor of shape shape(output.cfg) holding a cascade output."""
+    tensor = np.zeros(shape(output.cfg), dtype=complex)
+    for labels, column in zip(output.tuples, output.amps.T):
         tensor[(slice(None), *labels)] += column
     return tensor
 

@@ -589,6 +589,63 @@ def test_sweep_pool_fits_solver_memory(tmp_path, monkeypatch, base_points, axis,
     assert len(read_csv(out / "sweep.csv")) == len(axis[1])
 
 
+@pytest.mark.parametrize(
+    "kind, keys, value",
+    [
+        ("sterngerlach", ("grid", "spinor"), [1e308, 1e308]),
+        ("sterngerlach", ("grid", "spinor"), [1e-170, 1e-170]),
+        ("sterngerlach", ("grid", "spinor"), [1e-320, 0]),
+        ("sterngerlach", ("grid", "spinor", 0), 1e308),
+        ("sweep", ("base", "grid", "spinor", 0), 1e308),
+    ],
+    ids=["both-overflow", "both-underflow", "subnormal", "one-overflows", "sweep-base"],
+)
+def test_spinor_norm_of_zero_or_inf_exits_1(tmp_path, capsys, kind, keys, value):
+    # each amplitude is finite and one is nonzero, but the norm the packet
+    # divides by under- or overflows
+    path = write_scenario(tmp_path, with_value(VALID[kind], keys, value))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warnings either
+        assert main([kind, "--scenario", path, "--out", str(tmp_path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    field = "base.grid.spinor" if kind == "sweep" else "grid.spinor"
+    assert err.startswith(f"error: field '{field}': expected 2 amplitudes whose norm")
+    assert len(err.splitlines()) == 1
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_spinor_with_a_subnormal_square_runs(tmp_path):
+    # 1e-160 squared is 1e-320, subnormal but not 0: a spin-up run
+    payload = with_value(VALID["sterngerlach"], ("grid", "spinor"), [1e-160, 0])
+    path = write_scenario(tmp_path, payload)
+    assert main(["sterngerlach", "--scenario", path, "--out", str(tmp_path)]) == EXIT_OK
+    summary = json.loads((tmp_path / "sterngerlach_summary.json").read_text())
+    assert summary["norm"] == pytest.approx(1.0, abs=1e-9)
+    assert summary["kick_up"] is not None and summary["kick_down"] is None
+
+
+@pytest.mark.parametrize(
+    "axes, field",
+    [
+        ([{"path": "field.b2", "values": [0.0, 0.1]},
+          {"path": "field.b2", "values": [0.2, 0.3, 0.4]}], "axes[1].path"),
+        ([{"path": "time.record_every", "values": [1, 2]}], "axes[0].path"),
+        ([{"path": "field.b1", "values": [0.1]},
+          {"path": "time.record_every", "values": [1, 2]}], "axes[1].path"),
+    ],
+    ids=["repeated-path", "record-every", "record-every-second"],
+)
+def test_sweep_rejects_an_axis_that_changes_no_row(tmp_path, capsys, axes, field):
+    # a second axis on the same path would replace the first one's values,
+    # and a sweep records only each point's last step
+    payload = with_value(VALID["sweep"], ("axes",), axes)
+    path = write_scenario(tmp_path, payload)
+    assert main(["sweep", "--scenario", path, "--out", str(tmp_path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: field '{field}'") and len(err.splitlines()) == 1
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_sweep_rejects_non_numeric_axis(tmp_path, capsys):
     payload = {
         "version": 1,
@@ -1068,7 +1125,7 @@ def test_readme_tables_every_stern_gerlach_field():
         shown = "required" if path in scenarios.SG_REQUIRED else json.dumps(default)
         bound = {0: "> 0", None: "any"}[scenarios._sg_bound(path)]
         if isinstance(default, list):
-            bound = "not both zero"
+            bound = "finite norm > 0"
         assert f"| `{path}` | {kind} | {shown} | {bound} |" in readme
 
 
@@ -1108,6 +1165,56 @@ def test_extreme_value_table_exits_cleanly(tmp_path, capsys):
     # about 3.5 s on a 2-vCPU Xeon, 2.2 s of it the 10**6-point grid; the
     # gate leaves room for a slower runner
     assert time.perf_counter() - start < 10
+
+
+def list_elements(obj, prefix=()):
+    """Key paths of every list element inside `obj`, at any depth."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from list_elements(value, prefix + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield prefix + (i,)
+            yield from list_elements(value, prefix + (i,))
+
+
+def test_extreme_list_elements_exit_cleanly(tmp_path, capsys):
+    # every list element of every valid scenario (spinor and state amplitudes,
+    # matrix entries, group orders, outcome indices, n_values, sweep values)
+    # set to each extreme value in turn: exit 0 or 1, at most one error line
+    # naming the list, no numpy warning, and no nan or inf in any output
+    cases = [
+        (kind, keys, value)
+        for kind, payload in VALID.items()
+        for keys in list_elements(payload)
+        for value in EXTREMES
+    ]
+    start = time.perf_counter()
+    for kind, keys, value in cases:
+        out = tmp_path / "out"
+        shutil.rmtree(out, ignore_errors=True)
+        path = write_scenario(tmp_path, with_value(VALID[kind], keys, value))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([kind, "--scenario", path, "--out", str(out)])
+        err = capsys.readouterr().err
+        case = f"{kind}: {dotted(keys)} = {value!r} -> {code}: {err} {caught}"
+        assert code in (EXIT_OK, EXIT_INPUT), case
+        assert not caught, case
+        assert len(err.splitlines()) == (code == EXIT_INPUT), case
+        if code == EXIT_INPUT:
+            assert err.startswith("error: field '"), case
+        if "matrix" in keys and value == 1e308:
+            # an overflowing entry fails the matrix's own checks, so the matrix
+            # is named rather than the projections' overlap or completeness
+            assert f"field '{dotted(keys[: keys.index('matrix') + 1])}" in err, case
+        if "spinor" in keys and value == 1e308:
+            assert "grid.spinor': expected 2 amplitudes whose norm is finite" in err, case
+        for written in out.glob("*"):
+            assert not NONFINITE_TEXT.search(written.read_text()), case
+    assert len(cases) == 236
+    # about 6 s on a 2-vCPU Xeon; the gate leaves room for a slower runner
+    assert time.perf_counter() - start < 20
 
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -1,6 +1,7 @@
 import json
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -346,6 +347,23 @@ def test_evolve_matches_per_component_strang_loop():
 def test_gaussian_packet_needs_two_points():
     with pytest.raises(SolverError, match="at least 2 grid points"):
         gaussian_packet(1, 40.0, sigma=1.0)
+
+
+@pytest.mark.parametrize(
+    "spinor", [(0.0, 0.0), (1e308, 1e308), (1e-170, 1e-170), (1e-320, 0.0), (1e308, 1j)]
+)
+def test_gaussian_packet_refuses_a_spinor_norm_of_zero_or_inf(spinor):
+    # the squared amplitudes under- or overflow, so the norm is 0 or inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no numpy warning on the way
+        with pytest.raises(SolverError, match="spinor norm"):
+            gaussian_packet(512, 40.0, sigma=1.0, spinor=spinor)
+
+
+def test_gaussian_packet_normalizes_a_tiny_spinor():
+    # 1e-160 squared is subnormal, not 0: the packet is the spin-up packet
+    tiny = gaussian_packet(512, 40.0, sigma=1.0, spinor=(1e-160, 0.0))
+    assert np.allclose(tiny.psi, gaussian_packet(512, 40.0, sigma=1.0).psi, rtol=1e-3, atol=0)
 
 
 @pytest.mark.parametrize("extent", [0.0, -2.0])
