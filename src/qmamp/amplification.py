@@ -21,11 +21,14 @@ reads the output whole, its config included, and keeps the columns whose
 labels all lie in the outcome.
 
 `intertwiner_chain_check` takes its group from the character gamma.  It
-composes V's index map exactly on all g^(N+1) basis indices, one first-leg
-value at a time, while that is small (`chain_samples`); it reuses the copy
-chain, which does not depend on gamma, across the characters at one N, and
-builds it one leg at a time by appending V on the last leg pair, so it
-holds about three g^(N+1)-entry index arrays.  Above that it checks the
+composes V's index map exactly on all g^(N+1) basis indices while that is
+small (`chain_samples`): it forms t_gamma^(N+1) once, by squaring, and
+compares the two sides over chunks of first-leg blocks, one gather each.
+The copy chain does not depend on gamma, so it is cached for the characters
+at one N, and the chain of N is the cached chain of N - 1 with V appended on
+its last leg pair, so ascending N build one leg each.  It holds the chain,
+t_gamma^(N+1) and a gather, or the build's temporaries beside the last N's
+chain, about 8 g^N max(g + 5, 2g + 2) bytes.  Above that it checks the
 same identity through `copy_scan` on a fixed-seed sample of basis tuples.
 The dense cascade matrix and the Heisenberg-picture map are test oracles
 (`tests/dense_oracle.py`).
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import Character, FiniteAbelianGroup
-from .ktops import _kron_perm, build_V
+from .ktops import _kron_power, build_V
 from .measurement import InstrumentResult, Outcome, SpectralRepresentation, couple, instrument
 from .measurement import _instrument_result
 
@@ -51,14 +54,20 @@ class CascadeError(ValueError):
 # Sizes of the chain check at one N.  It composes V's index map on every
 # basis index while its |G| characters take at most CHAIN_WORK index
 # operations, |G|^(N+2), it holds at most CHAIN_BYTES
-# (`_exhaustive_chain_bytes`), and its one-leg-at-a-time build loops over
-# fewer than 64 legs.  Above that each character scans the same CHAIN_SEED sample
-# of basis tuples, sized so that the |G| characters scan about
-# CHAIN_SAMPLE_WORK labels, at least one tuple.
+# (`_exhaustive_chain_bytes`), and its one-leg-at-a-time build recurses over
+# fewer than 64 legs.  It compares the two sides at least CHAIN_GATHER
+# entries per gather: a block that large alone, as a view, and smaller ones
+# several to a copied gather.  (At 1 << 16 the z3 clock's 59,049-entry
+# blocks at N = 10 were copied two at a time, and in a fresh process the
+# checks of N = 1..10 took 40% longer, mostly in page faults on the copies.)
+# Above that each character scans the same CHAIN_SEED sample of basis tuples,
+# sized so that the |G| characters scan about CHAIN_SAMPLE_WORK labels, at
+# least one tuple.
 CHAIN_WORK = 1 << 27
 CHAIN_BYTES = 3 << 27
 CHAIN_SAMPLE_WORK = 1 << 21
 CHAIN_SEED = 20240817
+CHAIN_GATHER = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -152,8 +161,8 @@ def label_bytes(rep: SpectralRepresentation, n: int) -> int:
     """Bytes of label arrays that `cascade_apply`, its instruments and the
     chain checks hold at N = n, estimated from tracemalloc peaks: 32 per
     label of the (k, N) support, k at most the assigned characters (the
-    scan's four arrays), plus 8 |G|^N (|G| + 5) for an exhaustive chain
-    check or 40 per label of a sampled one."""
+    scan's four arrays), plus `_exhaustive_chain_bytes` for an exhaustive
+    chain check or 40 per label of a sampled one."""
     g, samples = rep.group.size, chain_samples(rep.group, n)
     chain = 40 * samples * (n + 1) if samples else _exhaustive_chain_bytes(g, n)
     return 32 * len(rep.projections) * n + chain
@@ -161,22 +170,27 @@ def label_bytes(rep: SpectralRepresentation, n: int) -> int:
 
 def _exhaustive_chain_bytes(g: int, n: int) -> int:
     """Bytes an exhaustive chain check holds at |G| = g and N = n, 8 g^N
-    (g + 5): the chain, its block temporaries and the last N's cached chain,
-    as tracemalloc peaks show."""
-    return 8 * g**n * (g + 5)
+    max(g + 5, 2g + 2), as tracemalloc peaks show: the build holds the last
+    N's cached chain beside the chain and its temporaries, and the check
+    holds the chain, t_gamma^(N+1), one gathered block and its comparison.
+    Where a block holds under CHAIN_GATHER entries, a gather spans several
+    blocks and adds up to about 0.5 MiB."""
+    return 8 * g**n * max(g + 5, 2 * g + 2)
 
 
 def intertwiner_chain_check(gamma: Character, n: int) -> float:
     """Residual of  V_{N,N+1}...V_12 (t_gamma x 1^N) = t_gamma^(N+1) V_{N,N+1}...V_12.
 
     All factors are permutations, so both sides are composed exactly on basis
-    indices, one first-leg value a at a time: t_gamma x 1 moves only the first
-    leg, so the left side on block a is the chain's contiguous block t[a],
-    and the right side applies t to the first leg and t^(x N) to the other
-    legs of the chain's block a.  The residual is the Frobenius norm of the
-    difference.  Where `chain_samples` is s > 0, both sides are evaluated
-    through `copy_scan` on s fixed-seed basis tuples instead, and the
-    residual is sqrt(2 x the tuples whose images differ).
+    indices.  With the chain's rows[a] its block of first-leg value a,
+    t_gamma x 1 moves only the first leg, so the left side on block a is
+    rows[t[a]], and the right side is t_gamma^(N+1), formed once, gathered
+    through rows[a]; the blocks are compared in chunks of at least
+    CHAIN_GATHER entries.  The residual is sqrt(2 x the basis indices whose
+    images differ), the Frobenius norm of the difference.  Where
+    `chain_samples` is s > 0, both sides are evaluated through `copy_scan` on
+    s fixed-seed basis tuples instead, and the residual is sqrt(2 x the
+    tuples whose images differ).
     """
     group = gamma.group
     samples = chain_samples(group, n)
@@ -187,29 +201,29 @@ def intertwiner_chain_check(gamma: Character, n: int) -> float:
         mismatches = np.count_nonzero((copy_scan(group, x) != rhs).any(axis=1))
         return float(np.sqrt(2.0 * mismatches))
     g = group.size
-    block = g**n
-    chain = _copy_chain(group, n)
+    # the chain first: a build would otherwise hold t_all beside its own peak
+    rows = _copy_chain(group, n).reshape(g, -1)
     t = group.add_indices(gamma.index, np.arange(g))
-    t_first, t_rest = t * block, _kron_perm(*[t] * n)
+    t_all = _kron_power(t, n + 1)
+    step = -(-CHAIN_GATHER // rows.shape[1])  # first-leg blocks per gather
     mismatches = 0
-    for a in range(g):
-        lhs = chain[t[a] * block : (t[a] + 1) * block]
-        image = chain[a * block : (a + 1) * block]
-        rhs = t_rest[image % block]
-        rhs += t_first[image // block]
-        mismatches += np.count_nonzero(lhs != rhs)
+    for a in range(0, g, step):
+        a = a if step == 1 else slice(a, a + step)  # one block stays a view
+        mismatches += np.count_nonzero(rows[t[a]] != t_all[rows[a]])
     return float(np.sqrt(2.0 * mismatches))
 
 
 @functools.lru_cache(maxsize=1)
 def _copy_chain(group: FiniteAbelianGroup, n: int) -> np.ndarray:
-    """Read-only basis map of V_{N,N+1} ... V_12 on N + 1 legs, built one leg
-    at a time; it does not depend on gamma, so a loop over the characters at
-    one N builds it once."""
-    chain = build_V(group)  # V_12 on two legs
-    pair_map = chain.reshape(group.size, group.size)
-    for _ in range(n - 1):
-        chain = _extend_chain(chain, pair_map)
+    """Read-only basis map of V_{N,N+1} ... V_12 on N + 1 legs.  It does not
+    depend on gamma, so a loop over the characters at one N builds it once,
+    and it extends the chain of N - 1 by one leg, which the cache holds after
+    a loop at N - 1 (else that chain is built first, from V_12 up)."""
+    v = build_V(group)  # V_12 on two legs
+    if n == 1:
+        chain = v
+    else:
+        chain = _extend_chain(_copy_chain(group, n - 1), v.reshape(group.size, group.size))
     chain.setflags(write=False)
     return chain
 
@@ -224,5 +238,7 @@ def _extend_chain(chain: np.ndarray, pair_map: np.ndarray) -> np.ndarray:
     g = len(pair_map)
     last = chain % g
     out = pair_map[last]
-    out += ((chain - last) * g)[:, None]
+    high = chain - last
+    high *= g
+    out += high[:, None]
     return out.reshape(-1)

@@ -10,11 +10,13 @@ space through a spectral family.
 W, V and the group translations are permutations of basis indices, and they
 are represented only as integer index maps p (e_j -> e_{p[j]}), built by
 vectorised index arithmetic.  Relation checks return Frobenius-norm
-residuals: the pentagonal and intertwining relations compose index maps, and
-the residual sqrt(2 * #mismatched columns) equals the dense Frobenius norm
-exactly.  The Fourier conjugation residual gathers rows of F x F through
-the inverse maps of V and W and sums its square over the |G| first-leg row
-blocks, |G|^3 entries each, so F x F itself (|G|^4 entries) is never built.
+residuals: the pentagonal and intertwining relations compose index maps, the
+intertwining relation for all |G| translations at once in (|G|, |G|^2)
+index arrays, and the residual sqrt(2 * #mismatched columns) equals the
+dense Frobenius norm exactly.  The Fourier conjugation residual gathers rows
+of F x F through the inverse maps of V and W and sums its square over the
+|G| first-leg row blocks, |G|^3 entries each, so F x F itself (|G|^4
+entries) is never built.
 `build_UtildeV` is not a permutation; it returns a plain dense matrix on
 system x group, the system leg most significant, with each E(chi) written
 at the probe index pairs of lambda_chi, and is the reference the coupled
@@ -113,6 +115,19 @@ def _kron_perm(*maps: np.ndarray) -> np.ndarray:
     return out
 
 
+def _kron_power(p: np.ndarray, k: int) -> np.ndarray:
+    """Index map of p^(x k), k >= 1, by squaring: about log2(k) krons, the
+    largest of which writes the g^k-entry result."""
+    out, power = None, p
+    while True:
+        if k & 1:
+            out = power if out is None else _kron_perm(out, power)
+        k >>= 1
+        if not k:
+            return out
+        power = _kron_perm(power, power)
+
+
 def _perm_product(*perms: np.ndarray) -> np.ndarray:
     """Composite basis map of the operator product perms[0] @ perms[1] @ ..."""
     out = perms[-1]
@@ -149,19 +164,27 @@ def verify_intertwining(perm, group: FiniteAbelianGroup, orientation: str) -> fl
 
     orientation "w": op (1 x t_u) = (t_u x t_u) op  for translations t_u on the group
     orientation "v": op (t_g x 1) = (t_g x t_g) op  for translations on the dual
+
+    Row u of the (|G|, |G|^2) index arrays is translation u, so both sides of
+    every relation are composed in one gather each; the residual is
+    sqrt(2 x the most columns in which one translation's sides differ).
     """
     if orientation not in ("w", "v"):
         raise KTError(f"orientation must be 'w' or 'v', got {orientation!r}")
     d = group.size
     perm = _check_pair_map(perm, d)
     ident = np.arange(d)
-    worst = 0.0
-    for u in range(d):
-        t = group.add_indices(u, ident)
-        moved = _kron_perm(ident, t) if orientation == "w" else _kron_perm(t, ident)
-        res = _perm_residual(_perm_product(perm, moved), _perm_product(_kron_perm(t, t), perm))
-        worst = max(worst, res)
-    return worst
+    t = group.add_indices(ident[:, None], ident)  # t[u] is the map of t_u
+    if orientation == "w":
+        moved = ident[:, None] * d + t[:, None, :]  # 1 x t_u
+    else:
+        moved = t[:, :, None] * d + ident  # t_u x 1
+    lhs = perm[moved.reshape(d, d * d)]
+    first, second = np.divmod(perm, d)
+    rhs = t[:, first]  # (t_u x t_u) op: t_u on both legs of op's image
+    rhs *= d
+    rhs += t[:, second]
+    return float(np.sqrt(2.0 * np.count_nonzero(lhs != rhs, axis=1).max()))
 
 
 def build_UtildeV(rep) -> np.ndarray:

@@ -55,22 +55,32 @@ def check_projection(chi: Character, mat: np.ndarray) -> None:
 def make_spectral_rep(group, system_dim, assignments) -> SpectralRepresentation:
     """Validate (character, projection) assignments into a spectral family.
 
-    Requires: each matrix a hermitian idempotent, pairwise orthogonality, and
-    completeness sum E(chi) = I, each to within PROJECTION_TOL.  Characters not
-    listed get the zero projection.
+    Requires: each matrix a system_dim x system_dim hermitian idempotent
+    (`check_projection`), then what `_spectral_family` checks.  Characters
+    not listed get the zero projection.
     """
+    assignments = [(chi, np.array(mat, dtype=complex)) for chi, mat in assignments]
+    for chi, mat in assignments:
+        if mat.shape != (system_dim, system_dim):
+            raise MeasurementError(
+                f"projection shape {mat.shape} does not match system dim {system_dim}"
+            )
+        check_projection(chi, mat)
+    return _spectral_family(group, system_dim, assignments)
+
+
+def _spectral_family(group, system_dim, assignments) -> SpectralRepresentation:
+    """The spectral family of (character, matrix) assignments whose matrices
+    `check_projection` has passed: requires distinct characters of `group`,
+    pairwise orthogonality and completeness sum E(chi) = I, each to within
+    PROJECTION_TOL.  The family keeps the matrices, made read-only."""
     projections: dict[Character, np.ndarray] = {}
     for chi, mat in assignments:
         if chi.group != group:
             raise MeasurementError("character belongs to a different group")
         if chi in projections:
             raise MeasurementError(f"duplicate assignment for {chi.exponents}")
-        mat = np.array(mat, dtype=complex)
-        if mat.shape != (system_dim, system_dim):
-            raise MeasurementError(
-                f"projection shape {mat.shape} does not match system dim {system_dim}"
-            )
-        check_projection(chi, mat)
+        mat = np.asarray(mat, dtype=complex)
         mat.setflags(write=False)
         projections[chi] = mat
 

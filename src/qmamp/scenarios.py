@@ -233,8 +233,9 @@ def build_rep(scenario: dict) -> measurement.SpectralRepresentation:
         with _names(f"{where}.matrix"):
             measurement.check_projection(chi, matrix)
         assignments.append((chi, matrix))
+    # each matrix is checked above, where its field is named
     with _names("rep.projections"):
-        return measurement.make_spectral_rep(group, system_dim, assignments)
+        return measurement._spectral_family(group, system_dim, assignments)
 
 
 def build_state(scenario: dict, rep) -> np.ndarray:

@@ -12,6 +12,8 @@ every probe leg.  `cascade_unitary` materializes the stage product, built by
 `stage_product` as `hilbert.embed` of each stage on its leg pair;
 `heisenberg_T`, the Heisenberg-picture map, conjugates by it, and
 `dense_chain_residual` composes the copy chain the same way.
+`block_chain_residual` checks the chain identity on a copy chain's index
+map one first-leg block at a time, with t^(x N) from N - 1 krons.
 
 Groups.  Closed forms from exponent tuples, computed without qmamp's index
 arithmetic (`add_indices`) or its DFT (`fourier_matrix`): `exponent_table`
@@ -38,7 +40,7 @@ import numpy as np
 from qmamp.amplification import CascadeConfig, CascadeError, CascadeOutput
 from qmamp.groups import fourier_matrix
 from qmamp.hilbert import embed
-from qmamp.ktops import KTError, build_UtildeV, build_V, build_W
+from qmamp.ktops import KTError, _kron_perm, build_UtildeV, build_V, build_W
 from qmamp.measurement import InstrumentResult, Outcome, _check_state
 
 
@@ -243,6 +245,28 @@ def dense_chain_residual(g, gamma, stages) -> float:
     for _ in stages:
         lam_all = np.kron(lam_all, t)
     return float(np.linalg.norm(chain @ lam_first - lam_all @ chain))
+
+
+def block_chain_residual(gamma, n, chain) -> float:
+    """The chain residual of `amplification.intertwiner_chain_check` at N = n
+    on the index map `chain` of a copy chain on n + 1 legs, composed one
+    first-leg value a at a time: t_gamma x 1 moves only the first leg, so the
+    left side on block a is the chain's block t[a], and the right side
+    applies t to the first leg and t^(x N) to the other legs of the chain's
+    block a."""
+    group = gamma.group
+    g = group.size
+    block = g**n
+    t = group.add_indices(gamma.index, np.arange(g))
+    t_first, t_rest = t * block, _kron_perm(*[t] * n)
+    mismatches = 0
+    for a in range(g):
+        lhs = chain[t[a] * block : (t[a] + 1) * block]
+        image = chain[a * block : (a + 1) * block]
+        rhs = t_rest[image % block]
+        rhs += t_first[image // block]
+        mismatches += np.count_nonzero(lhs != rhs)
+    return float(np.sqrt(2.0 * mismatches))
 
 
 def dense_pentagonal(op, op23, dims, orientation) -> float:

@@ -1,3 +1,4 @@
+import csv
 import itertools
 import tracemalloc
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from dense_oracle import (
     ORACLE_MATRIX_ENTRIES,
+    block_chain_residual,
     cascade_unitary,
     dense_chain_residual,
     heisenberg_T,
@@ -287,6 +289,144 @@ def test_intertwiner_chain_matches_dense_oracle(monkeypatch):
         amplification._copy_chain.cache_clear()
 
 
+def swap_in_block(chain, g, a, rng):
+    """A read-only copy of `chain` with two entries of first-leg block a swapped."""
+    out = chain.copy()
+    block = len(chain) // g
+    start = a * block
+    i, j = start + rng.choice(block, size=2, replace=False)
+    out[[i, j]] = out[[j, i]]
+    out.setflags(write=False)
+    return out
+
+
+@pytest.mark.parametrize("orders", [[2], [3], [4], [2, 2], [64]], ids=str)
+def test_chain_check_matches_block_oracle_with_planted_faults(monkeypatch, orders):
+    # the gathered check counts the same mismatches as the per-block oracle on
+    # the chain it reads: the copy chain, the chain with two entries of one
+    # block swapped, and the chain built with a corrupted copy stage at leg k
+    g = make_group(orders)
+    rng = np.random.default_rng(g.size)
+    copy_chain, extend_chain = amplification._copy_chain, amplification._extend_chain
+    bad = build_V(g)
+    bad[[0, 1]] = bad[[1, 0]]  # V's images of (0, 0) and (0, 1) swapped
+
+    def residuals(n, chain):
+        got = [intertwiner_chain_check(gamma, n) for gamma in g.characters()]
+        assert got == [block_chain_residual(gamma, n, chain) for gamma in g.characters()]
+        return got
+
+    copy_chain.cache_clear()
+    try:
+        for n in [n for n in range(1, 9) if chain_samples(g, n) == 0]:
+            assert residuals(n, copy_chain(g, n)) == [0.0] * g.size
+            faulty = swap_in_block(copy_chain(g, n), g.size, rng.integers(g.size), rng)
+            with monkeypatch.context() as m:
+                m.setattr(amplification, "_copy_chain", lambda group, n: faulty)
+                assert max(residuals(n, faulty)) > 0.1
+            for k in range(1, n):  # V_{k+1,k+2} appended to the chain on k + 1 legs
+
+                def corrupt_stage(chain, pair_map, k=k):
+                    if len(chain) == g.size ** (k + 1):
+                        pair_map = bad.reshape(g.size, g.size)
+                    return extend_chain(chain, pair_map)
+
+                copy_chain.cache_clear()
+                with monkeypatch.context() as m:
+                    m.setattr(amplification, "_extend_chain", corrupt_stage)
+                    assert max(residuals(n, copy_chain(g, n))) > 0.1
+                copy_chain.cache_clear()
+    finally:
+        copy_chain.cache_clear()
+
+
+@pytest.mark.parametrize("orders, n", [([64], 1), ([8], 2), ([40], 2)])
+def test_chain_check_gathers_across_blocks(monkeypatch, orders, n):
+    # blocks under CHAIN_GATHER entries are compared several to a gather:
+    # one gather over all blocks for [64] at N = 1 and [8] at N = 2, three
+    # full ones and a partial one for [40] at N = 2; a fault in the first,
+    # a middle or the last block is counted
+    g = make_group(orders)
+    assert chain_samples(g, n) == 0 and g.size**n < amplification.CHAIN_GATHER
+    rng = np.random.default_rng(n)
+    chain = amplification._copy_chain(g, n)
+    blocks = (0, g.size // 2, g.size - 1)
+    for faulty in [chain] + [swap_in_block(chain, g.size, a, rng) for a in blocks]:
+        monkeypatch.setattr(amplification, "_copy_chain", lambda group, n: faulty)
+        for gamma in g.characters()[:: max(1, g.size // 8)] + [g.characters()[-1]]:
+            assert intertwiner_chain_check(gamma, n) == block_chain_residual(gamma, n, faulty)
+
+
+def test_ascending_n_values_extend_the_cached_chain(monkeypatch, tmp_path):
+    # amplify over N = 1..8 builds each chain from the last one: 7 one-leg
+    # extensions; a shuffled list rebuilds some chains from V_12 and writes the
+    # same residuals.  A corrupted third copy stage makes them differ by N.
+    calls = []
+    extend_chain = amplification._extend_chain
+    g = make_group([3])
+    bad = build_V(g)
+    bad[[1, 4]] = bad[[4, 1]]
+
+    def spy(chain, pair_map):
+        calls.append(len(chain))
+        if len(chain) == g.size**3:
+            pair_map = bad.reshape(g.size, g.size)
+        return extend_chain(chain, pair_map)
+
+    monkeypatch.setattr(amplification, "_extend_chain", spy)
+    scenario = {"rep": "z3_clock", "state": [0.6, 0.8, 0.0], "outcomes": [[0]]}
+    n_values = list(range(1, 9))
+    shuffled = n_values[:]
+    np.random.default_rng(3).shuffle(shuffled)
+    residuals = []
+    amplification._copy_chain.cache_clear()
+    try:
+        for order in (n_values, shuffled):
+            calls.clear()
+            out = tmp_path / "-".join(map(str, order))
+            out.mkdir()
+            scenarios.run_amplify({**scenario, "n_values": order}, out)
+            with open(out / "amplify.csv") as fh:
+                rows = list(csv.DictReader(fh))
+            residuals.append({row["n"]: row["chain_residual"] for row in rows})
+            if order is n_values:
+                assert calls == [g.size ** (k + 1) for k in range(1, 8)]
+            amplification._copy_chain.cache_clear()
+    finally:
+        amplification._copy_chain.cache_clear()
+    assert residuals[0] == residuals[1]
+    assert len(set(residuals[0].values())) > 2
+
+
+# |G| -> N whose chain is closest to 32 MB (16-38 MB)
+CHAIN_MEMORY_NS = {2: 21, 3: 13, 4: 10, 5: 8, 8: 6}
+
+
+@pytest.mark.parametrize("order", sorted(CHAIN_MEMORY_NS))
+def test_chain_build_and_check_stay_within_the_model(order):
+    # cold (built from V_12) and warm (the chain of N - 1 cached), building
+    # and checking every character hold at most _exhaustive_chain_bytes, the
+    # cached chain of N - 1 included
+    g, n = make_group([order]), CHAIN_MEMORY_NS[order]
+    assert chain_samples(g, n) == 0
+    bound = amplification._exhaustive_chain_bytes(order, n)
+    peaks = []
+    for warm in (False, True):
+        amplification._copy_chain.cache_clear()
+        tracemalloc.start()
+        try:
+            if warm:
+                amplification._copy_chain(g, n - 1)
+                tracemalloc.reset_peak()
+            residuals = [intertwiner_chain_check(gamma, n) for gamma in g.characters()]
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+            amplification._copy_chain.cache_clear()
+        assert residuals == [0.0] * order
+    assert max(peaks) <= bound, (peaks, bound)
+
+
 def test_support_bounds_memory_at_largest_n():
     # sigma_z at N = 10**6: the dense output tensor would hold 2 * 2**(10**6)
     # amplitudes; the cascade, every outcome's instrument and the sampled
@@ -374,9 +514,9 @@ def test_chain_check_is_exhaustive_where_it_always_was():
     for order, n in exhaustive:
         assert chain_samples(make_group([order]), n) == 0, order
     # an exhaustive check holds at most CHAIN_BYTES, 384 MiB ([4] at N = 11
-    # holds 288 MiB; sigma_z at N = 23 would hold 448 MiB), within the bound
+    # holds 320 MiB; sigma_z at N = 23 would hold 448 MiB), within the bound
     # on a run
-    assert 8 * 4**11 * (4 + 5) <= amplification.CHAIN_BYTES < 8 * 2**23 * (2 + 5)
+    assert 8 * 4**11 * (2 * 4 + 2) <= amplification.CHAIN_BYTES < 8 * 2**23 * (2 + 5)
     assert amplification.CHAIN_BYTES < scenarios.AMPLIFY_BYTES
     sampled = [(2, 23, 43690), (3, 15, 43690), (1, 64, 32263), (2, 10**6, 1)]
     for order, n, samples in sampled:
