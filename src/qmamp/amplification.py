@@ -157,15 +157,16 @@ def chain_samples(group: FiniteAbelianGroup, n: int) -> int:
     return max(1, CHAIN_SAMPLE_WORK // (g * (n + 1)))
 
 
-def label_bytes(rep: SpectralRepresentation, n: int) -> int:
+def label_bytes(group: FiniteAbelianGroup, m: int, n: int) -> int:
     """Bytes of label arrays that `cascade_apply`, its instruments and the
-    chain checks hold at N = n, estimated from tracemalloc peaks: 32 per
-    label of the (k, N) support, k at most the assigned characters (the
-    scan's four arrays), plus `_exhaustive_chain_bytes` for an exhaustive
-    chain check or 40 per label of a sampled one."""
-    g, samples = rep.group.size, chain_samples(rep.group, n)
-    chain = 40 * samples * (n + 1) if samples else _exhaustive_chain_bytes(g, n)
-    return 32 * len(rep.projections) * n + chain
+    chain checks hold at N = n for a representation of `group` with m
+    projections, estimated from tracemalloc peaks: 32 per label of the
+    (k, N) support, k at most the m assigned characters (the scan's four
+    arrays), plus `_exhaustive_chain_bytes` for an exhaustive chain check or
+    40 per label of a sampled one."""
+    samples = chain_samples(group, n)
+    chain = 40 * samples * (n + 1) if samples else _exhaustive_chain_bytes(group.size, n)
+    return 32 * m * n + chain
 
 
 def _exhaustive_chain_bytes(g: int, n: int) -> int:

@@ -76,7 +76,10 @@ def main(argv=None) -> int:
                 f"field 'kind': scenario is '{scenario['kind']}', invoked as '{args.command}'"
             )
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file at the path or on the way to it
+            raise scenarios.ScenarioError(f"option '--out': {exc}") from exc
         options = {"jobs": args.jobs} if "jobs" in args else {}
         paths = RUNNERS[args.command](scenario, out_dir, **options)
     except (scenarios.ScenarioError, FieldError) as exc:

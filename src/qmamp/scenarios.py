@@ -13,16 +13,17 @@ bounds are the table SG_FIELDS.  A Stern-Gerlach run whose grid or step count
 exceeds SG_SOLVER_BYTES or SG_POINT_STEPS, whose step the solver would
 refuse, or whose packet the grid cannot hold is refused before it starts; a
 run whose packet reaches the box edge is refused naming its grid.extent.  An
-amplify N whose label arrays exceed AMPLIFY_BYTES is refused before any
-cascade or chain work.
+amplify N whose label arrays exceed AMPLIFY_BYTES is refused as soon as the
+rep's group and projection count are known, before any matrix is read.
 
-`simulate` and `sweep` read, preflight and run a sterngerlach or sweep
-scenario object and return the run and its summary, or the rows; the
-`run_<kind>` functions that the CLI calls write what they return.  A run's
-summary comes from its recorded time series alone: a branch's kick is the
-change of its recorded <p_z> between the first and the last record, and a
-branch holding under 1e-6 of the probability at the start or the end has no
-kick (None).
+Each kind has one compute function that reads, checks and computes a
+scenario object and returns its rows: `relations`, `measure`, `amplify`,
+`sweep`, and `simulate`, which returns a sterngerlach run and its summary.
+The `run_<kind>` functions that the CLI calls write what they return.  A
+run's summary comes from its recorded time series alone: a branch's kick is
+the change of its recorded <p_z> between the first and the last record, and
+a branch holding under 1e-6 of the probability at the start or the end has
+no kick (None).
 
 Outputs are CSV (floats printed with 12 significant digits) plus a summary
 JSON for the wavepacket runs; reruns with the same scenario are byte-identical.
@@ -57,7 +58,7 @@ KINDS = ("relations", "measure", "amplify", "sterngerlach", "sweep")
 # blocks, 48 |G|^3 bytes).  This keeps |G| <= 107, about 4 s on one core.
 FOURIER_CHECK_WORK = 1 << 27
 
-# Size limits of one amplify N, checked before any cascade or chain work: the
+# Size limits of one amplify N, checked before any matrix is read: the
 # label arrays it holds (`amp.label_bytes`; 400 MiB keeps every exhaustive
 # chain check, which holds at most amp.CHAIN_BYTES = 384 MiB), and the labels
 # its |G| sampled chain checks scan, at least |G| (N + 1).
@@ -191,7 +192,7 @@ def load_scenario(path) -> dict:
         raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ScenarioError("field 'root': scenario must be a JSON object")
-    if data.get("version") != SCHEMA_VERSION:
+    if _scalar(data.get("version"), int, None) != SCHEMA_VERSION:  # not true or 1.0
         raise ScenarioError(
             f"field 'version': expected {SCHEMA_VERSION}, got {_shown(data.get('version'))}"
         )
@@ -211,12 +212,15 @@ def _names(where: str):
         raise ScenarioError(f"field '{where}': {exc}") from exc
 
 
-def build_rep(scenario: dict) -> measurement.SpectralRepresentation:
+def build_rep(scenario: dict, n_values=()) -> measurement.SpectralRepresentation:
+    """The scenario's spectral representation.  Each amplify N in `n_values`
+    is refused (`_check_copies`) as soon as the group and the projection
+    count are known, before any matrix of an explicit rep is read."""
     spec = scenario.get("rep")
-    if spec == "sigma_z":
-        return measurement.sigma_z_rep()
-    if spec == "z3_clock":
-        return measurement.clock_rep(3)
+    if spec in ("sigma_z", "z3_clock"):
+        rep = measurement.sigma_z_rep() if spec == "sigma_z" else measurement.clock_rep(3)
+        _check_copies(rep.group, len(rep.projections), n_values)
+        return rep
     if isinstance(spec, str):
         raise ScenarioError(
             f"field 'rep': expected 'sigma_z', 'z3_clock' or an object, got {_shown(spec)}"
@@ -224,8 +228,10 @@ def build_rep(scenario: dict) -> measurement.SpectralRepresentation:
     with _names("rep.group"):
         group = groups.make_group(read(scenario, "rep.group", [int], bound=0))
     system_dim = read(scenario, "rep.system_dim", int, bound=0)
+    count = len(read(scenario, "rep.projections", [dict]))
+    _check_copies(group, count, n_values)
     assignments = []
-    for i in range(len(read(scenario, "rep.projections", [dict]))):
+    for i in range(count):
         where = f"rep.projections[{i}]"
         with _names(f"{where}.character"):
             chi = group.character(read(scenario, f"{where}.character", [int]))
@@ -238,12 +244,28 @@ def build_rep(scenario: dict) -> measurement.SpectralRepresentation:
         return measurement._spectral_family(group, system_dim, assignments)
 
 
+def _check_copies(group: groups.FiniteAbelianGroup, m: int, n_values) -> None:
+    """Refuse an amplify N whose label arrays, for a representation of `group`
+    with m projections, exceed AMPLIFY_BYTES or whose |G| chain checks scan
+    more than AMPLIFY_CHAIN_WORK labels."""
+    for n in n_values:
+        need, g = amp.label_bytes(group, m, n), group.size
+        if need > AMPLIFY_BYTES or g * (n + 1) > AMPLIFY_CHAIN_WORK:
+            raise ScenarioError(
+                f"field 'n_values': N = {n} needs about {need} bytes of label arrays and a chain"
+                f" check of at least {g} x {n + 1} labels; the bounds are {AMPLIFY_BYTES} bytes"
+                f" and {AMPLIFY_CHAIN_WORK} labels"
+            )
+
+
 def build_state(scenario: dict, rep) -> np.ndarray:
     with _names("state"):
         return measurement._check_state(rep, read(scenario, "state", [complex]))
 
 
 def build_outcomes(scenario: dict, rep):
+    """The outcomes as (label, outcome) pairs, the label its character
+    indices joined by "+", as the output rows name it."""
     chars = rep.group.characters()
     outcomes = []
     for i, idx_list in enumerate(read(scenario, "outcomes", [[int]])):
@@ -252,7 +274,8 @@ def build_outcomes(scenario: dict, rep):
                 f"field 'outcomes[{i}]': expected character indices in [0, {len(chars)}),"
                 f" got {_shown(idx_list)}"
             )
-        outcomes.append((idx_list, measurement.outcome([chars[j] for j in idx_list])))
+        label = "+".join(str(j) for j in idx_list)
+        outcomes.append((label, measurement.outcome([chars[j] for j in idx_list])))
     return outcomes
 
 
@@ -266,24 +289,20 @@ def build_observable(scenario: dict, rep) -> np.ndarray:
 # runners
 
 
-def build_relation_groups(scenario: dict) -> list[groups.FiniteAbelianGroup]:
-    """Groups of a relations scenario, each refused before anything is allocated
-    if its Fourier check would exceed FOURIER_CHECK_WORK."""
-    out = []
-    for i, orders in enumerate(read(scenario, "groups", [[int]], bound=0)):
+def relations(scenario: dict) -> list[dict]:
+    """Read a relations scenario object and check the W/V relations of each
+    of its groups: its rows, one per group.  Every group is refused before
+    any is built if its Fourier check would exceed FOURIER_CHECK_WORK."""
+    orders_list = read(scenario, "groups", [[int]], bound=0)
+    for i, orders in enumerate(orders_list):
         size = math.prod(orders)
         if size**4 > FOURIER_CHECK_WORK:
             raise ScenarioError(
                 f"field 'groups[{i}]': expected a group whose Fourier check takes at most"
                 f" {FOURIER_CHECK_WORK} products; order {size} needs {size}**4 = {size**4}"
             )
-        out.append(groups.make_group(orders))
-    return out
-
-
-def run_relations(scenario: dict, out_dir: Path) -> list[Path]:
     rows = []
-    for g in build_relation_groups(scenario):
+    for g in map(groups.make_group, orders_list):
         pair = ktops.kt_pair(g)
         rows.append(
             {
@@ -295,59 +314,68 @@ def run_relations(scenario: dict, out_dir: Path) -> list[Path]:
                 "fourier_conjugation": pair.fourier_conjugation_residual(),
             }
         )
-    return [_write_csv(out_dir / "relations.csv", rows)]
+    return rows
 
 
-def _instrument_inputs(scenario: dict):
-    rep = build_rep(scenario)
+def _instrument_inputs(scenario: dict, n_values=()):
+    rep = build_rep(scenario, n_values)
     xi, outcomes = build_state(scenario, rep), build_outcomes(scenario, rep)
     return rep, xi, outcomes, build_observable(scenario, rep)
 
 
-def run_measure(scenario: dict, out_dir: Path) -> list[Path]:
+def measure(scenario: dict) -> list[dict]:
+    """Read a measure scenario object and apply the instrument of each of its
+    outcomes: its rows, one per outcome."""
     rep, xi, outcomes, b = _instrument_inputs(scenario)
     rows = []
-    for idx_list, delta in outcomes:
+    for label, delta in outcomes:
         res = measurement.instrument(rep, delta, xi, b)
         rows.append(
             {
-                "outcome": "+".join(str(j) for j in idx_list),
+                "outcome": label,
                 "probability": res.probability,
                 "expectation_real": res.conditional_expectation.real,
                 "expectation_imag": res.conditional_expectation.imag,
             }
         )
-    return [_write_csv(out_dir / "measure.csv", rows)]
+    return rows
 
 
-def run_amplify(scenario: dict, out_dir: Path) -> list[Path]:
-    rep, xi, outcomes, b = _instrument_inputs(scenario)
+def amplify(scenario: dict) -> list[dict]:
+    """Read an amplify scenario object, refusing each N of n_values that its
+    bounds exclude before any matrix is read, and run the cascade at each N:
+    its rows, one per (N, outcome)."""
     n_values = read(scenario, "n_values", [int], [1, 2, 3], bound=0)
-    for n in n_values:
-        need, g = amp.label_bytes(rep, n), rep.group.size
-        if need > AMPLIFY_BYTES or g * (n + 1) > AMPLIFY_CHAIN_WORK:
-            raise ScenarioError(
-                f"field 'n_values': N = {n} needs about {need} bytes of label arrays and a chain"
-                f" check of at least {g} x {n + 1} labels; the bounds are {AMPLIFY_BYTES} bytes"
-                f" and {AMPLIFY_CHAIN_WORK} labels"
-            )
+    rep, xi, outcomes, b = _instrument_inputs(scenario, n_values)
     rows = []
     for n in n_values:
         cfg = amp.CascadeConfig(rep=rep, n_copies=n)
         chain = max(amp.intertwiner_chain_check(chi, n) for chi in rep.group.characters())
         output = amp.cascade_apply(cfg, xi)
-        for idx_list, delta in outcomes:
+        for label, delta in outcomes:
             res = amp.amplified_instrument(output, delta, b)
             rows.append(
                 {
                     "n": n,
-                    "outcome": "+".join(str(j) for j in idx_list),
+                    "outcome": label,
                     "probability": res.probability,
                     "equality_residual": amp.check_instrument_equality(cfg, delta, xi, b, res),
                     "chain_residual": chain,
                 }
             )
-    return [_write_csv(out_dir / "amplify.csv", rows)]
+    return rows
+
+
+def run_relations(scenario: dict, out_dir: Path) -> list[Path]:
+    return [_write_csv(out_dir / "relations.csv", relations(scenario))]
+
+
+def run_measure(scenario: dict, out_dir: Path) -> list[Path]:
+    return [_write_csv(out_dir / "measure.csv", measure(scenario))]
+
+
+def run_amplify(scenario: dict, out_dir: Path) -> list[Path]:
+    return [_write_csv(out_dir / "amplify.csv", amplify(scenario))]
 
 
 def _sg_bound(path: str):
@@ -382,35 +410,35 @@ def _sg_fields(scenario: dict, prefix: str = "", swept=()) -> dict:
     return fields
 
 
-def _check_sg_size(f: dict, where) -> None:
-    """Refuse a run whose solver arrays exceed SG_SOLVER_BYTES or whose
-    points x steps exceed SG_POINT_STEPS; `where` maps a field to its path."""
-    points, steps = f["grid.points"], f["time.steps"]
-    if points * SG_BYTES_PER_POINT > SG_SOLVER_BYTES:
-        raise ScenarioError(
-            f"field '{where('grid.points')}': expected at most"
-            f" {SG_SOLVER_BYTES // SG_BYTES_PER_POINT} points, whose solver arrays fit in"
-            f" {SG_SOLVER_BYTES} bytes, got {points}"
-        )
-    if points * steps > SG_POINT_STEPS:
-        raise ScenarioError(
-            f"field '{where('time.steps')}': expected grid.points x time.steps <="
-            f" {SG_POINT_STEPS}, got {points} x {steps}"
-        )
-
-
 def _field(f: dict) -> sterngerlach.FieldModel:
     return sterngerlach.FieldModel(
         f["field.b0"], f["field.b1"], f["field.b2"], f["field.mu"], f["field.region_extent"]
     )
 
 
-def _check_sg_step(f: dict, where) -> None:
-    """Refuse a run whose potential step evolve would refuse, before its packet
-    is built, naming time.dt and the field values that set the step angle;
-    `where` maps a field to its path."""
-    n = f["grid.points"]
-    ends = [sterngerlach.grid_z(n, f["grid.extent"], i) for i in (0, n - 1)]
+def _preflight(f: dict, where) -> None:
+    """Refuse a run before its packet is built, naming the field at fault
+    through `where`, which maps a field to its path: solver arrays over
+    SG_SOLVER_BYTES or points x steps over SG_POINT_STEPS; a potential step
+    that evolve would refuse, naming time.dt and the field values that set
+    the step angle; a packet that the grid cannot hold or resolve (the
+    refusals of `sterngerlach.gaussian_packet` among them); and a U_fi
+    report that would divide by zero.  On Python floats, so an overflow
+    gives inf without a numpy warning."""
+    n, steps = f["grid.points"], f["time.steps"]
+    if n * SG_BYTES_PER_POINT > SG_SOLVER_BYTES:
+        raise ScenarioError(
+            f"field '{where('grid.points')}': expected at most"
+            f" {SG_SOLVER_BYTES // SG_BYTES_PER_POINT} points, whose solver arrays fit in"
+            f" {SG_SOLVER_BYTES} bytes, got {n}"
+        )
+    if n * steps > SG_POINT_STEPS:
+        raise ScenarioError(
+            f"field '{where('time.steps')}': expected grid.points x time.steps <="
+            f" {SG_POINT_STEPS}, got {n} x {steps}"
+        )
+    extent, sigma = f["grid.extent"], f["grid.sigma"]
+    ends = [sterngerlach.grid_z(n, extent, i) for i in (0, n - 1)]
     angle = f["time.dt"] * f["field.mu"] * sterngerlach.max_field(_field(f), ends)
     if not angle <= sterngerlach.MAX_STEP_ANGLE:
         sources = ("field.mu", "field.b0", "field.b1", "field.b2")
@@ -419,14 +447,6 @@ def _check_sg_step(f: dict, where) -> None:
             f"field '{where('time.dt')}': expected dt*mu*max|B| <="
             f" {sterngerlach.MAX_STEP_ANGLE}, got {angle:.3g} with {values}; reduce time.dt"
         )
-
-
-def _check_sg_packet(f: dict, where) -> None:
-    """Refuse a packet that the grid cannot hold or resolve (the refusals of
-    `sterngerlach.gaussian_packet` among them) and a U_fi report that would
-    divide by zero, before the packet is built; `where` maps a field to its
-    path.  On Python floats, so an overflow gives inf without a numpy warning."""
-    n, extent, sigma = f["grid.points"], f["grid.extent"], f["grid.sigma"]
     kmax = math.pi * n / extent  # the grid's largest wavenumber
     dz = sterngerlach.grid_z(n, extent, 1) - sterngerlach.grid_z(n, extent, 0)
     u_fi_denominator = f["field.mu"] * f["field.b0"] * f["field.region_extent"] * f["field.b0"]
@@ -488,9 +508,7 @@ def simulate(scenario: dict) -> tuple[sterngerlach.RunResult, dict]:
     """Read, preflight and run a sterngerlach scenario object: its run, with
     the time series recorded every time.record_every steps, and its summary."""
     f = _sg_fields(scenario)
-    _check_sg_size(f, str)
-    _check_sg_step(f, str)
-    _check_sg_packet(f, str)
+    _preflight(f, str)
     return _run(f, f["time.record_every"], "grid.extent")
 
 
@@ -562,9 +580,7 @@ def sweep(scenario: dict, jobs: int = 1) -> list[dict]:
     where = {**{path: "base." + path for path in SG_FIELDS}, **axis_of}.get
     tasks = [({**base, **dict(pt)}, pt, where("grid.extent")) for pt in itertools.product(*grids)]
     for fields, _, _ in tasks:
-        _check_sg_size(fields, where)
-        _check_sg_step(fields, where)
-        _check_sg_packet(fields, where)
+        _preflight(fields, where)
     # the pool starts all its workers on the first submit, each with a point's arrays
     point_bytes = max(task[0]["grid.points"] for task in tasks) * SG_BYTES_PER_POINT
     workers = min(jobs, len(tasks), os.cpu_count() or 1, SG_SOLVER_BYTES // point_bytes)

@@ -4,11 +4,13 @@ Each criterion returns a pass/fail result with the worst residual observed
 and is bounded by a wall-clock limit.  Randomized checks draw from a fixed
 seed so reruns are reproducible.  The Stern-Gerlach criteria (8-10) are
 scenario objects run through `scenarios.simulate` and `scenarios.sweep`, the
-reader, preflight and runner of the CLI.
+reader, preflight and runner of the CLI; criteria 1 and 2 read the rows of
+`scenarios.relations`.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass
@@ -56,26 +58,22 @@ def _random_hermitian(rng, dim: int) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
+@functools.cache
+def _acceptance_relations() -> list[dict]:
+    """The `scenarios.relations` rows of ACCEPTANCE_GROUPS, which criteria 1
+    and 2 read: each group's W and V are built once for both."""
+    scenario = {"version": 1, "kind": "relations", "groups": list(ACCEPTANCE_GROUPS)}
+    return scenarios.relations(scenario)
+
+
 def criterion_1_kt_relations() -> tuple[bool, str]:
-    worst = 0.0
-    for orders in ACCEPTANCE_GROUPS:
-        g = groups.make_group(orders)
-        pair = ktops.kt_pair(g)
-        worst = max(
-            worst,
-            ktops.verify_pentagonal(pair.W, "w"),
-            ktops.verify_pentagonal(pair.V, "v"),
-            ktops.verify_intertwining(pair.W, g, "w"),
-            ktops.verify_intertwining(pair.V, g, "v"),
-        )
+    columns = ("pentagonal_w", "pentagonal_v", "intertwining_w", "intertwining_v")
+    worst = max(row[c] for row in _acceptance_relations() for c in columns)
     return worst <= 1e-12, f"max pentagonal/intertwining residual {worst:.2e} (tol 1e-12)"
 
 
 def criterion_2_fourier_conjugation() -> tuple[bool, str]:
-    worst = max(
-        ktops.kt_pair(groups.make_group(o)).fourier_conjugation_residual()
-        for o in ACCEPTANCE_GROUPS
-    )
+    worst = max(row["fourier_conjugation"] for row in _acceptance_relations())
     return worst <= 1e-10, f"max conjugation residual {worst:.2e} (tol 1e-10)"
 
 

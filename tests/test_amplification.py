@@ -436,7 +436,7 @@ def test_support_bounds_memory_at_largest_n():
     cfg = CascadeConfig(rep, n)
     xi = np.array([np.sqrt(0.3), np.sqrt(0.7)])
     chars = rep.group.characters()
-    estimate = amplification.label_bytes(rep, n)
+    estimate = amplification.label_bytes(rep.group, len(rep.projections), n)
     assert estimate <= scenarios.AMPLIFY_BYTES
     tracemalloc.start()
     try:

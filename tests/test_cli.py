@@ -44,6 +44,12 @@ def test_load_scenario_validation(tmp_path):
         load_scenario(bad)
     with pytest.raises(ScenarioError, match="'version'"):
         load_scenario(write_scenario(tmp_path, {"kind": "measure"}))
+    # the JSON integer 1 only: true and 1.0 compare equal to 1 in Python
+    for version in (True, 1.0):
+        path = write_scenario(tmp_path, {"version": version, "kind": "measure"})
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(path)
+        assert str(exc.value) == f"field 'version': expected 1, got {version!r}"
     with pytest.raises(ScenarioError, match="'kind'"):
         load_scenario(write_scenario(tmp_path, {"version": 1, "kind": "nope"}))
     ok = load_scenario(write_scenario(tmp_path, {"version": 1, "kind": "measure"}))
@@ -89,6 +95,20 @@ def test_cli_rejects_missing_file(tmp_path, capsys):
     code = main(["measure", "--scenario", str(tmp_path / "none.json")])
     assert code == EXIT_INPUT
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"], ids=["a-file", "under-a-file"])
+def test_bad_out_exits_1_before_any_compute(tmp_path, capsys, monkeypatch, out):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(scenarios.ktops, "kt_pair", unreachable)
+    (tmp_path / "file").write_text("")
+    path = write_scenario(tmp_path, VALID["relations"])
+    assert main(["relations", "--scenario", path, "--out", str(tmp_path / out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: option '--out': ") and str(tmp_path / "file") in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_cli_rejects_kind_mismatch(tmp_path, capsys):
@@ -669,8 +689,9 @@ def test_amplify_bounds_copies_by_label_bytes(tmp_path, capsys):
     assert main(["amplify", "--scenario", path, "--out", str(out)]) == EXIT_OK
     assert time.perf_counter() - start < 1
     assert [r["n"] for r in read_csv(out / "amplify.csv")] == ["64", "1000000"]
+    trivial = scenarios.groups.make_group([1])
     n = next(n for n in range(10**6, 10**8, 10**5)
-             if scenarios.amp.label_bytes(scenarios.build_rep(payload), n) > scenarios.AMPLIFY_BYTES)
+             if scenarios.amp.label_bytes(trivial, 1, n) > scenarios.AMPLIFY_BYTES)
     payload["n_values"] = [n]
     path = write_scenario(tmp_path, payload, "over.json")
     assert main(["amplify", "--scenario", path, "--out", str(tmp_path)]) == EXIT_INPUT
@@ -688,13 +709,37 @@ def test_amplify_bounds_chain_check_work(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(scenarios.amp, "intertwiner_chain_check", unreachable)
     monkeypatch.setattr(scenarios.amp, "cascade_apply", unreachable)
     payload = trivial_rep_scenario("amplify", [4096], n_values=[1, 2**15])
-    assert scenarios.amp.label_bytes(scenarios.build_rep(payload), 2**15) < 1 << 23
+    assert scenarios.amp.label_bytes(scenarios.groups.make_group([4096]), 1, 2**15) < 1 << 23
     path = write_scenario(tmp_path, payload)
     assert main(["amplify", "--scenario", path, "--out", str(tmp_path)]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert "field 'n_values'" in err and "Traceback" not in err
     assert f"4096 x {2**15 + 1} labels" in err and str(scenarios.AMPLIFY_CHAIN_WORK) in err
     assert not (tmp_path / "amplify.csv").exists()
+
+
+def test_amplify_refuses_n_before_reading_a_matrix(tmp_path, capsys, monkeypatch):
+    # an over-bound N is refused once the rep's group and projection count
+    # are known, before its matrices, which may be megabytes, are parsed
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a matrix was read")
+
+    monkeypatch.setattr(scenarios, "_matrix", unreachable)
+    path = write_scenario(tmp_path, trivial_rep_scenario("amplify", [1], n_values=[1, 10**7]))
+    assert main(["amplify", "--scenario", path, "--out", str(tmp_path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: field 'n_values': N = 10000000 ") and "Traceback" not in err
+    assert not (tmp_path / "amplify.csv").exists()
+
+
+@pytest.mark.parametrize("kind", ["relations", "measure", "amplify"])
+def test_compute_function_returns_the_rows_the_cli_writes(tmp_path, kind):
+    rows = getattr(scenarios, kind)(VALID[kind])
+    assert rows and all(isinstance(row, dict) for row in rows)
+    expected = scenarios._write_csv(tmp_path / "expected.csv", rows)
+    path = write_scenario(tmp_path, VALID[kind])
+    assert main([kind, "--scenario", path, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert (tmp_path / "out" / f"{kind}.csv").read_bytes() == expected.read_bytes()
 
 
 @pytest.mark.parametrize("kind", ["measure", "amplify"])
@@ -1078,11 +1123,12 @@ def test_size_preflight_runs_before_any_packet_or_step(
 
 
 def test_size_preflight_limits_are_inclusive():
-    fields = {"grid.points": MAX_POINTS, "time.steps": scenarios.SG_POINT_STEPS // MAX_POINTS}
-    scenarios._check_sg_size(fields, str)
-    for path in fields:
+    limits = {"grid.points": MAX_POINTS, "time.steps": scenarios.SG_POINT_STEPS // MAX_POINTS}
+    fields = {**scenarios._sg_fields(VALID["sterngerlach"]), **limits}
+    scenarios._preflight(fields, str)
+    for path in limits:
         with pytest.raises(ScenarioError, match=f"field '{re.escape(path)}'"):
-            scenarios._check_sg_size({**fields, path: fields[path] + 1}, str)
+            scenarios._preflight({**fields, path: fields[path] + 1}, str)
 
 
 MUTATIONS = [None, True, "x", float("nan"), float("inf"), -1, 0, [], {}]

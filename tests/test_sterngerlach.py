@@ -205,8 +205,10 @@ def test_step_preflight_and_evolve_agree_at_the_border(points, extent):
     # it, and refuses exactly the steps evolve refuses, within a few ulps of
     # the largest step accepted
     fields = {"field.b0": 2.0, "field.b1": 0.3, "field.b2": -0.25, "field.mu": 1.5,
-              "field.region_extent": 10.0, "grid.points": points, "grid.extent": extent}
-    field, grid = scenarios._field(fields), gaussian_packet(points, extent, 16 * extent / points)
+              "field.region_extent": 10.0, "grid.points": points, "grid.extent": extent,
+              "grid.sigma": 16 * extent / points, "grid.center": 0.0, "grid.momentum": 0.0,
+              "grid.mass": 1.0, "time.steps": 1, "adiabaticity": False}
+    field, grid = scenarios._field(fields), gaussian_packet(points, extent, fields["grid.sigma"])
     assert [grid_z(points, extent, i) for i in (0, points - 1)] == [grid.z[0], grid.z[-1]]
     max_b = max_field(field, grid.z[[0, -1]])
     bx, bz = field.components(0.0, grid.z)
@@ -217,10 +219,10 @@ def test_step_preflight_and_evolve_agree_at_the_border(points, extent):
             evolve(grid, field, dt, steps=0)
         except SolverError:
             with pytest.raises(scenarios.ScenarioError, match="time.dt"):
-                scenarios._check_sg_step({**fields, "time.dt": float(dt)}, str)
+                scenarios._preflight({**fields, "time.dt": float(dt)}, str)
             verdicts.add("refused")
         else:
-            scenarios._check_sg_step({**fields, "time.dt": float(dt)}, str)
+            scenarios._preflight({**fields, "time.dt": float(dt)}, str)
             verdicts.add("accepted")
     assert verdicts == {"refused", "accepted"}
 
