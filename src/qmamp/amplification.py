@@ -3,9 +3,9 @@
 The cascade applies the coupling unitary on (system, probe 1) and then the
 copy unitary on successive probe pairs, turning xi x |trivial>^N into
 sum_gamma E(gamma) xi x |gamma>^N.  Probabilities read off the cascade
-output agree with the single-probe instrument for every N; the chain of copy
-unitaries intertwines a translation on the first probe leg with the diagonal
-translation on all legs.
+output agree with the single-probe instrument for every N (`scenarios.amplify`
+reports the gap on every row); the chain of copy unitaries intertwines a
+translation on the first probe leg with the diagonal translation on all legs.
 
 The cascade output is a redundant record with at most |G| nonzero probe
 tuples, so `cascade_apply` returns it on that support as one value, a
@@ -43,7 +43,7 @@ import numpy as np
 
 from .groups import Character, FiniteAbelianGroup
 from .ktops import _kron_power, build_V
-from .measurement import InstrumentResult, Outcome, SpectralRepresentation, couple, instrument
+from .measurement import InstrumentResult, Outcome, SpectralRepresentation, couple
 from .measurement import _instrument_result
 
 
@@ -137,15 +137,6 @@ def amplified_instrument(output: CascadeOutput, delta: Outcome, b) -> Instrument
     kept = output.amps[:, indicator[output.tuples].all(axis=1)]
     rho = kept @ kept.conj().T
     return _instrument_result(float(np.trace(rho).real), complex(np.trace(b @ rho)), rho)
-
-
-def check_instrument_equality(
-    cfg: CascadeConfig, delta: Outcome, xi, b, amplified: InstrumentResult
-) -> float:
-    """|single-probe instrument - `amplified`| on the observable, where
-    `amplified` is the amplified instrument of the same delta, xi and b."""
-    one = instrument(cfg.rep, delta, xi, np.asarray(b, dtype=complex))
-    return abs(one.conditional_expectation - amplified.conditional_expectation)
 
 
 def chain_samples(group: FiniteAbelianGroup, n: int) -> int:

@@ -2,8 +2,8 @@
 
 Subcommands mirror the scenario kinds (`relations`, `measure`, `amplify`,
 `sterngerlach`, `sweep`) plus `selftest`, which runs the built-in acceptance
-suite.  Exit codes: 0 success, 1 input/schema error, 2 runtime invariant
-violation.
+suite.  Exit codes: 0 success, 1 input/schema error or command-line usage
+error, 2 runtime invariant violation.
 
 `main` first moves every object alive at its start to the garbage
 collector's permanent generation (`gc.freeze`): the modules, types and
@@ -35,13 +35,23 @@ EXIT_INVARIANT = 2
 RUNNERS = {kind: getattr(scenarios, f"run_{kind}") for kind in scenarios.KINDS}
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors exit 1, as every input error
+    does, and not argparse's 2, which qmamp keeps for invariant violations;
+    its subparsers are of the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def _add_common(sub):
     sub.add_argument("--scenario", required=True, help="path to a scenario JSON file")
     sub.add_argument("--out", default=".", help="output directory (default: cwd)")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qmamp",
         description="measurement couplings, amplification cascades, and Stern-Gerlach runs",
     )

@@ -344,22 +344,25 @@ def measure(scenario: dict) -> list[dict]:
 def amplify(scenario: dict) -> list[dict]:
     """Read an amplify scenario object, refusing each N of n_values that its
     bounds exclude before any matrix is read, and run the cascade at each N:
-    its rows, one per (N, outcome)."""
+    its rows, one per (N, outcome).  A row's equality_residual is |single -
+    amplified| on the observable's conditional expectation, against the
+    single-probe instrument of its outcome, computed once for every N."""
     n_values = read(scenario, "n_values", [int], [1, 2, 3], bound=0)
     rep, xi, outcomes, b = _instrument_inputs(scenario, n_values)
+    singles = [measurement.instrument(rep, delta, xi, b) for _, delta in outcomes]
     rows = []
     for n in n_values:
-        cfg = amp.CascadeConfig(rep=rep, n_copies=n)
         chain = max(amp.intertwiner_chain_check(chi, n) for chi in rep.group.characters())
-        output = amp.cascade_apply(cfg, xi)
-        for label, delta in outcomes:
+        output = amp.cascade_apply(amp.CascadeConfig(rep=rep, n_copies=n), xi)
+        for (label, delta), single in zip(outcomes, singles):
             res = amp.amplified_instrument(output, delta, b)
+            residual = abs(single.conditional_expectation - res.conditional_expectation)
             rows.append(
                 {
                     "n": n,
                     "outcome": label,
                     "probability": res.probability,
-                    "equality_residual": amp.check_instrument_equality(cfg, delta, xi, b, res),
+                    "equality_residual": residual,
                     "chain_residual": chain,
                 }
             )
@@ -449,13 +452,15 @@ def _preflight(f: dict, where) -> None:
         )
     kmax = math.pi * n / extent  # the grid's largest wavenumber
     dz = sterngerlach.grid_z(n, extent, 1) - sterngerlach.grid_z(n, extent, 0)
+    per_sigma = sterngerlach.MIN_POINTS_PER_SIGMA
     u_fi_denominator = f["field.mu"] * f["field.b0"] * f["field.region_extent"] * f["field.b0"]
     for path, ok, expected in (
         ("grid.extent", math.isfinite(kmax * kmax * f["time.dt"] / f["grid.mass"]),
          "a finite kinetic phase, dt (pi points / extent)^2 / (2 mass)"),
         ("grid.center", abs(f["grid.center"]) < extent / 2, f"|center| < {extent / 2:.6g}"),
         ("grid.sigma", sigma < extent, f"a packet narrower than the grid, < {extent:.6g}"),
-        ("grid.sigma", sigma / dz >= 8, f"at least 8 points per sigma, >= {8 * dz:.6g}"),
+        ("grid.sigma", sigma / dz >= per_sigma, f"at least {per_sigma} points per sigma,"
+         f" >= {per_sigma * dz:.6g}"),
         ("grid.momentum", abs(f["grid.momentum"]) < kmax, f"|momentum| < pi points / extent"
          f" = {kmax:.6g}, the grid's largest wavenumber"),
         ("field.b0", not f["adiabaticity"] or u_fi_denominator > 0,

@@ -5,7 +5,8 @@ and is bounded by a wall-clock limit.  Randomized checks draw from a fixed
 seed so reruns are reproducible.  The Stern-Gerlach criteria (8-10) are
 scenario objects run through `scenarios.simulate` and `scenarios.sweep`, the
 reader, preflight and runner of the CLI; criteria 1 and 2 read the rows of
-`scenarios.relations`.
+`scenarios.relations`, and criterion 5 those of `scenarios.measure` and
+`scenarios.amplify`, for every nonempty outcome of each preset at every N.
 """
 
 from __future__ import annotations
@@ -117,25 +118,19 @@ def criterion_4_instrument_equality() -> tuple[bool, str]:
 def criterion_5_amplification() -> tuple[bool, str]:
     rng = np.random.default_rng(SEED + 2)
     worst = 0.0
-    for rep, n_max in ((sigma_z_rep(), 6), (clock_rep(3), 3)):
-        chars = rep.group.characters()
-        xi = _random_state(rng, rep.system_dim)
-        b = _random_hermitian(rng, rep.system_dim)
-        probs = {c: [] for c in chars}
-        for n in range(1, n_max + 1):
-            cfg = amp.CascadeConfig(rep=rep, n_copies=n)
-            output = amp.cascade_apply(cfg, xi)
-            mask = rng.integers(0, 2, size=len(chars)).astype(bool)
-            delta = measurement.outcome([c for c, m in zip(chars, mask) if m])
-            many = amp.amplified_instrument(output, delta, b)
-            worst = max(worst, amp.check_instrument_equality(cfg, delta, xi, b, many))
-            for c in chars:
-                res = amp.amplified_instrument(output, measurement.outcome([c]), b)
-                probs[c].append(res.probability)
-        for c in chars:
-            expected = float(np.vdot(rep.projection(c) @ xi, rep.projection(c) @ xi).real)
-            worst = max(worst, max(abs(p - expected) for p in probs[c]))
-            worst = max(worst, max(probs[c]) - min(probs[c]))
+    for rep, dim, n_max in (("sigma_z", 2, 6), ("z3_clock", 3, 3)):  # dim = |G| for both
+        xi, b = _random_state(rng, dim), _random_hermitian(rng, dim)
+        scenario = {  # `measure` reads the same object and ignores n_values
+            "version": 1, "kind": "amplify", "rep": rep, "n_values": list(range(1, n_max + 1)),
+            "state": np.stack([xi.real, xi.imag], -1).tolist(),  # [re, im] pairs
+            "observable": np.stack([b.real, b.imag], -1).tolist(),
+            "outcomes": [[j for j in range(dim) if m >> j & 1] for m in range(1, 2**dim)],
+        }
+        rows = scenarios.amplify(scenario)
+        for single in scenarios.measure(scenario):
+            ps = [r["probability"] for r in rows if r["outcome"] == single["outcome"]]
+            worst = max(worst, max(ps) - min(ps), *(abs(p - single["probability"]) for p in ps))
+        worst = max(worst, *(r["equality_residual"] for r in rows))
     return worst <= 1e-12, f"max N-dependence/equality residual {worst:.2e} (tol 1e-12)"
 
 

@@ -62,6 +62,9 @@ BOUNDARY_CELLS = 2
 # Largest spin rotation angle dt * mu * max|B| of one potential step that
 # evolve accepts (accuracy of the potential step).
 MAX_STEP_ANGLE = 0.1
+# Fewest grid points per sigma of a packet that `gaussian_packet` builds, and
+# that the scenario preflight accepts, so that the packet is resolved.
+MIN_POINTS_PER_SIGMA = 8
 
 
 @dataclass(frozen=True)
@@ -157,15 +160,17 @@ def gaussian_packet(
 ) -> SpinorGrid:
     """Normalized 1D Gaussian packet with the given spinor weights.
 
-    Requires at least 8 grid points per sigma so the packet is resolved.
+    Requires at least MIN_POINTS_PER_SIGMA grid points per sigma so the
+    packet is resolved.
     """
     if n_points < 2:
         raise SolverError(f"need at least 2 grid points, got {n_points}")
     z = grid_z(n_points, extent, np.arange(n_points))
     dz = z[1] - z[0]
-    if sigma / dz < 8:
+    if sigma / dz < MIN_POINTS_PER_SIGMA:
         raise SolverError(
-            f"grid spacing {dz:.4g} does not resolve sigma={sigma} (need >= 8 points per sigma)"
+            f"grid spacing {dz:.4g} does not resolve sigma={sigma}"
+            f" (need >= {MIN_POINTS_PER_SIGMA} points per sigma)"
         )
     envelope = (2 * np.pi * sigma**2) ** (-0.25) * np.exp(
         -((z - center) ** 2) / (4 * sigma**2) + 1j * momentum * z

@@ -3,9 +3,11 @@
 Run with `pytest tests/test_acceptance.py -s` to see one line per criterion.
 """
 
+import dataclasses
+
 import pytest
 
-from qmamp import scenarios, selfcheck
+from qmamp import amplification, scenarios, selfcheck
 
 
 @pytest.mark.parametrize(
@@ -41,3 +43,21 @@ def test_adiabaticity_reference_reproduces_at_converged_dt():
     assert [r["flip_probability"] for r in rows] == pytest.approx(
         ref["converged_flips"], rel=0, abs=1e-12
     )
+
+
+@pytest.mark.parametrize("field", ["probability", "conditional_expectation"])
+def test_amplification_criterion_catches_a_shift_at_n_above_1(monkeypatch, field):
+    # an amplified instrument off by 1e-9 at N >= 2 only, in the probability
+    # or in the observable's conditional expectation, fails criterion 5
+    amplified_instrument = amplification.amplified_instrument
+
+    def shifted(output, delta, b):
+        res = amplified_instrument(output, delta, b)
+        if output.cfg.n_copies < 2:
+            return res
+        return dataclasses.replace(res, **{field: getattr(res, field) + 1e-9})
+
+    monkeypatch.setattr(amplification, "amplified_instrument", shifted)
+    passed, detail = selfcheck.criterion_5_amplification()
+    assert not passed, detail
+    assert detail.startswith("max N-dependence/equality residual 1.00e-09")

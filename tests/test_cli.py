@@ -82,13 +82,35 @@ def test_scenario_file_the_decoder_refuses_exits_1(tmp_path, capsys, content):
 
 
 @pytest.mark.parametrize(
-    "command, option", [("relations", "--jobs"),("relations", "--seed"), ("sweep", "--seed")]
+    "argv",
+    [
+        pytest.param(["relations", "--scenario", "{path}", "--jobs", "2"], id="relations---jobs"),
+        pytest.param(["relations", "--scenario", "{path}", "--seed", "2"], id="relations---seed"),
+        pytest.param(["sweep", "--scenario", "{path}", "--seed", "2"], id="sweep---seed"),
+        pytest.param([], id="no-command"),
+        pytest.param(["nope"], id="unknown-command"),
+        pytest.param(["relations"], id="relations-without-scenario"),
+        pytest.param(["sweep", "--scenario", "{path}", "--jobs", "abc"], id="sweep-jobs-abc"),
+        pytest.param(["relations", "--scenario", "x", "--jobs", "2"], id="relations-jobs-2"),
+        pytest.param(["selftest", "--scenario", "x"], id="selftest-scenario"),
+    ],
 )
-def test_cli_offers_jobs_on_sweep_only_and_no_seed(tmp_path, command, option):
-    path = write_scenario(tmp_path, {"version": 1, "kind": command})
+def test_cli_offers_jobs_on_sweep_only_and_no_seed(tmp_path, capsys, argv):
+    # every usage error exits 1, as an input error, never 2
+    path = write_scenario(tmp_path, {"version": 1, "kind": (argv or ["relations"])[0]})
     with pytest.raises(SystemExit) as exc:
-        main([command, "--scenario", path, option, "2"])
-    assert exc.value.code == 2  # argparse: unrecognized arguments
+        main([arg.replace("{path}", path) for arg in argv])
+    assert exc.value.code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "error: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]], ids=["qmamp", "sweep"])
+def test_cli_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_OK
+    assert "usage: qmamp" in capsys.readouterr().out
 
 
 def test_cli_rejects_missing_file(tmp_path, capsys):

@@ -6,9 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from solver_oracle import linear_potential_means, precession_spin
+from solver_oracle import (
+    linear_potential_below,
+    linear_potential_density,
+    linear_potential_means,
+    precession_spin,
+)
 
-from qmamp import scenarios, sterngerlach
+from qmamp import measurement, scenarios, sterngerlach
 from qmamp.scenarios import SG_BYTES_PER_POINT
 from qmamp.sterngerlach import (
     BOUNDARY_CELLS,
@@ -605,3 +610,48 @@ def test_evolve_follows_the_precession_closed_form(b0, mu, dt):
            on_check=spin)
     assert len(seen) == steps // 10
     assert max(seen) <= 1e-12
+
+
+@pytest.mark.parametrize("mass", [1.0, 2.0])
+def test_pointer_reads_the_sigma_z_instrument(mass):
+    # The Stern-Gerlach measurement is the sigma_z instrument plus an
+    # amplification: the up branch moves to z < 0 and the down branch to
+    # z > 0, so the pointer reading P(z < 0) tends to the instrument's
+    # probability of up, |0.6|^2 = 0.36, as the branches separate faster than
+    # they spread.  With b2 = 0 each branch keeps the closed-form density to
+    # rounding (at most 1.0e-13 measured), and the reading matches the closed
+    # form summed on the grid (at most 5.5e-13).  z = 0 is a grid point, so
+    # the grid's points below it sample the continuum below -dz/2, where the
+    # reading is within 1.6e-6 of the closed form.  At mass 1 its gap to 0.36
+    # fell from 1.1e-1 at t = 1 to 9.8e-3 at t = 4 and 1.4e-5 at t = 8.
+    spinor = (0.6, 0.8)
+    packet = {"sigma": 1.0, "center": 0.0, "momentum": 0.0, "mass": mass}
+    field = FieldModel(b0=1.0, b1=0.5, b2=0.0, mu=1.0)
+    oracle = {"mu": field.mu, "b1": field.b1, **packet}
+    g = gaussian_packet(4096, 120.0, spinor=spinor, **packet)
+    dt, left = 0.002, g.z < 0
+    rep = measurement.sigma_z_rep()
+    up = measurement.outcome([rep.group.trivial_character])  # E = |0><0|, spin up
+    p_up = measurement.instrument(rep, up, np.array(spinor), np.eye(2)).probability
+    assert p_up == pytest.approx(0.36, abs=1e-15)
+    density_errors, reading_errors, continuum_errors, gaps = [], [], [], []
+
+    def read_pointer(step, psi, phi):
+        t = step * dt
+        densities = np.abs(psi) ** 2
+        branches = list(zip((w**2 for w in spinor), ("up", "down")))
+        closed = [w * linear_potential_density(g.z, t, b, **oracle) for w, b in branches]
+        density_errors.append(np.abs(densities - closed).max())
+        reading = densities[:, left].sum() * g.dz
+        reading_errors.append(abs(reading - np.sum(closed, axis=0)[left].sum() * g.dz))
+        below = sum(w * linear_potential_below(-g.dz / 2, t, b, **oracle) for w, b in branches)
+        continuum_errors.append(abs(reading - below))
+        gaps.append(abs(reading - p_up))
+
+    evolve(g, field, dt, 4000, check_every=500, on_check=read_pointer)
+    assert len(gaps) == 8  # t = 1, 2, ..., 8
+    assert max(density_errors) <= 1e-12
+    assert max(reading_errors) <= 1e-11
+    assert max(continuum_errors) <= 1e-5
+    assert all(b < a for a, b in zip(gaps, gaps[1:])), gaps
+    assert gaps[-1] < 1e-4
