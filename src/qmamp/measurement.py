@@ -8,7 +8,9 @@ operation-valued measure
 I(Delta)(B) = sum_{chi in Delta} <xi| E(chi) B E(chi) |xi>, summed over the
 characters of Delta in index order; its value at the identity is the
 outcome probability and its normalized operation gives the
-post-measurement density matrix.
+post-measurement density matrix.  The coupled picture reads the same
+instrument off the probe of `couple`'s output, B x 1_Delta, through
+`amplification.amplified_instrument` at N = 1.
 """
 
 from __future__ import annotations
@@ -172,20 +174,6 @@ def _instrument_result(prob: float, cond: complex, rho: np.ndarray) -> Instrumen
     if prob > 1e-300:
         return InstrumentResult(prob, cond, rho / prob)
     return InstrumentResult(0.0, cond, None)
-
-
-def outcome_probability(rep, delta: Outcome, xi) -> float:
-    return instrument(rep, delta, xi, np.eye(rep.system_dim)).probability
-
-
-def verify_instrument_equals_coupled_expectation(rep, delta: Outcome, xi, b) -> float:
-    """|projective-sum instrument - coupled-picture expectation of B x 1_Delta|
-    on the coupled state `couple`; 1_Delta, the probe indicator of delta,
-    keeps the columns at its labels, so the expectation is sum <c, B c> over
-    those columns c."""
-    rhs = instrument(rep, delta, xi, b).conditional_expectation
-    kept = couple(rep, xi)[:, [chi.index for chi in delta.characters]]
-    return abs(complex(np.vdot(kept, np.asarray(b, dtype=complex) @ kept)) - rhs)
 
 
 def joint_probability(rep, coupled: np.ndarray, chi_sys: Character, chi_probe: Character) -> float:

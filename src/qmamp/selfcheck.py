@@ -7,6 +7,8 @@ scenario objects run through `scenarios.simulate` and `scenarios.sweep`, the
 reader, preflight and runner of the CLI; criteria 1 and 2 read the rows of
 `scenarios.relations`, and criterion 5 those of `scenarios.measure` and
 `scenarios.amplify`, for every nonempty outcome of each preset at every N.
+Criterion 4 reads the coupled picture through
+`amplification.amplified_instrument` at N = 1.
 """
 
 from __future__ import annotations
@@ -108,9 +110,14 @@ def criterion_4_instrument_equality() -> tuple[bool, str]:
         b = _random_hermitian(rng, rep.system_dim)
         mask = rng.integers(0, 2, size=len(chars)).astype(bool)
         delta = measurement.outcome([c for c, m in zip(chars, mask) if m])
+        projective = measurement.instrument(rep, delta, xi, b)
+        # the coupled picture: B x 1_Delta on the N = 1 cascade output, `couple`'s
+        output = amp.cascade_apply(amp.CascadeConfig(rep, 1), xi)
+        coupled = amp.amplified_instrument(output, delta, b)
         worst = max(
             worst,
-            measurement.verify_instrument_equals_coupled_expectation(rep, delta, xi, b),
+            abs(coupled.probability - projective.probability),
+            abs(coupled.conditional_expectation - projective.conditional_expectation),
         )
     return worst <= 1e-12, f"max coupled-vs-projective residual {worst:.2e} (tol 1e-12)"
 
@@ -159,9 +166,7 @@ def criterion_7_measurement_properties() -> tuple[bool, str]:
         d1 = measurement.outcome([c for c, m in zip(chars, mask) if m])
         d2 = measurement.outcome([c for c, m in zip(chars, mask) if not m])
         both = measurement.outcome(chars)
-        p1 = measurement.outcome_probability(rep, d1, xi)
-        p2 = measurement.outcome_probability(rep, d2, xi)
-        pb = measurement.outcome_probability(rep, both, xi)
+        p1, p2, pb = (measurement.instrument(rep, d, xi, eye).probability for d in (d1, d2, both))
         cases += 1
         violations += abs(p1 + p2 - pb) > 1e-12
 

@@ -301,12 +301,6 @@ def _guard(psi: np.ndarray, edges: np.ndarray, dz: float, step: int) -> None:
         )
 
 
-def spin_flip_probability(final: SpinorGrid, initial_branch: str) -> float:
-    """Weight of the spinor component orthogonal to the prepared branch."""
-    other = "down" if _branch_index(initial_branch) == 0 else "up"
-    return final.branch_weight(other)
-
-
 @dataclass(frozen=True)
 class AdiabaticityReport:
     u_fi: float
@@ -368,10 +362,11 @@ def run_simulation(
         raise SolverError(f"record_every must be >= 1, got {record_every}")
     w_up = grid.branch_weight("up")
     w_down = grid.branch_weight("down")
+    # the branch orthogonal to a prepared eigenbranch: its weight is the flip probability
     if w_down < 1e-12:
-        flip_branch = "up"
-    elif w_up < 1e-12:
         flip_branch = "down"
+    elif w_up < 1e-12:
+        flip_branch = "up"
     else:
         flip_branch = None
     kz = grid.kz
@@ -379,7 +374,7 @@ def run_simulation(
 
     def record(step, psi, phi):
         now = replace(grid, psi=psi)
-        flip = spin_flip_probability(now, flip_branch) if flip_branch else float("nan")
+        flip = now.branch_weight(flip_branch) if flip_branch else float("nan")
         rows.append((
             step * dt,
             now.mean_z("up"),

@@ -61,3 +61,21 @@ def test_amplification_criterion_catches_a_shift_at_n_above_1(monkeypatch, field
     passed, detail = selfcheck.criterion_5_amplification()
     assert not passed, detail
     assert detail.startswith("max N-dependence/equality residual 1.00e-09")
+
+
+@pytest.mark.parametrize("field", ["probability", "conditional_expectation"])
+def test_instrument_criterion_catches_a_shift_at_n_1(monkeypatch, field):
+    # criterion 4 reads the coupled picture through amplified_instrument at
+    # N = 1: a shift of 1e-9 there alone, in either field, fails it
+    amplified_instrument = amplification.amplified_instrument
+
+    def shifted(output, delta, b):
+        res = amplified_instrument(output, delta, b)
+        if output.cfg.n_copies != 1:
+            return res
+        return dataclasses.replace(res, **{field: getattr(res, field) + 1e-9})
+
+    monkeypatch.setattr(amplification, "amplified_instrument", shifted)
+    passed, detail = selfcheck.criterion_4_instrument_equality()
+    assert not passed, detail
+    assert detail.startswith("max coupled-vs-projective residual 1.00e-09")

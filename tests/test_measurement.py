@@ -6,6 +6,7 @@ from dense_oracle import represented_unitary
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmamp.amplification import CascadeConfig, amplified_instrument, cascade_apply
 from qmamp.groups import make_group
 from qmamp.measurement import (
     MeasurementError,
@@ -15,9 +16,7 @@ from qmamp.measurement import (
     joint_probability,
     make_spectral_rep,
     outcome,
-    outcome_probability,
     sigma_z_rep,
-    verify_instrument_equals_coupled_expectation,
 )
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -80,9 +79,10 @@ def test_instrument_superposition_probabilities():
     chi_up = char_of(rep, np.diag([1.0, 0.0]))
     chi_dn = char_of(rep, np.diag([0.0, 1.0]))
     xi = spin_state(np.sqrt(0.3), np.sqrt(0.7))
-    assert outcome_probability(rep, outcome([chi_up]), xi) == pytest.approx(0.3)
-    assert outcome_probability(rep, outcome([chi_dn]), xi) == pytest.approx(0.7)
-    assert outcome_probability(rep, outcome([chi_up, chi_dn]), xi) == pytest.approx(1.0)
+    eye = np.eye(2)
+    assert instrument(rep, outcome([chi_up]), xi, eye).probability == pytest.approx(0.3)
+    assert instrument(rep, outcome([chi_dn]), xi, eye).probability == pytest.approx(0.7)
+    assert instrument(rep, outcome([chi_up, chi_dn]), xi, eye).probability == pytest.approx(1.0)
     # conditioning on a singleton collapses onto that eigenvector; the
     # expectation is unnormalized, so it carries the outcome probability
     res = instrument(rep, outcome([chi_dn]), xi, SZ)
@@ -154,9 +154,13 @@ def test_projective_equals_coupled_picture(seed, n):
     b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     b = b + b.conj().T
     chars = rep.group.characters()
+    # the coupled picture: B x 1_Delta read off the N = 1 cascade output
+    output = cascade_apply(CascadeConfig(rep, 1), xi)
     for delta in (outcome([chars[0]]), outcome(chars[:2]), outcome(chars)):
-        res = verify_instrument_equals_coupled_expectation(rep, delta, xi, b)
-        assert res <= 1e-10
+        projective = instrument(rep, delta, xi, b)
+        coupled = amplified_instrument(output, delta, b)
+        assert abs(coupled.probability - projective.probability) <= 1e-10
+        assert abs(coupled.conditional_expectation - projective.conditional_expectation) <= 1e-10
 
 
 @pytest.mark.parametrize("n", [3, 5])

@@ -32,7 +32,6 @@ from qmamp.sterngerlach import (
     grid_z,
     max_field,
     run_simulation,
-    spin_flip_probability,
 )
 
 
@@ -244,7 +243,7 @@ def test_flip_probability_zero_without_transverse_field():
     g = gaussian_packet(512, 40.0, sigma=1.0)
     f = FieldModel(b0=2.0, b1=0.3, b2=0.0)
     out = evolve(g, f, dt=0.005, steps=200)
-    assert spin_flip_probability(out, "up") <= 1e-14
+    assert out.branch_weight("down") <= 1e-14
 
 
 def test_flip_probability_grows_with_transverse_gradient():
@@ -253,7 +252,7 @@ def test_flip_probability_grows_with_transverse_gradient():
         f = FieldModel(b0=4.0, b1=0.0, b2=b2)
         g = gaussian_packet(512, 40.0, sigma=1.0)
         out = evolve(g, f, dt=0.004, steps=250)
-        flips.append(spin_flip_probability(out, "up"))
+        flips.append(out.branch_weight("down"))
     assert flips[0] <= 1e-14
     assert flips[0] < flips[1] < flips[2]
 
@@ -520,7 +519,7 @@ def _restart_per_chunk(grid, field, dt, steps, record_every):
     and takes each row from the grid's own observables."""
 
     def observe(g, t):
-        flip = spin_flip_probability(g, "up") if up_start else float("nan")
+        flip = g.branch_weight("down") if up_start else float("nan")
         return (t, g.mean_z("up"), g.mean_z("down"), g.mean_pz("up"), g.mean_pz("down"),
                 flip, g.norm_squared())
 
