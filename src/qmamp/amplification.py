@@ -26,10 +26,11 @@ small (`chain_samples`): it forms t_gamma^(N+1) once, by squaring, and
 compares the two sides over chunks of first-leg blocks, one gather each.
 The copy chain does not depend on gamma, so it is cached for the characters
 at one N, and the chain of N is the cached chain of N - 1 with V appended on
-its last leg pair, so ascending N build one leg each.  It holds the chain,
-t_gamma^(N+1) and a gather, or the build's temporaries beside the last N's
-chain, about 8 g^N max(g + 5, 2g + 2) bytes.  Above that it checks the
-same identity through `copy_scan` on a fixed-seed sample of basis tuples.
+its last leg pair, so ascending N build one leg each.  Every index it
+composes is below CHAIN_WORK = 2^27, so its index maps are int32.  It holds
+the chain, t_gamma^(N+1) and a gather, or the build's temporaries beside the
+last N's chain, about 4 g^N max(g + 5, 2g + 2) bytes.  Above that it checks
+the same identity through `copy_scan` on a fixed-seed sample of basis tuples.
 The dense cascade matrix and the Heisenberg-picture map are test oracles
 (`tests/dense_oracle.py`).
 """
@@ -53,7 +54,8 @@ class CascadeError(ValueError):
 
 # Sizes of the chain check at one N.  It composes V's index map on every
 # basis index while its |G| characters take at most CHAIN_WORK index
-# operations, |G|^(N+2), it holds at most CHAIN_BYTES
+# operations, |G|^(N+2), so every index it builds, and the build's
+# high * |G|, fits in int32; it holds at most CHAIN_BYTES = 192 MiB
 # (`_exhaustive_chain_bytes`), and its one-leg-at-a-time build recurses over
 # fewer than 64 legs.  It compares the two sides at least CHAIN_GATHER
 # entries per gather: a block that large alone, as a view, and smaller ones
@@ -64,7 +66,7 @@ class CascadeError(ValueError):
 # sized so that the |G| characters scan about CHAIN_SAMPLE_WORK labels, at
 # least one tuple.
 CHAIN_WORK = 1 << 27
-CHAIN_BYTES = 3 << 27
+CHAIN_BYTES = 3 << 26
 CHAIN_SAMPLE_WORK = 1 << 21
 CHAIN_SEED = 20240817
 CHAIN_GATHER = 1 << 14
@@ -161,13 +163,14 @@ def label_bytes(group: FiniteAbelianGroup, m: int, n: int) -> int:
 
 
 def _exhaustive_chain_bytes(g: int, n: int) -> int:
-    """Bytes an exhaustive chain check holds at |G| = g and N = n, 8 g^N
-    max(g + 5, 2g + 2), as tracemalloc peaks show: the build holds the last
-    N's cached chain beside the chain and its temporaries, and the check
-    holds the chain, t_gamma^(N+1), one gathered block and its comparison.
-    Where a block holds under CHAIN_GATHER entries, a gather spans several
-    blocks and adds up to about 0.5 MiB."""
-    return 8 * g**n * max(g + 5, 2 * g + 2)
+    """Bytes an exhaustive chain check holds at |G| = g and N = n, 4 g^N
+    max(g + 5, 2g + 2), as tracemalloc peaks show: 4 bytes per int32 index,
+    where the build holds the last N's cached chain beside the chain and its
+    temporaries, and the check holds the chain, t_gamma^(N+1), one gathered
+    block and its comparison (numpy widens a gather's int32 indices to intp,
+    one block at a time).  Where a block holds under CHAIN_GATHER entries, a
+    gather spans several blocks and adds up to about 0.5 MiB."""
+    return 4 * g**n * max(g + 5, 2 * g + 2)
 
 
 def intertwiner_chain_check(gamma: Character, n: int) -> float:
@@ -195,7 +198,7 @@ def intertwiner_chain_check(gamma: Character, n: int) -> float:
     g = group.size
     # the chain first: a build would otherwise hold t_all beside its own peak
     rows = _copy_chain(group, n).reshape(g, -1)
-    t = group.add_indices(gamma.index, np.arange(g))
+    t = group.add_indices(gamma.index, np.arange(g)).astype(np.int32)
     t_all = _kron_power(t, n + 1)
     step = -(-CHAIN_GATHER // rows.shape[1])  # first-leg blocks per gather
     mismatches = 0
@@ -207,11 +210,11 @@ def intertwiner_chain_check(gamma: Character, n: int) -> float:
 
 @functools.lru_cache(maxsize=1)
 def _copy_chain(group: FiniteAbelianGroup, n: int) -> np.ndarray:
-    """Read-only basis map of V_{N,N+1} ... V_12 on N + 1 legs.  It does not
-    depend on gamma, so a loop over the characters at one N builds it once,
-    and it extends the chain of N - 1 by one leg, which the cache holds after
-    a loop at N - 1 (else that chain is built first, from V_12 up)."""
-    v = build_V(group)  # V_12 on two legs
+    """Read-only int32 basis map of V_{N,N+1} ... V_12 on N + 1 legs.  It does
+    not depend on gamma, so a loop over the characters at one N builds it
+    once, and it extends the chain of N - 1 by one leg, which the cache holds
+    after a loop at N - 1 (else that chain is built first, from V_12 up)."""
+    v = build_V(group).astype(np.int32)  # V_12 on two legs
     if n == 1:
         chain = v
     else:

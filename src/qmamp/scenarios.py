@@ -60,7 +60,7 @@ FOURIER_CHECK_WORK = 1 << 27
 
 # Size limits of one amplify N, checked before any matrix is read: the
 # label arrays it holds (`amp.label_bytes`; 400 MiB keeps every exhaustive
-# chain check, which holds at most amp.CHAIN_BYTES = 384 MiB), and the labels
+# chain check, which holds at most amp.CHAIN_BYTES = 192 MiB), and the labels
 # its |G| sampled chain checks scan, at least |G| (N + 1).
 AMPLIFY_BYTES = 25 << 24
 AMPLIFY_CHAIN_WORK = 1 << 27

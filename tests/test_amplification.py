@@ -430,7 +430,8 @@ CHAIN_MEMORY_NS = {2: 21, 3: 13, 4: 10, 5: 8, 8: 6}
 def test_chain_build_and_check_stay_within_the_model(order):
     # cold (built from V_12) and warm (the chain of N - 1 cached), building
     # and checking every character hold at most _exhaustive_chain_bytes, the
-    # cached chain of N - 1 included
+    # cached chain of N - 1 included; the model is within 1.25x of the
+    # larger peak, so a model left at the size of intp indices fails
     g, n = make_group([order]), CHAIN_MEMORY_NS[order]
     assert chain_samples(g, n) == 0
     bound = amplification._exhaustive_chain_bytes(order, n)
@@ -448,7 +449,7 @@ def test_chain_build_and_check_stay_within_the_model(order):
             tracemalloc.stop()
             amplification._copy_chain.cache_clear()
         assert residuals == [0.0] * order
-    assert max(peaks) <= bound, (peaks, bound)
+    assert max(peaks) <= bound <= 1.25 * max(peaks), (peaks, bound)
 
 
 def test_support_bounds_memory_at_largest_n():
@@ -483,7 +484,7 @@ def test_support_bounds_memory_at_largest_n():
 def test_chain_check_memory_at_largest_n():
     # sigma_z at N = 21: the chain is 2**22 indices; it is built one leg at a
     # time and checked one first-leg block at a time, so building and checking
-    # hold about three chain-sized index arrays
+    # hold about three chain-sized int32 index arrays
     g = make_group([2])
     n = 21
     amplification._copy_chain.cache_clear()
@@ -495,7 +496,34 @@ def test_chain_check_memory_at_largest_n():
         tracemalloc.stop()
         amplification._copy_chain.cache_clear()
     assert residuals == [0.0, 0.0]
-    assert peak < 3.5 * g.size ** (n + 1) * np.dtype(np.intp).itemsize
+    assert peak < 3.5 * g.size ** (n + 1) * np.dtype(np.int32).itemsize
+
+
+@pytest.mark.parametrize("orders, n", [([2], 12), ([3], 6), ([2, 3], 4), ([64], 1)], ids=str)
+def test_exhaustive_chain_check_indexes_in_int32(monkeypatch, orders, n):
+    # an exhaustive check composes indices below |G|^(N+2) <= CHAIN_WORK, the
+    # build's high * |G| included, so they fit in int32; the cached chain and
+    # t_gamma^(N+1) are int32, and the residuals stay 0
+    assert amplification.CHAIN_WORK <= np.iinfo(np.int32).max
+    g = make_group(orders)
+    assert chain_samples(g, n) == 0
+    kron_power, powers = amplification._kron_power, []
+
+    def spy(p, k):
+        powers.append(kron_power(p, k))
+        return powers[-1]
+
+    monkeypatch.setattr(amplification, "_kron_power", spy)
+    amplification._copy_chain.cache_clear()
+    try:
+        residuals = [intertwiner_chain_check(gamma, n) for gamma in g.characters()]
+        chain = amplification._copy_chain(g, n)
+    finally:
+        amplification._copy_chain.cache_clear()
+    assert residuals == [0.0] * g.size
+    assert chain.dtype == np.int32 and chain.shape == (g.size ** (n + 1),)
+    assert [t_all.dtype for t_all in powers] == [np.int32] * g.size
+    assert all(t_all.shape == chain.shape for t_all in powers)
 
 
 def all_tuples(g, n):
@@ -537,10 +565,10 @@ def test_chain_check_is_exhaustive_where_it_always_was():
     exhaustive = [(2, 22), (3, 13), (512, 1), (4, 11), (1, 63), (8, 7), (16, 4)]
     for order, n in exhaustive:
         assert chain_samples(make_group([order]), n) == 0, order
-    # an exhaustive check holds at most CHAIN_BYTES, 384 MiB ([4] at N = 11
-    # holds 320 MiB; sigma_z at N = 23 would hold 448 MiB), within the bound
+    # an exhaustive check holds at most CHAIN_BYTES, 192 MiB ([4] at N = 11
+    # holds 160 MiB; sigma_z at N = 23 would hold 224 MiB), within the bound
     # on a run
-    assert 8 * 4**11 * (2 * 4 + 2) <= amplification.CHAIN_BYTES < 8 * 2**23 * (2 + 5)
+    assert 4 * 4**11 * (2 * 4 + 2) <= amplification.CHAIN_BYTES < 4 * 2**23 * (2 + 5)
     assert amplification.CHAIN_BYTES < scenarios.AMPLIFY_BYTES
     sampled = [(2, 23, 43690), (3, 15, 43690), (1, 64, 32263), (2, 10**6, 1)]
     for order, n, samples in sampled:
