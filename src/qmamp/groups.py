@@ -1,4 +1,4 @@
-"""Finite abelian groups, their characters, and the discrete Fourier transform.
+"""Finite abelian groups, their characters, and the axes of their discrete Fourier transform.
 
 A group is a product of cyclic factors Z_{n_1} x ... x Z_{n_k}.  Elements
 and characters are integer indices into one enumeration of exponent tuples,
@@ -113,14 +113,9 @@ def canonical_groups(max_size: int) -> list[FiniteAbelianGroup]:
 
 def _fft_shape(group: FiniteAbelianGroup) -> tuple[int, ...]:
     """The group's cyclic orders without its trivial factors, which a DFT
-    leaves alone: numpy arrays have at most 64 axes, and a group under the
+    leaves alone: the axes over which numpy's fftn with norm="ortho" is the
+    group's unitary DFT, F[gamma, u] = conj(gamma(u)) / sqrt(|G|), in index order.  numpy
+    arrays have at most 32 axes (64 from numpy 2), and a group under the
     size cap has at most 12 nontrivial factors."""
     return tuple(n for n in group.orders if n > 1) or (1,)
 
-
-def fourier_matrix(group: FiniteAbelianGroup) -> np.ndarray:
-    """Unitary DFT matrix F[gamma, u] = conj(gamma(u)) / sqrt(|G|)."""
-    n = group.size
-    shape = _fft_shape(group)
-    eye = np.eye(n, dtype=complex).reshape(shape + (n,))
-    return np.fft.fftn(eye, axes=tuple(range(len(shape))), norm="ortho").reshape(n, n)

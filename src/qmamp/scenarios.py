@@ -53,10 +53,19 @@ SCHEMA_VERSION = 1
 
 KINDS = ("relations", "measure", "amplify", "sterngerlach", "sweep")
 
-# Complex products the Fourier conjugation check of a relations group may
-# take: |G|^4, summed one |G|^3 block at a time (it holds three complex
-# blocks, 48 |G|^3 bytes).  This keeps |G| <= 107, about 4 s on one core.
-FOURIER_CHECK_WORK = 1 << 27
+# Size limits of a relations run, checked before any W or V is built: the
+# bytes that checking one group holds (`ktops.relation_bytes`), and the
+# passes over array entries that checking one group, and all the run's
+# groups together, make (`ktops.relation_work`, 20-45 ns each here, so
+# RELATIONS_WORK is 10-25 s on one core).  The Fourier check's probes hold
+# most of a large group's bytes, 80 per entry of |G|^2, so the byte bound
+# admits every order up to 2590; the work bound counts the nontrivial
+# factors, whose DFT passes set the time: Z_2^10 takes about 7 s where
+# Z_1024 takes about 1 s, and Z_2^11 is refused where Z_2048 runs.  Every
+# group of order <= 107, the largest that the exact |G|^4 check admitted,
+# is accepted.
+RELATIONS_BYTES = 1 << 29
+RELATIONS_WORK = 1 << 29
 
 # Size limits of one amplify N, checked before any matrix is read: the
 # label arrays it holds (`amp.label_bytes`; 400 MiB keeps every exhaustive
@@ -291,18 +300,32 @@ def build_observable(scenario: dict, rep) -> np.ndarray:
 
 def relations(scenario: dict) -> list[dict]:
     """Read a relations scenario object and check the W/V relations of each
-    of its groups: its rows, one per group.  Every group is refused before
-    any is built if its Fourier check would exceed FOURIER_CHECK_WORK."""
+    of its groups: its rows, one per group.  Before any group is built, a
+    group is refused if checking it would hold more than RELATIONS_BYTES or
+    make more than RELATIONS_WORK passes, and the run if its groups together
+    would make more than RELATIONS_WORK passes."""
     orders_list = read(scenario, "groups", [[int]], bound=0)
+    group_list, work = [], 0
     for i, orders in enumerate(orders_list):
-        size = math.prod(orders)
-        if size**4 > FOURIER_CHECK_WORK:
+        with _names(f"groups[{i}]"):
+            g = groups.make_group(orders)
+        need, passes = ktops.relation_bytes(g), ktops.relation_work(g)
+        if need > RELATIONS_BYTES or passes > RELATIONS_WORK:
             raise ScenarioError(
-                f"field 'groups[{i}]': expected a group whose Fourier check takes at most"
-                f" {FOURIER_CHECK_WORK} products; order {size} needs {size}**4 = {size**4}"
+                f"field 'groups[{i}]': expected a group whose relation checks hold at most"
+                f" {RELATIONS_BYTES} bytes and make at most {RELATIONS_WORK} array-entry passes;"
+                f" order {g.size} needs about {need} bytes and {passes} passes"
             )
+        group_list.append(g)
+        work += passes
+    if work > RELATIONS_WORK:
+        raise ScenarioError(
+            f"field 'groups': expected groups whose relation checks make at most"
+            f" {RELATIONS_WORK} array-entry passes together; these {len(group_list)} groups"
+            f" need about {work}"
+        )
     rows = []
-    for g in map(groups.make_group, orders_list):
+    for g in group_list:
         pair = ktops.kt_pair(g)
         rows.append(
             {

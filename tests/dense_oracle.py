@@ -15,8 +15,12 @@ every probe leg.  `cascade_unitary` materializes the stage product, built by
 `block_chain_residual` checks the chain identity on a copy chain's index
 map one first-leg block at a time, with t^(x N) from N - 1 krons.
 
-Groups.  Closed forms from exponent tuples, computed without qmamp's index
-arithmetic (`add_indices`) or its DFT (`fourier_matrix`): `exponent_table`
+Groups.  `fourier_matrix` is the unitary DFT matrix in qmamp's convention,
+numpy's fftn over the group's nontrivial factor axes (`groups._fft_shape`),
+as qmamp's probe check applies it on large groups (on small ones it builds
+the matrix as a Kronecker product of the factors' DFTs).  Closed forms from
+exponent tuples, computed without qmamp's index arithmetic (`add_indices`)
+or that DFT: `exponent_table`
 enumerates the tuples with itertools.product, `character_table` holds
 chi(u) = exp(2 pi i sum_j m_j u_j / n_j) for every (chi, u), and
 `addition_table` the index of u + v, added as exponent rows mod the orders.
@@ -30,7 +34,10 @@ represented relations use it.  `dense_pentagonal` and `dense_intertwining`
 check a two-leg operator on three legs and against `translation`; the
 represented relations are the same checks with UW in place of the operator.
 `dense_fourier_residual` is the Fourier conjugation of W and V as a triple
-product of dense matrices.
+product of dense matrices, and `block_fourier_residual` the same norm summed
+exactly one |G|^3-entry block at a time, for orders whose dense F x F would
+not fit; it is the exact value that qmamp's probe estimate is checked
+against.
 """
 
 import itertools
@@ -38,7 +45,7 @@ import itertools
 import numpy as np
 
 from qmamp.amplification import CascadeConfig, CascadeError, CascadeOutput
-from qmamp.groups import fourier_matrix
+from qmamp.groups import _fft_shape
 from qmamp.hilbert import embed
 from qmamp.ktops import KTError, _kron_perm, build_UtildeV, build_V, build_W
 from qmamp.measurement import InstrumentResult, Outcome, _check_state
@@ -47,6 +54,14 @@ from qmamp.measurement import InstrumentResult, Outcome, _check_state
 # Largest cascade matrix, in entries, that `cascade_unitary` builds (64 MiB
 # of complex): a 2048 x 2048 matrix, sigma_z at N = 10.
 ORACLE_MATRIX_ENTRIES = 1 << 22
+
+
+def fourier_matrix(group) -> np.ndarray:
+    """Unitary DFT matrix F[gamma, u] = conj(gamma(u)) / sqrt(|G|)."""
+    n = group.size
+    shape = _fft_shape(group)
+    eye = np.eye(n, dtype=complex).reshape(shape + (n,))
+    return np.fft.fftn(eye, axes=tuple(range(len(shape))), norm="ortho").reshape(n, n)
 
 
 def exponent_table(group) -> np.ndarray:
@@ -307,6 +322,34 @@ def dense_fourier_residual(g, w, v) -> float:
     """|| V - (F x F) W* (F x F)^-1 || as a triple product of dense matrices."""
     ff = np.kron(fourier_matrix(g), fourier_matrix(g))
     return float(np.linalg.norm(perm_matrix(v) - ff @ perm_matrix(w).conj().T @ ff.conj().T))
+
+
+def block_fourier_residual(g, w, v, f_w=None) -> float:
+    """|| V (F x F) - (f_w x f_w) W* ||, exactly; f_w is F unless given.
+
+    With f_w = F, F x F is unitary, so this is || V - (F x F) W* (F x F)^-1 ||;
+    the terms are F x F with its rows (columns) gathered through the inverse
+    of V (W).  Row (i, j) of F x F is kron(F[i], F[j]), so the squared norm
+    is summed over the |G| row blocks (a, .), each |G|^3 entries; F x F is
+    never built.  Column (c, d) of kron(F[a], F[b]) is F[a, c] F[b, d], so
+    the W side of block a is f_w[a] and f_w gathered through the two legs of
+    W's inverse.
+    """
+    f = fourier_matrix(g)
+    f_w = f if f_w is None else f_w
+    n = g.size
+    v_rows = np.divmod(np.argsort(v), n)
+    w_first, w_second = np.divmod(np.argsort(w), n)
+    f_second = f_w[:, w_second]  # f_w[b, d] at each gathered column, for every b
+    diff, w_side = np.empty((2, n, n * n), dtype=complex)
+    total = 0.0
+    for a in range(n):
+        i, j = (rows[a * n : (a + 1) * n] for rows in v_rows)
+        np.multiply(f[i][:, :, None], f[j][:, None, :], out=diff.reshape(n, n, n))
+        np.multiply(f_second, f_w[a, w_first], out=w_side)
+        diff -= w_side
+        total += np.einsum("ij,ij->", diff.view(float), diff.view(float))
+    return float(np.sqrt(total))
 
 
 def build_UW(rep) -> np.ndarray:

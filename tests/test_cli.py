@@ -167,7 +167,7 @@ def test_relations_run(tmp_path, capsys):
         ([[2, True]], "groups[0]"),
         ([[0]], "groups[0]"),
         ([[]], "groups[0]"),
-        ([[128]], "groups[0]"),  # its Fourier check would take 128**4 products
+        ([[4096]], "groups[0]"),  # its Fourier check would hold about 1.3 GB
     ],
     ids=["not-a-list", "bool-order", "zero-order", "empty", "too-large"],
 )
@@ -179,25 +179,67 @@ def test_relations_rejects_bad_group(tmp_path, capsys, groups, field):
 
 
 def test_relations_fourier_check_is_bounded_by_work(tmp_path, capsys, monkeypatch):
-    # the sliced Fourier check holds 48 |G|^3 bytes, so order 69, refused by
-    # the old 48 |G|^4 byte bound, runs; the first order over the work bound
-    # is refused before any W, V or Fourier work
-    path = write_scenario(tmp_path, {"version": 1, "kind": "relations", "groups": [[69]]})
+    # the probe Fourier check holds 80 |G|^2 bytes, so order 128, refused by
+    # the old |G|^4 work bound, runs; the first order over the byte bound,
+    # and Z_2^11, whose 22 factor axes take too many DFT passes, are refused
+    # before any W, V or Fourier work
+    path = write_scenario(tmp_path, {"version": 1, "kind": "relations", "groups": [[128]]})
     out = tmp_path / "out"
     assert main(["relations", "--scenario", path, "--out", str(out)]) == EXIT_OK
     (row,) = read_csv(out / "relations.csv")
-    assert row["group"] == "69" and float(row["fourier_conjugation"]) <= 1e-10
+    assert row["group"] == "128" and float(row["fourier_conjugation"]) <= 1e-10
 
     def unreachable(*args, **kwargs):
         raise AssertionError("relation work started")
 
     monkeypatch.setattr(scenarios.ktops, "kt_pair", unreachable)
-    order = next(n for n in range(100, 200) if n**4 > scenarios.FOURIER_CHECK_WORK)
-    path = write_scenario(tmp_path, {"version": 1, "kind": "relations", "groups": [[2], [order]]})
-    assert main(["relations", "--scenario", path, "--out", str(tmp_path)]) == EXIT_INPUT
-    err = capsys.readouterr().err
-    assert "field 'groups[1]'" in err and str(order**4) in err and "Traceback" not in err
+    order = next(
+        n for n in range(2048, 4097)
+        if scenarios.ktops.relation_bytes(scenarios.groups.make_group([n]))
+        > scenarios.RELATIONS_BYTES
+    )
+    for big in ([order], [2] * 11):
+        path = write_scenario(tmp_path, {"version": 1, "kind": "relations", "groups": [[2], big]})
+        assert main(["relations", "--scenario", path, "--out", str(tmp_path)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "field 'groups[1]'" in err and str(scenarios.RELATIONS_BYTES) in err
+        assert str(scenarios.RELATIONS_WORK) in err and "Traceback" not in err
     assert not (tmp_path / "relations.csv").exists()
+
+
+@pytest.mark.parametrize("copies", [10**3, 10**5])
+@pytest.mark.parametrize("orders", [[2], [107]], ids=["2", "107"])
+def test_relations_run_is_bounded_by_work(tmp_path, capsys, orders, copies):
+    # a valid group listed many times runs or is refused as a whole, naming
+    # `groups` with the run's estimate and bound, within a few seconds
+    path = write_scenario(
+        tmp_path, {"version": 1, "kind": "relations", "groups": [orders] * copies}
+    )
+    start = time.perf_counter()
+    code = main(["relations", "--scenario", path, "--out", str(tmp_path)])
+    assert time.perf_counter() - start < 10
+    err = capsys.readouterr().err
+    assert code in (EXIT_OK, EXIT_INPUT)
+    assert len(err.splitlines()) == (code == EXIT_INPUT)
+    if code == EXIT_INPUT:
+        assert err.startswith("error: field 'groups': ")
+        assert str(scenarios.RELATIONS_WORK) in err and "Traceback" not in err
+    else:
+        assert len(read_csv(tmp_path / "relations.csv")) == copies
+
+
+def test_relations_does_not_import_numpy_random():
+    # the probes are hashed, not drawn: numpy.random's import alone takes
+    # longer than a small group's whole check (numpy 1.24 imports it with
+    # numpy itself)
+    found = run_fresh(
+        "import json, sys\n"
+        "from qmamp import scenarios\n"
+        "before = 'numpy.random' in sys.modules\n"
+        "scenarios.relations({'version': 1, 'kind': 'relations', 'groups': [[2, 3], [24]]})\n"
+        "print(json.dumps([before, 'numpy.random' in sys.modules]))\n"
+    )
+    assert found[1] == found[0]
 
 
 def test_relations_group_with_many_trivial_factors(tmp_path):
@@ -777,7 +819,7 @@ def test_group_order_past_int64_exits_1_naming_rep(tmp_path, capsys, kind):
 # Dense builders that only the tests use; they live in tests/dense_oracle.py.
 MOVED_TO_DENSE_ORACLE = {
     "amplification": ["cascade_unitary", "heisenberg_T"],
-    "groups": ["fourier_transform", "regular_representation", "_perm_matrix"],
+    "groups": ["fourier_matrix", "fourier_transform", "regular_representation", "_perm_matrix"],
     "ktops": [
         "build_UW",
         "uw_fourier_conjugation_residual",

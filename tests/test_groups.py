@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
-from dense_oracle import addition_table, character_table, exponent_table, perm_matrix, translation
+from dense_oracle import (
+    addition_table,
+    character_table,
+    exponent_table,
+    fourier_matrix,
+    perm_matrix,
+    translation,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmamp.groups import Character, GroupError, canonical_groups, fourier_matrix, make_group
+from qmamp.groups import Character, GroupError, canonical_groups, make_group
 
 small_orders = st.lists(st.integers(1, 5), min_size=1, max_size=3).filter(
     lambda o: np.prod(o) <= 64

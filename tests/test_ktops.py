@@ -3,11 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 from dense_oracle import (
+    block_fourier_residual,
     build_UW,
     dense_fourier_residual,
     dense_intertwining,
     dense_pentagonal,
     exponent_table,
+    fourier_matrix,
     heisenberg_embed,
     perm_matrix,
     translation,
@@ -17,6 +19,7 @@ from dense_oracle import (
 )
 from fresh_interpreter import run_fresh
 
+from qmamp import ktops, scenarios
 from qmamp.groups import canonical_groups, make_group
 from qmamp.ktops import (
     KTError,
@@ -25,6 +28,8 @@ from qmamp.ktops import (
     build_V,
     build_W,
     kt_pair,
+    pentagonal_samples,
+    relation_bytes,
     verify_intertwining,
     verify_pentagonal,
 )
@@ -101,41 +106,128 @@ def swap_basis_images(perm, j1, j2):
     return out
 
 
+def orders_id(orders):
+    return "x".join(map(str, orders))
+
+
 def group_id(g):
-    return "x".join(map(str, g.orders))
+    return orders_id(g.orders)
+
+
+def exponent_index(rows, group):
+    """Indices of (..., factors) exponent rows, the leftmost most significant."""
+    strides = np.cumprod((group.orders[1:] + (1,))[::-1])[::-1]
+    return rows @ strides
+
+
+def negated_second_leg(perm, group):
+    """perm followed by u -> -u on the second leg of its image: a permutation
+    whose second leg is corrupted."""
+    negated = exponent_index(-exponent_table(group) % np.array(group.orders), group)
+    first, second = np.divmod(perm, group.size)
+    return first * group.size + negated[second]
+
+
+def wrong_law_maps(group):
+    """W and V built with a group law that subtracts on the largest cyclic
+    factor, (a, b) -> (a * b, b) and (a, a * b): permutations either way."""
+    n, table = group.size, exponent_table(group)
+    sign = np.ones(len(group.orders), dtype=np.intp)
+    sign[np.argmax(group.orders)] = -1
+    law = exponent_index((table[:, None, :] + sign * table) % np.array(group.orders), group)
+    a, b = np.arange(n)[:, None], np.arange(n)
+    return (law * n + b).reshape(-1), (a * n + law).reshape(-1)
+
+
+def relation_maps(group):
+    """W and V, each also with a swapped pair of basis images and with a
+    corrupted second leg, and the two maps of a wrong law on one factor."""
+    pair = kt_pair(group)
+    maps = [pair.W, pair.V]
+    for perm in (pair.W, pair.V):
+        maps += [swap_basis_images(perm, 1, group.size + 1), negated_second_leg(perm, group)]
+    return maps + list(wrong_law_maps(group))
 
 
 @pytest.mark.parametrize("g", [g for g in canonical_groups(8) if g.size > 1], ids=group_id)
 def test_index_map_relations_match_dense_oracle(g):
-    pair = kt_pair(g)
+    # the generator residual is 0 where the all-translation oracle is, and
+    # otherwise nonzero and at most its max; the exhaustive pentagonal
+    # residual is the dense one
     n = g.size
-    corrupt_w = swap_basis_images(pair.W, 1, n + 1)
+    corrupt_w = swap_basis_images(kt_pair(g).W, 1, n + 1)
     assert dense_intertwining(perm_matrix(corrupt_w), g, "w") > 0.1
-    for perm in (pair.W, pair.V, corrupt_w):
+    for perm in relation_maps(g):
         m = perm_matrix(perm)
         for side in ("w", "v"):
-            assert verify_intertwining(perm, g, side) == dense_intertwining(m, g, side)
+            dense = dense_intertwining(m, g, side)
+            found = verify_intertwining(perm, g, side)
+            assert found == 0.0 if dense == 0.0 else 0.0 < found <= dense
             assert verify_pentagonal(perm, side) == dense_pentagonal(m, m, (n,) * 3, side)
 
 
-@pytest.mark.parametrize("g", canonical_groups(8), ids=group_id)
-def test_gathered_fourier_residual_matches_dense_oracle(g):
+@pytest.mark.parametrize("orders", [[6], [7], [2, 3], [8], [9], [2, 4]], ids=orders_id)
+def test_sampled_pentagonal_agrees_with_exhaustive(monkeypatch, orders):
+    # with the byte bound between orders 7 and 8, the orders below it stay
+    # exhaustive and those above it sample; the sampled check finds faulty
+    # exactly the maps that the exhaustive check finds faulty
+    g = make_group(orders)
+    maps = relation_maps(g) + [np.random.default_rng(5).permutation(g.size**2)]
+    exhaustive = {
+        (i, side): verify_pentagonal(perm, side) for i, perm in enumerate(maps) for side in "wv"
+    }
+    assert any(exhaustive.values()) and not all(exhaustive.values())
+    monkeypatch.setattr(ktops, "PENTAGONAL_BYTES", 56 * 7**3)
+    assert (pentagonal_samples(g.size) > 0) == (g.size > 7)
+    for (i, side), res in exhaustive.items():
+        found = verify_pentagonal(maps[i], side)
+        assert found == res if g.size <= 7 else (found > 0) == (res > 0)
+
+
+FOURIER_GROUPS = canonical_groups(24) + [make_group([64]), make_group([107])]
+
+
+@pytest.mark.parametrize("g", FOURIER_GROUPS, ids=group_id)
+def test_gathered_fourier_residual_matches_dense_oracle(monkeypatch, g):
+    # the probe estimate is within 4x of the exact residual, or at rounding
+    # level; a swapped pair in V or in W (exactly 2.0) and a conjugated F on
+    # the W side read >= 0.5 wherever the exact check sees them
     pair = kt_pair(g)
-    dense = dense_fourier_residual(g, pair.W, pair.V)
-    assert abs(pair.fourier_conjugation_residual() - dense) <= 1e-13
-    if g.size > 1:
-        bad = KTOperatorPair(g, pair.W, swap_basis_images(pair.V, 1, g.size + 1))
-        res = bad.fourier_conjugation_residual()
-        assert res >= 1.0
-        assert abs(res - dense_fourier_residual(g, bad.W, bad.V)) <= 1e-13
+    exact = block_fourier_residual(g, pair.W, pair.V)
+    if g.size <= 8:
+        assert abs(exact - dense_fourier_residual(g, pair.W, pair.V)) <= 1e-13
+    if g.size <= ktops.FOURIER_DENSE:  # the dense path's F is the FFT's, not its conjugate
+        assert np.abs(ktops._dft_matrix(g) - fourier_matrix(g)).max() <= 1e-13
+    assert pair.fourier_conjugation_residual() <= max(4 * exact, 1e-13)
+    if g.size == 1:
+        return
+    for bad in (
+        KTOperatorPair(g, pair.W, swap_basis_images(pair.V, 1, g.size + 1)),
+        KTOperatorPair(g, swap_basis_images(pair.W, 1, g.size + 1), pair.V),
+    ):
+        assert bad.fourier_conjugation_residual() >= 0.5
+    # the W side's transform conjugated, as the inverse DFT would be: it
+    # differs from F x F only on a factor of order above 2
+    conjugated = block_fourier_residual(g, pair.W, pair.V, fourier_matrix(g).conj())
+    assert (conjugated > 0.5) == (max(g.orders) > 2)
+    dft, sides = ktops._dft_both_legs, []
+
+    def conjugate_w_side(group, x, f):
+        sides.append(x)  # the V side's transform comes first in each batch
+        return dft(group, x, f) if len(sides) % 2 else dft(group, x.conj(), f).conj()
+
+    monkeypatch.setattr(ktops, "_dft_both_legs", conjugate_w_side)
+    found = pair.fourier_conjugation_residual()
+    assert found >= 0.5 if conjugated > 0.5 else found <= max(4 * conjugated, 1e-13)
 
 
 RESIDUAL_GROUPS = ([24], [2, 12], [3, 8])
 
 
 def test_fourier_residual_is_independent_of_blas_threads():
-    # each block of |G|^3 = 13824 entries is above OpenBLAS's threading cutoff,
-    # so a BLAS dot product's sum order would follow the thread count
+    # each squared norm is summed by einsum, not by a BLAS dot product,
+    # whose sum order would follow the thread count; the dense DFT's matrix
+    # products are BLAS calls too, and must give the same bits
     code = (
         "import json\n"
         "from qmamp.groups import make_group\n"
@@ -150,10 +242,13 @@ def test_fourier_residual_is_independent_of_blas_threads():
         assert abs(float(res) - dense_fourier_residual(pair.group, pair.W, pair.V)) <= 1e-13
 
 
-def test_fourier_residual_memory_is_one_block():
-    # summed in |G| row blocks of |G|^3 entries: the dense F x F alone would
-    # take 16 |G|^4 bytes (85 MB here), the check holds about three blocks
-    g = make_group([48])
+@pytest.mark.parametrize("orders", [[24], [2, 12], [48], [256]], ids=orders_id)
+def test_fourier_check_stays_within_the_model(orders):
+    # one batch of probes holds the difference, the probes and the DFT's
+    # input and output, where the dense F x F alone would take 16 |G|^4
+    # bytes; the model is within 1.25x of the peak, so a model that missed
+    # one of those arrays fails
+    g = make_group(orders)
     pair = kt_pair(g)
     tracemalloc.start()
     try:
@@ -162,7 +257,24 @@ def test_fourier_residual_memory_is_one_block():
     finally:
         tracemalloc.stop()
     assert res <= 1e-10
-    assert peak < 4 * 16 * g.size**3
+    bound = ktops._fourier_bytes(g)
+    assert peak <= bound <= 1.25 * peak, (peak, bound)
+
+
+@pytest.mark.parametrize("orders", [[24], [2, 48], [256], [512]], ids=orders_id)
+def test_relation_checks_stay_within_the_model(orders):
+    # a relations row, W and V included: the exhaustive pentagonal check
+    # sets the peak at [24] and [2, 48], the sampled one at [256] and the
+    # Fourier check at [512]
+    g = make_group(orders)
+    tracemalloc.start()
+    try:
+        (row,) = scenarios.relations({"version": 1, "kind": "relations", "groups": [orders]})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(v <= 1e-10 for k, v in row.items() if k != "group")
+    assert peak <= relation_bytes(g) <= 1.25 * peak, (peak, relation_bytes(g))
 
 
 def test_relation_checks_reject_non_permutations():
