@@ -5,6 +5,13 @@ Subcommands mirror the scenario kinds (`relations`, `measure`, `amplify`,
 suite.  Exit codes: 0 success, 1 input/schema error or command-line usage
 error, 2 runtime invariant violation.
 
+`read_argv` reads the command line itself: `qmamp COMMAND [--scenario PATH]
+[--out DIR] [--jobs N]`, each option as `--opt VALUE` or `--opt=VALUE` or by
+a unique prefix.  argparse, with the gettext lookups and the `locale` import
+its parsers make, took 3-4 ms of each fresh process to build and run its
+parsers, more than the whole relations check of a small group; this reader
+takes about 20 us.
+
 `main` first moves every object alive at its start to the garbage
 collector's permanent generation (`gc.freeze`): the modules, types and
 functions that importing numpy and qmamp made, about 22,000 objects.  At exit
@@ -19,7 +26,6 @@ awaits collection included, and the cycle collector never reclaims it.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import sys
 from pathlib import Path
@@ -35,44 +41,60 @@ EXIT_INVARIANT = 2
 RUNNERS = {kind: getattr(scenarios, f"run_{kind}") for kind in scenarios.KINDS}
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argparse parser whose usage errors exit 1, as every input error
-    does, and not argparse's 2, which qmamp keeps for invariant violations;
-    its subparsers are of the same class."""
+def read_argv(argv) -> tuple[str, dict]:
+    """The command that `argv` names first and its options: for a scenario
+    kind `scenario` (required) and `out` (default "."), for `sweep` also
+    `jobs` (an int, default 1), for `selftest` none.  An option is given as
+    `--opt VALUE` or `--opt=VALUE`, by its name or a unique prefix of it, and
+    the last of repeated ones holds; a VALUE after a space may not begin
+    with `--`.  `-h` or `--help` anywhere prints the usage line and a line
+    per command and option to stdout and exits 0; any other misuse prints the
+    usage line and an error line naming the argument to stderr and exits 1,
+    as every input error does, and not 2, which qmamp keeps for invariant
+    violations."""
+    commands = {kind: {"scenario": None, "out": "."} for kind in scenarios.KINDS}
+    commands.update(sweep={**commands["sweep"], "jobs": 1}, selftest={})
+    usage = "usage: qmamp COMMAND [--scenario PATH] [--out DIR] [--jobs N]"
+    if {"-h", "--help"} & set(argv):
+        print(usage, *(f"  {kind:<16}run a '{kind}' scenario" for kind in scenarios.KINDS),
+              "  selftest        run the acceptance suite",
+              "  --scenario PATH path to a scenario JSON file, required by every kind",
+              "  --out DIR       output directory (default: cwd)",
+              "  --jobs N        parallel sweep workers, at most one per point and CPU", sep="\n")
+        raise SystemExit(EXIT_OK)
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+    def fail(message):
+        print(usage, f"qmamp: error: {message}", sep="\n", file=sys.stderr)
+        raise SystemExit(EXIT_INPUT)
 
-
-def _add_common(sub):
-    sub.add_argument("--scenario", required=True, help="path to a scenario JSON file")
-    sub.add_argument("--out", default=".", help="output directory (default: cwd)")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="qmamp",
-        description="measurement couplings, amplification cascades, and Stern-Gerlach runs",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-    for kind in scenarios.KINDS:
-        sub = subs.add_parser(kind, help=f"run a '{kind}' scenario")
-        _add_common(sub)
-        if kind == "sweep":
-            sub.add_argument(
-                "--jobs", type=int, default=1,
-                help="parallel sweep workers, at most one per point and per CPU",
-            )
-    subs.add_parser("selftest", help="run the acceptance suite")
-    return parser
+    if not argv or argv[0] not in commands:
+        fail(f"expected a command, one of {', '.join(commands)}; got "
+             + (repr(argv[0]) if argv else "none"))
+    command, args = argv[0], iter(argv[1:])
+    options = dict(commands[command])
+    for arg in args:
+        name, eq, value = arg.partition("=")
+        names = [n for n in options if len(name) > 2 and f"--{n}".startswith(name)]
+        if len(names) != 1:
+            fail(f"unrecognized argument {arg!r} for {command}")
+        if not eq and (value := next(args, "--")).startswith("--"):
+            fail(f"argument --{names[0]}: expected a value")
+        if names[0] == "jobs":
+            try:
+                value = int(value)
+            except ValueError:
+                fail(f"argument --jobs: expected an integer, got {value!r}")
+        options[names[0]] = value
+    if None in options.values():
+        fail("argument --scenario: required")
+    return command, options
 
 
 def main(argv=None) -> int:
     gc.freeze()  # the imports: the collections at exit need not walk them again
-    args = build_parser().parse_args(argv)
+    command, options = read_argv(sys.argv[1:] if argv is None else argv)
 
-    if args.command == "selftest":
+    if command == "selftest":
         # imported here, as only the self-test needs it
         from . import selfcheck
 
@@ -80,18 +102,17 @@ def main(argv=None) -> int:
         return EXIT_OK if ok else EXIT_INVARIANT
 
     try:
-        scenario = scenarios.load_scenario(args.scenario)
-        if scenario["kind"] != args.command:
+        scenario = scenarios.load_scenario(options.pop("scenario"))
+        if scenario["kind"] != command:
             raise scenarios.ScenarioError(
-                f"field 'kind': scenario is '{scenario['kind']}', invoked as '{args.command}'"
+                f"field 'kind': scenario is '{scenario['kind']}', invoked as '{command}'"
             )
-        out_dir = Path(args.out)
+        out_dir = Path(options.pop("out"))
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:  # a file at the path or on the way to it
             raise scenarios.ScenarioError(f"option '--out': {exc}") from exc
-        options = {"jobs": args.jobs} if "jobs" in args else {}
-        paths = RUNNERS[args.command](scenario, out_dir, **options)
+        paths = RUNNERS[command](scenario, out_dir, **options)  # sweep's jobs, if any
     except (scenarios.ScenarioError, FieldError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -11,7 +11,8 @@ Every field is read through `read`, which checks its type and bound and names
 its dotted path in the error; the Stern-Gerlach fields, their defaults and
 bounds are the table SG_FIELDS.  A Stern-Gerlach run whose grid or step count
 exceeds SG_SOLVER_BYTES or SG_POINT_STEPS, whose step the solver would
-refuse, or whose packet the grid cannot hold is refused before it starts; a
+refuse, or whose packet the grid cannot hold is refused before it starts, as
+is a sweep whose points together exceed SWEEP_WORK point-steps; a
 run whose packet reaches the box edge is refused naming its grid.extent.  An
 amplify N whose label arrays exceed AMPLIFY_BYTES is refused as soon as the
 rep's group and projection count are known, before any matrix is read.
@@ -95,6 +96,13 @@ SG_SIGNED = frozenset({"field.b1", "field.b2", "grid.center", "grid.momentum"})
 SG_SOLVER_BYTES = 1 << 30
 SG_BYTES_PER_POINT = 256
 SG_POINT_STEPS = 10**10
+# Size limit of a sweep run, checked before any of its points is formed: the
+# sum over its points of grid.points x time.steps plus SWEEP_POINT_WORK, the
+# fixed cost of a point (packet, solver set-up and summary: about 0.4 ms here
+# whatever the grid, at 40-55 ns per point-step).  SWEEP_WORK admits every
+# one-point sweep that SG_POINT_STEPS admits.
+SWEEP_POINT_WORK = 10**4
+SWEEP_WORK = SG_POINT_STEPS + SWEEP_POINT_WORK
 
 
 class ScenarioError(ValueError):
@@ -442,16 +450,10 @@ def _field(f: dict) -> sterngerlach.FieldModel:
     )
 
 
-def _preflight(f: dict, where) -> None:
-    """Refuse a run before its packet is built, naming the field at fault
-    through `where`, which maps a field to its path: solver arrays over
-    SG_SOLVER_BYTES or points x steps over SG_POINT_STEPS; a potential step
-    that evolve would refuse, naming time.dt and the field values that set
-    the step angle; a packet that the grid cannot hold or resolve (the
-    refusals of `sterngerlach.gaussian_packet` among them); and a U_fi
-    report that would divide by zero.  On Python floats, so an overflow
-    gives inf without a numpy warning."""
-    n, steps = f["grid.points"], f["time.steps"]
+def _check_size(n: int, steps: int, where) -> None:
+    """Refuse a run of `n` grid points and `steps` steps whose solver arrays
+    exceed SG_SOLVER_BYTES or whose points x steps exceed SG_POINT_STEPS,
+    naming grid.points or time.steps through `where`."""
     if n * SG_BYTES_PER_POINT > SG_SOLVER_BYTES:
         raise ScenarioError(
             f"field '{where('grid.points')}': expected at most"
@@ -463,6 +465,19 @@ def _preflight(f: dict, where) -> None:
             f"field '{where('time.steps')}': expected grid.points x time.steps <="
             f" {SG_POINT_STEPS}, got {n} x {steps}"
         )
+
+
+def _preflight(f: dict, where) -> None:
+    """Refuse a run before its packet is built, naming the field at fault
+    through `where`, which maps a field to its path: solver arrays over
+    SG_SOLVER_BYTES or points x steps over SG_POINT_STEPS; a potential step
+    that evolve would refuse, naming time.dt and the field values that set
+    the step angle; a packet that the grid cannot hold or resolve (the
+    refusals of `sterngerlach.gaussian_packet` among them); and a U_fi
+    report that would divide by zero.  On Python floats, so an overflow
+    gives inf without a numpy warning."""
+    n, steps = f["grid.points"], f["time.steps"]
+    _check_size(n, steps, where)
     extent, sigma = f["grid.extent"], f["grid.sigma"]
     ends = [sterngerlach.grid_z(n, extent, i) for i in (0, n - 1)]
     angle = f["time.dt"] * f["field.mu"] * sterngerlach.max_field(_field(f), ends)
@@ -578,13 +593,14 @@ def sweep(scenario: dict, jobs: int = 1) -> list[dict]:
     rows, one per point.  `jobs` > 1 runs them in a process pool of at most
     min(jobs, points, cpu count) workers, and no more than SG_SOLVER_BYTES of
     solver arrays hold at once.  Every point's fields are read and checked
-    before any point runs."""
+    before any point runs, and a run whose points together would make more
+    than SWEEP_WORK point-steps is refused before any point is formed."""
     if jobs < 1:
         raise ScenarioError(f"option '--jobs': must be >= 1, got {jobs}")
     axes = read(scenario, "axes", [dict])
     if len(axes) > 2:
         raise ScenarioError(f"field 'axes': expected one or two sweep axes, got {len(axes)}")
-    swept, grids = [], []
+    swept = {}  # path -> values
     for i in range(len(axes)):
         path = read(scenario, f"axes[{i}].path", str)
         default = SG_FIELDS.get(path)
@@ -599,13 +615,26 @@ def sweep(scenario: dict, jobs: int = 1) -> list[dict]:
                 f"field 'axes[{i}].path': expected a field that no other axis sweeps, and not"
                 f" time.record_every, as a sweep records only the last step; got {_shown(path)}"
             )
-        values = read(scenario, f"axes[{i}].values", [type(default)], bound=_sg_bound(path))
-        swept.append(path)
-        grids.append([(path, v) for v in values])
+        swept[path] = read(scenario, f"axes[{i}].values", [type(default)], bound=_sg_bound(path))
     base = _sg_fields(scenario, "base.", swept)
     base["adiabaticity"] |= any(p.startswith("adiabaticity.") for p in swept)
     axis_of = {path: f"axes[{i}].values" for i, path in enumerate(swept)}
     where = {**{path: "base." + path for path in SG_FIELDS}, **axis_of}.get
+    # the run's work from the axes' values, before any point is formed: the
+    # base or one axis gives every point's grid.points, the base or another
+    # its time.steps, so each pair of them recurs in count / (len x len) points
+    points, steps = ([base[p]] if p in base else swept[p] for p in ("grid.points", "time.steps"))
+    _check_size(max(points), max(steps), where)  # the largest point, as a point's preflight would
+    count = math.prod(map(len, swept.values()))
+    work = sum(points) * sum(steps) * count // (len(points) * len(steps))
+    work += SWEEP_POINT_WORK * count
+    if work > SWEEP_WORK:
+        raise ScenarioError(
+            f"field 'axes': expected points that make at most {SWEEP_WORK} point-steps"
+            f" together, each grid.points x time.steps + {SWEEP_POINT_WORK}; these {count}"
+            f" points make {work}"
+        )
+    grids = [[(path, v) for v in values] for path, values in swept.items()]
     tasks = [({**base, **dict(pt)}, pt, where("grid.extent")) for pt in itertools.product(*grids)]
     for fields, _, _ in tasks:
         _preflight(fields, where)

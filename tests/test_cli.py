@@ -93,6 +93,10 @@ def test_scenario_file_the_decoder_refuses_exits_1(tmp_path, capsys, content):
         pytest.param(["sweep", "--scenario", "{path}", "--jobs", "abc"], id="sweep-jobs-abc"),
         pytest.param(["relations", "--scenario", "x", "--jobs", "2"], id="relations-jobs-2"),
         pytest.param(["selftest", "--scenario", "x"], id="selftest-scenario"),
+        pytest.param(["relations", "--scenario", "{path}", "stray"], id="stray-positional"),
+        pytest.param(["sweep", "--scenario", "{path}", "--jobs"], id="jobs-without-value"),
+        pytest.param(["relations", "--scenario"], id="scenario-without-value"),
+        pytest.param(["selftest", "--out", "x"], id="selftest-out"),
     ],
 )
 def test_cli_offers_jobs_on_sweep_only_and_no_seed(tmp_path, capsys, argv):
@@ -105,12 +109,55 @@ def test_cli_offers_jobs_on_sweep_only_and_no_seed(tmp_path, capsys, argv):
     assert "error: " in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]], ids=["qmamp", "sweep"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["sweep", "--help"],
+        ["sweep", "--scenario", "x", "--jobs", "2", "-h"],
+        ["relations", "--scen=x", "--out", "y", "-h"],
+    ],
+    ids=["qmamp", "sweep", "sweep-h-last", "relations-h-last"],
+)
 def test_cli_help_exits_0(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == EXIT_OK
-    assert "usage: qmamp" in capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert "usage: qmamp" in out
+    assert out.startswith("usage: qmamp ") and "--jobs" in out and not err
+
+
+def canonical_argv(kind, path, out):
+    return [kind, "--scenario", path, "--out", out] + (["--jobs", "2"] if kind == "sweep" else [])
+
+
+def option_pairs(argv):
+    return list(zip(argv[1::2], argv[2::2]))
+
+
+# Spellings of the canonical command line that `read_argv` reads the same way.
+ARGV_FORMS = {
+    "equals": lambda argv: argv[:1] + [f"{opt}={value}" for opt, value in option_pairs(argv)],
+    "prefix": lambda argv: [arg[:4] if arg.startswith("--") else arg for arg in argv],
+    "reordered": lambda argv: argv[:1] + [x for pair in option_pairs(argv)[::-1] for x in pair],
+    # the last of a repeated option holds: the first values would fail or go elsewhere
+    "repeated": lambda argv: argv[:1]
+    + [x for opt, _ in option_pairs(argv) for x in (opt, "0" if opt == "--jobs" else "unused")]
+    + argv[1:],
+}
+
+
+@pytest.mark.parametrize("form", ARGV_FORMS)
+@pytest.mark.parametrize("kind", ["relations", "sweep"])
+def test_cli_argv_forms_write_the_canonical_bytes(tmp_path, monkeypatch, kind, form):
+    monkeypatch.chdir(tmp_path)
+    path = write_scenario(tmp_path, VALID["relations"] if kind == "relations" else SMALL_SWEEP)
+    outs = [tmp_path / "canonical", tmp_path / form]
+    assert main(canonical_argv(kind, path, str(outs[0]))) == EXIT_OK
+    assert main(ARGV_FORMS[form](canonical_argv(kind, path, str(outs[1])))) == EXIT_OK
+    assert (outs[0] / f"{kind}.csv").read_bytes() == (outs[1] / f"{kind}.csv").read_bytes()
+    assert not (tmp_path / "unused").exists()
 
 
 def test_cli_rejects_missing_file(tmp_path, capsys):
@@ -239,6 +286,24 @@ def test_relations_does_not_import_numpy_random():
         "scenarios.relations({'version': 1, 'kind': 'relations', 'groups': [[2, 3], [24]]})\n"
         "print(json.dumps([before, 'numpy.random' in sys.modules]))\n"
     )
+    assert found[1] == found[0]
+
+
+def test_cli_run_imports_no_argparse_or_gettext(tmp_path):
+    # the command line is read without argparse, whose gettext lookups cost
+    # a fresh process more than a small relations check
+    argv = ["relations", "--scenario", write_scenario(tmp_path, VALID["relations"]),
+            "--out", str(tmp_path)]
+    found = run_fresh(
+        "import contextlib, io, json, sys\n"
+        "names = ('argparse', 'gettext')\n"
+        "before = [name in sys.modules for name in names]\n"
+        "import qmamp.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = qmamp.cli.main({argv!r})\n"
+        "print(json.dumps([before, [name in sys.modules for name in names], code]))\n"
+    )
+    assert found[2] == EXIT_OK
     assert found[1] == found[0]
 
 
@@ -642,6 +707,48 @@ def test_sweep_clamps_jobs(tmp_path, monkeypatch, jobs, cpus, points, expected):
     assert main(["sweep", "--scenario", path, "--out", str(out), "--jobs", jobs]) == EXIT_OK
     assert RecordingPool.sizes == expected
     assert len(read_csv(out / "sweep.csv")) == points
+
+
+@pytest.mark.parametrize("copies", [10**3, 10**5])
+@pytest.mark.parametrize("axes", [1, 2], ids=["one-axis", "two-axes"])
+def test_sweep_run_is_bounded_by_work(tmp_path, capsys, monkeypatch, axes, copies):
+    # a valid axis value repeated many times, on one axis or on both, runs or
+    # is refused as a whole, naming `axes` with the run's estimate and bound,
+    # before any point is formed and within a few seconds; the points are stubbed
+    monkeypatch.setattr(scenarios, "_sweep_point", lambda task: dict(task[1]))
+    payload = VALID["sweep"]
+    for i in range(axes):
+        value = payload["axes"][i]["values"][0]
+        payload = with_value(payload, ("axes", i, "values"), [value] * copies)
+    points = copies**axes
+    point_work = 512 * 4 + scenarios.SWEEP_POINT_WORK  # axes[1]'s grid.points, the base's steps
+    path = write_scenario(tmp_path, payload)
+    start = time.perf_counter()
+    code = main(["sweep", "--scenario", path, "--out", str(tmp_path)])
+    assert time.perf_counter() - start < 10
+    err = capsys.readouterr().err
+    assert code == (EXIT_INPUT if points * point_work > scenarios.SWEEP_WORK else EXIT_OK)
+    assert len(err.splitlines()) == (code == EXIT_INPUT)
+    if code == EXIT_INPUT:
+        assert err.startswith("error: field 'axes': ")
+        assert str(scenarios.SWEEP_WORK) in err and str(points * point_work) in err
+    else:
+        assert len(read_csv(tmp_path / "sweep.csv")) == points
+
+
+def test_sweep_run_bound_admits_every_one_point_sweep(tmp_path, capsys, monkeypatch):
+    # one point at the per-point limits runs; the same point twice is refused
+    monkeypatch.setattr(scenarios, "_sweep_point", lambda task: dict(task[1]))
+    steps = scenarios.SG_POINT_STEPS // MAX_POINTS
+    payload = with_value(SMALL_SWEEP, ("base", "time", "steps"), steps)
+    payload = with_value(payload, ("axes",), [{"path": "grid.points", "values": [MAX_POINTS]}])
+    path = write_scenario(tmp_path, payload)
+    assert main(["sweep", "--scenario", path, "--out", str(tmp_path)]) == EXIT_OK
+    assert len(read_csv(tmp_path / "sweep.csv")) == 1
+    payload = with_value(payload, ("axes", 0, "values"), [MAX_POINTS] * 2)
+    path = write_scenario(tmp_path, payload)
+    assert main(["sweep", "--scenario", path, "--out", str(tmp_path / "out")]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: field 'axes': ")
 
 
 HALF_POINT_LIMIT = scenarios.SG_SOLVER_BYTES // scenarios.SG_BYTES_PER_POINT // 2
