@@ -30,7 +30,8 @@ its last leg pair, so ascending N build one leg each.  Every index it
 composes is below CHAIN_WORK = 2^27, so its index maps are int32.  It holds
 the chain, t_gamma^(N+1) and a gather, or the build's temporaries beside the
 last N's chain, about 4 g^N max(g + 5, 2g + 2) bytes.  Above that it checks
-the same identity through `copy_scan` on a fixed-seed sample of basis tuples.
+the same identity through `copy_scan` on a sample of basis tuples hashed by
+`ktops._splitmix`, as `ktops.verify_pentagonal` samples its triples.
 The dense cascade matrix and the Heisenberg-picture map are test oracles
 (`tests/dense_oracle.py`).
 """
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import Character, FiniteAbelianGroup
-from .ktops import _kron_power, build_V
+from .ktops import _kron_power, _splitmix, build_V
 from .measurement import InstrumentResult, Outcome, SpectralRepresentation, couple
 from .measurement import _instrument_result
 
@@ -62,13 +63,12 @@ class CascadeError(ValueError):
 # several to a copied gather.  (At 1 << 16 the z3 clock's 59,049-entry
 # blocks at N = 10 were copied two at a time, and in a fresh process the
 # checks of N = 1..10 took 40% longer, mostly in page faults on the copies.)
-# Above that each character scans the same CHAIN_SEED sample of basis tuples,
-# sized so that the |G| characters scan about CHAIN_SAMPLE_WORK labels, at
-# least one tuple.
+# Above that each character scans the same sample of basis tuples, hashed
+# from ktops.CHECK_SEED, sized so that the |G| characters scan about
+# CHAIN_SAMPLE_WORK labels, at least one tuple.
 CHAIN_WORK = 1 << 27
 CHAIN_BYTES = 3 << 26
 CHAIN_SAMPLE_WORK = 1 << 21
-CHAIN_SEED = 20240817
 CHAIN_GATHER = 1 << 14
 
 
@@ -184,13 +184,15 @@ def intertwiner_chain_check(gamma: Character, n: int) -> float:
     CHAIN_GATHER entries.  The residual is sqrt(2 x the basis indices whose
     images differ), the Frobenius norm of the difference.  Where
     `chain_samples` is s > 0, both sides are evaluated through `copy_scan` on
-    s fixed-seed basis tuples instead, and the residual is sqrt(2 x the
+    s basis tuples instead, the same at every call, their labels hashed from
+    counters 0, 1, ... by `ktops._splitmix`; the residual is sqrt(2 x the
     tuples whose images differ).
     """
     group = gamma.group
     samples = chain_samples(group, n)
     if samples:
-        x = np.random.default_rng(CHAIN_SEED).integers(group.size, size=(samples, n + 1))
+        x = _splitmix(np.arange(samples * (n + 1), dtype=np.uint64)) % np.uint64(group.size)
+        x = x.astype(np.intp).reshape(samples, n + 1)
         rhs = group.add_indices(gamma.index, copy_scan(group, x))
         x[:, 0] = group.add_indices(gamma.index, x[:, 0])
         mismatches = np.count_nonzero((copy_scan(group, x) != rhs).any(axis=1))

@@ -37,9 +37,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INVARIANT = 2
 
-# scenario kind -> scenarios.run_<kind>(scenario, out_dir, **options)
-RUNNERS = {kind: getattr(scenarios, f"run_{kind}") for kind in scenarios.KINDS}
-
 
 def read_argv(argv) -> tuple[str, dict]:
     """The command that `argv` names first and its options: for a scenario
@@ -112,7 +109,7 @@ def main(argv=None) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:  # a file at the path or on the way to it
             raise scenarios.ScenarioError(f"option '--out': {exc}") from exc
-        paths = RUNNERS[command](scenario, out_dir, **options)  # sweep's jobs, if any
+        paths = scenarios.run_scenario(scenario, out_dir, **options)  # sweep's jobs, if any
     except (scenarios.ScenarioError, FieldError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -10,7 +10,9 @@ characters of Delta in index order; its value at the identity is the
 outcome probability and its normalized operation gives the
 post-measurement density matrix.  The coupled picture reads the same
 instrument off the probe of `couple`'s output, B x 1_Delta, through
-`amplification.amplified_instrument` at N = 1.
+`amplification.amplified_instrument` at N = 1; with B = E(chi1) and Delta =
+{chi2} that reading is the joint probability of system sector chi1 and
+probe label chi2.
 """
 
 from __future__ import annotations
@@ -174,13 +176,6 @@ def _instrument_result(prob: float, cond: complex, rho: np.ndarray) -> Instrumen
     if prob > 1e-300:
         return InstrumentResult(prob, cond, rho / prob)
     return InstrumentResult(0.0, cond, None)
-
-
-def joint_probability(rep, coupled: np.ndarray, chi_sys: Character, chi_probe: Character) -> float:
-    """P(system in range E(chi_sys), probe at chi_probe) in a (system, probe) tensor."""
-    branch = coupled[:, chi_probe.index]
-    p = rep.projection(chi_sys)
-    return float(np.vdot(p @ branch, p @ branch).real)
 
 
 def _diagonal_rep(group: FiniteAbelianGroup) -> SpectralRepresentation:

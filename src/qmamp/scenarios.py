@@ -15,16 +15,18 @@ refuse, or whose packet the grid cannot hold is refused before it starts, as
 is a sweep whose points together exceed SWEEP_WORK point-steps; a
 run whose packet reaches the box edge is refused naming its grid.extent.  An
 amplify N whose label arrays exceed AMPLIFY_BYTES is refused as soon as the
-rep's group and projection count are known, before any matrix is read.
+rep's group and projection count are known, before any matrix is read, as
+is a run whose N and outcomes together would scan more than AMPLIFY_WORK
+labels.
 
 Each kind has one compute function that reads, checks and computes a
 scenario object and returns its rows: `relations`, `measure`, `amplify`,
 `sweep`, and `simulate`, which returns a sterngerlach run and its summary.
-The `run_<kind>` functions that the CLI calls write what they return.  A
-run's summary comes from its recorded time series alone: a branch's kick is
-the change of its recorded <p_z> between the first and the last record, and
-a branch holding under 1e-6 of the probability at the start or the end has
-no kick (None).
+`run_scenario`, which the CLI calls, computes a scenario of any kind and
+writes what its compute function returns.  A run's summary comes from its
+recorded time series alone: a branch's kick is the change of its recorded
+<p_z> between the first and the last record, and a branch holding under
+1e-6 of the probability at the start or the end has no kick (None).
 
 Outputs are CSV (floats printed with 12 significant digits) plus a summary
 JSON for the wavepacket runs; reruns with the same scenario are byte-identical.
@@ -71,9 +73,16 @@ RELATIONS_WORK = 1 << 29
 # Size limits of one amplify N, checked before any matrix is read: the
 # label arrays it holds (`amp.label_bytes`; 400 MiB keeps every exhaustive
 # chain check, which holds at most amp.CHAIN_BYTES = 192 MiB), and the labels
-# its |G| sampled chain checks scan, at least |G| (N + 1).
+# its |G| sampled chain checks scan, at least |G| (N + 1).  Size limit of an
+# amplify run, checked at the same time: the labels that its N together scan,
+# each N's chain checks (|G|^(N+2) exhaustive, |G| samples (N + 1) sampled)
+# plus m N support labels for its cascade and again for each outcome's
+# instrument.  AMPLIFY_WORK admits every one-N, one-outcome run that the
+# limits of one N admit, whose m N is at most AMPLIFY_BYTES / 32; sigma_z at
+# N = 10^6 listed 26 times, just under it, takes 6.5 s on a 2-vCPU Xeon.
 AMPLIFY_BYTES = 25 << 24
 AMPLIFY_CHAIN_WORK = 1 << 27
+AMPLIFY_WORK = AMPLIFY_CHAIN_WORK + AMPLIFY_BYTES // 16
 
 # Stern-Gerlach fields, "section.field" -> default.  The default's type is the
 # field's type (a list is a spinor of amplitudes); a required field's default
@@ -230,13 +239,14 @@ def _names(where: str):
 
 
 def build_rep(scenario: dict, n_values=()) -> measurement.SpectralRepresentation:
-    """The scenario's spectral representation.  Each amplify N in `n_values`
-    is refused (`_check_copies`) as soon as the group and the projection
-    count are known, before any matrix of an explicit rep is read."""
+    """The scenario's spectral representation.  Each amplify N in `n_values`,
+    and the run of them all, is refused (`_check_copies`) as soon as the
+    group and the projection count are known, before any matrix of an
+    explicit rep is read."""
     spec = scenario.get("rep")
     if spec in ("sigma_z", "z3_clock"):
         rep = measurement.sigma_z_rep() if spec == "sigma_z" else measurement.clock_rep(3)
-        _check_copies(rep.group, len(rep.projections), n_values)
+        _check_copies(scenario, rep.group, len(rep.projections), n_values)
         return rep
     if isinstance(spec, str):
         raise ScenarioError(
@@ -246,7 +256,7 @@ def build_rep(scenario: dict, n_values=()) -> measurement.SpectralRepresentation
         group = groups.make_group(read(scenario, "rep.group", [int], bound=0))
     system_dim = read(scenario, "rep.system_dim", int, bound=0)
     count = len(read(scenario, "rep.projections", [dict]))
-    _check_copies(group, count, n_values)
+    _check_copies(scenario, group, count, n_values)
     assignments = []
     for i in range(count):
         where = f"rep.projections[{i}]"
@@ -261,18 +271,30 @@ def build_rep(scenario: dict, n_values=()) -> measurement.SpectralRepresentation
         return measurement._spectral_family(group, system_dim, assignments)
 
 
-def _check_copies(group: groups.FiniteAbelianGroup, m: int, n_values) -> None:
+def _check_copies(scenario: dict, group: groups.FiniteAbelianGroup, m: int, n_values) -> None:
     """Refuse an amplify N whose label arrays, for a representation of `group`
     with m projections, exceed AMPLIFY_BYTES or whose |G| chain checks scan
-    more than AMPLIFY_CHAIN_WORK labels."""
+    more than AMPLIFY_CHAIN_WORK labels, and then a run whose N and the
+    scenario's outcomes together scan more than AMPLIFY_WORK labels."""
+    g, chain, support = group.size, 0, 0
     for n in n_values:
-        need, g = amp.label_bytes(group, m, n), group.size
+        need, samples = amp.label_bytes(group, m, n), amp.chain_samples(group, n)
         if need > AMPLIFY_BYTES or g * (n + 1) > AMPLIFY_CHAIN_WORK:
             raise ScenarioError(
                 f"field 'n_values': N = {n} needs about {need} bytes of label arrays and a chain"
                 f" check of at least {g} x {n + 1} labels; the bounds are {AMPLIFY_BYTES} bytes"
                 f" and {AMPLIFY_CHAIN_WORK} labels"
             )
+        chain += g * samples * (n + 1) if samples else g ** (n + 2)
+        support += m * n
+    outcomes = len(read(scenario, "outcomes", [[int]])) if n_values else 0
+    work = chain + (outcomes + 1) * support
+    if work > AMPLIFY_WORK:
+        raise ScenarioError(
+            f"field 'n_values': expected N values whose chain checks, cascades and outcome"
+            f" instruments scan at most {AMPLIFY_WORK} labels together; these {len(n_values)}"
+            f" N with {outcomes} outcomes scan about {work}"
+        )
 
 
 def build_state(scenario: dict, rep) -> np.ndarray:
@@ -398,18 +420,6 @@ def amplify(scenario: dict) -> list[dict]:
                 }
             )
     return rows
-
-
-def run_relations(scenario: dict, out_dir: Path) -> list[Path]:
-    return [_write_csv(out_dir / "relations.csv", relations(scenario))]
-
-
-def run_measure(scenario: dict, out_dir: Path) -> list[Path]:
-    return [_write_csv(out_dir / "measure.csv", measure(scenario))]
-
-
-def run_amplify(scenario: dict, out_dir: Path) -> list[Path]:
-    return [_write_csv(out_dir / "amplify.csv", amplify(scenario))]
 
 
 def _sg_bound(path: str):
@@ -555,23 +565,6 @@ def simulate(scenario: dict) -> tuple[sterngerlach.RunResult, dict]:
     return _run(f, f["time.record_every"], "grid.extent")
 
 
-def run_sterngerlach(scenario: dict, out_dir: Path) -> list[Path]:
-    result, summary = simulate(scenario)
-    s = result.series
-    columns = {
-        "t": s.times, "z_up": s.z_up, "z_down": s.z_down, "pz_up": s.pz_up,
-        "pz_down": s.pz_down, "flip_prob": s.flip_prob, "norm": s.norm,
-    }
-    rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
-    csv_path = _write_csv(out_dir / "sterngerlach.csv", rows)
-    json_path = out_dir / "sterngerlach_summary.json"
-    with open(json_path, "w") as fh:
-        summary = {k: _defined(v) for k, v in summary.items()}
-        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
-    return [csv_path, json_path]
-
-
 def _sweep_point(args):
     fields, axis_values, extent_path = args
     summary = _run(fields, fields["time.steps"], extent_path)[1]
@@ -650,8 +643,29 @@ def sweep(scenario: dict, jobs: int = 1) -> list[dict]:
     return [_sweep_point(t) for t in tasks]
 
 
-def run_sweep(scenario: dict, out_dir: Path, jobs: int = 1) -> list[Path]:
-    return [_write_csv(out_dir / "sweep.csv", sweep(scenario, jobs))]
+def run_scenario(scenario: dict, out_dir: Path, jobs: int = 1) -> list[Path]:
+    """Compute a scenario object of any kind and write its files to
+    `out_dir`: <kind>.csv, then sterngerlach_summary.json for a sterngerlach
+    run.  `jobs` is a sweep's pool size."""
+    kind, summary_paths = scenario["kind"], []
+    if kind == "sterngerlach":
+        result, summary = simulate(scenario)
+        summary_paths.append(out_dir / "sterngerlach_summary.json")
+        with open(summary_paths[0], "w") as fh:
+            summary = {k: _defined(v) for k, v in summary.items()}
+            json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
+            fh.write("\n")
+        s = result.series
+        columns = {
+            "t": s.times, "z_up": s.z_up, "z_down": s.z_down, "pz_up": s.pz_up,
+            "pz_down": s.pz_down, "flip_prob": s.flip_prob, "norm": s.norm,
+        }
+        rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
+    elif kind == "sweep":
+        rows = sweep(scenario, jobs)
+    else:
+        rows = {"relations": relations, "measure": measure, "amplify": amplify}[kind](scenario)
+    return [_write_csv(out_dir / f"{kind}.csv", rows), *summary_paths]
 
 
 def _defined(v):

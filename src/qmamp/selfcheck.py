@@ -7,7 +7,7 @@ scenario objects run through `scenarios.simulate` and `scenarios.sweep`, the
 reader, preflight and runner of the CLI; criteria 1 and 2 read the rows of
 `scenarios.relations`, and criterion 5 those of `scenarios.measure` and
 `scenarios.amplify`, for every nonempty outcome of each preset at every N.
-Criterion 4 reads the coupled picture through
+Criteria 4 and 7 read the coupled picture through
 `amplification.amplified_instrument` at N = 1.
 """
 
@@ -192,20 +192,16 @@ def criterion_7_measurement_properties() -> tuple[bool, str]:
             p_again = float(np.trace(rep.projection(gamma) @ res.post_state).real)
             violations += abs(p_again - 1.0) > 1e-12
 
-        # perfect correlation in the coupled state
-        coupled = measurement.couple(rep, xi)
+        # perfect correlation in the coupled state: P(system chi1, probe chi2)
+        # is E(chi1) read off the N = 1 cascade output at the outcome {chi2}
+        output = amp.cascade_apply(amp.CascadeConfig(rep, 1), xi)
         chi1, chi2 = chars[int(rng.integers(len(chars)))], chars[int(rng.integers(len(chars)))]
+        joint = amp.amplified_instrument(output, measurement.outcome([chi2]), rep.projection(chi1))
+        expected = 0.0
+        if chi1 == chi2:
+            expected = measurement.instrument(rep, measurement.outcome([chi1]), xi, eye).probability
         cases += 1
-        if chi1 != chi2:
-            violations += (
-                measurement.joint_probability(rep, coupled, chi1, chi2) > 1e-12
-            )
-        else:
-            pr = measurement.joint_probability(rep, coupled, chi1, chi1)
-            expected = float(
-                np.vdot(rep.projection(chi1) @ xi, rep.projection(chi1) @ xi).real
-            )
-            violations += abs(pr - expected) > 1e-12
+        violations += abs(joint.conditional_expectation - expected) > 1e-12
     return violations == 0, f"{violations} violations in {cases} random property cases"
 
 

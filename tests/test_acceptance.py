@@ -79,3 +79,21 @@ def test_instrument_criterion_catches_a_shift_at_n_1(monkeypatch, field):
     passed, detail = selfcheck.criterion_4_instrument_equality()
     assert not passed, detail
     assert detail.startswith("max coupled-vs-projective residual 1.00e-09")
+
+
+def test_properties_criterion_catches_a_shift_at_n_1(monkeypatch):
+    # criterion 7 reads each joint probability of a system sector and a probe
+    # label through amplified_instrument at N = 1: a shift of 1e-9 in its
+    # conditional expectation fails it
+    amplified_instrument = amplification.amplified_instrument
+
+    def shifted(output, delta, b):
+        res = amplified_instrument(output, delta, b)
+        if output.cfg.n_copies != 1:
+            return res
+        return dataclasses.replace(res, conditional_expectation=res.conditional_expectation + 1e-9)
+
+    monkeypatch.setattr(amplification, "amplified_instrument", shifted)
+    passed, detail = selfcheck.criterion_7_measurement_properties()
+    assert not passed, detail
+    assert detail == "200 violations in 1000 random property cases"

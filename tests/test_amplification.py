@@ -398,7 +398,7 @@ def test_ascending_n_values_extend_the_cached_chain(monkeypatch, tmp_path):
         return extend_chain(chain, pair_map)
 
     monkeypatch.setattr(amplification, "_extend_chain", spy)
-    scenario = {"rep": "z3_clock", "state": [0.6, 0.8, 0.0], "outcomes": [[0]]}
+    scenario = {"kind": "amplify", "rep": "z3_clock", "state": [0.6, 0.8, 0.0], "outcomes": [[0]]}
     n_values = list(range(1, 9))
     shuffled = n_values[:]
     np.random.default_rng(3).shuffle(shuffled)
@@ -409,7 +409,7 @@ def test_ascending_n_values_extend_the_cached_chain(monkeypatch, tmp_path):
             calls.clear()
             out = tmp_path / "-".join(map(str, order))
             out.mkdir()
-            scenarios.run_amplify({**scenario, "n_values": order}, out)
+            scenarios.run_scenario({**scenario, "n_values": order}, out)
             with open(out / "amplify.csv") as fh:
                 rows = list(csv.DictReader(fh))
             residuals.append({row["n"]: row["chain_residual"] for row in rows})

@@ -13,7 +13,6 @@ from qmamp.measurement import (
     clock_rep,
     couple,
     instrument,
-    joint_probability,
     make_spectral_rep,
     outcome,
     sigma_z_rep,
@@ -31,6 +30,14 @@ def char_of(rep, projection):
     return next(
         chi for chi, p in rep.projections.items() if np.allclose(p, projection)
     )
+
+
+def joint_probability(rep, xi, chi_sys, chi_probe):
+    """P(system in range E(chi_sys), probe at chi_probe) after the coupling:
+    E(chi_sys) read off the N = 1 cascade output at the outcome {chi_probe}."""
+    output = cascade_apply(CascadeConfig(rep, 1), xi)
+    res = amplified_instrument(output, outcome([chi_probe]), rep.projection(chi_sys))
+    return res.conditional_expectation
 
 
 def test_make_spectral_rep_validation():
@@ -127,9 +134,8 @@ def test_instrument_rejects_unnormalized_state():
 def test_couple_copies_eigenstate_labels():
     rep = sigma_z_rep()
     chi_up = char_of(rep, np.diag([1.0, 0.0]))
-    coupled = couple(rep, spin_state(1, 0))
     # probe pointer lands on the character carried by the system eigenstate
-    assert joint_probability(rep, coupled, chi_up, chi_up) == pytest.approx(1.0)
+    assert joint_probability(rep, spin_state(1, 0), chi_up, chi_up) == pytest.approx(1.0)
 
 
 def test_couple_perfect_correlation_superposition():
@@ -137,11 +143,10 @@ def test_couple_perfect_correlation_superposition():
     chi_up = char_of(rep, np.diag([1.0, 0.0]))
     chi_dn = char_of(rep, np.diag([0.0, 1.0]))
     xi = spin_state(np.sqrt(0.3), np.sqrt(0.7))
-    coupled = couple(rep, xi)
-    assert joint_probability(rep, coupled, chi_up, chi_up) == pytest.approx(0.3)
-    assert joint_probability(rep, coupled, chi_dn, chi_dn) == pytest.approx(0.7)
-    assert joint_probability(rep, coupled, chi_up, chi_dn) == pytest.approx(0.0)
-    assert joint_probability(rep, coupled, chi_dn, chi_up) == pytest.approx(0.0)
+    assert joint_probability(rep, xi, chi_up, chi_up) == pytest.approx(0.3)
+    assert joint_probability(rep, xi, chi_dn, chi_dn) == pytest.approx(0.7)
+    assert joint_probability(rep, xi, chi_up, chi_dn) == pytest.approx(0.0)
+    assert joint_probability(rep, xi, chi_dn, chi_up) == pytest.approx(0.0)
 
 
 @settings(deadline=None, max_examples=20)
