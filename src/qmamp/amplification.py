@@ -26,12 +26,27 @@ small (`chain_samples`): it forms t_gamma^(N+1) once, by squaring, and
 compares the two sides over chunks of first-leg blocks, one gather each.
 The copy chain does not depend on gamma, so it is cached for the characters
 at one N, and the chain of N is the cached chain of N - 1 with V appended on
-its last leg pair, so ascending N build one leg each.  Every index it
-composes is below CHAIN_WORK = 2^27, so its index maps are int32.  It holds
-the chain, t_gamma^(N+1) and a gather, or the build's temporaries beside the
-last N's chain, about 4 g^N max(g + 5, 2g + 2) bytes.  Above that it checks
-the same identity through `copy_scan` on a sample of basis tuples hashed by
-`ktops._splitmix`, as `ktops.verify_pentagonal` samples its triples.
+its last leg pair, so ascending N build one leg each; V's index map is built
+once per group.  Every index it composes is below CHAIN_WORK = 2^27, so its
+index maps are int32.  It holds the chain, t_gamma^(N+1) and a gather, or
+the build's temporaries beside the last N's chain, about
+4 g^N max(g + 5, 2g + 2) bytes.  Above that it checks the same identity
+through `copy_scan` on a sample of basis tuples hashed by `ktops._splitmix`,
+as `ktops.verify_pentagonal` samples its triples.
+
+The characters whose identity holds on a chain C form a subgroup:
+gamma -> t_gamma is a homomorphism, t_(gamma + gamma') = t_gamma t_gamma',
+so the identity for gamma and gamma' composes to the one for
+gamma + gamma', and t_0 is the identity, for any map C.  So the trivial
+character's residual is 0.0 without a check, on both paths, and an
+exhaustive check that finds no mismatch proves the subgroup that gamma
+generates with the characters already proven on that chain object: a later
+character of that subgroup returns 0.0 without composing anything.  Both
+are exact, not estimates.  A check that finds mismatches proves nothing, so
+a faulty chain has each of its other characters composed, and every
+residual equals the one a full composition gives.  A sample proves nothing
+beyond its own tuples, so the sampled path composes every nontrivial
+character.
 The dense cascade matrix and the Heisenberg-picture map are test oracles
 (`tests/dense_oracle.py`).
 """
@@ -39,6 +54,7 @@ The dense cascade matrix and the Heisenberg-picture map are test oracles
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,7 +203,19 @@ def intertwiner_chain_check(gamma: Character, n: int) -> float:
     s basis tuples instead, the same at every call, their labels hashed from
     counters 0, 1, ... by `ktops._splitmix`; the residual is sqrt(2 x the
     tuples whose images differ).
+
+    The residual of the trivial character is 0.0 at once: t_0 is the
+    identity, so both sides are the same map.  An exhaustive check with no
+    mismatch proves its subgroup on the chain object it read
+    (`_prove_subgroup`), and a character of a proven subgroup returns 0.0
+    without composing anything: the identity for gamma and gamma' gives it
+    for gamma + gamma', as t_(gamma + gamma') = t_gamma t_gamma'.  Both
+    results are the ones a composition gives, exactly.
     """
+    if n < 1:
+        raise CascadeError("need at least one probe copy")
+    if gamma.index == 0:
+        return 0.0
     group = gamma.group
     samples = chain_samples(group, n)
     if samples:
@@ -199,7 +227,13 @@ def intertwiner_chain_check(gamma: Character, n: int) -> float:
         return float(np.sqrt(2.0 * mismatches))
     g = group.size
     # the chain first: a build would otherwise hold t_all beside its own peak
-    rows = _copy_chain(group, n).reshape(g, -1)
+    chain = _copy_chain(group, n)
+    if _proof[0]() is not chain:  # no proof is held for this chain object yet
+        _proof[:] = [weakref.ref(chain), np.arange(g) == 0]
+    proven = _proof[1]
+    if proven[gamma.index]:
+        return 0.0
+    rows = chain.reshape(g, -1)
     t = group.add_indices(gamma.index, np.arange(g)).astype(np.int32)
     t_all = _kron_power(t, n + 1)
     step = -(-CHAIN_GATHER // rows.shape[1])  # first-leg blocks per gather
@@ -207,7 +241,28 @@ def intertwiner_chain_check(gamma: Character, n: int) -> float:
     for a in range(0, g, step):
         a = a if step == 1 else slice(a, a + step)  # one block stays a view
         mismatches += np.count_nonzero(rows[t[a]] != t_all[rows[a]])
+    if mismatches == 0:
+        _prove_subgroup(group, proven, gamma.index)
     return float(np.sqrt(2.0 * mismatches))
+
+
+# The characters whose chain identity is proven on one chain object: a weak
+# reference to that chain, so that a proof keeps no chain alive and dies with
+# it, and a mask over the character indices, a subgroup that starts as the
+# trivial character alone.
+_proof = [lambda: None, None]
+
+
+def _prove_subgroup(group: FiniteAbelianGroup, proven: np.ndarray, index: int) -> None:
+    """Mark in `proven`, the mask of a subgroup H of the characters, the
+    subgroup H + <gamma> for gamma at `index`: the cosets H + k gamma for
+    k = 1, 2, ... until one is H again."""
+    coset = np.flatnonzero(proven)  # H, from the trivial character
+    while True:
+        coset = group.add_indices(index, coset)
+        if proven[coset[0]]:  # k gamma lies in H
+            return
+        proven[coset] = True
 
 
 @functools.lru_cache(maxsize=1)
@@ -216,13 +271,20 @@ def _copy_chain(group: FiniteAbelianGroup, n: int) -> np.ndarray:
     not depend on gamma, so a loop over the characters at one N builds it
     once, and it extends the chain of N - 1 by one leg, which the cache holds
     after a loop at N - 1 (else that chain is built first, from V_12 up)."""
-    v = build_V(group).astype(np.int32)  # V_12 on two legs
+    v = _pair_map(group)  # V_12 on two legs
     if n == 1:
-        chain = v
-    else:
-        chain = _extend_chain(_copy_chain(group, n - 1), v.reshape(group.size, group.size))
+        return v
+    chain = _extend_chain(_copy_chain(group, n - 1), v.reshape(group.size, group.size))
     chain.setflags(write=False)
     return chain
+
+
+@functools.lru_cache(maxsize=1)
+def _pair_map(group: FiniteAbelianGroup) -> np.ndarray:
+    """Read-only int32 index map of V, built once for the chains of a group."""
+    v = build_V(group).astype(np.int32)
+    v.setflags(write=False)
+    return v
 
 
 def _extend_chain(chain: np.ndarray, pair_map: np.ndarray) -> np.ndarray:
@@ -233,7 +295,11 @@ def _extend_chain(chain: np.ndarray, pair_map: np.ndarray) -> np.ndarray:
     y % g^2 = (chain[x] % g, q); V replaces them and keeps y - y % g^2.
     """
     g = len(pair_map)
-    last = chain % g
+    # chain % g in one buffer: a floor division and a multiply-subtract take
+    # about a quarter of the time of numpy's integer remainder
+    last = chain // g
+    last *= g
+    np.subtract(chain, last, out=last)
     out = np.take(pair_map, last, axis=0)  # pair_map[last] copies row by row, 13x slower
     high = chain - last
     high *= g

@@ -17,7 +17,8 @@ run whose packet reaches the box edge is refused naming its grid.extent.  An
 amplify N whose label arrays exceed AMPLIFY_BYTES is refused as soon as the
 rep's group and projection count are known, before any matrix is read, as
 is a run whose N and outcomes together would scan more than AMPLIFY_WORK
-labels.
+labels, and a measure run whose outcomes and projection checks together
+exceed MEASURE_WORK.
 
 Each kind has one compute function that reads, checks and computes a
 scenario object and returns its rows: `relations`, `measure`, `amplify`,
@@ -83,6 +84,21 @@ RELATIONS_WORK = 1 << 29
 AMPLIFY_BYTES = 25 << 24
 AMPLIFY_CHAIN_WORK = 1 << 27
 AMPLIFY_WORK = AMPLIFY_CHAIN_WORK + AMPLIFY_BYTES // 16
+
+# Size limit of a measure run, checked before any matrix is read, in
+# multiply-adds of a dense product (0.1-0.3 ns each on one core here): with
+# m projections on a system of dimension d, m d^3 for the projection checks
+# and m (m - 1) / 2 d^3 for their pairwise products, and per outcome Delta a
+# fixed MEASURE_OUTCOME_WORK (reading it, its instrument's calls and its
+# row, 35-45 us) plus MEASURE_ENTRY_WORK per entry of the |Delta| d^2 that
+# its instrument passes over (10-50 ns each at d = 256 to 1024).  A rep of
+# 32 projections at d = 256 takes about half of MEASURE_WORK, and a rep
+# alone is refused above it: one projection above d = 2580, two above 1789.
+# The largest runs admitted took 2.2 s (65,000 outcomes on a preset), 3.4 s
+# (3,840 one-character outcomes at d = 256) and 10 s (207 at d = 1024).
+MEASURE_WORK = 1 << 34
+MEASURE_OUTCOME_WORK = 1 << 18
+MEASURE_ENTRY_WORK = 1 << 6
 
 # Stern-Gerlach fields, "section.field" -> default.  The default's type is the
 # field's type (a list is a spinor of amplitudes); a required field's default
@@ -238,15 +254,14 @@ def _names(where: str):
         raise ScenarioError(f"field '{where}': {exc}") from exc
 
 
-def build_rep(scenario: dict, n_values=()) -> measurement.SpectralRepresentation:
-    """The scenario's spectral representation.  Each amplify N in `n_values`,
-    and the run of them all, is refused (`_check_copies`) as soon as the
-    group and the projection count are known, before any matrix of an
-    explicit rep is read."""
+def build_rep(scenario: dict, check) -> measurement.SpectralRepresentation:
+    """The scenario's spectral representation.  `check(group, system_dim, m)`,
+    m the projection count, refuses a run that its kind's bounds exclude as
+    soon as those are known, before any matrix of an explicit rep is read."""
     spec = scenario.get("rep")
     if spec in ("sigma_z", "z3_clock"):
         rep = measurement.sigma_z_rep() if spec == "sigma_z" else measurement.clock_rep(3)
-        _check_copies(scenario, rep.group, len(rep.projections), n_values)
+        check(rep.group, rep.system_dim, len(rep.projections))
         return rep
     if isinstance(spec, str):
         raise ScenarioError(
@@ -256,7 +271,7 @@ def build_rep(scenario: dict, n_values=()) -> measurement.SpectralRepresentation
         group = groups.make_group(read(scenario, "rep.group", [int], bound=0))
     system_dim = read(scenario, "rep.system_dim", int, bound=0)
     count = len(read(scenario, "rep.projections", [dict]))
-    _check_copies(scenario, group, count, n_values)
+    check(group, system_dim, count)
     assignments = []
     for i in range(count):
         where = f"rep.projections[{i}]"
@@ -287,13 +302,29 @@ def _check_copies(scenario: dict, group: groups.FiniteAbelianGroup, m: int, n_va
             )
         chain += g * samples * (n + 1) if samples else g ** (n + 2)
         support += m * n
-    outcomes = len(read(scenario, "outcomes", [[int]])) if n_values else 0
+    outcomes = len(read(scenario, "outcomes", [[int]]))
     work = chain + (outcomes + 1) * support
     if work > AMPLIFY_WORK:
         raise ScenarioError(
             f"field 'n_values': expected N values whose chain checks, cascades and outcome"
             f" instruments scan at most {AMPLIFY_WORK} labels together; these {len(n_values)}"
             f" N with {outcomes} outcomes scan about {work}"
+        )
+
+
+def _check_measure(scenario: dict, d: int, m: int) -> None:
+    """Refuse a measure run, for a representation of m projections on a
+    system of dimension d, whose outcomes and projection checks together
+    exceed MEASURE_WORK."""
+    outcomes = read(scenario, "outcomes", [[int]])
+    entries = sum(len(set(delta)) for delta in outcomes) * d * d
+    work = (len(outcomes) * MEASURE_OUTCOME_WORK + entries * MEASURE_ENTRY_WORK
+            + m * (m + 1) // 2 * d**3)
+    if work > MEASURE_WORK:
+        raise ScenarioError(
+            f"field 'outcomes': expected outcomes whose instruments, with the checks of the"
+            f" rep's projections, make at most {MEASURE_WORK} multiply-adds; these"
+            f" {len(outcomes)} outcomes on {m} projections of dimension {d} make about {work}"
         )
 
 
@@ -370,16 +401,20 @@ def relations(scenario: dict) -> list[dict]:
     return rows
 
 
-def _instrument_inputs(scenario: dict, n_values=()):
-    rep = build_rep(scenario, n_values)
+def _instrument_inputs(scenario: dict, check):
+    rep = build_rep(scenario, check)
     xi, outcomes = build_state(scenario, rep), build_outcomes(scenario, rep)
     return rep, xi, outcomes, build_observable(scenario, rep)
 
 
 def measure(scenario: dict) -> list[dict]:
-    """Read a measure scenario object and apply the instrument of each of its
-    outcomes: its rows, one per outcome."""
-    rep, xi, outcomes, b = _instrument_inputs(scenario)
+    """Read a measure scenario object, refusing a run whose outcomes and
+    projection checks exceed MEASURE_WORK before any matrix is read, and
+    apply the instrument of each of its outcomes: its rows, one per
+    outcome."""
+    rep, xi, outcomes, b = _instrument_inputs(
+        scenario, lambda group, d, m: _check_measure(scenario, d, m)
+    )
     rows = []
     for label, delta in outcomes:
         res = measurement.instrument(rep, delta, xi, b)
@@ -401,7 +436,9 @@ def amplify(scenario: dict) -> list[dict]:
     amplified| on the observable's conditional expectation, against the
     single-probe instrument of its outcome, computed once for every N."""
     n_values = read(scenario, "n_values", [int], [1, 2, 3], bound=0)
-    rep, xi, outcomes, b = _instrument_inputs(scenario, n_values)
+    rep, xi, outcomes, b = _instrument_inputs(
+        scenario, lambda group, d, m: _check_copies(scenario, group, m, n_values)
+    )
     singles = [measurement.instrument(rep, delta, xi, b) for _, delta in outcomes]
     rows = []
     for n in n_values:

@@ -2,6 +2,7 @@ import csv
 import itertools
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -503,7 +504,10 @@ def test_chain_check_memory_at_largest_n():
 def test_exhaustive_chain_check_indexes_in_int32(monkeypatch, orders, n):
     # an exhaustive check composes indices below |G|^(N+2) <= CHAIN_WORK, the
     # build's high * |G| included, so they fit in int32; the cached chain and
-    # t_gamma^(N+1) are int32, and the residuals stay 0
+    # t_gamma^(N+1) are int32, and the residuals stay 0.  One t_gamma^(N+1)
+    # is formed per composed character: character 1 generates the cyclic
+    # groups, and characters 1 and 3 generate [2, 3]
+    composed = {(2,): 1, (3,): 1, (2, 3): 2, (64,): 1}[tuple(orders)]
     assert amplification.CHAIN_WORK <= np.iinfo(np.int32).max
     g = make_group(orders)
     assert chain_samples(g, n) == 0
@@ -522,8 +526,114 @@ def test_exhaustive_chain_check_indexes_in_int32(monkeypatch, orders, n):
         amplification._copy_chain.cache_clear()
     assert residuals == [0.0] * g.size
     assert chain.dtype == np.int32 and chain.shape == (g.size ** (n + 1),)
-    assert [t_all.dtype for t_all in powers] == [np.int32] * g.size
+    assert [t_all.dtype for t_all in powers] == [np.int32] * composed
     assert all(t_all.shape == chain.shape for t_all in powers)
+
+
+def compositions(monkeypatch):
+    """Spy on `_kron_power`: the list it returns gets one entry per
+    t_gamma^(N+1) formed, one per composed character."""
+    kron_power, formed = amplification._kron_power, []
+
+    def spy(p, k):
+        formed.append(k)
+        return kron_power(p, k)
+
+    monkeypatch.setattr(amplification, "_kron_power", spy)
+    return formed
+
+
+def fresh_chains():
+    """Drop the cached chains and V's cached index map, and with them every
+    proof held on a chain."""
+    amplification._copy_chain.cache_clear()
+    amplification._pair_map.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "orders, composed", [([2], [1]), ([3], [1]), ([2, 2], [1, 2]), ([2, 3], [1, 3])], ids=str
+)
+def test_proven_subgroup_skips_its_characters(monkeypatch, orders, composed):
+    # on the copy chain, characters in index order are composed until those
+    # composed generate the group: character 1 generates [2] and [3], 1 and
+    # 2 generate [2, 2], 1 (order 3) and 3 (order 2) generate [2, 3].  Each
+    # is composed once, and every other character returns 0.0 at once
+    g = make_group(orders)
+    formed = compositions(monkeypatch)
+    fresh_chains()
+    try:
+        for n in (1, 2, 3):
+            got = []
+            for gamma in g.characters():
+                formed.clear()
+                assert intertwiner_chain_check(gamma, n) == 0.0
+                got += [gamma.index] * len(formed)
+            assert got == composed, n
+    finally:
+        fresh_chains()
+
+
+def keep_only(chain, g, n, h):
+    """A read-only copy of `chain` followed by the permutation Q that swaps
+    basis index 0 (every leg trivial) with index 1 (the last leg 1), and
+    their images under the diagonal translation by h, of order 2.  Q
+    commutes with that translation and with no other nontrivial one, so the
+    copy keeps the chain identity of the characters 0 and h alone."""
+    dims = (g.size,) * (n + 1)
+    th = np.ravel_multi_index(g.add_indices(h, all_tuples(g, n + 1)).T, dims)
+    q = np.arange(len(chain))
+    q[[0, 1, th[0], th[1]]] = [1, 0, th[1], th[0]]
+    out = q[chain]
+    out.setflags(write=False)
+    return out
+
+
+@pytest.mark.parametrize("orders, h", [([2, 2], 2), ([2, 3], 3)], ids=str)
+def test_chain_that_keeps_one_generator_has_every_character_composed(monkeypatch, orders, h):
+    # h is (1, 0); the chain breaks the identity of the other generator (0, 1),
+    # so the subgroup proven by h holds no later character: every nontrivial
+    # character is composed, and each residual is the block oracle's
+    g = make_group(orders)
+    for n in (1, 2, 3):
+        faulty = keep_only(amplification._copy_chain(g, n), g, n, h)
+        expected = [block_chain_residual(gamma, n, faulty) for gamma in g.characters()]
+        assert [r == 0.0 for r in expected] == [k in (0, h) for k in range(g.size)]
+        formed = compositions(monkeypatch)
+        monkeypatch.setattr(amplification, "_copy_chain", lambda group, n: faulty)
+        assert [intertwiner_chain_check(gamma, n) for gamma in g.characters()] == expected
+        assert len(formed) == g.size - 1
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("orders", [[3], [2, 2]], ids=str)
+def test_proof_holds_only_for_the_chain_it_read(monkeypatch, orders):
+    # every character proven on the copy chain of (group, N) is composed
+    # again on a faulty chain of the same (group, N); the proof keeps no
+    # chain alive
+    g, n = make_group(orders), 2
+    fresh_chains()
+    try:
+        assert [intertwiner_chain_check(gamma, n) for gamma in g.characters()] == [0.0] * g.size
+        chain = amplification._copy_chain(g, n)
+        faulty = swap_in_block(chain, g.size, 1, np.random.default_rng(g.size))
+        formed = compositions(monkeypatch)
+        monkeypatch.setattr(amplification, "_copy_chain", lambda group, n: faulty)
+        got = [intertwiner_chain_check(gamma, n) for gamma in g.characters()]
+        assert got == [block_chain_residual(gamma, n, faulty) for gamma in g.characters()]
+        assert max(got) > 0.1 and formed
+        monkeypatch.undo()
+        proven = weakref.ref(chain)
+        del chain
+    finally:
+        fresh_chains()
+    assert proven() is None
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_chain_check_refuses_fewer_than_one_copy(n):
+    for gamma in make_group([2]).characters():
+        with pytest.raises(CascadeError, match="need at least one probe copy"):
+            intertwiner_chain_check(gamma, n)
 
 
 def all_tuples(g, n):
@@ -603,7 +713,8 @@ def test_sampled_chain_check_catches_a_wrong_scan(monkeypatch):
 
 
 def test_sampled_chain_check_reads_a_fixed_sample(monkeypatch):
-    # the same tuples for every character and every call
+    # the same tuples for every nontrivial character and every call; the
+    # trivial character reads none
     g = make_group([2, 3])
     seen = []
     right = amplification.copy_scan
@@ -616,12 +727,12 @@ def test_sampled_chain_check_reads_a_fixed_sample(monkeypatch):
     for _ in range(2):
         for chi in g.characters():
             assert intertwiner_chain_check(chi, 40) == 0.0
-    assert len(seen) == 4 * g.size
+    assert len(seen) == 4 * (g.size - 1)
     base = seen[0]
     assert base.shape == (chain_samples(g, 40), 41)
     for i, tuples in enumerate(seen):
         assert np.array_equal(tuples[:, 1:], base[:, 1:])
-        chi = (i // 2) % g.size
+        chi = (i // 2) % (g.size - 1) + 1
         first = base[:, 0] if i % 2 == 0 else g.add_indices(chi, base[:, 0])
         assert np.array_equal(tuples[:, 0], first)
 

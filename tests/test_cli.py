@@ -405,6 +405,62 @@ def test_measure_rejects_unnormalized_state(tmp_path, capsys):
     assert "normalized" in capsys.readouterr().err
 
 
+def diagonal_rep_scenario(d, outcomes):
+    """A measure scenario on an explicit rep of Z_2 at system_dim d: the
+    characters project onto the first and the last d / 2 basis vectors."""
+    half = [[int(i == j < d // 2) for j in range(d)] for i in range(d)]
+    other = [[int(i == j >= d // 2) for j in range(d)] for i in range(d)]
+    projections = [{"character": [0], "matrix": half}, {"character": [1], "matrix": other}]
+    return {"version": 1, "kind": "measure", "state": [1.0] + [0.0] * (d - 1),
+            "rep": {"group": [2], "system_dim": d, "projections": projections},
+            "outcomes": outcomes}
+
+
+@pytest.mark.parametrize("copies", [10**3, 10**5])
+@pytest.mark.parametrize("d", [2, 128])
+def test_measure_run_is_bounded_by_work(tmp_path, capsys, monkeypatch, d, copies):
+    # a valid outcome repeated many times, on a rep of dimension 2 or 128,
+    # runs or is refused as a whole, naming outcomes with the run's estimate
+    # and bound, before any matrix is read or any instrument runs, within a
+    # few seconds
+    read = []
+
+    def recording(f):
+        return lambda *args: read.append(f) or f(*args)
+
+    monkeypatch.setattr(scenarios, "_matrix", recording(scenarios._matrix))
+    monkeypatch.setattr(scenarios.measurement, "instrument",
+                        recording(scenarios.measurement.instrument))
+    path = write_scenario(tmp_path, diagonal_rep_scenario(d, [[1]] * copies))
+    work = copies * (scenarios.MEASURE_OUTCOME_WORK + scenarios.MEASURE_ENTRY_WORK * d * d)
+    work += 3 * d**3  # two projection checks and one pairwise product
+    start = time.perf_counter()
+    code = main(["measure", "--scenario", path, "--out", str(tmp_path)])
+    assert time.perf_counter() - start < 10
+    err = capsys.readouterr().err
+    assert code == (EXIT_INPUT if work > scenarios.MEASURE_WORK else EXIT_OK)
+    assert len(err.splitlines()) == (code == EXIT_INPUT)
+    if code == EXIT_INPUT:
+        assert err.startswith("error: field 'outcomes': ") and not read
+        assert f"these {copies} outcomes on 2 projections of dimension {d} make about {work}" in err
+        assert str(scenarios.MEASURE_WORK) in err and "Traceback" not in err
+        assert not (tmp_path / "measure.csv").exists()
+    else:
+        rows = read_csv(tmp_path / "measure.csv")
+        assert len(rows) == copies and {r["probability"] for r in rows} == {"0"}
+
+
+def test_measure_run_bound_admits_large_explicit_reps():
+    # 32 projections at system_dim 256, with every single-character outcome
+    # or 32 outcomes of all 32 characters, is admitted; duplicate characters
+    # of an outcome, which its instrument sums once, count once
+    scenarios._check_measure({"outcomes": [[k] for k in range(32)]}, 256, 32)
+    scenarios._check_measure({"outcomes": [list(range(32))] * 32}, 256, 32)
+    scenarios._check_measure({"outcomes": [[0] * 10**5]}, 256, 32)
+    with pytest.raises(ScenarioError, match="field 'outcomes': "):
+        scenarios._check_measure({"outcomes": [list(range(32))] * 100}, 256, 32)
+
+
 def test_amplify_run(tmp_path):
     s = np.sqrt
     path = write_scenario(
