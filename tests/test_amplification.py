@@ -500,36 +500,6 @@ def test_chain_check_memory_at_largest_n():
     assert peak < 3.5 * g.size ** (n + 1) * np.dtype(np.int32).itemsize
 
 
-@pytest.mark.parametrize("orders, n", [([2], 12), ([3], 6), ([2, 3], 4), ([64], 1)], ids=str)
-def test_exhaustive_chain_check_indexes_in_int32(monkeypatch, orders, n):
-    # an exhaustive check composes indices below |G|^(N+2) <= CHAIN_WORK, the
-    # build's high * |G| included, so they fit in int32; the cached chain and
-    # t_gamma^(N+1) are int32, and the residuals stay 0.  One t_gamma^(N+1)
-    # is formed per composed character: character 1 generates the cyclic
-    # groups, and characters 1 and 3 generate [2, 3]
-    composed = {(2,): 1, (3,): 1, (2, 3): 2, (64,): 1}[tuple(orders)]
-    assert amplification.CHAIN_WORK <= np.iinfo(np.int32).max
-    g = make_group(orders)
-    assert chain_samples(g, n) == 0
-    kron_power, powers = amplification._kron_power, []
-
-    def spy(p, k):
-        powers.append(kron_power(p, k))
-        return powers[-1]
-
-    monkeypatch.setattr(amplification, "_kron_power", spy)
-    amplification._copy_chain.cache_clear()
-    try:
-        residuals = [intertwiner_chain_check(gamma, n) for gamma in g.characters()]
-        chain = amplification._copy_chain(g, n)
-    finally:
-        amplification._copy_chain.cache_clear()
-    assert residuals == [0.0] * g.size
-    assert chain.dtype == np.int32 and chain.shape == (g.size ** (n + 1),)
-    assert [t_all.dtype for t_all in powers] == [np.int32] * composed
-    assert all(t_all.shape == chain.shape for t_all in powers)
-
-
 def compositions(monkeypatch):
     """Spy on `_kron_power`: the list it returns gets one entry per
     t_gamma^(N+1) formed, one per composed character."""
@@ -548,6 +518,36 @@ def fresh_chains():
     proof held on a chain."""
     amplification._copy_chain.cache_clear()
     amplification._pair_map.cache_clear()
+
+
+@pytest.mark.parametrize("orders, n", [([2], 12), ([3], 6), ([2, 3], 4), ([64], 1)], ids=str)
+def test_exhaustive_chain_check_indexes_in_int32(monkeypatch, orders, n):
+    # an exhaustive check composes indices below |G|^(N+2) <= CHAIN_WORK, the
+    # build's high * |G| included, so they fit in int32; the cached chain and
+    # t_gamma^(N+1) are int32, and the residuals stay 0.  One t_gamma^(N+1)
+    # is formed per composed character: character 1 generates the cyclic
+    # groups, and characters 1 and 3 generate [2, 3]
+    composed = {(2,): 1, (3,): 1, (2, 3): 2, (64,): 1}[tuple(orders)]
+    assert amplification.CHAIN_WORK <= np.iinfo(np.int32).max
+    g = make_group(orders)
+    assert chain_samples(g, n) == 0
+    kron_power, powers = amplification._kron_power, []
+
+    def spy(p, k):
+        powers.append(kron_power(p, k))
+        return powers[-1]
+
+    monkeypatch.setattr(amplification, "_kron_power", spy)
+    fresh_chains()
+    try:
+        residuals = [intertwiner_chain_check(gamma, n) for gamma in g.characters()]
+        chain = amplification._copy_chain(g, n)
+    finally:
+        fresh_chains()
+    assert residuals == [0.0] * g.size
+    assert chain.dtype == np.int32 and chain.shape == (g.size ** (n + 1),)
+    assert [t_all.dtype for t_all in powers] == [np.int32] * composed
+    assert all(t_all.shape == chain.shape for t_all in powers)
 
 
 @pytest.mark.parametrize(
