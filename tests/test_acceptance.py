@@ -1,13 +1,19 @@
-"""Acceptance gate: every built-in criterion must pass within its time limit.
+"""Acceptance gate: every built-in criterion must pass within its time limit,
+and print the line that tests/reference/selftest.txt holds for it, timing
+bracket aside.
 
 Run with `pytest tests/test_acceptance.py -s` to see one line per criterion.
 """
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
 from qmamp import amplification, scenarios, selfcheck
+
+# the `qmamp selftest` lines, each without its trailing [elapsed / limit]
+SELFTEST_LINES = (Path(__file__).parent / "reference" / "selftest.txt").read_text("utf-8")
 
 
 @pytest.mark.parametrize(
@@ -24,6 +30,7 @@ def test_criterion(number, name, capsys):
         f"criterion {number} ({name}) exceeded its time limit: "
         f"{result.elapsed:.1f}s > {result.limit:.0f}s"
     )
+    assert result.line().rsplit(" [", 1)[0] == SELFTEST_LINES.splitlines()[number - 1]
 
 
 def test_all_criteria_summary():
