@@ -62,7 +62,6 @@ import numpy as np
 from .groups import Character, FiniteAbelianGroup
 from .ktops import _kron_power, _splitmix, build_V
 from .measurement import InstrumentResult, Outcome, SpectralRepresentation, couple
-from .measurement import _instrument_result
 
 
 class CascadeError(ValueError):
@@ -143,7 +142,11 @@ def cascade_apply(cfg: CascadeConfig, xi) -> CascadeOutput:
 
 def amplified_instrument(output: CascadeOutput, delta: Outcome, b) -> InstrumentResult:
     """Instrument read off a cascade output with the outcome indicator on
-    every probe leg; one output serves every outcome."""
+    every probe leg; one output serves every outcome.  With `kept` the k
+    support columns whose labels all lie in Delta, the probability is
+    ||kept||_F^2 and the expectation <kept, B kept>, k d^2 multiply-adds,
+    with no d x d state formed; probability at most 1e-300 reads 0.0, as in
+    `measurement.instrument`."""
     if not isinstance(output, CascadeOutput):
         raise CascadeError("cascade output must be the CascadeOutput that cascade_apply returns")
     rep = output.cfg.rep
@@ -153,8 +156,8 @@ def amplified_instrument(output: CascadeOutput, delta: Outcome, b) -> Instrument
     indicator = np.zeros(rep.group.size, dtype=bool)
     indicator[[chi.index for chi in delta.characters]] = True
     kept = output.amps[:, indicator[output.tuples].all(axis=1)]
-    rho = kept @ kept.conj().T
-    return _instrument_result(float(np.trace(rho).real), complex(np.trace(b @ rho)), rho)
+    prob = float(np.vdot(kept, kept).real)
+    return InstrumentResult(prob if prob > 1e-300 else 0.0, complex(np.vdot(kept, b @ kept)))
 
 
 def chain_samples(group: FiniteAbelianGroup, n: int) -> int:

@@ -6,9 +6,11 @@ represents, U_u = sum_chi conj(chi(u)) E(chi), are a dense test oracle
 (`tests/dense_oracle.py`).  The instrument is the projective
 operation-valued measure
 I(Delta)(B) = sum_{chi in Delta} <xi| E(chi) B E(chi) |xi>, summed over the
-characters of Delta in index order; its value at the identity is the
-outcome probability and its normalized operation gives the
-post-measurement density matrix.  The coupled picture reads the same
+characters of Delta in index order.  `instrument` returns its two values
+that the amplification theorem equates: the outcome probability, its
+value at the identity, and the unnormalized conditional expectation of B;
+it forms no post-measurement state, so an outcome costs matrix-vector
+products only.  The coupled picture reads the same
 instrument off the probe of `couple`'s output, B x 1_Delta, through
 `amplification.amplified_instrument` at N = 1; with B = E(chi1) and Delta =
 {chi2} that reading is the joint probability of system sector chi1 and
@@ -116,9 +118,8 @@ def outcome(chars) -> Outcome:
 
 @dataclass(frozen=True)
 class InstrumentResult:
-    probability: float
+    probability: float  # 0.0 for an outcome of probability at most 1e-300
     conditional_expectation: complex
-    post_state: np.ndarray | None  # density matrix; None for zero-probability outcomes
 
 
 def _check_state(rep: SpectralRepresentation, xi) -> np.ndarray:
@@ -151,7 +152,9 @@ def couple(rep: SpectralRepresentation, xi) -> np.ndarray:
 
 
 def instrument(rep: SpectralRepresentation, delta: Outcome, xi, b: np.ndarray) -> InstrumentResult:
-    """Projective instrument: probabilities, conditional expectation, post state."""
+    """Projective instrument I(Delta) at the identity and at B: the sums over
+    chi in Delta, in index order, of ||E(chi) xi||^2 and <E(chi) xi, B E(chi) xi>,
+    two matrix-vector products per character."""
     xi = _check_state(rep, xi)
     b = np.asarray(b, dtype=complex)
     if b.shape != (rep.system_dim, rep.system_dim):
@@ -159,23 +162,11 @@ def instrument(rep: SpectralRepresentation, delta: Outcome, xi, b: np.ndarray) -
 
     prob = 0.0
     cond = 0.0 + 0.0j
-    rho = np.zeros((rep.system_dim, rep.system_dim), dtype=complex)
     for chi in delta.characters:
-        p = rep.projection(chi)
-        pxi = p @ xi
+        pxi = rep.projection(chi) @ xi
         prob += float(np.vdot(pxi, pxi).real)
         cond += complex(np.vdot(pxi, b @ pxi))
-        rho += np.outer(pxi, pxi.conj())
-    return _instrument_result(prob, cond, rho)
-
-
-def _instrument_result(prob: float, cond: complex, rho: np.ndarray) -> InstrumentResult:
-    """Result of an outcome of probability `prob`, expectation `cond` and
-    unnormalized post state `rho`: the post state is rho / prob, or None with
-    probability 0 for an outcome of probability at most 1e-300."""
-    if prob > 1e-300:
-        return InstrumentResult(prob, cond, rho / prob)
-    return InstrumentResult(0.0, cond, None)
+    return InstrumentResult(prob if prob > 1e-300 else 0.0, cond)
 
 
 def _diagonal_rep(group: FiniteAbelianGroup) -> SpectralRepresentation:

@@ -17,8 +17,8 @@ run whose packet reaches the box edge is refused naming its grid.extent.  An
 amplify N whose label arrays exceed AMPLIFY_BYTES is refused as soon as the
 rep's group and projection count are known, before any matrix is read, as
 is a run whose N and outcomes together would scan more than AMPLIFY_WORK
-labels, and a measure run whose outcomes and projection checks together
-exceed MEASURE_WORK.
+labels, and a measure or amplify run whose instruments and projection
+checks together exceed MEASURE_WORK.
 
 Each kind has one compute function that reads, checks and computes a
 scenario object and returns its rows: `relations`, `measure`, `amplify`,
@@ -85,20 +85,24 @@ AMPLIFY_BYTES = 25 << 24
 AMPLIFY_CHAIN_WORK = 1 << 27
 AMPLIFY_WORK = AMPLIFY_CHAIN_WORK + AMPLIFY_BYTES // 16
 
-# Size limit of a measure run, checked before any matrix is read, in
-# multiply-adds of a dense product (0.1-0.3 ns each on one core here): with
-# m projections on a system of dimension d, m d^3 for the projection checks
-# and m (m - 1) / 2 d^3 for their pairwise products, and per outcome Delta a
-# fixed MEASURE_OUTCOME_WORK (reading it, its instrument's calls and its
-# row, 35-45 us) plus MEASURE_ENTRY_WORK per entry of the |Delta| d^2 that
-# its instrument passes over (10-50 ns each at d = 256 to 1024).  A rep of
-# 32 projections at d = 256 takes about half of MEASURE_WORK, and a rep
-# alone is refused above it: one projection above d = 2580, two above 1789.
-# The largest runs admitted took 2.2 s (65,000 outcomes on a preset), 3.4 s
-# (3,840 one-character outcomes at d = 256) and 10 s (207 at d = 1024).
+# Size limit of a measure or amplify run, checked before any matrix is
+# read, in multiply-adds of a dense product (0.1-0.3 ns each on one core
+# here): with m projections on a system of dimension d, m d^3 for the
+# projection checks and m (m - 1) / 2 d^3 for their pairwise products, and
+# MEASURE_ENTRY_WORK per entry of the |Delta| d^2 that an instrument of
+# outcome Delta passes over (0.5-0.9 ns each at d = 256 to 1024), once per
+# outcome for measure and 1 + len(n_values) times for amplify.  A measure
+# outcome adds a fixed MEASURE_OUTCOME_WORK (reading it, its instrument's
+# calls and its row, 35-45 us); AMPLIFY_WORK counts an amplify outcome's
+# labels.  A rep of 32 projections at d = 256 takes about half of
+# MEASURE_WORK, and a rep alone is refused above it: one projection above
+# d = 2580, two above 1789.  With two projections the largest runs admitted
+# took 2.7 s (65,528 outcomes on a preset), 3.0 s (21,781 one-character
+# outcomes at d = 256) and 6.7 s (1,613 at d = 1024, or 832 amplify outcomes
+# at one N).
 MEASURE_WORK = 1 << 34
 MEASURE_OUTCOME_WORK = 1 << 18
-MEASURE_ENTRY_WORK = 1 << 6
+MEASURE_ENTRY_WORK = 1 << 3
 
 # Stern-Gerlach fields, "section.field" -> default.  The default's type is the
 # field's type (a list is a spinor of amplitudes); a required field's default
@@ -312,14 +316,18 @@ def _check_copies(scenario: dict, group: groups.FiniteAbelianGroup, m: int, n_va
         )
 
 
-def _check_measure(scenario: dict, d: int, m: int) -> None:
-    """Refuse a measure run, for a representation of m projections on a
-    system of dimension d, whose outcomes and projection checks together
-    exceed MEASURE_WORK."""
+def _check_measure(scenario: dict, d: int, m: int, n_values=()) -> None:
+    """Refuse a run, for a representation of m projections on a system of
+    dimension d, whose instruments and projection checks together exceed
+    MEASURE_WORK.  An outcome takes one instrument and MEASURE_OUTCOME_WORK
+    in a measure run; with `n_values`, in an amplify run, whose outcomes
+    AMPLIFY_WORK counts, it takes 1 + len(n_values): the single-probe
+    instrument and one amplified instrument per N."""
     outcomes = read(scenario, "outcomes", [[int]])
     entries = sum(len(set(delta)) for delta in outcomes) * d * d
-    work = (len(outcomes) * MEASURE_OUTCOME_WORK + entries * MEASURE_ENTRY_WORK
-            + m * (m + 1) // 2 * d**3)
+    work = (1 + len(n_values)) * entries * MEASURE_ENTRY_WORK + m * (m + 1) // 2 * d**3
+    if not n_values:
+        work += len(outcomes) * MEASURE_OUTCOME_WORK
     if work > MEASURE_WORK:
         raise ScenarioError(
             f"field 'outcomes': expected outcomes whose instruments, with the checks of the"
@@ -431,14 +439,18 @@ def measure(scenario: dict) -> list[dict]:
 
 def amplify(scenario: dict) -> list[dict]:
     """Read an amplify scenario object, refusing each N of n_values that its
-    bounds exclude before any matrix is read, and run the cascade at each N:
-    its rows, one per (N, outcome).  A row's equality_residual is |single -
-    amplified| on the observable's conditional expectation, against the
-    single-probe instrument of its outcome, computed once for every N."""
+    bounds exclude, and then a run whose instruments exceed MEASURE_WORK,
+    before any matrix is read, and run the cascade at each N: its rows, one
+    per (N, outcome).  A row's equality_residual is |single - amplified| on
+    the observable's conditional expectation, against the single-probe
+    instrument of its outcome, computed once for every N."""
     n_values = read(scenario, "n_values", [int], [1, 2, 3], bound=0)
-    rep, xi, outcomes, b = _instrument_inputs(
-        scenario, lambda group, d, m: _check_copies(scenario, group, m, n_values)
-    )
+
+    def check(group, d, m):
+        _check_copies(scenario, group, m, n_values)
+        _check_measure(scenario, d, m, n_values)
+
+    rep, xi, outcomes, b = _instrument_inputs(scenario, check)
     singles = [measurement.instrument(rep, delta, xi, b) for _, delta in outcomes]
     rows = []
     for n in n_values:

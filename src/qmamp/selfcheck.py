@@ -183,13 +183,15 @@ def criterion_7_measurement_properties() -> tuple[bool, str]:
         cases += 1
         violations += res.conditional_expectation.real < -1e-12
 
-        # repeatability of a singleton outcome
+        # repeatability of a singleton outcome: its post state
+        # eta = E(gamma) xi / sqrt(p) gives gamma again with probability 1
         gamma = chars[int(rng.integers(len(chars)))]
         single = measurement.outcome([gamma])
         res = measurement.instrument(rep, single, xi, eye)
         cases += 1
-        if res.post_state is not None:
-            p_again = float(np.trace(rep.projection(gamma) @ res.post_state).real)
+        if res.probability:
+            eta = rep.projection(gamma) @ xi / np.sqrt(res.probability)
+            p_again = np.linalg.norm(rep.projection(gamma) @ eta) ** 2
             violations += abs(p_again - 1.0) > 1e-12
 
         # perfect correlation in the coupled state: P(system chi1, probe chi2)

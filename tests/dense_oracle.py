@@ -195,12 +195,7 @@ def tensor_instrument(cfg: CascadeConfig, delta: Outcome, tensor, b) -> Instrume
     rho = mmat @ mmat.conj().T
     prob = float(np.trace(rho).real)
     cond = complex(np.trace(np.asarray(b, dtype=complex) @ rho))
-    post = rho / prob if prob > 1e-300 else None
-    return InstrumentResult(
-        probability=prob if post is not None else 0.0,
-        conditional_expectation=cond,
-        post_state=post,
-    )
+    return InstrumentResult(prob if prob > 1e-300 else 0.0, cond)
 
 
 def stage_product(stages, dims) -> np.ndarray:

@@ -104,3 +104,21 @@ def test_properties_criterion_catches_a_shift_at_n_1(monkeypatch):
     passed, detail = selfcheck.criterion_7_measurement_properties()
     assert not passed, detail
     assert detail == "200 violations in 1000 random property cases"
+
+
+def test_coupled_criteria_catch_a_fault_in_couple(monkeypatch):
+    # the coupled picture reads couple's output, the cascade's first stage,
+    # and not the single-probe instrument's terms: a 1e-9 fault in one
+    # column of that output fails criterion 4 (N = 1) and criterion 5
+    couple = amplification.couple
+
+    def faulty(rep, xi):
+        out = couple(rep, xi)
+        out[0, 0] += 1e-9
+        return out
+
+    monkeypatch.setattr(amplification, "couple", faulty)
+    for criterion in (selfcheck.criterion_4_instrument_equality,
+                      selfcheck.criterion_5_amplification):
+        passed, detail = criterion()
+        assert not passed, detail

@@ -458,7 +458,7 @@ def test_measure_run_bound_admits_large_explicit_reps():
     scenarios._check_measure({"outcomes": [list(range(32))] * 32}, 256, 32)
     scenarios._check_measure({"outcomes": [[0] * 10**5]}, 256, 32)
     with pytest.raises(ScenarioError, match="field 'outcomes': "):
-        scenarios._check_measure({"outcomes": [list(range(32))] * 100}, 256, 32)
+        scenarios._check_measure({"outcomes": [list(range(32))] * 500}, 256, 32)
 
 
 def test_amplify_run(tmp_path):
@@ -989,7 +989,7 @@ def test_amplify_run_is_bounded_by_work(tmp_path, capsys, monkeypatch, repeated,
     def stub(value):
         return lambda *args: done.append(args) or value
 
-    result = scenarios.measurement.InstrumentResult(1.0, 0j, None)
+    result = scenarios.measurement.InstrumentResult(1.0, 0j)
     monkeypatch.setattr(scenarios.amp, "intertwiner_chain_check", stub(0.0))
     monkeypatch.setattr(scenarios.amp, "amplified_instrument", stub(result))
     monkeypatch.setattr(scenarios.measurement, "instrument", stub(result))
@@ -1033,6 +1033,37 @@ def test_amplify_run_bound_admits_every_one_n_run(orders, m):
         low, high = (mid, high) if admitted(mid) else (low, mid)
     for n in [*exhaustive, low]:
         scenarios._check_copies({"outcomes": [[0]]}, g, m, [n])
+
+
+def test_amplify_run_is_bounded_by_its_instruments(tmp_path, capsys, monkeypatch):
+    # AMPLIFY_WORK counts labels and never sees d: 10^5 outcomes on a rep of
+    # dimension 1024 scan few labels, but their instruments take about 1 ms
+    # each per N.  The run is refused naming outcomes once system_dim and the
+    # projection count are known, before any matrix is read (the projections
+    # are placeholders) and before any chain, cascade or instrument runs
+    done = []
+
+    def stub(*args):
+        done.append(args)
+
+    for module, name in ((scenarios, "_matrix"), (scenarios.amp, "intertwiner_chain_check"),
+                         (scenarios.amp, "cascade_apply"), (scenarios.amp, "amplified_instrument"),
+                         (scenarios.measurement, "instrument")):
+        monkeypatch.setattr(module, name, stub)
+    placeholder = {"character": [0], "matrix": [[1]]}
+    payload = {"version": 1, "kind": "amplify", "state": [1.0] + [0.0] * 1023,
+               "rep": {"group": [2], "system_dim": 1024, "projections": [placeholder] * 2},
+               "outcomes": [[0]] * 10**5, "n_values": [1]}
+    scenarios._check_copies(payload, scenarios.groups.make_group([2]), 2, [1])  # admitted
+    path = write_scenario(tmp_path, payload)
+    assert main(["amplify", "--scenario", path, "--out", str(tmp_path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: field 'outcomes': ")
+    work = 2 * 10**5 * 1024**2 * scenarios.MEASURE_ENTRY_WORK + 3 * 1024**3
+    assert f"these {10**5} outcomes on 2 projections of dimension 1024 make about {work}" in err
+    assert not done and not (tmp_path / "amplify.csv").exists()
+    # a hundred outcomes at that d, over three N, are admitted
+    scenarios._check_measure({"outcomes": [[0]] * 100}, 1024, 2, [1, 2, 3])
 
 
 @pytest.mark.parametrize("kind", ["relations", "measure", "amplify"])
