@@ -237,8 +237,7 @@ def test_amplify_computes_each_single_probe_instrument_once(n_values):
 def test_amplify_peak_does_not_grow_with_the_outcomes():
     # each outcome's instruments are two numbers, with no d x d state held
     # per outcome: at d = 128 the tracemalloc peak of 64 outcomes is within
-    # 10% of the peak of one (it grew about tenfold when each outcome kept
-    # its single-probe post state)
+    # 10% of the peak of one
     d = 128
     half = [[int(i == j < d // 2) for j in range(d)] for i in range(d)]
     other = [[int(i == j >= d // 2) for j in range(d)] for i in range(d)]
@@ -255,7 +254,6 @@ def test_amplify_peak_does_not_grow_with_the_outcomes():
         finally:
             tracemalloc.stop()
 
-    peak(1)  # first-call allocations out of the way
     assert peak(64) <= 1.1 * peak(1)
 
 
