@@ -154,7 +154,8 @@ def couple(rep: SpectralRepresentation, xi) -> np.ndarray:
 def instrument(rep: SpectralRepresentation, delta: Outcome, xi, b: np.ndarray) -> InstrumentResult:
     """Projective instrument I(Delta) at the identity and at B: the sums over
     chi in Delta, in index order, of ||E(chi) xi||^2 and <E(chi) xi, B E(chi) xi>,
-    two matrix-vector products per character."""
+    two matrix-vector products per character.  A character the rep does not
+    assign has E(chi) = 0 and adds nothing, so it is skipped."""
     xi = _check_state(rep, xi)
     b = np.asarray(b, dtype=complex)
     if b.shape != (rep.system_dim, rep.system_dim):
@@ -162,8 +163,8 @@ def instrument(rep: SpectralRepresentation, delta: Outcome, xi, b: np.ndarray) -
 
     prob = 0.0
     cond = 0.0 + 0.0j
-    for chi in delta.characters:
-        pxi = rep.projection(chi) @ xi
+    for proj in (rep.projections[chi] for chi in delta.characters if chi in rep.projections):
+        pxi = proj @ xi
         prob += float(np.vdot(pxi, pxi).real)
         cond += complex(np.vdot(pxi, b @ pxi))
     return InstrumentResult(prob if prob > 1e-300 else 0.0, cond)

@@ -18,7 +18,10 @@ amplify N whose label arrays exceed AMPLIFY_BYTES is refused as soon as the
 rep's group and projection count are known, before any matrix is read, as
 is a run whose N and outcomes together would scan more than AMPLIFY_WORK
 labels, and a measure or amplify run whose instruments and projection
-checks together exceed MEASURE_WORK.
+checks together exceed MEASURE_WORK.  Every size bound refuses through
+`_within`, the one place that compares an estimate with its bound, in one
+message shape: "field '<where>': expected at most <bound> <unit>; <subject>
+needs about <estimate>".
 
 Each kind has one compute function that reads, checks and computes a
 scenario object and returns its rows: `relations`, `measure`, `amplify`,
@@ -290,6 +293,16 @@ def build_rep(scenario: dict, check) -> measurement.SpectralRepresentation:
         return measurement._spectral_family(group, system_dim, assignments)
 
 
+def _within(where: str, estimate: int, bound: int, unit: str, subject: str) -> None:
+    """Refuse a run whose size `estimate`, in `unit`, exceeds its `bound`,
+    naming the field at `where`: the one place where a size bound refuses,
+    and the one shape of its message."""
+    if estimate > bound:
+        raise ScenarioError(
+            f"field '{where}': expected at most {bound} {unit}; {subject} needs about {estimate}"
+        )
+
+
 def _check_copies(scenario: dict, group: groups.FiniteAbelianGroup, m: int, n_values) -> None:
     """Refuse an amplify N whose label arrays, for a representation of `group`
     with m projections, exceed AMPLIFY_BYTES or whose |G| chain checks scan
@@ -297,23 +310,16 @@ def _check_copies(scenario: dict, group: groups.FiniteAbelianGroup, m: int, n_va
     scenario's outcomes together scan more than AMPLIFY_WORK labels."""
     g, chain, support = group.size, 0, 0
     for n in n_values:
-        need, samples = amp.label_bytes(group, m, n), amp.chain_samples(group, n)
-        if need > AMPLIFY_BYTES or g * (n + 1) > AMPLIFY_CHAIN_WORK:
-            raise ScenarioError(
-                f"field 'n_values': N = {n} needs about {need} bytes of label arrays and a chain"
-                f" check of at least {g} x {n + 1} labels; the bounds are {AMPLIFY_BYTES} bytes"
-                f" and {AMPLIFY_CHAIN_WORK} labels"
-            )
+        _within("n_values", amp.label_bytes(group, m, n), AMPLIFY_BYTES, "bytes of label arrays",
+                f"N = {n}")
+        _within("n_values", g * (n + 1), AMPLIFY_CHAIN_WORK, "chain-check labels",
+                f"N = {n} on {g} characters")
+        samples = amp.chain_samples(group, n)
         chain += g * samples * (n + 1) if samples else g ** (n + 2)
         support += m * n
     outcomes = len(read(scenario, "outcomes", [[int]]))
-    work = chain + (outcomes + 1) * support
-    if work > AMPLIFY_WORK:
-        raise ScenarioError(
-            f"field 'n_values': expected N values whose chain checks, cascades and outcome"
-            f" instruments scan at most {AMPLIFY_WORK} labels together; these {len(n_values)}"
-            f" N with {outcomes} outcomes scan about {work}"
-        )
+    _within("n_values", chain + (outcomes + 1) * support, AMPLIFY_WORK, "labels",
+            f"a run of {len(n_values)} N with {outcomes} outcomes")
 
 
 def _check_measure(scenario: dict, d: int, m: int, n_values=()) -> None:
@@ -328,12 +334,8 @@ def _check_measure(scenario: dict, d: int, m: int, n_values=()) -> None:
     work = (1 + len(n_values)) * entries * MEASURE_ENTRY_WORK + m * (m + 1) // 2 * d**3
     if not n_values:
         work += len(outcomes) * MEASURE_OUTCOME_WORK
-    if work > MEASURE_WORK:
-        raise ScenarioError(
-            f"field 'outcomes': expected outcomes whose instruments, with the checks of the"
-            f" rep's projections, make at most {MEASURE_WORK} multiply-adds; these"
-            f" {len(outcomes)} outcomes on {m} projections of dimension {d} make about {work}"
-        )
+    _within("outcomes", work, MEASURE_WORK, "multiply-adds",
+            f"a run of {len(outcomes)} outcomes on {m} projections of dimension {d}")
 
 
 def build_state(scenario: dict, rep) -> np.ndarray:
@@ -378,21 +380,13 @@ def relations(scenario: dict) -> list[dict]:
     for i, orders in enumerate(orders_list):
         with _names(f"groups[{i}]"):
             g = groups.make_group(orders)
-        need, passes = ktops.relation_bytes(g), ktops.relation_work(g)
-        if need > RELATIONS_BYTES or passes > RELATIONS_WORK:
-            raise ScenarioError(
-                f"field 'groups[{i}]': expected a group whose relation checks hold at most"
-                f" {RELATIONS_BYTES} bytes and make at most {RELATIONS_WORK} array-entry passes;"
-                f" order {g.size} needs about {need} bytes and {passes} passes"
-            )
+        passes, subject = ktops.relation_work(g), f"a group of order {g.size}"
+        _within(f"groups[{i}]", ktops.relation_bytes(g), RELATIONS_BYTES, "bytes", subject)
+        _within(f"groups[{i}]", passes, RELATIONS_WORK, "array-entry passes", subject)
         group_list.append(g)
         work += passes
-    if work > RELATIONS_WORK:
-        raise ScenarioError(
-            f"field 'groups': expected groups whose relation checks make at most"
-            f" {RELATIONS_WORK} array-entry passes together; these {len(group_list)} groups"
-            f" need about {work}"
-        )
+    _within("groups", work, RELATIONS_WORK, "array-entry passes",
+            f"a run of {len(group_list)} groups")
     rows = []
     for g in group_list:
         pair = ktops.kt_pair(g)
@@ -513,17 +507,10 @@ def _check_size(n: int, steps: int, where) -> None:
     """Refuse a run of `n` grid points and `steps` steps whose solver arrays
     exceed SG_SOLVER_BYTES or whose points x steps exceed SG_POINT_STEPS,
     naming grid.points or time.steps through `where`."""
-    if n * SG_BYTES_PER_POINT > SG_SOLVER_BYTES:
-        raise ScenarioError(
-            f"field '{where('grid.points')}': expected at most"
-            f" {SG_SOLVER_BYTES // SG_BYTES_PER_POINT} points, whose solver arrays fit in"
-            f" {SG_SOLVER_BYTES} bytes, got {n}"
-        )
-    if n * steps > SG_POINT_STEPS:
-        raise ScenarioError(
-            f"field '{where('time.steps')}': expected grid.points x time.steps <="
-            f" {SG_POINT_STEPS}, got {n} x {steps}"
-        )
+    _within(where("grid.points"), n * SG_BYTES_PER_POINT, SG_SOLVER_BYTES,
+            "bytes of solver arrays", f"a grid of {n} points")
+    _within(where("time.steps"), n * steps, SG_POINT_STEPS, "point-steps",
+            f"a run of {n} points x {steps} steps")
 
 
 def _preflight(f: dict, where) -> None:
@@ -670,12 +657,7 @@ def sweep(scenario: dict, jobs: int = 1) -> list[dict]:
     count = math.prod(map(len, swept.values()))
     work = sum(points) * sum(steps) * count // (len(points) * len(steps))
     work += SWEEP_POINT_WORK * count
-    if work > SWEEP_WORK:
-        raise ScenarioError(
-            f"field 'axes': expected points that make at most {SWEEP_WORK} point-steps"
-            f" together, each grid.points x time.steps + {SWEEP_POINT_WORK}; these {count}"
-            f" points make {work}"
-        )
+    _within("axes", work, SWEEP_WORK, "point-steps", f"a sweep of {count} points")
     grids = [[(path, v) for v in values] for path, values in swept.items()]
     tasks = [({**base, **dict(pt)}, pt, where("grid.extent")) for pt in itertools.product(*grids)]
     for fields, _, _ in tasks:

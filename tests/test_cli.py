@@ -29,6 +29,21 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+# the one shape of a size-bound refusal (scenarios._within), as a whole stderr
+REFUSAL = re.compile(
+    r"error: field '(?P<field>[^']+)': expected at most (?P<bound>\d+) (?P<unit>[^;\n]+);"
+    r" (?P<subject>[^\n]+) needs about (?P<estimate>\d+)\n"
+)
+
+
+def refusal(err):
+    """(field, bound, estimate) of a size-bound refusal, which must be the
+    whole of `err`: one line of the one shape."""
+    match = REFUSAL.fullmatch(err)
+    assert match, err
+    return match["field"], int(match["bound"]), int(match["estimate"])
+
+
 def trivial_rep_scenario(kind, orders, **fields):
     """A scenario of one-dimensional explicit rep: E = 1 on the trivial character."""
     projection = {"character": [0] * len(orders), "matrix": [[1]]}
@@ -226,6 +241,16 @@ def test_relations_rejects_bad_group(tmp_path, capsys, groups, field):
     assert not (tmp_path / "relations.csv").exists()
 
 
+def first_order_over_relation_bytes():
+    """The smallest cyclic order whose relation checks hold more than
+    RELATIONS_BYTES."""
+    return next(
+        n for n in range(2048, 4097)
+        if scenarios.ktops.relation_bytes(scenarios.groups.make_group([n]))
+        > scenarios.RELATIONS_BYTES
+    )
+
+
 def test_relations_fourier_check_is_bounded_by_work(tmp_path, capsys, monkeypatch):
     # the probe Fourier check holds 80 |G|^2 bytes, so order 128, refused by
     # the old |G|^4 work bound, runs; the first order over the byte bound,
@@ -241,12 +266,7 @@ def test_relations_fourier_check_is_bounded_by_work(tmp_path, capsys, monkeypatc
         raise AssertionError("relation work started")
 
     monkeypatch.setattr(scenarios.ktops, "kt_pair", unreachable)
-    order = next(
-        n for n in range(2048, 4097)
-        if scenarios.ktops.relation_bytes(scenarios.groups.make_group([n]))
-        > scenarios.RELATIONS_BYTES
-    )
-    for big in ([order], [2] * 11):
+    for big in ([first_order_over_relation_bytes()], [2] * 11):
         path = write_scenario(tmp_path, {"version": 1, "kind": "relations", "groups": [[2], big]})
         assert main(["relations", "--scenario", path, "--out", str(tmp_path)]) == EXIT_INPUT
         err = capsys.readouterr().err
@@ -441,9 +461,7 @@ def test_measure_run_is_bounded_by_work(tmp_path, capsys, monkeypatch, d, copies
     assert code == (EXIT_INPUT if work > scenarios.MEASURE_WORK else EXIT_OK)
     assert len(err.splitlines()) == (code == EXIT_INPUT)
     if code == EXIT_INPUT:
-        assert err.startswith("error: field 'outcomes': ") and not read
-        assert f"these {copies} outcomes on 2 projections of dimension {d} make about {work}" in err
-        assert str(scenarios.MEASURE_WORK) in err and "Traceback" not in err
+        assert refusal(err) == ("outcomes", scenarios.MEASURE_WORK, work) and not read
         assert not (tmp_path / "measure.csv").exists()
     else:
         rows = read_csv(tmp_path / "measure.csv")
@@ -782,6 +800,16 @@ def test_sweep_clamps_jobs(tmp_path, monkeypatch, jobs, cpus, points, expected):
     assert len(read_csv(out / "sweep.csv")) == points
 
 
+def sweep_repeating_axes(axes, copies):
+    """The valid sweep with the first value of each of its first `axes` axes
+    repeated `copies` times."""
+    payload = VALID["sweep"]
+    for i in range(axes):
+        value = payload["axes"][i]["values"][0]
+        payload = with_value(payload, ("axes", i, "values"), [value] * copies)
+    return payload
+
+
 @pytest.mark.parametrize("copies", [10**3, 10**5])
 @pytest.mark.parametrize("axes", [1, 2], ids=["one-axis", "two-axes"])
 def test_sweep_run_is_bounded_by_work(tmp_path, capsys, monkeypatch, axes, copies):
@@ -789,10 +817,7 @@ def test_sweep_run_is_bounded_by_work(tmp_path, capsys, monkeypatch, axes, copie
     # is refused as a whole, naming `axes` with the run's estimate and bound,
     # before any point is formed and within a few seconds; the points are stubbed
     monkeypatch.setattr(scenarios, "_sweep_point", lambda task: dict(task[1]))
-    payload = VALID["sweep"]
-    for i in range(axes):
-        value = payload["axes"][i]["values"][0]
-        payload = with_value(payload, ("axes", i, "values"), [value] * copies)
+    payload = sweep_repeating_axes(axes, copies)
     points = copies**axes
     point_work = 512 * 4 + scenarios.SWEEP_POINT_WORK  # axes[1]'s grid.points, the base's steps
     path = write_scenario(tmp_path, payload)
@@ -956,9 +981,10 @@ def test_amplify_bounds_chain_check_work(tmp_path, capsys, monkeypatch):
     assert scenarios.amp.label_bytes(scenarios.groups.make_group([4096]), 1, 2**15) < 1 << 23
     path = write_scenario(tmp_path, payload)
     assert main(["amplify", "--scenario", path, "--out", str(tmp_path)]) == EXIT_INPUT
-    err = capsys.readouterr().err
-    assert "field 'n_values'" in err and "Traceback" not in err
-    assert f"4096 x {2**15 + 1} labels" in err and str(scenarios.AMPLIFY_CHAIN_WORK) in err
+    # 4096 x 32769 chain-check labels against 2^27
+    assert refusal(capsys.readouterr().err) == (
+        "n_values", scenarios.AMPLIFY_CHAIN_WORK, 4096 * (2**15 + 1)
+    )
     assert not (tmp_path / "amplify.csv").exists()
 
 
@@ -971,8 +997,8 @@ def test_amplify_refuses_n_before_reading_a_matrix(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(scenarios, "_matrix", unreachable)
     path = write_scenario(tmp_path, trivial_rep_scenario("amplify", [1], n_values=[1, 10**7]))
     assert main(["amplify", "--scenario", path, "--out", str(tmp_path)]) == EXIT_INPUT
-    err = capsys.readouterr().err
-    assert err.startswith("error: field 'n_values': N = 10000000 ") and "Traceback" not in err
+    need = scenarios.amp.label_bytes(scenarios.groups.make_group([1]), 1, 10**7)
+    assert refusal(capsys.readouterr().err) == ("n_values", scenarios.AMPLIFY_BYTES, need)
     assert not (tmp_path / "amplify.csv").exists()
 
 
@@ -1007,9 +1033,7 @@ def test_amplify_run_is_bounded_by_work(tmp_path, capsys, monkeypatch, repeated,
     assert code == (EXIT_INPUT if work > scenarios.AMPLIFY_WORK else EXIT_OK)
     assert len(err.splitlines()) == (code == EXIT_INPUT)
     if code == EXIT_INPUT:
-        assert err.startswith("error: field 'n_values': ") and not done
-        assert f"these {n_count} N with {outcome_count} outcomes scan about {work}" in err
-        assert str(scenarios.AMPLIFY_WORK) in err
+        assert refusal(err) == ("n_values", scenarios.AMPLIFY_WORK, work) and not done
     else:
         assert len(read_csv(tmp_path / "amplify.csv")) == n_count * outcome_count
 
@@ -1057,10 +1081,8 @@ def test_amplify_run_is_bounded_by_its_instruments(tmp_path, capsys, monkeypatch
     scenarios._check_copies(payload, scenarios.groups.make_group([2]), 2, [1])  # admitted
     path = write_scenario(tmp_path, payload)
     assert main(["amplify", "--scenario", path, "--out", str(tmp_path)]) == EXIT_INPUT
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and err.startswith("error: field 'outcomes': ")
     work = 2 * 10**5 * 1024**2 * scenarios.MEASURE_ENTRY_WORK + 3 * 1024**3
-    assert f"these {10**5} outcomes on 2 projections of dimension 1024 make about {work}" in err
+    assert refusal(capsys.readouterr().err) == ("outcomes", scenarios.MEASURE_WORK, work)
     assert not done and not (tmp_path / "amplify.csv").exists()
     # a hundred outcomes at that d, over three N, are admitted
     scenarios._check_measure({"outcomes": [[0]] * 100}, 1024, 2, [1, 2, 3])
@@ -1505,6 +1527,53 @@ def test_size_preflight_limits_are_inclusive():
     for path in limits:
         with pytest.raises(ScenarioError, match=f"field '{re.escape(path)}'"):
             scenarios._preflight({**fields, path: fields[path] + 1}, str)
+
+
+@pytest.mark.parametrize(
+    "payload, field, bound",
+    [
+        (lambda: {"version": 1, "kind": "relations",
+                  "groups": [[2], [first_order_over_relation_bytes()]]},
+         "groups[1]", scenarios.RELATIONS_BYTES),
+        (lambda: {"version": 1, "kind": "relations", "groups": [[2], [2] * 11]},
+         "groups[1]", scenarios.RELATIONS_WORK),
+        (lambda: {"version": 1, "kind": "relations", "groups": [[107]] * 10**3},
+         "groups", scenarios.RELATIONS_WORK),
+        (lambda: trivial_rep_scenario("amplify", [1], n_values=[1, 10**7]),
+         "n_values", scenarios.AMPLIFY_BYTES),
+        (lambda: trivial_rep_scenario("amplify", [4096], n_values=[1, 2**15]),
+         "n_values", scenarios.AMPLIFY_CHAIN_WORK),
+        (lambda: {**VALID["amplify"], "outcomes": [[0]] * 10**3, "n_values": [10**6]},
+         "n_values", scenarios.AMPLIFY_WORK),
+        (lambda: diagonal_rep_scenario(2, [[1]] * 10**5), "outcomes", scenarios.MEASURE_WORK),
+        (lambda: with_value(VALID["sterngerlach"], ("grid", "points"), MAX_POINTS + 1),
+         "grid.points", scenarios.SG_SOLVER_BYTES),
+        (lambda: with_value(VALID["sterngerlach"], ("time", "steps"), 10**9),
+         "time.steps", scenarios.SG_POINT_STEPS),
+        (lambda: sweep_repeating_axes(2, 10**3), "axes", scenarios.SWEEP_WORK),
+    ],
+    ids=["relation-bytes", "relation-passes", "relations-run", "label-bytes", "chain-labels",
+         "amplify-run", "instruments", "solver-bytes", "point-steps", "sweep-run"],
+)
+def test_every_size_bound_refuses_in_one_shape(tmp_path, capsys, monkeypatch, payload, field,
+                                               bound):
+    # one case per size bound, each on an input an existing refusal test
+    # uses: exit 1 and one stderr line of the one shape, naming the field and
+    # the bound, before any of the run's work, which is stubbed
+    def never(*args, **kwargs):
+        raise AssertionError("a run over its bound started")
+
+    for module, name in ((scenarios.ktops, "kt_pair"), (scenarios, "_matrix"),
+                         (scenarios.amp, "intertwiner_chain_check"),
+                         (scenarios.amp, "cascade_apply"), (scenarios.measurement, "instrument"),
+                         (scenarios.sterngerlach, "gaussian_packet"),
+                         (scenarios.sterngerlach, "evolve"), (scenarios, "_sweep_point")):
+        monkeypatch.setattr(module, name, never)
+    scenario = payload()
+    path = write_scenario(tmp_path, scenario)
+    assert main([scenario["kind"], "--scenario", path, "--out", str(tmp_path)]) == EXIT_INPUT
+    named, limit, estimate = refusal(capsys.readouterr().err)
+    assert (named, limit) == (field, bound) and estimate > bound
 
 
 MUTATIONS = [None, True, "x", float("nan"), float("inf"), -1, 0, [], {}]

@@ -202,3 +202,24 @@ def test_couple_holds_only_its_output():
     assert coupled.shape == (m, g.size)
     assert np.array_equal(coupled[:, 0], xi) and not coupled[:, 1:].any()
     assert peak < 2 * coupled.nbytes
+
+
+def test_unassigned_character_allocates_no_matrix():
+    # a character the rep does not assign has E(chi) = 0: the instrument skips
+    # it, so at d = 512 its outcome allocates no d x d zero matrix (4 MiB)
+    # and adds nothing, bit for bit, to an outcome that also holds others
+    d, g = 512, make_group([3])
+    chars = g.characters()
+    half = np.diag([1.0] * (d // 2) + [0.0] * (d // 2))
+    rep = make_spectral_rep(g, d, [(chars[0], half), (chars[1], np.eye(d) - half)])
+    xi = np.full(d, d**-0.5, dtype=complex)
+    b = np.diag(np.arange(d)).astype(complex)
+    tracemalloc.start()
+    try:
+        res = instrument(rep, outcome([chars[2]]), xi, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (res.probability, res.conditional_expectation) == (0.0, 0j)
+    assert peak < 64 * 1024
+    assert instrument(rep, outcome(chars[:1]), xi, b) == instrument(rep, outcome(chars[::2]), xi, b)
