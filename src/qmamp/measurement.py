@@ -40,12 +40,6 @@ class SpectralRepresentation:
     system_dim: int
     projections: dict[Character, np.ndarray]
 
-    def projection(self, chi: Character) -> np.ndarray:
-        p = self.projections.get(chi)
-        if p is None:
-            return np.zeros((self.system_dim, self.system_dim), dtype=complex)
-        return p
-
 
 def check_projection(chi: Character, mat: np.ndarray) -> None:
     """Refuse the square matrix `mat` assigned to `chi` unless it is a
@@ -63,7 +57,8 @@ def make_spectral_rep(group, system_dim, assignments) -> SpectralRepresentation:
 
     Requires: each matrix a system_dim x system_dim hermitian idempotent
     (`check_projection`), then what `_spectral_family` checks.  Characters
-    not listed get the zero projection.
+    not listed are absent from `projections`, and `couple` and `instrument`
+    skip them.
     """
     assignments = [(chi, np.array(mat, dtype=complex)) for chi, mat in assignments]
     for chi, mat in assignments:

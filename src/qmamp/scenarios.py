@@ -25,12 +25,13 @@ needs about <estimate>".
 
 Each kind has one compute function that reads, checks and computes a
 scenario object and returns its rows: `relations`, `measure`, `amplify`,
-`sweep`, and `simulate`, which returns a sterngerlach run and its summary.
-`run_scenario`, which the CLI calls, computes a scenario of any kind and
-writes what its compute function returns.  A run's summary comes from its
-recorded time series alone: a branch's kick is the change of its recorded
-<p_z> between the first and the last record, and a branch holding under
-1e-6 of the probability at the start or the end has no kick (None).
+`sweep`, and `simulate`, which returns a sterngerlach run's rows, keyed by
+`sterngerlach.COLUMNS`, and its summary.  `run_scenario`, which the CLI
+calls, computes a scenario of any kind and writes what its compute function
+returns.  A run's kicks come from its recorded rows alone: a branch's kick
+is the change of its recorded <p_z> between the first and the last row, and
+a branch holding under 1e-6 of the probability at the start or the end has
+no kick (None).
 
 Outputs are CSV (floats printed with 12 significant digits) plus a summary
 JSON for the wavepacket runs; reruns with the same scenario are byte-identical.
@@ -554,48 +555,44 @@ def _preflight(f: dict, where) -> None:
             raise ScenarioError(f"field '{where(path)}': expected {expected}, got {f[path]!r}")
 
 
-def _run(f: dict, record_every: int, extent_path: str):
+def _run(f: dict, record_every: int, extent_path: str) -> tuple[list[dict], dict]:
     """Build the packet, run it recording every `record_every` steps, and
-    summarise the run from its recorded series: a branch's kick is the change
-    of its <p_z> between the first and the last record, None when the branch
-    holds under 1e-6 of the probability at the start or the end.  A run whose
-    packet reaches the box edge is refused naming `extent_path`, the path of
-    its grid.extent."""
+    return its rows and its summary: the last row's flip probability and
+    norm, and a branch's kick as the change of its <p_z> between the first
+    and the last row, None when the branch holds under 1e-6 of the
+    probability at the start or the end.  A run whose packet reaches the box
+    edge is refused naming `extent_path`, the path of its grid.extent."""
     field = _field(f)
     grid = sterngerlach.gaussian_packet(
         f["grid.points"], f["grid.extent"], f["grid.sigma"], f["grid.center"],
         f["grid.momentum"], f["grid.spinor"], f["grid.mass"],
     )
     try:
-        result = sterngerlach.run_simulation(
+        rows, final = sterngerlach.run_simulation(
             grid, field, f["time.dt"], f["time.steps"], record_every=record_every
         )
     except sterngerlach.BoundaryLeakError as exc:
         raise ScenarioError(f"field '{extent_path}': {exc}") from exc
-    s = result.series
+    first, last = rows[0], rows[-1]
     summary = {
-        "flip_probability": float(s.flip_prob[-1]),
-        "norm": float(s.norm[-1]),
+        "flip_probability": last["flip_prob"],
+        "norm": last["norm"],
         "duration": f["time.dt"] * f["time.steps"],
     }
-    for branch, pz in (("up", s.pz_up), ("down", s.pz_down)):
-        held = min(result.initial.branch_weight(branch), result.final.branch_weight(branch))
-        summary[f"kick_{branch}"] = float(pz[-1] - pz[0]) if held >= 1e-6 else None
+    for branch in ("up", "down"):
+        held = min(grid.branch_weight(branch), final.branch_weight(branch))
+        pz = f"pz_{branch}"
+        summary[f"kick_{branch}"] = last[pz] - first[pz] if held >= 1e-6 else None
     if f["adiabaticity"]:
-        report = sterngerlach.adiabaticity_parameter(
+        summary.update(sterngerlach.adiabaticity_parameter(
             field, v=f["adiabaticity.v"], z_scale=f["adiabaticity.z_scale"]
-        )
-        summary.update(
-            u_fi=report.u_fi,
-            larmor_omega=report.larmor_omega,
-            inequality_margin=report.inequality_margin,
-        )
-    return result, summary
+        ))
+    return rows, summary
 
 
-def simulate(scenario: dict) -> tuple[sterngerlach.RunResult, dict]:
-    """Read, preflight and run a sterngerlach scenario object: its run, with
-    the time series recorded every time.record_every steps, and its summary."""
+def simulate(scenario: dict) -> tuple[list[dict], dict]:
+    """Read, preflight and run a sterngerlach scenario object: its rows,
+    recorded every time.record_every steps, and its summary."""
     f = _sg_fields(scenario)
     _preflight(f, str)
     return _run(f, f["time.record_every"], "grid.extent")
@@ -677,26 +674,26 @@ def sweep(scenario: dict, jobs: int = 1) -> list[dict]:
 def run_scenario(scenario: dict, out_dir: Path, jobs: int = 1) -> list[Path]:
     """Compute a scenario object of any kind and write its files to
     `out_dir`: <kind>.csv, then sterngerlach_summary.json for a sterngerlach
-    run.  `jobs` is a sweep's pool size."""
-    kind, summary_paths = scenario["kind"], []
+    run.  `jobs` is a sweep's pool size.  A file that cannot be written is
+    refused naming the --out option, once the computation is done."""
+    kind, summary = scenario["kind"], None
     if kind == "sterngerlach":
-        result, summary = simulate(scenario)
-        summary_paths.append(out_dir / "sterngerlach_summary.json")
-        with open(summary_paths[0], "w") as fh:
-            summary = {k: _defined(v) for k, v in summary.items()}
-            json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
-        s = result.series
-        columns = {
-            "t": s.times, "z_up": s.z_up, "z_down": s.z_down, "pz_up": s.pz_up,
-            "pz_down": s.pz_down, "flip_prob": s.flip_prob, "norm": s.norm,
-        }
-        rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
+        rows, summary = simulate(scenario)
     elif kind == "sweep":
         rows = sweep(scenario, jobs)
     else:
         rows = {"relations": relations, "measure": measure, "amplify": amplify}[kind](scenario)
-    return [_write_csv(out_dir / f"{kind}.csv", rows), *summary_paths]
+    try:
+        paths = [_write_csv(out_dir / f"{kind}.csv", rows)]
+        if summary is not None:
+            paths.append(out_dir / "sterngerlach_summary.json")
+            with open(paths[1], "w") as fh:
+                summary = {k: _defined(v) for k, v in summary.items()}
+                json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
+                fh.write("\n")
+    except OSError as exc:  # a directory or an unwritable file at the path
+        raise ScenarioError(f"option '--out': {exc}") from exc
+    return paths
 
 
 def _defined(v):

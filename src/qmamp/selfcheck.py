@@ -190,15 +190,15 @@ def criterion_7_measurement_properties() -> tuple[bool, str]:
         res = measurement.instrument(rep, single, xi, eye)
         cases += 1
         if res.probability:
-            eta = rep.projection(gamma) @ xi / np.sqrt(res.probability)
-            p_again = np.linalg.norm(rep.projection(gamma) @ eta) ** 2
+            eta = rep.projections[gamma] @ xi / np.sqrt(res.probability)
+            p_again = np.linalg.norm(rep.projections[gamma] @ eta) ** 2
             violations += abs(p_again - 1.0) > 1e-12
 
         # perfect correlation in the coupled state: P(system chi1, probe chi2)
         # is E(chi1) read off the N = 1 cascade output at the outcome {chi2}
         output = amp.cascade_apply(amp.CascadeConfig(rep, 1), xi)
         chi1, chi2 = chars[int(rng.integers(len(chars)))], chars[int(rng.integers(len(chars)))]
-        joint = amp.amplified_instrument(output, measurement.outcome([chi2]), rep.projection(chi1))
+        joint = amp.amplified_instrument(output, measurement.outcome([chi2]), rep.projections[chi1])
         expected = 0.0
         if chi1 == chi2:
             expected = measurement.instrument(rep, measurement.outcome([chi1]), xi, eye).probability
@@ -210,7 +210,7 @@ def criterion_7_measurement_properties() -> tuple[bool, str]:
 def criterion_8_kick() -> tuple[bool, str]:
     # a superposed spin split by the longitudinal gradient b1
     field = {"b0": 1.0, "b1": 0.5, "mu": 1.0}
-    result, summary = scenarios.simulate({
+    rows, summary = scenarios.simulate({
         "version": 1, "kind": "sterngerlach", "field": field,
         "grid": {"points": 2048, "extent": 40.0, "spinor": [1.0, 1.0]},
         "time": {"dt": 0.005, "steps": 200, "record_every": 10},
@@ -225,9 +225,9 @@ def criterion_8_kick() -> tuple[bool, str]:
         and kick_up * kick_down < 0
     )
     # Ehrenfest: fitted d<p_z>/dt per branch vs -/+ mu * b1
-    s = result.series
-    rate_up = np.polyfit(s.times, s.pz_up, 1)[0]
-    rate_down = np.polyfit(s.times, s.pz_down, 1)[0]
+    times = [r["t"] for r in rows]
+    rate_up = np.polyfit(times, [r["pz_up"] for r in rows], 1)[0]
+    rate_down = np.polyfit(times, [r["pz_down"] for r in rows], 1)[0]
     ok = ok and abs(rate_up + mu_b1) <= 0.01 * mu_b1
     ok = ok and abs(rate_down - mu_b1) <= 0.01 * mu_b1
     return ok, (

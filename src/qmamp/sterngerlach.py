@@ -27,11 +27,12 @@ observables.
 
 `evolve` is the module's one stepping loop.  At each check it can hand the
 completed state and its spectrum to a callback, and `run_simulation` records
-its time series that way, in one `evolve` call with a check at every record:
-<z> from the completed state, <p_z> from the spectrum, with no FFT of its own.
-A run's momentum kicks are read off that series: `scenarios` takes each
-branch's kick as the change of its recorded <p_z> between the first and the
-last record.
+its rows that way, in one `evolve` call with a check at every record: one
+dict per record, keyed by COLUMNS, the header of the CSV that a sterngerlach
+run writes; <z> from the completed state, <p_z> from the spectrum, with no
+FFT of its own.  A run's momentum kicks are read off those rows: `scenarios`
+takes each branch's kick as the change of its recorded <p_z> between the
+first and the last row.
 """
 
 from __future__ import annotations
@@ -65,6 +66,9 @@ MAX_STEP_ANGLE = 0.1
 # Fewest grid points per sigma of a packet that `gaussian_packet` builds, and
 # that the scenario preflight accepts, so that the packet is resolved.
 MIN_POINTS_PER_SIGMA = 8
+# The keys of each row that run_simulation records, in order: the header of
+# the CSV that a sterngerlach run writes.
+COLUMNS = ("t", "z_up", "z_down", "pz_up", "pz_down", "flip_prob", "norm")
 
 
 @dataclass(frozen=True)
@@ -301,19 +305,13 @@ def _guard(psi: np.ndarray, edges: np.ndarray, dz: float, step: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class AdiabaticityReport:
-    u_fi: float
-    larmor_omega: float
-    inequality_margin: float  # (omega / v) * B0 / B2; inf when B2 = 0
-
-
-def adiabaticity_parameter(field: FieldModel, v: float, z_scale: float) -> AdiabaticityReport:
+def adiabaticity_parameter(field: FieldModel, v: float, z_scale: float) -> dict:
     """Dimensionless change-rate U_fi = v * z * B2 / (omega * dx * B0),
-    with omega = mu * B0 and dx the field-region extent.
+    with omega = mu * B0 and dx the field-region extent, as the summary keys
+    "u_fi" and "larmor_omega".
 
-    The spin-flip suppression condition is B2 << (omega / v) * B0; its margin
-    is returned alongside.
+    The spin-flip suppression condition is B2 << (omega / v) * B0; its margin,
+    inf when B2 = 0, is returned alongside as "inequality_margin".
     """
     if v <= 0:
         raise FieldError("beam speed must be positive")
@@ -322,25 +320,7 @@ def adiabaticity_parameter(field: FieldModel, v: float, z_scale: float) -> Adiab
         raise FieldError("Larmor frequency mu * b0 is zero")
     u_fi = v * z_scale * field.b2 / (omega * field.region_extent * field.b0)
     margin = (omega / v) * field.b0 / field.b2 if field.b2 != 0 else float("inf")
-    return AdiabaticityReport(u_fi=abs(u_fi), larmor_omega=omega, inequality_margin=margin)
-
-
-@dataclass(frozen=True)
-class TimeSeries:
-    times: np.ndarray
-    z_up: np.ndarray
-    z_down: np.ndarray
-    pz_up: np.ndarray
-    pz_down: np.ndarray
-    flip_prob: np.ndarray
-    norm: np.ndarray
-
-
-@dataclass(frozen=True)
-class RunResult:
-    initial: SpinorGrid
-    final: SpinorGrid
-    series: TimeSeries
+    return {"u_fi": abs(u_fi), "larmor_omega": omega, "inequality_margin": margin}
 
 
 def run_simulation(
@@ -349,9 +329,10 @@ def run_simulation(
     dt: float,
     steps: int,
     record_every: int = 10,
-) -> RunResult:
-    """Evolve while recording the observables time series, in one `evolve`
-    call that checks and records every `record_every` steps and at the last.
+) -> tuple[list[dict], SpinorGrid]:
+    """Evolve while recording the observables, in one `evolve` call that
+    checks and records every `record_every` steps and at the last: the rows,
+    one per record from step 0 on, each keyed by COLUMNS, and the final grid.
 
     flip_prob tracks the weight of the minority branch relative to the
     initially dominant spinor component; it is NaN when the initial state is
@@ -375,7 +356,7 @@ def run_simulation(
     def record(step, psi, phi):
         now = replace(grid, psi=psi)
         flip = now.branch_weight(flip_branch) if flip_branch else float("nan")
-        rows.append((
+        rows.append(dict(zip(COLUMNS, (
             step * dt,
             now.mean_z("up"),
             now.mean_z("down"),
@@ -383,9 +364,8 @@ def run_simulation(
             _spectral_mean(phi[1], kz),
             flip,
             now.norm_squared(),
-        ))
+        ))))
 
     record(0, grid.psi, np.fft.fft(grid.psi))
     final = evolve(grid, field, dt, steps, check_every=record_every, on_check=record)
-    series = TimeSeries(*(np.array(c) for c in zip(*rows)))
-    return RunResult(initial=grid, final=final, series=series)
+    return rows, final

@@ -196,6 +196,20 @@ def test_bad_out_exits_1_before_any_compute(tmp_path, capsys, monkeypatch, out):
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind, name", [("relations", "relations.csv"),
+                                        ("sterngerlach", "sterngerlach_summary.json")])
+def test_unwritable_output_file_exits_1(tmp_path, capsys, kind, name):
+    # a directory where an output file goes: the writer's OSError is an
+    # input error naming --out, not a traceback
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    path = write_scenario(tmp_path, VALID[kind])
+    assert main([kind, "--scenario", path, "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: option '--out': ") and str(out / name) in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_cli_rejects_kind_mismatch(tmp_path, capsys):
     path = write_scenario(tmp_path, {"version": 1, "kind": "relations", "groups": [[2]]})
     code = main(["measure", "--scenario", path])

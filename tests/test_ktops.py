@@ -375,7 +375,7 @@ def test_utildev_reconstruction_from_effects():
     for rep in (sigma_z_rep(), clock_rep(3)):
         utv = build_UtildeV(rep)
         rebuilt = sum(
-            np.kron(rep.projection(chi), translation(rep.group, chi.index))
+            np.kron(rep.projections[chi], translation(rep.group, chi.index))
             for chi in rep.group.characters()
         )
         assert np.linalg.norm(utv - rebuilt) == 0.0

@@ -36,7 +36,7 @@ def joint_probability(rep, xi, chi_sys, chi_probe):
     """P(system in range E(chi_sys), probe at chi_probe) after the coupling:
     E(chi_sys) read off the N = 1 cascade output at the outcome {chi_probe}."""
     output = cascade_apply(CascadeConfig(rep, 1), xi)
-    res = amplified_instrument(output, outcome([chi_probe]), rep.projection(chi_sys))
+    res = amplified_instrument(output, outcome([chi_probe]), rep.projections[chi_sys])
     return res.conditional_expectation
 
 
@@ -179,7 +179,7 @@ def test_instrument_sums_outcome_in_index_order(n):
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         xi = v / np.linalg.norm(v)
         prob, cond = 0.0, 0.0
-        for pxi in (rep.projection(chi) @ xi for chi in chars):
+        for pxi in (rep.projections[chi] @ xi for chi in chars):
             prob += float(np.vdot(pxi, pxi).real)
             cond += complex(np.vdot(pxi, b @ pxi))
         for given in (chars, chars[::-1]):

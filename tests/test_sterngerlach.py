@@ -25,8 +25,8 @@ from qmamp.sterngerlach import (
     FieldError,
     FieldModel,
     SolverError,
+    COLUMNS,
     SpinorGrid,
-    TimeSeries,
     _spin_step,
     adiabaticity_parameter,
     evolve,
@@ -118,6 +118,22 @@ def sg_scenario(field, grid, dt, steps, record_every):
             "time": {"dt": dt, "steps": steps, "record_every": record_every}}
 
 
+def columns(rows):
+    """A run's recorded rows as one array per column of COLUMNS."""
+    return {name: np.array([row[name] for row in rows]) for name in COLUMNS}
+
+
+def packet_run(scenario):
+    """The packet of a sterngerlach scenario and its run, built and run here
+    rather than by `scenarios.simulate`: (initial grid, rows, final grid)."""
+    f = scenarios._sg_fields(scenario)
+    grid = gaussian_packet(f["grid.points"], f["grid.extent"], f["grid.sigma"], f["grid.center"],
+                           f["grid.momentum"], f["grid.spinor"], f["grid.mass"])
+    rows, final = run_simulation(grid, scenarios._field(f), f["time.dt"], f["time.steps"],
+                                 f["time.record_every"])
+    return grid, rows, final
+
+
 def test_gradient_kick_magnitude_and_sign():
     # longitudinal gradient b1 pushes the branches apart by mu*b1*T each
     mu, b1, t, dt = 1.0, 0.5, 1.0, 0.005
@@ -149,17 +165,22 @@ SUPERPOSED_TRAJECTORY = sg_scenario(
     ids=["split", "flip", "superposed-trajectory"],
 )
 def test_summary_kicks_are_the_spectral_change_of_pz(scenario):
-    # the summary reads each kick off the recorded series; the oracle takes a
-    # fresh FFT of the initial and the final state
-    result, summary = scenarios.simulate(scenario)
+    # the summary reads each kick off the recorded rows; the oracle takes a
+    # fresh FFT of the initial and the final state of the scenario's packet,
+    # run outside simulate to the same rows
+    rows, summary = scenarios.simulate(scenario)
+    initial, own_rows, final = packet_run(scenario)
+    recorded = columns(rows)
+    for name, column in columns(own_rows).items():
+        np.testing.assert_array_equal(column, recorded[name], err_msg=name)
     kicks = 0
     for branch in ("up", "down"):
-        held = min(result.initial.branch_weight(branch), result.final.branch_weight(branch))
+        held = min(initial.branch_weight(branch), final.branch_weight(branch))
         kick = summary[f"kick_{branch}"]
         if held < 1e-6:
             assert kick is None, branch
             continue
-        expected = result.final.mean_pz(branch) - result.initial.mean_pz(branch)
+        expected = final.mean_pz(branch) - initial.mean_pz(branch)
         assert abs(kick - expected) <= 1e-12 * abs(expected), branch
         kicks += 1
     assert kicks == (1 if scenario["grid"]["spinor"][1] == 0.0 else 2)
@@ -168,13 +189,15 @@ def test_summary_kicks_are_the_spectral_change_of_pz(scenario):
 def test_kick_needs_the_branch_at_the_start_and_the_end():
     # a spin-up start gains down weight through the transverse field, but
     # the down branch has no initial <p_z> to take the kick from
-    result, summary = scenarios.simulate(sg_scenario(
+    scenario = sg_scenario(
         {"b0": 2.0, "b1": 0.1, "b2": 0.3},
         {"points": 512, "extent": 40.0, "sigma": 1.0},
         0.005, 50, 10,
-    ))
-    assert result.final.branch_weight("down") > 1e-6
-    assert np.isfinite(result.series.pz_down[-1])
+    )
+    rows, summary = scenarios.simulate(scenario)
+    final = packet_run(scenario)[2]
+    assert final.branch_weight("down") > 1e-6
+    assert np.isfinite(rows[-1]["pz_down"])
     assert summary["kick_down"] is None
     assert np.isfinite(summary["kick_up"])
 
@@ -263,12 +286,12 @@ def test_adiabaticity_parameter_closed_form():
     # U_fi = v z B2 / (omega dx B0) with omega = mu B0
     f = FieldModel(b0=2.0, b1=0.0, b2=0.1, mu=3.0, region_extent=5.0)
     rep = adiabaticity_parameter(f, v=4.0, z_scale=1.5)
-    assert rep.larmor_omega == pytest.approx(6.0)
-    assert rep.u_fi == pytest.approx(4.0 * 1.5 * 0.1 / (6.0 * 5.0 * 2.0))
-    assert rep.inequality_margin == pytest.approx((6.0 / 4.0) * 2.0 / 0.1)
+    assert rep["larmor_omega"] == pytest.approx(6.0)
+    assert rep["u_fi"] == pytest.approx(4.0 * 1.5 * 0.1 / (6.0 * 5.0 * 2.0))
+    assert rep["inequality_margin"] == pytest.approx((6.0 / 4.0) * 2.0 / 0.1)
     zero = adiabaticity_parameter(FieldModel(b0=2.0, b1=0.0, b2=0.0), v=1.0, z_scale=1.0)
-    assert zero.u_fi == 0.0
-    assert zero.inequality_margin == float("inf")
+    assert zero["u_fi"] == 0.0
+    assert zero["inequality_margin"] == float("inf")
     with pytest.raises(FieldError):
         adiabaticity_parameter(f, v=0.0, z_scale=1.0)
 
@@ -295,16 +318,17 @@ def test_coupling_factorization():
 def test_run_simulation_series():
     f = FieldModel(b0=1.0, b1=0.5, b2=0.0)
     g = gaussian_packet(1024, 40.0, sigma=1.0, spinor=(1.0, 1.0))
-    res = run_simulation(g, f, dt=0.005, steps=100, record_every=20)
-    s = res.series
-    assert len(s.times) == 6
-    assert s.times[-1] == pytest.approx(0.5)
-    assert np.allclose(s.norm, 1.0, atol=1e-10)
+    rows, _ = run_simulation(g, f, dt=0.005, steps=100, record_every=20)
+    assert all(tuple(row) == COLUMNS for row in rows)
+    s = columns(rows)
+    assert len(s["t"]) == 6
+    assert s["t"][-1] == pytest.approx(0.5)
+    assert np.allclose(s["norm"], 1.0, atol=1e-10)
     # both-branch start: flip probability is undefined
-    assert np.all(np.isnan(s.flip_prob))
+    assert np.all(np.isnan(s["flip_prob"]))
     # momenta drift linearly in opposite directions
-    assert s.pz_up[-1] < s.pz_up[0] or s.pz_up[-1] > s.pz_up[0]
-    assert (s.pz_up[-1] - s.pz_up[0]) * (s.pz_down[-1] - s.pz_down[0]) < 0
+    assert s["pz_up"][-1] < s["pz_up"][0] or s["pz_up"][-1] > s["pz_up"][0]
+    assert (s["pz_up"][-1] - s["pz_up"][0]) * (s["pz_down"][-1] - s["pz_down"][0]) < 0
 
 
 @pytest.mark.parametrize("record_every", [0, -2])
@@ -318,10 +342,10 @@ def test_run_simulation_rejects_nonpositive_record_every(record_every):
 def test_run_simulation_flip_branch_tracking():
     f = FieldModel(b0=2.0, b1=0.0, b2=0.3)
     g = gaussian_packet(512, 40.0, sigma=1.0)
-    res = run_simulation(g, f, dt=0.005, steps=50, record_every=25)
-    assert np.all(np.isfinite(res.series.flip_prob))
-    assert res.series.flip_prob[0] == pytest.approx(0.0)
-    assert np.all(np.diff(res.series.flip_prob) >= -1e-12)
+    flip_prob = columns(run_simulation(g, f, dt=0.005, steps=50, record_every=25)[0])["flip_prob"]
+    assert np.all(np.isfinite(flip_prob))
+    assert flip_prob[0] == pytest.approx(0.0)
+    assert np.all(np.diff(flip_prob) >= -1e-12)
 
 
 def test_evolve_matches_per_component_strang_loop():
@@ -542,26 +566,26 @@ RUN_STEPS = 20
 @pytest.mark.parametrize("record_every", [1, 7, RUN_STEPS])
 @pytest.mark.parametrize("spinor", [(1.0, 0.0), (0.6, 0.8j)], ids=["up", "superposed"])
 def test_run_simulation_matches_restart_per_chunk_oracle(record_every, spinor):
-    # one evolve call with a record at every check leaves the series of a loop
+    # one evolve call with a record at every check leaves the rows of a loop
     # that restarts evolve at every record, and the final state of evolve alone
     f = FieldModel(b0=2.0, b1=0.3, b2=0.25, mu=1.5)
     g = gaussian_packet(512, 40.0, sigma=1.0, center=0.5, momentum=0.7, spinor=spinor)
-    res = run_simulation(g, f, dt=0.005, steps=RUN_STEPS, record_every=record_every)
+    rows, final = run_simulation(g, f, dt=0.005, steps=RUN_STEPS, record_every=record_every)
     expected = _restart_per_chunk(g, f, 0.005, RUN_STEPS, record_every)
-    s = res.series
-    got = [s.times, s.z_up, s.z_down, s.pz_up, s.pz_down, s.flip_prob, s.norm]
-    assert len(s.times) == -(-RUN_STEPS // record_every) + 1
-    for name, x, y in zip(TimeSeries.__dataclass_fields__, got, expected):
+    s = columns(rows)
+    assert len(s["t"]) == -(-RUN_STEPS // record_every) + 1
+    for name, y in zip(COLUMNS, expected):
+        x = s[name]
         assert np.array_equal(np.isnan(x), np.isnan(y)), name
         ok = ~np.isnan(y)
         assert np.all(np.abs(x[ok] - y[ok]) <= 1e-12 * np.maximum(1.0, np.abs(y[ok]))), name
     if spinor[1] == 0:
-        assert np.isnan(s.z_down[0]) and np.isfinite(s.flip_prob).all()
+        assert np.isnan(s["z_down"][0]) and np.isfinite(s["flip_prob"]).all()
     else:
-        assert np.isnan(s.flip_prob).all() and np.isfinite(s.z_down).all()
-    final = evolve(g, f, dt=0.005, steps=RUN_STEPS, check_every=record_every)
-    assert res.final.psi.tobytes() == final.psi.tobytes()
-    assert res.final.z.tobytes() == g.z.tobytes()
+        assert np.isnan(s["flip_prob"]).all() and np.isfinite(s["z_down"]).all()
+    alone = evolve(g, f, dt=0.005, steps=RUN_STEPS, check_every=record_every)
+    assert final.psi.tobytes() == alone.psi.tobytes()
+    assert final.z.tobytes() == g.z.tobytes()
 
 
 @pytest.mark.parametrize("steps", [0, 1, 9])
@@ -574,18 +598,19 @@ def test_run_simulation_calls_evolve_once(monkeypatch, steps):
 
     monkeypatch.setattr(sterngerlach, "evolve", counting)
     g = gaussian_packet(256, 40.0, sigma=1.5, spinor=(0.6, 0.8))
-    res = run_simulation(g, FieldModel(b0=1.0, b1=0.2, b2=0.1), dt=0.005, steps=steps,
-                         record_every=4)
+    rows, _ = run_simulation(g, FieldModel(b0=1.0, b1=0.2, b2=0.1), dt=0.005, steps=steps,
+                             record_every=4)
     assert calls == [4]
-    assert len(res.series.times) == -(-steps // 4) + 1
+    assert len(rows) == -(-steps // 4) + 1
 
 
-def assert_follows_newton(series, field, packet):
+def assert_follows_newton(rows, field, packet):
     """Each branch's recorded <z> and <p_z> follow Newton's law to 1e-11."""
+    s = columns(rows)
     for branch in ("up", "down"):
-        z, pz = linear_potential_means(series.times, branch, mu=field.mu, b1=field.b1, **packet)
-        assert np.abs(getattr(series, f"z_{branch}") - z).max() < 1e-11, branch
-        assert np.abs(getattr(series, f"pz_{branch}") - pz).max() < 1e-11, branch
+        z, pz = linear_potential_means(s["t"], branch, mu=field.mu, b1=field.b1, **packet)
+        assert np.abs(s[f"z_{branch}"] - z).max() < 1e-11, branch
+        assert np.abs(s[f"pz_{branch}"] - pz).max() < 1e-11, branch
 
 
 @pytest.mark.parametrize("dt", [0.005, 0.0025, 0.00125])
@@ -595,9 +620,9 @@ def test_run_simulation_follows_the_linear_potential_closed_form(dt):
     packet = {"center": 0.0, "momentum": 0.3, "mass": 1.0}
     field = FieldModel(b0=1.0, b1=0.5, b2=0.0, mu=1.0)
     g = gaussian_packet(2048, 40.0, spinor=(1.0, 1.0), **packet)
-    s = run_simulation(g, field, dt=dt, steps=round(2.0 / dt), record_every=10).series
-    assert s.times[-1] == pytest.approx(2.0)
-    assert_follows_newton(s, field, packet)
+    rows, _ = run_simulation(g, field, dt=dt, steps=round(2.0 / dt), record_every=10)
+    assert rows[-1]["t"] == pytest.approx(2.0)
+    assert_follows_newton(rows, field, packet)
 
 
 @pytest.mark.parametrize("b0, mu, dt", [(1.0, 1.0, 0.005), (0.7, 1.3, 0.01), (2.0, 0.5, 0.0025)])
@@ -723,10 +748,10 @@ def test_scenario_follows_the_linear_potential_closed_form(b0, b1, mass, center,
     dt = dt_fraction * MAX_STEP_ANGLE / (field.mu * max_field(field, ends))
     steps = round(1.0 / dt)
     packet = {"center": center, "momentum": momentum, "mass": mass}
-    result, _ = scenarios.simulate(sg_scenario(
+    rows, _ = scenarios.simulate(sg_scenario(
         {"b0": b0, "b1": b1, "b2": 0.0, "mu": field.mu},
         {"points": points, "extent": extent, "sigma": 1.0, "spinor": [1.0, 1.0], **packet},
         dt, steps, max(1, steps // 8),
     ))
-    assert result.series.times[-1] == pytest.approx(steps * dt)
-    assert_follows_newton(result.series, field, packet)
+    assert rows[-1]["t"] == pytest.approx(steps * dt)
+    assert_follows_newton(rows, field, packet)
