@@ -165,20 +165,10 @@ def instrument(rep: SpectralRepresentation, delta: Outcome, xi, b: np.ndarray) -
     return InstrumentResult(prob if prob > 1e-300 else 0.0, cond)
 
 
-def _diagonal_rep(group: FiniteAbelianGroup) -> SpectralRepresentation:
-    """E(chi) = |k><k| on a system of dimension |G|, for chi at index k."""
-    eye = np.eye(group.size, dtype=complex)
-    assignments = [(chi, np.diag(eye[chi.index])) for chi in group.characters()]
-    return make_spectral_rep(group, group.size, assignments)
-
-
-def sigma_z_rep() -> SpectralRepresentation:
-    """Two-level preset over Z_2: trivial character -> |0><0|, the other ->
-    |1><1|, so the reconstructed U at the generator is diag(1, -1)."""
-    return _diagonal_rep(make_group([2]))
-
-
-def clock_rep(n: int = 3) -> SpectralRepresentation:
+def clock_rep(n: int) -> SpectralRepresentation:
     """n-level preset over Z_n: E(chi_k) = |k><k|; U at the generator is the
-    conjugate clock matrix diag(1, w^-1, ..., w^-(n-1))."""
-    return _diagonal_rep(make_group([n]))
+    conjugate clock matrix diag(1, w^-1, ..., w^-(n-1)), which is sigma_z,
+    diag(1, -1), at n = 2."""
+    group, eye = make_group([n]), np.eye(n, dtype=complex)
+    assignments = [(chi, np.diag(eye[chi.index])) for chi in group.characters()]
+    return make_spectral_rep(group, n, assignments)

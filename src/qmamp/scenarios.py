@@ -13,13 +13,14 @@ bounds are the table SG_FIELDS.  A Stern-Gerlach run whose grid or step count
 exceeds SG_SOLVER_BYTES or SG_POINT_STEPS, whose step the solver would
 refuse, or whose packet the grid cannot hold is refused before it starts, as
 is a sweep whose points together exceed SWEEP_WORK point-steps; a
-run whose packet reaches the box edge is refused naming its grid.extent.  An
-amplify N whose label arrays exceed AMPLIFY_BYTES is refused as soon as the
-rep's group and projection count are known, before any matrix is read, as
-is a run whose N and outcomes together would scan more than AMPLIFY_WORK
-labels, and a measure or amplify run whose instruments and projection
-checks together exceed MEASURE_WORK.  Every size bound refuses through
-`_within`, the one place that compares an estimate with its bound, in one
+run whose packet reaches the box edge is refused naming its grid.extent.  A
+measure or amplify run reads its `outcomes` once, and amplify its `n_values`,
+and `_check_run` refuses it as soon as the rep's group, dimension and
+projection count are known, before any matrix is read: an amplify N whose
+label arrays exceed AMPLIFY_BYTES, a run whose N and outcomes together would
+scan more than AMPLIFY_WORK labels, and a run whose instruments and
+projection checks together exceed MEASURE_WORK.  Every size bound refuses
+through `_within`, the one place that compares an estimate with its bound, in one
 message shape: "field '<where>': expected at most <bound> <unit>; <subject>
 needs about <estimate>".
 
@@ -34,7 +35,8 @@ a branch holding under 1e-6 of the probability at the start or the end has
 no kick (None).
 
 Outputs are CSV (floats printed with 12 significant digits) plus a summary
-JSON for the wavepacket runs; reruns with the same scenario are byte-identical.
+JSON for the wavepacket runs; reruns with the same scenario are byte-identical,
+and a run whose write fails leaves no new output file.
 A value that is undefined (NaN) or infinite is written as an empty CSV cell
 and as null in JSON.
 """
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import itertools
 import json
 import math
@@ -262,14 +265,15 @@ def _names(where: str):
         raise ScenarioError(f"field '{where}': {exc}") from exc
 
 
-def build_rep(scenario: dict, check) -> measurement.SpectralRepresentation:
-    """The scenario's spectral representation.  `check(group, system_dim, m)`,
-    m the projection count, refuses a run that its kind's bounds exclude as
-    soon as those are known, before any matrix of an explicit rep is read."""
+def build_rep(scenario: dict, outcomes, n_values=()) -> measurement.SpectralRepresentation:
+    """The scenario's spectral representation.  As soon as its group,
+    dimension and projection count are known, before any matrix of an
+    explicit rep is read, `_check_run` refuses a run of the read `outcomes`
+    (and, for amplify, `n_values`) that the bounds exclude."""
     spec = scenario.get("rep")
     if spec in ("sigma_z", "z3_clock"):
-        rep = measurement.sigma_z_rep() if spec == "sigma_z" else measurement.clock_rep(3)
-        check(rep.group, rep.system_dim, len(rep.projections))
+        rep = measurement.clock_rep(2 if spec == "sigma_z" else 3)
+        _check_run(rep.group, rep.system_dim, len(rep.projections), outcomes, n_values)
         return rep
     if isinstance(spec, str):
         raise ScenarioError(
@@ -279,7 +283,7 @@ def build_rep(scenario: dict, check) -> measurement.SpectralRepresentation:
         group = groups.make_group(read(scenario, "rep.group", [int], bound=0))
     system_dim = read(scenario, "rep.system_dim", int, bound=0)
     count = len(read(scenario, "rep.projections", [dict]))
-    check(group, system_dim, count)
+    _check_run(group, system_dim, count, outcomes, n_values)
     assignments = []
     for i in range(count):
         where = f"rep.projections[{i}]"
@@ -304,11 +308,17 @@ def _within(where: str, estimate: int, bound: int, unit: str, subject: str) -> N
         )
 
 
-def _check_copies(scenario: dict, group: groups.FiniteAbelianGroup, m: int, n_values) -> None:
-    """Refuse an amplify N whose label arrays, for a representation of `group`
-    with m projections, exceed AMPLIFY_BYTES or whose |G| chain checks scan
-    more than AMPLIFY_CHAIN_WORK labels, and then a run whose N and the
-    scenario's outcomes together scan more than AMPLIFY_WORK labels."""
+def _check_run(group: groups.FiniteAbelianGroup, d: int, m: int, outcomes, n_values=()) -> None:
+    """Refuse a measure or amplify run of `outcomes`, on a representation of
+    `group` with m projections on a system of dimension d.  For each N of an
+    amplify run's `n_values`: label arrays over AMPLIFY_BYTES, or |G| chain
+    checks scanning more than AMPLIFY_CHAIN_WORK labels; then a run whose N
+    and outcomes together scan more than AMPLIFY_WORK labels (none without
+    N); then a run whose instruments and projection checks together exceed
+    MEASURE_WORK.  An outcome takes one instrument and MEASURE_OUTCOME_WORK
+    in a measure run, and in an amplify run, whose outcomes AMPLIFY_WORK
+    counts, 1 + len(n_values): the single-probe instrument and one amplified
+    instrument per N."""
     g, chain, support = group.size, 0, 0
     for n in n_values:
         _within("n_values", amp.label_bytes(group, m, n), AMPLIFY_BYTES, "bytes of label arrays",
@@ -318,19 +328,8 @@ def _check_copies(scenario: dict, group: groups.FiniteAbelianGroup, m: int, n_va
         samples = amp.chain_samples(group, n)
         chain += g * samples * (n + 1) if samples else g ** (n + 2)
         support += m * n
-    outcomes = len(read(scenario, "outcomes", [[int]]))
-    _within("n_values", chain + (outcomes + 1) * support, AMPLIFY_WORK, "labels",
-            f"a run of {len(n_values)} N with {outcomes} outcomes")
-
-
-def _check_measure(scenario: dict, d: int, m: int, n_values=()) -> None:
-    """Refuse a run, for a representation of m projections on a system of
-    dimension d, whose instruments and projection checks together exceed
-    MEASURE_WORK.  An outcome takes one instrument and MEASURE_OUTCOME_WORK
-    in a measure run; with `n_values`, in an amplify run, whose outcomes
-    AMPLIFY_WORK counts, it takes 1 + len(n_values): the single-probe
-    instrument and one amplified instrument per N."""
-    outcomes = read(scenario, "outcomes", [[int]])
+    _within("n_values", chain + (len(outcomes) + 1) * support, AMPLIFY_WORK, "labels",
+            f"a run of {len(n_values)} N with {len(outcomes)} outcomes")
     entries = sum(len(set(delta)) for delta in outcomes) * d * d
     work = (1 + len(n_values)) * entries * MEASURE_ENTRY_WORK + m * (m + 1) // 2 * d**3
     if not n_values:
@@ -344,20 +343,20 @@ def build_state(scenario: dict, rep) -> np.ndarray:
         return measurement._check_state(rep, read(scenario, "state", [complex]))
 
 
-def build_outcomes(scenario: dict, rep):
-    """The outcomes as (label, outcome) pairs, the label its character
-    indices joined by "+", as the output rows name it."""
+def build_outcomes(rep, outcomes):
+    """The read `outcomes` as (label, outcome) pairs, the label its
+    character indices joined by "+", as the output rows name it."""
     chars = rep.group.characters()
-    outcomes = []
-    for i, idx_list in enumerate(read(scenario, "outcomes", [[int]])):
+    pairs = []
+    for i, idx_list in enumerate(outcomes):
         if not all(0 <= j < len(chars) for j in idx_list):
             raise ScenarioError(
                 f"field 'outcomes[{i}]': expected character indices in [0, {len(chars)}),"
                 f" got {_shown(idx_list)}"
             )
         label = "+".join(str(j) for j in idx_list)
-        outcomes.append((label, measurement.outcome([chars[j] for j in idx_list])))
-    return outcomes
+        pairs.append((label, measurement.outcome([chars[j] for j in idx_list])))
+    return pairs
 
 
 def build_observable(scenario: dict, rep) -> np.ndarray:
@@ -404,9 +403,12 @@ def relations(scenario: dict) -> list[dict]:
     return rows
 
 
-def _instrument_inputs(scenario: dict, check):
-    rep = build_rep(scenario, check)
-    xi, outcomes = build_state(scenario, rep), build_outcomes(scenario, rep)
+def _instrument_inputs(scenario: dict, n_values=()):
+    """The rep, state, outcomes and observable of a measure or amplify run,
+    `outcomes` read once and the run checked by `build_rep`."""
+    outcomes = read(scenario, "outcomes", [[int]])
+    rep = build_rep(scenario, outcomes, n_values)
+    xi, outcomes = build_state(scenario, rep), build_outcomes(rep, outcomes)
     return rep, xi, outcomes, build_observable(scenario, rep)
 
 
@@ -415,9 +417,7 @@ def measure(scenario: dict) -> list[dict]:
     projection checks exceed MEASURE_WORK before any matrix is read, and
     apply the instrument of each of its outcomes: its rows, one per
     outcome."""
-    rep, xi, outcomes, b = _instrument_inputs(
-        scenario, lambda group, d, m: _check_measure(scenario, d, m)
-    )
+    rep, xi, outcomes, b = _instrument_inputs(scenario)
     rows = []
     for label, delta in outcomes:
         res = measurement.instrument(rep, delta, xi, b)
@@ -440,12 +440,7 @@ def amplify(scenario: dict) -> list[dict]:
     the observable's conditional expectation, against the single-probe
     instrument of its outcome, computed once for every N."""
     n_values = read(scenario, "n_values", [int], [1, 2, 3], bound=0)
-
-    def check(group, d, m):
-        _check_copies(scenario, group, m, n_values)
-        _check_measure(scenario, d, m, n_values)
-
-    rep, xi, outcomes, b = _instrument_inputs(scenario, check)
+    rep, xi, outcomes, b = _instrument_inputs(scenario, n_values)
     singles = [measurement.instrument(rep, delta, xi, b) for _, delta in outcomes]
     rows = []
     for n in n_values:
@@ -675,7 +670,8 @@ def run_scenario(scenario: dict, out_dir: Path, jobs: int = 1) -> list[Path]:
     """Compute a scenario object of any kind and write its files to
     `out_dir`: <kind>.csv, then sterngerlach_summary.json for a sterngerlach
     run.  `jobs` is a sweep's pool size.  A file that cannot be written is
-    refused naming the --out option, once the computation is done."""
+    refused naming the --out option, once the computation is done, and the
+    files this run opened are removed, so a refused run leaves no new file."""
     kind, summary = scenario["kind"], None
     if kind == "sterngerlach":
         rows, summary = simulate(scenario)
@@ -683,17 +679,22 @@ def run_scenario(scenario: dict, out_dir: Path, jobs: int = 1) -> list[Path]:
         rows = sweep(scenario, jobs)
     else:
         rows = {"relations": relations, "measure": measure, "amplify": amplify}[kind](scenario)
+    texts = {out_dir / f"{kind}.csv": _csv_text(rows)}
+    if summary is not None:
+        summary = {k: _defined(v) for k, v in summary.items()}
+        text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
+        texts[out_dir / "sterngerlach_summary.json"] = text + "\n"
+    opened = []
     try:
-        paths = [_write_csv(out_dir / f"{kind}.csv", rows)]
-        if summary is not None:
-            paths.append(out_dir / "sterngerlach_summary.json")
-            with open(paths[1], "w") as fh:
-                summary = {k: _defined(v) for k, v in summary.items()}
-                json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
-                fh.write("\n")
+        for path, text in texts.items():
+            with open(path, "w", newline="") as fh:
+                opened.append(path)
+                fh.write(text)
     except OSError as exc:  # a directory or an unwritable file at the path
+        for path in opened:
+            path.unlink()
         raise ScenarioError(f"option '--out': {exc}") from exc
-    return paths
+    return list(texts)
 
 
 def _defined(v):
@@ -702,15 +703,15 @@ def _defined(v):
     return None if isinstance(v, float) and not math.isfinite(v) else v
 
 
-def _write_csv(path: Path, rows: list[dict]) -> Path:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = list(rows[0].keys())
-        writer.writerow(header)
-        for row in rows:
-            values = (_defined(row[key]) for key in header)
-            writer.writerow(
-                "" if v is None else str(v) if isinstance(v, (str, int)) else f"{float(v):.12g}"
-                for v in values
-            )
-    return path
+def _csv_text(rows: list[dict]) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    header = list(rows[0].keys())
+    writer.writerow(header)
+    for row in rows:
+        values = (_defined(row[key]) for key in header)
+        writer.writerow(
+            "" if v is None else str(v) if isinstance(v, (str, int)) else f"{float(v):.12g}"
+            for v in values
+        )
+    return buffer.getvalue()

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import amplification as amp
 from . import groups, ktops, measurement, scenarios
-from .measurement import clock_rep, sigma_z_rep
+from .measurement import clock_rep
 
 SEED = 20240817
 
@@ -92,7 +92,7 @@ def _correlation_residual(rep, xi) -> float:
 def criterion_3_perfect_correlation() -> tuple[bool, str]:
     rng = np.random.default_rng(SEED)
     worst = 0.0
-    for rep in (sigma_z_rep(), clock_rep(3)):
+    for rep in (clock_rep(2), clock_rep(3)):
         for _ in range(100):
             xi = _random_state(rng, rep.system_dim)
             worst = max(worst, _correlation_residual(rep, xi))
@@ -102,7 +102,7 @@ def criterion_3_perfect_correlation() -> tuple[bool, str]:
 def criterion_4_instrument_equality() -> tuple[bool, str]:
     rng = np.random.default_rng(SEED + 1)
     worst = 0.0
-    reps = (sigma_z_rep(), clock_rep(3))
+    reps = (clock_rep(2), clock_rep(3))
     for i in range(100):
         rep = reps[i % 2]
         chars = rep.group.characters()
@@ -152,7 +152,7 @@ def criterion_6_intertwiner_chain() -> tuple[bool, str]:
 
 def criterion_7_measurement_properties() -> tuple[bool, str]:
     rng = np.random.default_rng(SEED + 3)
-    reps = (sigma_z_rep(), clock_rep(3), clock_rep(4))
+    reps = (clock_rep(2), clock_rep(3), clock_rep(4))
     violations = 0
     cases = 0
     for i in range(200):

@@ -35,7 +35,7 @@ from qmamp.amplification import (
 )
 from qmamp.groups import canonical_groups, make_group
 from qmamp.ktops import build_V
-from qmamp.measurement import clock_rep, instrument, make_spectral_rep, outcome, sigma_z_rep
+from qmamp.measurement import clock_rep, instrument, make_spectral_rep, outcome
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -52,7 +52,7 @@ def char_of(rep, projection):
 
 
 def test_config_validation():
-    rep = sigma_z_rep()
+    rep = clock_rep(2)
     with pytest.raises(CascadeError):
         CascadeConfig(rep, 0)
     # no cap on N: the cascade holds its support, never the 2 * 2**N tensor,
@@ -72,7 +72,7 @@ def test_cascade_apply_matches_dense_unitary():
     # oracle: materialize the full stage product; forward on xi x |iota>^N,
     # inverse on an arbitrary state of the full space
     rng = np.random.default_rng(1)
-    reps = [sigma_z_rep(), clock_rep(3)] + [rotated_rep(g, rng) for g in canonical_groups(4)]
+    reps = [clock_rep(2), clock_rep(3)] + [rotated_rep(g, rng) for g in canonical_groups(4)]
     for rep in reps:
         for n in (1, 2, 3):
             cfg = CascadeConfig(rep, n)
@@ -96,7 +96,7 @@ def test_cascade_apply_matches_closed_form():
     # to the rounding of E(gamma) xi) and the tensor cascade exactly, and reads
     # the same instrument off every outcome
     rng = np.random.default_rng(5)
-    reps = [sigma_z_rep(), clock_rep(3)] + [rotated_rep(g, rng) for g in canonical_groups(6)]
+    reps = [clock_rep(2), clock_rep(3)] + [rotated_rep(g, rng) for g in canonical_groups(6)]
     for rep in reps:
         chars = rep.group.characters()
         for n in (1, 2, 3, 4):
@@ -147,7 +147,7 @@ def test_inverse_cascade_rejects_wrong_size():
 def test_cascade_output_is_branch_correlated():
     # sum_gamma c_gamma xi_gamma x |gamma>^N: every probe leg carries the
     # same label, and the weight of label gamma is |c_gamma|^2
-    rep = sigma_z_rep()
+    rep = clock_rep(2)
     cfg = CascadeConfig(rep, 3)
     xi = np.array([np.sqrt(0.3), np.sqrt(0.7)])
     out = scatter(cascade_apply(cfg, xi))
@@ -179,7 +179,7 @@ def test_inverse_cascade_recovers_input():
 
 
 def test_cascade_unitary_lazy_threshold():
-    rep = sigma_z_rep()
+    rep = clock_rep(2)
     u = cascade_unitary(CascadeConfig(rep, 5))
     assert np.linalg.norm(u.conj().T @ u - np.eye(len(u))) <= 1e-10 * len(u)
     # a 4096 x 4096 cascade matrix exceeds the memory budget of the dense oracle
@@ -196,7 +196,7 @@ def test_cascade_unitary_lazy_threshold():
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3, 4]), st.sampled_from([2, 3]))
 def test_amplified_instrument_is_n_independent(seed, n, dim):
     rng = np.random.default_rng(seed)
-    rep = sigma_z_rep() if dim == 2 else clock_rep(3)
+    rep = clock_rep(dim)
     cfg = CascadeConfig(rep, n)
     xi = random_state(rng, dim)
     b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -258,7 +258,7 @@ def test_amplify_peak_does_not_grow_with_the_outcomes():
 
 
 def test_singleton_probability_is_branch_weight():
-    rep = sigma_z_rep()
+    rep = clock_rep(2)
     cfg = CascadeConfig(rep, 3)
     xi = np.array([np.sqrt(0.3), np.sqrt(0.7)])
     chi_dn = char_of(rep, np.diag([0.0, 1.0]))
@@ -277,7 +277,7 @@ def test_singleton_probability_is_branch_weight():
 def test_zero_weight_outcome_reads_probability_zero():
     # xi lies in the up sector, so the down outcome has probability exactly 0
     # through the single-probe instrument and through the amplified one
-    rep = sigma_z_rep()
+    rep = clock_rep(2)
     xi = np.array([1.0, 0.0])
     chi_dn = char_of(rep, np.diag([0.0, 1.0]))
     output = cascade_apply(CascadeConfig(rep, 3), xi)
@@ -475,7 +475,7 @@ def test_support_bounds_memory_at_largest_n():
     # sigma_z at N = 10**6: the dense output tensor would hold 2 * 2**(10**6)
     # amplitudes; the cascade, every outcome's instrument and the sampled
     # chain checks stay within the scenario reader's byte estimate
-    rep = sigma_z_rep()
+    rep = clock_rep(2)
     n = 10**6
     cfg = CascadeConfig(rep, n)
     xi = np.array([np.sqrt(0.3), np.sqrt(0.7)])
@@ -796,7 +796,7 @@ def test_heisenberg_duality():
     # decoupled state xi x |iota>^N reproduces the amplified expectation
     # when each f is the indicator of a single outcome label
     rng = np.random.default_rng(8)
-    rep = sigma_z_rep()
+    rep = clock_rep(2)
     chi_dn = char_of(rep, np.diag([0.0, 1.0]))
     for n in (1, 2, 3):
         cfg = CascadeConfig(rep, n)
@@ -818,7 +818,7 @@ def test_heisenberg_duality():
 
 
 def test_heisenberg_rejects_offdiagonal_probe_function():
-    rep = sigma_z_rep()
+    rep = clock_rep(2)
     cfg = CascadeConfig(rep, 1)
     with pytest.raises(CascadeError):
         heisenberg_T(cfg, np.eye(2), [np.array([[0.0, 1.0], [1.0, 0.0]])])

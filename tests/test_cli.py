@@ -208,6 +208,8 @@ def test_unwritable_output_file_exits_1(tmp_path, capsys, kind, name):
     err = capsys.readouterr().err
     assert err.startswith("error: option '--out': ") and str(out / name) in err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+    # no new output file is left: a sterngerlach run's CSV, written first, is removed
+    assert list(out.iterdir()) == [out / name]
 
 
 def test_cli_rejects_kind_mismatch(tmp_path, capsys):
@@ -486,11 +488,12 @@ def test_measure_run_bound_admits_large_explicit_reps():
     # 32 projections at system_dim 256, with every single-character outcome
     # or 32 outcomes of all 32 characters, is admitted; duplicate characters
     # of an outcome, which its instrument sums once, count once
-    scenarios._check_measure({"outcomes": [[k] for k in range(32)]}, 256, 32)
-    scenarios._check_measure({"outcomes": [list(range(32))] * 32}, 256, 32)
-    scenarios._check_measure({"outcomes": [[0] * 10**5]}, 256, 32)
+    g = scenarios.groups.make_group([32])
+    scenarios._check_run(g, 256, 32, [[k] for k in range(32)])
+    scenarios._check_run(g, 256, 32, [list(range(32))] * 32)
+    scenarios._check_run(g, 256, 32, [[0] * 10**5])
     with pytest.raises(ScenarioError, match="field 'outcomes': "):
-        scenarios._check_measure({"outcomes": [list(range(32))] * 500}, 256, 32)
+        scenarios._check_run(g, 256, 32, [list(range(32))] * 500)
 
 
 def test_amplify_run(tmp_path):
@@ -1069,8 +1072,10 @@ def test_amplify_run_bound_admits_every_one_n_run(orders, m):
     while high - low > 1:
         mid = (low + high) // 2
         low, high = (mid, high) if admitted(mid) else (low, mid)
+    # at d = m, the least dimension of m nonzero projections, whose one
+    # instrument and projection checks are far below MEASURE_WORK
     for n in [*exhaustive, low]:
-        scenarios._check_copies({"outcomes": [[0]]}, g, m, [n])
+        scenarios._check_run(g, m, m, [[0]], [n])
 
 
 def test_amplify_run_is_bounded_by_its_instruments(tmp_path, capsys, monkeypatch):
@@ -1092,24 +1097,39 @@ def test_amplify_run_is_bounded_by_its_instruments(tmp_path, capsys, monkeypatch
     payload = {"version": 1, "kind": "amplify", "state": [1.0] + [0.0] * 1023,
                "rep": {"group": [2], "system_dim": 1024, "projections": [placeholder] * 2},
                "outcomes": [[0]] * 10**5, "n_values": [1]}
-    scenarios._check_copies(payload, scenarios.groups.make_group([2]), 2, [1])  # admitted
+    # the label bounds, checked first, admit it: the refusal names outcomes
+    with pytest.raises(ScenarioError, match="field 'outcomes': "):
+        scenarios._check_run(scenarios.groups.make_group([2]), 1024, 2, payload["outcomes"], [1])
     path = write_scenario(tmp_path, payload)
     assert main(["amplify", "--scenario", path, "--out", str(tmp_path)]) == EXIT_INPUT
     work = 2 * 10**5 * 1024**2 * scenarios.MEASURE_ENTRY_WORK + 3 * 1024**3
     assert refusal(capsys.readouterr().err) == ("outcomes", scenarios.MEASURE_WORK, work)
     assert not done and not (tmp_path / "amplify.csv").exists()
     # a hundred outcomes at that d, over three N, are admitted
-    scenarios._check_measure({"outcomes": [[0]] * 100}, 1024, 2, [1, 2, 3])
+    scenarios._check_run(scenarios.groups.make_group([2]), 1024, 2, [[0]] * 100, [1, 2, 3])
 
 
 @pytest.mark.parametrize("kind", ["relations", "measure", "amplify"])
 def test_compute_function_returns_the_rows_the_cli_writes(tmp_path, kind):
     rows = getattr(scenarios, kind)(VALID[kind])
     assert rows and all(isinstance(row, dict) for row in rows)
-    expected = scenarios._write_csv(tmp_path / "expected.csv", rows)
     path = write_scenario(tmp_path, VALID[kind])
     assert main([kind, "--scenario", path, "--out", str(tmp_path / "out")]) == EXIT_OK
-    assert (tmp_path / "out" / f"{kind}.csv").read_bytes() == expected.read_bytes()
+    assert (tmp_path / "out" / f"{kind}.csv").read_bytes() == scenarios._csv_text(rows).encode()
+
+
+@pytest.mark.parametrize("kind", ["measure", "amplify"])
+def test_run_reads_outcomes_once(monkeypatch, kind):
+    # the size check and the outcome builder take the one list read
+    paths, read = [], scenarios.read
+
+    def recording(obj, path, *args, **kwargs):
+        paths.append(path)
+        return read(obj, path, *args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "read", recording)
+    assert getattr(scenarios, kind)(VALID[kind])
+    assert paths.count("outcomes") == 1
 
 
 @pytest.mark.parametrize("kind", ["measure", "amplify"])
@@ -1349,6 +1369,8 @@ def dotted(keys):
         ("sterngerlach", ("field", "region_extent"), 0, "field.region_extent"),
         ("measure", ("outcomes",), [[True]], "outcomes[0]"),
         ("measure", ("outcomes",), [[0, 2]], "outcomes[0]"),
+        ("amplify", ("outcomes",), [[True]], "outcomes[0]"),
+        ("amplify", ("outcomes",), [[0, 2]], "outcomes[0]"),
         ("measure", ("rep", "group"), ["x"], "rep.group"),
         ("measure", ("rep", "system_dim"), "q", "rep.system_dim"),
         ("measure", ("rep", "projections", 0, "matrix"), [[1, 0], [0]],
@@ -1373,7 +1395,8 @@ def dotted(keys):
     ids=[
         "b0-nan", "b0-string", "points-null", "points-string", "grid-string", "spinor-zero",
         "mass-zero", "steps-bool", "dt-infinite", "v-zero", "region-extent-zero",
-        "outcome-bool", "outcome-out-of-range", "rep-group-string", "system-dim-string",
+        "outcome-bool", "outcome-out-of-range", "amplify-outcome-bool",
+        "amplify-outcome-out-of-range", "rep-group-string", "system-dim-string",
         "ragged-matrix", "character-out-of-range", "character-length", "group-over-cap",
         "projection-not-hermitian", "projection-not-idempotent", "projections-incomplete",
         "projections-duplicate", "observable-shape",

@@ -33,7 +33,7 @@ from qmamp.ktops import (
     verify_intertwining,
     verify_pentagonal,
 )
-from qmamp.measurement import clock_rep, make_spectral_rep, sigma_z_rep
+from qmamp.measurement import clock_rep, make_spectral_rep
 
 
 def elements(group):
@@ -339,18 +339,18 @@ def test_uw_trivial_rep_is_identity():
 def test_uw_sigma_z_blocks():
     # U_u on probe label u, the system leg most significant: U_0 = 1, U_1 = sigma_z
     expected = np.kron(np.eye(2), np.diag([1, 0])) + np.kron(np.diag([1, -1]), np.diag([0, 1]))
-    assert np.allclose(build_UW(sigma_z_rep()), expected)
+    assert np.allclose(build_UW(clock_rep(2)), expected)
 
 
 def test_represented_relations():
-    for rep in (sigma_z_rep(), clock_rep(3)):
+    for rep in (clock_rep(2), clock_rep(3)):
         assert verify_represented_pentagonal(rep) <= 1e-12
         assert verify_represented_intertwining(rep) <= 1e-12
         assert uw_fourier_conjugation_residual(rep) <= 1e-10
 
 
 def test_utildev_sigma_z_eigenstate():
-    rep = sigma_z_rep()
+    rep = clock_rep(2)
     utv = build_UtildeV(rep)
     up_iota = np.zeros(4)
     up_iota[0] = 1.0  # |up> x |trivial character>
@@ -372,7 +372,7 @@ def test_utildev_trivial_rep():
 
 
 def test_utildev_reconstruction_from_effects():
-    for rep in (sigma_z_rep(), clock_rep(3)):
+    for rep in (clock_rep(2), clock_rep(3)):
         utv = build_UtildeV(rep)
         rebuilt = sum(
             np.kron(rep.projections[chi], translation(rep.group, chi.index))
@@ -384,7 +384,7 @@ def test_utildev_reconstruction_from_effects():
 
 
 def test_heisenberg_embed_identity_and_commutant():
-    rep = sigma_z_rep()
+    rep = clock_rep(2)
     eye = heisenberg_embed(np.eye(2), rep)
     assert np.allclose(eye, np.eye(4))
     sz = np.diag([1.0, -1.0])  # commutes with every U_u of the sigma_z family
@@ -408,4 +408,4 @@ def test_heisenberg_embed_homomorphism_and_spectrum():
 
 def test_heisenberg_embed_dimension_mismatch():
     with pytest.raises(KTError):
-        heisenberg_embed(np.eye(3), sigma_z_rep())
+        heisenberg_embed(np.eye(3), clock_rep(2))

@@ -15,7 +15,6 @@ from qmamp.measurement import (
     instrument,
     make_spectral_rep,
     outcome,
-    sigma_z_rep,
 )
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -56,7 +55,7 @@ def test_make_spectral_rep_validation():
 
 
 def test_sigma_z_rep_unitary_family():
-    rep = sigma_z_rep()
+    rep = clock_rep(2)
     assert np.allclose(represented_unitary(rep, 1), SZ)  # at the generator
     assert np.allclose(represented_unitary(rep, 0), np.eye(2))
 
@@ -73,7 +72,7 @@ def test_clock_rep_spectrum():
 
 
 def test_instrument_up_state():
-    rep = sigma_z_rep()
+    rep = clock_rep(2)
     chi_up = char_of(rep, np.diag([1.0, 0.0]))
     res = instrument(rep, outcome([chi_up]), spin_state(1, 0), SZ)
     assert res.probability == pytest.approx(1.0)
@@ -81,7 +80,7 @@ def test_instrument_up_state():
 
 
 def test_instrument_superposition_probabilities():
-    rep = sigma_z_rep()
+    rep = clock_rep(2)
     chi_up = char_of(rep, np.diag([1.0, 0.0]))
     chi_dn = char_of(rep, np.diag([0.0, 1.0]))
     xi = spin_state(np.sqrt(0.3), np.sqrt(0.7))
@@ -97,7 +96,7 @@ def test_instrument_superposition_probabilities():
 
 
 def test_instrument_zero_probability_outcome():
-    rep = sigma_z_rep()
+    rep = clock_rep(2)
     chi_dn = char_of(rep, np.diag([0.0, 1.0]))
     res = instrument(rep, outcome([chi_dn]), spin_state(1, 0), SZ)
     assert res.probability == pytest.approx(0.0)
@@ -121,7 +120,7 @@ def test_instrument_full_outcome_is_nonselective():
 
 
 def test_instrument_rejects_unnormalized_state():
-    rep = sigma_z_rep()
+    rep = clock_rep(2)
     chi = next(iter(rep.projections))
     bad = np.array([1.0, 1.0])
     with pytest.raises(MeasurementError):
@@ -129,14 +128,14 @@ def test_instrument_rejects_unnormalized_state():
 
 
 def test_couple_copies_eigenstate_labels():
-    rep = sigma_z_rep()
+    rep = clock_rep(2)
     chi_up = char_of(rep, np.diag([1.0, 0.0]))
     # probe pointer lands on the character carried by the system eigenstate
     assert joint_probability(rep, spin_state(1, 0), chi_up, chi_up) == pytest.approx(1.0)
 
 
 def test_couple_perfect_correlation_superposition():
-    rep = sigma_z_rep()
+    rep = clock_rep(2)
     chi_up = char_of(rep, np.diag([1.0, 0.0]))
     chi_dn = char_of(rep, np.diag([0.0, 1.0]))
     xi = spin_state(np.sqrt(0.3), np.sqrt(0.7))
@@ -150,7 +149,7 @@ def test_couple_perfect_correlation_superposition():
 @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4]))
 def test_projective_equals_coupled_picture(seed, n):
     rng = np.random.default_rng(seed)
-    rep = clock_rep(n) if n > 2 else sigma_z_rep()
+    rep = clock_rep(n)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     xi = v / np.linalg.norm(v)
     b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

@@ -655,7 +655,7 @@ def read_pointer(spinor, mass, points, extent, dt, steps, check_every):
     oracle = {"mu": field.mu, "b1": field.b1, **packet}
     g = gaussian_packet(points, extent, spinor=spinor, **packet)
     left = g.z < 0
-    rep = measurement.sigma_z_rep()
+    rep = measurement.clock_rep(2)
     up = measurement.outcome([rep.group.trivial_character])  # E = |0><0|, spin up
     xi = np.asarray(spinor, dtype=complex) / np.linalg.norm(spinor)
     p_up = measurement.instrument(rep, up, xi, np.eye(2)).probability
