@@ -574,8 +574,8 @@ def _run(f: dict, record_every: int, extent_path: str) -> tuple[list[dict], dict
         "norm": last["norm"],
         "duration": f["time.dt"] * f["time.steps"],
     }
-    for branch in ("up", "down"):
-        held = min(grid.branch_weight(branch), final.branch_weight(branch))
+    weights = np.minimum(*(sterngerlach.branch_weights(g.psi, g.dz) for g in (grid, final)))
+    for branch, held in zip(("up", "down"), weights):
         pz = f"pz_{branch}"
         summary[f"kick_{branch}"] = last[pz] - first[pz] if held >= 1e-6 else None
     if f["adiabaticity"]:

@@ -11,7 +11,9 @@ with the linearized, divergence- and curl-free field
 
 The packet lives on a 1-D z-grid with the transverse coordinate frozen at
 x = 0, so B_x reduces to the gradient approximation b2 * z; the spinor is one
-array psi of shape (2, n), psi[0] the up and psi[1] the down component.
+array psi of shape (2, n), psi[0] the up and psi[1] the down component.  A
+spin branch is its component index, 0 up and 1 down, and `branch_weights`
+gives both branches' probabilities.
 
 Time stepping is second-order Strang splitting: a kinetic half step in
 momentum space, a full potential step applied as the exact pointwise 2x2
@@ -29,10 +31,11 @@ observables.
 completed state and its spectrum to a callback, and `run_simulation` records
 its rows that way, in one `evolve` call with a check at every record: one
 dict per record, keyed by COLUMNS, the header of the CSV that a sterngerlach
-run writes; <z> from the completed state, <p_z> from the spectrum, with no
-FFT of its own.  A run's momentum kicks are read off those rows: `scenarios`
-takes each branch's kick as the change of its recorded <p_z> between the
-first and the last row.
+run writes.  Each record squares the completed state once into its (2, n)
+density and reads both branches' <z>, the flip probability and the norm off
+it; <p_z> comes from the spectrum, with no FFT of its own.  A run's momentum
+kicks are read off those rows: `scenarios` takes each branch's kick as the
+change of its recorded <p_z> between the first and the last row.
 """
 
 from __future__ import annotations
@@ -115,24 +118,15 @@ class SpinorGrid:
         """Angular wavenumbers of the grid, in np.fft order."""
         return 2 * np.pi * np.fft.fftfreq(len(self.z), d=self.dz)
 
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.psi[0]) ** 2 + np.abs(self.psi[1]) ** 2) * self.dz)
+    def mean_pz(self, c: int) -> float:
+        """Spectral <p_z> of spin branch c, the component psi[c]."""
+        return _spectral_mean(np.fft.fft(self.psi[c]), self.kz)
 
-    def branch_weight(self, branch: str) -> float:
-        c = _branch_index(branch)
-        return float(np.sum(np.abs(self.psi[c]) ** 2) * self.dz)
 
-    def mean_z(self, branch: str) -> float:
-        c = _branch_index(branch)
-        w = np.abs(self.psi[c]) ** 2
-        tot = np.sum(w)
-        if tot * self.dz < 1e-12:
-            return float("nan")
-        return float(np.sum(w * self.z) / tot)
-
-    def mean_pz(self, branch: str) -> float:
-        """Spectral <p_z> within one spin branch."""
-        return _spectral_mean(np.fft.fft(self.psi[_branch_index(branch)]), self.kz)
+def branch_weights(psi: np.ndarray, dz: float) -> np.ndarray:
+    """The probabilities of both spin branches of the (2, n) state psi on a
+    grid of spacing dz: entry c is the weight of component psi[c]."""
+    return np.sum(np.abs(psi) ** 2, axis=1) * dz
 
 
 def _spectral_mean(spectrum: np.ndarray, kz: np.ndarray) -> float:
@@ -143,14 +137,6 @@ def _spectral_mean(spectrum: np.ndarray, kz: np.ndarray) -> float:
     if tot <= 0:
         return float("nan")
     return float(np.sum(weight * kz) / tot)
-
-
-def _branch_index(branch: str) -> int:
-    if branch == "up":
-        return 0
-    if branch == "down":
-        return 1
-    raise SolverError(f"unknown branch {branch!r}")
 
 
 def gaussian_packet(
@@ -184,9 +170,8 @@ def gaussian_packet(
         raise SolverError(f"spinor norm {norm} is not finite and > 0 in floating point")
     c = np.asarray(spinor, dtype=complex) / norm
     psi = np.stack([c[0] * envelope, c[1] * envelope])
-    grid = SpinorGrid(z=z, psi=psi, mass=mass)
-    # discrete renormalization
-    psi = psi / np.sqrt(grid.norm_squared())
+    density = np.abs(psi) ** 2
+    psi /= np.sqrt(np.sum(density[0] + density[1]) * dz)  # discrete renormalization
     return SpinorGrid(z=z, psi=psi, mass=mass)
 
 
@@ -334,36 +319,32 @@ def run_simulation(
     checks and records every `record_every` steps and at the last: the rows,
     one per record from step 0 on, each keyed by COLUMNS, and the final grid.
 
-    flip_prob tracks the weight of the minority branch relative to the
-    initially dominant spinor component; it is NaN when the initial state is
-    not a pure eigenbranch, as are z and p_z of a branch without weight.  The
-    CLI writes each NaN as an empty CSV cell and a JSON null.
+    A spin branch is its component index: 0 up, 1 down.  Each record
+    squares psi once into the (2, n) density and reads both branches' <z>,
+    the flip probability and the norm off it; <p_z> comes from the spectrum.
+    flip_prob is the weight of the branch orthogonal to a prepared
+    eigenbranch; it is NaN when the initial state is not a pure eigenbranch,
+    as are z and p_z of a branch without weight.  The CLI writes each NaN as
+    an empty CSV cell and a JSON null.
     """
     if record_every < 1:
         raise SolverError(f"record_every must be >= 1, got {record_every}")
-    w_up = grid.branch_weight("up")
-    w_down = grid.branch_weight("down")
-    # the branch orthogonal to a prepared eigenbranch: its weight is the flip probability
-    if w_down < 1e-12:
-        flip_branch = "down"
-    elif w_up < 1e-12:
-        flip_branch = "up"
-    else:
-        flip_branch = None
-    kz = grid.kz
+    w_up, w_down = branch_weights(grid.psi, grid.dz)
+    flip = 1 if w_down < 1e-12 else 0 if w_up < 1e-12 else None
+    z, dz, kz = grid.z, grid.dz, grid.kz
+    nan = float("nan")
     rows = []
 
     def record(step, psi, phi):
-        now = replace(grid, psi=psi)
-        flip = now.branch_weight(flip_branch) if flip_branch else float("nan")
+        pz = [_spectral_mean(p, kz) for p in phi]  # freed before the density is made: a lower peak
+        density = np.abs(psi) ** 2
+        sums = np.sum(density, axis=1)
         rows.append(dict(zip(COLUMNS, (
             step * dt,
-            now.mean_z("up"),
-            now.mean_z("down"),
-            _spectral_mean(phi[0], kz),
-            _spectral_mean(phi[1], kz),
-            flip,
-            now.norm_squared(),
+            *(nan if s * dz < 1e-12 else float(np.sum(w * z) / s) for w, s in zip(density, sums)),
+            *pz,
+            nan if flip is None else float(sums[flip] * dz),
+            float(np.sum(density[0] + density[1]) * dz),
         ))))
 
     record(0, grid.psi, np.fft.fft(grid.psi))

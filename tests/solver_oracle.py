@@ -28,11 +28,17 @@ frequency 2 mu b0 whatever the packet does:
 Strang splitting is exact here too, as the kinetic and the potential step
 commute; <sigma_y> fixes the sense of the rotation, which <sigma_x> alone
 does not.
+
+For any field, `restart_per_chunk` is the record loop that `run_simulation`
+replaces: it restarts `evolve` at every record and takes each row's branch
+weights, <z> and norm from sums of its own.
 """
 
 import math
 
 import numpy as np
+
+from qmamp.sterngerlach import evolve
 
 
 def linear_potential_means(t, branch, *, center, momentum, mass, mu, b1):
@@ -74,3 +80,28 @@ def precession_spin(t, *, b0, mu):
     the uniform field b0 (b1 = b2 = 0)."""
     angle = 2 * mu * b0 * np.asarray(t, dtype=float)
     return np.cos(angle), np.sin(angle)
+
+
+def restart_per_chunk(grid, field, dt, steps, record_every):
+    """The columns of `run_simulation`'s rows, one array each, from a loop
+    that restarts `evolve` at every record.  A branch is a component index;
+    the flip branch is the one empty at the start, the up branch for a
+    spin-down start, and none for a superposition."""
+
+    def observe(g, t):
+        density = np.abs(g.psi) ** 2
+        weights = density.sum(axis=1) * g.dz
+        z = [density[c] @ g.z / density[c].sum() if weights[c] >= 1e-12 else math.nan
+             for c in (0, 1)]
+        flip = math.nan if empty is None else weights[empty]
+        return (t, *z, g.mean_pz(0), g.mean_pz(1), flip, weights.sum())
+
+    initial = (np.abs(grid.psi) ** 2).sum(axis=1) * grid.dz
+    empty = next((c for c in (1, 0) if initial[c] < 1e-12), None)
+    rows, current, done = [observe(grid, 0.0)], grid, 0
+    while done < steps:
+        chunk = min(record_every, steps - done)
+        current = evolve(current, field, dt, chunk, check_every=chunk)
+        done += chunk
+        rows.append(observe(current, done * dt))
+    return [np.array(c) for c in zip(*rows)]

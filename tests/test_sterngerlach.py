@@ -13,6 +13,7 @@ from solver_oracle import (
     linear_potential_density,
     linear_potential_means,
     precession_spin,
+    restart_per_chunk,
 )
 
 from qmamp import measurement, scenarios, sterngerlach
@@ -29,12 +30,19 @@ from qmamp.sterngerlach import (
     SpinorGrid,
     _spin_step,
     adiabaticity_parameter,
+    branch_weights,
     evolve,
     gaussian_packet,
     grid_z,
     max_field,
     run_simulation,
 )
+
+
+def mean_z(grid, c):
+    """<z> of spin branch c, the component psi[c], of the grid."""
+    w = np.abs(grid.psi[c]) ** 2
+    return np.sum(w * grid.z) / np.sum(w)
 
 
 def test_field_model_validation_and_components():
@@ -57,26 +65,38 @@ def test_field_model_validation_and_components():
 
 def test_gaussian_packet_normalization_and_resolution():
     g = gaussian_packet(512, 40.0, sigma=1.0)
-    assert g.norm_squared() == pytest.approx(1.0)
-    assert g.branch_weight("up") == pytest.approx(1.0)
-    assert g.mean_z("up") == pytest.approx(0.0, abs=1e-12)
+    weights = branch_weights(g.psi, g.dz)
+    assert weights.sum() == pytest.approx(1.0)
+    assert weights[0] == pytest.approx(1.0)
+    assert mean_z(g, 0) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(SolverError):
         gaussian_packet(64, 40.0, sigma=1.0)  # under 8 points per sigma
 
 
+@pytest.mark.parametrize("points", [512, 4099, 1 << 14])
+def test_branch_weights_are_each_component_sum_bit_for_bit(points):
+    # the byte-identical outputs rest on a row of the (2, n) density summing
+    # to the same bits as the density of that component alone
+    g = gaussian_packet(points, 40.0, sigma=1.0, center=1.3, spinor=(0.6, 0.8j))
+    weights = branch_weights(g.psi, g.dz)
+    assert np.abs(weights - (0.36, 0.64)).max() <= 1e-12
+    for c in (0, 1):
+        assert weights[c] == np.sum(np.abs(g.psi[c]) ** 2) * g.dz
+
+
 def test_gaussian_packet_momentum_and_center():
     g = gaussian_packet(1024, 40.0, sigma=1.5, center=2.0, momentum=3.0)
-    assert g.mean_z("up") == pytest.approx(2.0, abs=1e-6)
-    assert g.mean_pz("up") == pytest.approx(3.0, abs=1e-6)
+    assert mean_z(g, 0) == pytest.approx(2.0, abs=1e-6)
+    assert g.mean_pz(0) == pytest.approx(3.0, abs=1e-6)
 
 
 def test_free_packet_spreads_without_drift():
     g = gaussian_packet(512, 60.0, sigma=2.0)
     f = FieldModel(b0=1e-12 + 1e-15, b1=0.0, b2=0.0)  # effectively free
     out = evolve(g, f, dt=0.01, steps=200)
-    assert out.mean_z("up") == pytest.approx(0.0, abs=1e-8)
-    assert out.mean_pz("up") == pytest.approx(0.0, abs=1e-8)
-    assert out.norm_squared() == pytest.approx(1.0, abs=1e-10)
+    assert mean_z(out, 0) == pytest.approx(0.0, abs=1e-8)
+    assert out.mean_pz(0) == pytest.approx(0.0, abs=1e-8)
+    assert branch_weights(out.psi, out.dz).sum() == pytest.approx(1.0, abs=1e-10)
     # variance grows under free evolution
     w = np.abs(out.psi[0]) ** 2
     var = np.sum(w * out.z**2) / np.sum(w)
@@ -89,7 +109,7 @@ def test_free_packet_ballistic_motion():
     f = FieldModel(b0=1e-12 + 1e-15, b1=0.0, b2=0.0)
     t = 2.0
     out = evolve(g, f, dt=0.01, steps=200)
-    assert out.mean_z("up") == pytest.approx(p0 * t, abs=1e-6)  # hbar = m = 1
+    assert mean_z(out, 0) == pytest.approx(p0 * t, abs=1e-6)  # hbar = m = 1
 
 
 def test_uniform_field_larmor_precession():
@@ -105,8 +125,9 @@ def test_uniform_field_larmor_precession():
     t, dt = 4.0, 0.005
     out = evolve(gx, f, dt=dt, steps=int(round(t / dt)))
     # diagonal field: branch weights are conserved exactly
-    assert out.branch_weight("up") == pytest.approx(0.5, abs=1e-10)
-    assert out.branch_weight("down") == pytest.approx(0.5, abs=1e-10)
+    up, down = branch_weights(out.psi, out.dz)
+    assert up == pytest.approx(0.5, abs=1e-10)
+    assert down == pytest.approx(0.5, abs=1e-10)
     # relative phase 2 mu b0 t between the branches
     phase = np.angle(np.vdot(out.psi[1], out.psi[0]))
     expected = (-2 * mu * b0 * t) % (2 * np.pi)
@@ -174,13 +195,13 @@ def test_summary_kicks_are_the_spectral_change_of_pz(scenario):
     for name, column in columns(own_rows).items():
         np.testing.assert_array_equal(column, recorded[name], err_msg=name)
     kicks = 0
-    for branch in ("up", "down"):
-        held = min(initial.branch_weight(branch), final.branch_weight(branch))
+    held = np.minimum(branch_weights(initial.psi, initial.dz), branch_weights(final.psi, final.dz))
+    for c, branch in enumerate(("up", "down")):
         kick = summary[f"kick_{branch}"]
-        if held < 1e-6:
+        if held[c] < 1e-6:
             assert kick is None, branch
             continue
-        expected = final.mean_pz(branch) - initial.mean_pz(branch)
+        expected = final.mean_pz(c) - initial.mean_pz(c)
         assert abs(kick - expected) <= 1e-12 * abs(expected), branch
         kicks += 1
     assert kicks == (1 if scenario["grid"]["spinor"][1] == 0.0 else 2)
@@ -196,7 +217,7 @@ def test_kick_needs_the_branch_at_the_start_and_the_end():
     )
     rows, summary = scenarios.simulate(scenario)
     final = packet_run(scenario)[2]
-    assert final.branch_weight("down") > 1e-6
+    assert branch_weights(final.psi, final.dz)[1] > 1e-6
     assert np.isfinite(rows[-1]["pz_down"])
     assert summary["kick_down"] is None
     assert np.isfinite(summary["kick_up"])
@@ -268,7 +289,7 @@ def test_flip_probability_zero_without_transverse_field():
     g = gaussian_packet(512, 40.0, sigma=1.0)
     f = FieldModel(b0=2.0, b1=0.3, b2=0.0)
     out = evolve(g, f, dt=0.005, steps=200)
-    assert out.branch_weight("down") <= 1e-14
+    assert branch_weights(out.psi, out.dz)[1] <= 1e-14
 
 
 def test_flip_probability_grows_with_transverse_gradient():
@@ -277,7 +298,7 @@ def test_flip_probability_grows_with_transverse_gradient():
         f = FieldModel(b0=4.0, b1=0.0, b2=b2)
         g = gaussian_packet(512, 40.0, sigma=1.0)
         out = evolve(g, f, dt=0.004, steps=250)
-        flips.append(out.branch_weight("down"))
+        flips.append(branch_weights(out.psi, out.dz)[1])
     assert flips[0] <= 1e-14
     assert flips[0] < flips[1] < flips[2]
 
@@ -540,38 +561,21 @@ def test_run_peak_memory_within_bytes_per_point():
     assert peak <= SG_BYTES_PER_POINT * n, f"{peak / n:.0f} bytes per point"
 
 
-def _restart_per_chunk(grid, field, dt, steps, record_every):
-    """Oracle of run_simulation: a loop that restarts evolve at every record
-    and takes each row from the grid's own observables."""
-
-    def observe(g, t):
-        flip = g.branch_weight("down") if up_start else float("nan")
-        return (t, g.mean_z("up"), g.mean_z("down"), g.mean_pz("up"), g.mean_pz("down"),
-                flip, g.norm_squared())
-
-    up_start = grid.branch_weight("down") < 1e-12
-    rows, current, done = [], grid, 0
-    rows.append(observe(grid, 0.0))
-    while done < steps:
-        chunk = min(record_every, steps - done)
-        current = evolve(current, field, dt, chunk, check_every=chunk)
-        done += chunk
-        rows.append(observe(current, done * dt))
-    return [np.array(c) for c in zip(*rows)]
-
-
 RUN_STEPS = 20
 
 
 @pytest.mark.parametrize("record_every", [1, 7, RUN_STEPS])
-@pytest.mark.parametrize("spinor", [(1.0, 0.0), (0.6, 0.8j)], ids=["up", "superposed"])
-def test_run_simulation_matches_restart_per_chunk_oracle(record_every, spinor):
+@pytest.mark.parametrize(
+    "spinor, empty", [((1.0, 0.0), "z_down"), ((0.0, 1.0), "z_up"), ((0.6, 0.8j), None)],
+    ids=["up", "down", "superposed"],
+)
+def test_run_simulation_matches_restart_per_chunk_oracle(record_every, spinor, empty):
     # one evolve call with a record at every check leaves the rows of a loop
     # that restarts evolve at every record, and the final state of evolve alone
     f = FieldModel(b0=2.0, b1=0.3, b2=0.25, mu=1.5)
     g = gaussian_packet(512, 40.0, sigma=1.0, center=0.5, momentum=0.7, spinor=spinor)
     rows, final = run_simulation(g, f, dt=0.005, steps=RUN_STEPS, record_every=record_every)
-    expected = _restart_per_chunk(g, f, 0.005, RUN_STEPS, record_every)
+    expected = restart_per_chunk(g, f, 0.005, RUN_STEPS, record_every)
     s = columns(rows)
     assert len(s["t"]) == -(-RUN_STEPS // record_every) + 1
     for name, y in zip(COLUMNS, expected):
@@ -579,8 +583,8 @@ def test_run_simulation_matches_restart_per_chunk_oracle(record_every, spinor):
         assert np.array_equal(np.isnan(x), np.isnan(y)), name
         ok = ~np.isnan(y)
         assert np.all(np.abs(x[ok] - y[ok]) <= 1e-12 * np.maximum(1.0, np.abs(y[ok]))), name
-    if spinor[1] == 0:
-        assert np.isnan(s["z_down"][0]) and np.isfinite(s["flip_prob"]).all()
+    if empty:  # a pure eigenbranch: the other branch is empty at the start
+        assert np.isnan(s[empty][0]) and np.isfinite(s["flip_prob"]).all()
     else:
         assert np.isnan(s["flip_prob"]).all() and np.isfinite(s["z_down"]).all()
     alone = evolve(g, f, dt=0.005, steps=RUN_STEPS, check_every=record_every)
@@ -602,6 +606,20 @@ def test_run_simulation_calls_evolve_once(monkeypatch, steps):
                              record_every=4)
     assert calls == [4]
     assert len(rows) == -(-steps // 4) + 1
+
+
+def test_run_simulation_builds_no_grid_per_record(monkeypatch):
+    # each record reads the completed state itself: the one grid built is
+    # the final grid that evolve returns
+    built = []
+    post_init = SpinorGrid.__post_init__
+    monkeypatch.setattr(SpinorGrid, "__post_init__", lambda g: built.append(g) or post_init(g))
+    g = gaussian_packet(256, 40.0, sigma=1.5, spinor=(0.6, 0.8))
+    built.clear()
+    rows, final = run_simulation(g, FieldModel(b0=1.0, b1=0.2, b2=0.1), dt=0.005, steps=9,
+                                 record_every=1)
+    assert len(rows) == 10
+    assert len(built) == 1 and built[0] is final
 
 
 def assert_follows_newton(rows, field, packet):
