@@ -106,12 +106,11 @@ class CascadeConfig:
 
 def copy_scan(group: FiniteAbelianGroup, tuples: np.ndarray) -> np.ndarray:
     """Labels of the (k, L) label tuples after V_{L-1,L} ... V_12: leg j
-    gets the group sum of legs 0..j, one cumulative sum per cyclic factor.
+    gets the group sum of legs 0..j, one cumulative sum per nontrivial factor.
     It holds about four (k, L) index arrays, input and output included."""
     out = np.zeros_like(tuples)
-    for n, stride in group._strides():
-        if n > 1:  # a trivial factor adds nothing
-            out += np.cumsum(tuples // stride % n, axis=1) % n * stride
+    for n, stride in group._factor_strides():
+        out += np.cumsum(tuples // stride % n, axis=1) % n * stride
     return out
 
 

@@ -45,11 +45,17 @@ class FiniteAbelianGroup:
             stride //= n
             yield n, stride
 
+    def _factor_strides(self):
+        """(order, stride) of each nontrivial cyclic factor: a factor of
+        order 1 adds nothing to a group sum, so a group-law pass skips it."""
+        return ((n, stride) for n, stride in self._strides() if n > 1)
+
     def add_indices(self, i, j) -> np.ndarray:
-        """Index of the sum of the elements at indices i and j, for broadcastable arrays."""
+        """Index of the sum of the elements at indices i and j, for
+        broadcastable arrays, one array pass per nontrivial factor."""
         i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
         out = np.zeros(np.broadcast_shapes(i.shape, j.shape), dtype=np.intp)
-        for n, stride in self._strides():
+        for n, stride in self._factor_strides():
             # i // stride is coordinate + n * (higher coordinates), so mod n leaves the sum
             out += (i // stride + j // stride) % n * stride
         return out

@@ -303,9 +303,7 @@ def verify_intertwining(perm, group: FiniteAbelianGroup, orientation: str) -> fl
     ident = np.arange(d)
     first, second = np.divmod(perm, d)
     worst = 0
-    for n, stride in group._strides():
-        if n == 1:
-            continue
+    for n, stride in group._factor_strides():
         t = group.add_indices(stride, ident)  # the map of the generator at index stride
         moved = ident[:, None] * d + t if orientation == "w" else t[:, None] * d + ident
         lhs = perm[moved.reshape(-1)]  # op (1 x t_u) or op (t_u x 1)

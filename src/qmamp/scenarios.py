@@ -9,11 +9,16 @@ or matrix entries appear.  Spectral representations accept the presets
 
 Every field is read through `read`, which checks its type and bound and names
 its dotted path in the error; the Stern-Gerlach fields, their defaults and
-bounds are the table SG_FIELDS.  A Stern-Gerlach run whose grid or step count
-exceeds SG_SOLVER_BYTES or SG_POINT_STEPS, whose step the solver would
-refuse, whose packet the grid cannot hold, whose packet's squares overflow,
-or whose U_fi report would not be finite is refused before it starts, as
-is a sweep whose points together exceed SWEEP_WORK point-steps; a
+bounds are the table SG_FIELDS, read by `_sg_fields` through the caller's
+field map (the field's own path for a sterngerlach run, its place under
+`base` or on an axis for a sweep).  `_preflight` is the one place a
+Stern-Gerlach run is refused before it starts, naming the field through
+that map: a grid or step count over SG_SOLVER_BYTES or SG_POINT_STEPS, then
+the first failing row of one ordered table (a spinor without a finite
+norm, a step the solver would refuse, a kinetic phase or 1 / (2 mass) that
+overflows, a packet the grid cannot hold, a U_fi report that would not be
+finite, a packet whose squares overflow).  A sweep whose points together
+exceed SWEEP_WORK point-steps is refused before any point is formed, and a
 run whose packet reaches the box edge is refused naming its grid.extent.  A
 measure or amplify run reads its `outcomes` once, and amplify its `n_values`,
 and `_check_run` refuses it as soon as the rep's group, dimension and
@@ -467,31 +472,22 @@ def _sg_bound(path: str):
     return None if path in SG_SIGNED or isinstance(SG_FIELDS[path], list) else 0
 
 
-def _sg_fields(scenario: dict, prefix: str = "", swept=()) -> dict:
-    """The Stern-Gerlach fields under `prefix` as {SG_FIELDS path: value}, each
-    read and checked, except the `swept` paths (a sweep's axes); "adiabaticity"
-    says whether the U_fi report was asked for.  A sweep may give the
-    adiabaticity section at the top level instead of under its base."""
-    base = read(scenario, prefix[:-1], dict) if prefix else scenario
-    ad = prefix if "adiabaticity" in base else ""
-    fields = {"adiabaticity": "adiabaticity" in base or "adiabaticity" in scenario}
-    for path, default in SG_FIELDS.items():
-        if path in swept:
-            continue
-        fields[path] = read(
+def _sg_fields(scenario: dict, where=str, swept=()) -> dict:
+    """The Stern-Gerlach fields of a scenario object as {SG_FIELDS path:
+    value}, each read at `where(path)` and checked for its type and bound,
+    except the `swept` paths (a sweep's axes).  Every other refusal of a
+    run is `_preflight`'s."""
+    return {
+        path: read(
             scenario,
-            (ad if path.startswith("adiabaticity.") else prefix) + path,
+            where(path),
             [complex] if isinstance(default, list) else type(default),
             _REQUIRED if path in SG_REQUIRED else default,
             _sg_bound(path),
         )
-    spinor = fields["grid.spinor"]
-    if len(spinor) != 2 or not 0 < sterngerlach._spinor_norm(spinor) < math.inf:
-        raise ScenarioError(
-            f"field '{prefix}grid.spinor': expected 2 amplitudes whose norm is finite and > 0"
-            f" in floating point, got {_shown(spinor)}"
-        )
-    return fields
+        for path, default in SG_FIELDS.items()
+        if path not in swept
+    }
 
 
 def _field(f: dict) -> sterngerlach.FieldModel:
@@ -512,38 +508,41 @@ def _check_size(n: int, steps: int, where) -> None:
 
 def _preflight(f: dict, where) -> None:
     """Refuse a run before its packet is built, naming the field at fault
-    through `where`, which maps a field to its path: solver arrays over
-    SG_SOLVER_BYTES or points x steps over SG_POINT_STEPS; a potential step
-    that evolve would refuse, naming time.dt and the field values that set
-    the step angle; a packet that the grid cannot hold or resolve (the
-    refusals of `sterngerlach.gaussian_packet` among them); a U_fi report
-    that would divide by zero or not be finite; and, last,
-    a packet whose squared offsets or normalization 2 pi sigma^2 overflow.
-    On Python floats, so an overflow gives inf without a numpy warning."""
-    n, steps = f["grid.points"], f["time.steps"]
-    _check_size(n, steps, where)
-    extent, sigma = f["grid.extent"], f["grid.sigma"]
+    through `where`, which maps a field to its path: first the size bounds of
+    `_check_size`, then the first failing row of one ordered table: a spinor
+    whose norm is not finite and > 0; a potential step that evolve would
+    refuse, naming time.dt and the field values that set the step angle; a
+    kinetic phase or 1 / (2 mass) that is not finite; a packet that the grid
+    cannot hold or resolve (the refusals of `sterngerlach.gaussian_packet`
+    among them); a U_fi report that would divide by zero or not be finite;
+    and, last, a packet whose squared offsets or normalization 2 pi sigma^2
+    overflow.  Every row is computed on Python floats and is defined on any
+    finite input, so an overflow gives inf without a numpy warning."""
+    n, extent, sigma, dt = f["grid.points"], f["grid.extent"], f["grid.sigma"], f["time.dt"]
+    _check_size(n, f["time.steps"], where)
     ends = [sterngerlach.grid_z(n, extent, i) for i in (0, n - 1)]
-    angle = f["time.dt"] * f["field.mu"] * sterngerlach.max_field(_field(f), ends)
-    if not angle <= sterngerlach.MAX_STEP_ANGLE:
-        sources = ("field.mu", "field.b0", "field.b1", "field.b2")
-        values = ", ".join(f"field '{where(p)}' = {f[p]:.6g}" for p in sources)
-        raise ScenarioError(
-            f"field '{where('time.dt')}': expected dt*mu*max|B| <="
-            f" {sterngerlach.MAX_STEP_ANGLE}, got {angle:.3g} with {values}; reduce time.dt"
-        )
+    angle = dt * f["field.mu"] * sterngerlach.max_field(_field(f), ends)
+    sources = ("field.mu", "field.b0", "field.b1", "field.b2")
+    values = ", ".join(f"field '{where(p)}' = {f[p]:.6g}" for p in sources)
     kmax = math.pi * n / extent  # the grid's largest wavenumber
     dz = sterngerlach.grid_z(n, extent, 1) - sterngerlach.grid_z(n, extent, 0)
     per_sigma = sterngerlach.MIN_POINTS_PER_SIGMA
     u_fi_denominator = f["field.mu"] * f["field.b0"] * f["field.region_extent"] * f["field.b0"]
     reach = extent / 2 + abs(f["grid.center"])
     for path, ok, expected in (
-        ("grid.extent", math.isfinite(kmax * kmax * f["time.dt"] / f["grid.mass"]),
+        ("grid.spinor", len(f["grid.spinor"]) == 2
+         and 0 < sterngerlach._spinor_norm(f["grid.spinor"]) < math.inf,
+         "2 amplitudes whose norm is finite and > 0 in floating point"),
+        ("time.dt", angle <= sterngerlach.MAX_STEP_ANGLE, f"dt*mu*max|B| <="
+         f" {sterngerlach.MAX_STEP_ANGLE} (here {angle:.3g}, with {values}; reduce time.dt)"),
+        ("grid.extent", math.isfinite(kmax * kmax * dt / f["grid.mass"]),
          "a finite kinetic phase, dt (pi points / extent)^2 / (2 mass)"),
+        ("grid.mass", math.isfinite(1 / (2 * f["grid.mass"])),
+         "a finite 1 / (2 mass), by which the kinetic phase is multiplied"),
         ("grid.center", abs(f["grid.center"]) < extent / 2, f"|center| < {extent / 2:.6g}"),
         ("grid.sigma", sigma < extent, f"a packet narrower than the grid, < {extent:.6g}"),
-        ("grid.sigma", sigma / dz >= per_sigma, f"at least {per_sigma} points per sigma,"
-         f" >= {per_sigma * dz:.6g}"),
+        ("grid.sigma", dz > 0 and sigma / dz >= per_sigma, f"at least {per_sigma} points per"
+         f" sigma, >= {per_sigma * dz:.6g}"),
         ("grid.momentum", abs(f["grid.momentum"]) < kmax, f"|momentum| < pi points / extent"
          f" = {kmax:.6g}, the grid's largest wavenumber"),
         ("field.b0", not f["adiabaticity"] or u_fi_denominator > 0,
@@ -555,16 +554,19 @@ def _preflight(f: dict, where) -> None:
         ("grid.sigma", math.isfinite(2 * math.pi * (sigma * sigma)), "2 pi sigma^2 finite"),
     ):
         if not ok:
-            raise ScenarioError(f"field '{where(path)}': expected {expected}, got {f[path]!r}")
+            raise ScenarioError(
+                f"field '{where(path)}': expected {expected}, got {_shown(f[path])}"
+            )
 
 
-def _run(f: dict, record_every: int, extent_path: str) -> tuple[list[dict], dict]:
+def _run(f: dict, record_every: int, where) -> tuple[list[dict], dict]:
     """Build the packet, run it recording every `record_every` steps, and
     return its rows and its summary: the last row's flip probability and
     norm, and a branch's kick as the change of its <p_z> between the first
     and the last row, None when the branch holds under 1e-6 of the
     probability at the start or the end.  A run whose packet reaches the box
-    edge is refused naming `extent_path`, the path of its grid.extent."""
+    edge is refused naming its grid.extent through `where`, the map that
+    `_preflight` took."""
     field = _field(f)
     grid = sterngerlach.gaussian_packet(
         f["grid.points"], f["grid.extent"], f["grid.sigma"], f["grid.center"],
@@ -575,7 +577,7 @@ def _run(f: dict, record_every: int, extent_path: str) -> tuple[list[dict], dict
             grid, field, f["time.dt"], f["time.steps"], record_every=record_every
         )
     except sterngerlach.BoundaryLeakError as exc:
-        raise ScenarioError(f"field '{extent_path}': {exc}") from exc
+        raise ScenarioError(f"field '{where('grid.extent')}': {exc}") from exc
     first, last = rows[0], rows[-1]
     summary = {
         "flip_probability": last["flip_prob"],
@@ -596,14 +598,14 @@ def _run(f: dict, record_every: int, extent_path: str) -> tuple[list[dict], dict
 def simulate(scenario: dict) -> tuple[list[dict], dict]:
     """Read, preflight and run a sterngerlach scenario object: its rows,
     recorded every time.record_every steps, and its summary."""
-    f = _sg_fields(scenario)
+    f = {**_sg_fields(scenario), "adiabaticity": "adiabaticity" in scenario}
     _preflight(f, str)
-    return _run(f, f["time.record_every"], "grid.extent")
+    return _run(f, f["time.record_every"], str)
 
 
 def _sweep_point(args):
-    fields, axis_values, extent_path = args
-    summary = _run(fields, fields["time.steps"], extent_path)[1]
+    fields, axis_values, where = args
+    summary = _run(fields, fields["time.steps"], where)[1]
     expected = fields["field.mu"] * fields["field.b1"] * fields["time.dt"] * fields["time.steps"]
     up, down = summary["kick_up"], summary["kick_down"]
     return dict(
@@ -645,12 +647,15 @@ def sweep(scenario: dict, jobs: int = 1) -> list[dict]:
                 f" time.record_every, as a sweep records only the last step; got {_shown(path)}"
             )
         swept[path] = read(scenario, f"axes[{i}].values", [type(default)], bound=_sg_bound(path))
-    base = _sg_fields(scenario, "base.", swept)
-    base["adiabaticity"] |= any(p.startswith("adiabaticity.") for p in swept)
-    axis_of = {path: f"axes[{i}].values" for i, path in enumerate(swept)}
-    ad = "base." if "adiabaticity" in scenario["base"] else ""  # where _sg_fields read it
+    # the field map: a field under base, an adiabaticity section under base
+    # or else at the top level, and a swept field at its axis's values
+    ad = "base." if "adiabaticity" in read(scenario, "base", dict) else ""
     paths = {p: (ad if p.startswith("adiabaticity.") else "base.") + p for p in SG_FIELDS}
-    where = {**paths, **axis_of}.get
+    where = {**paths, **{path: f"axes[{i}].values" for i, path in enumerate(swept)}}.get
+    base = _sg_fields(scenario, where, swept)
+    # the U_fi report is asked for by either section or by an axis
+    base["adiabaticity"] = bool(ad) or "adiabaticity" in scenario or any(
+        p.startswith("adiabaticity.") for p in swept)
     # the run's work from the axes' values, before any point is formed: the
     # base or one axis gives every point's grid.points, the base or another
     # its time.steps, so each pair of them recurs in count / (len x len) points
@@ -661,7 +666,7 @@ def sweep(scenario: dict, jobs: int = 1) -> list[dict]:
     work += SWEEP_POINT_WORK * count
     _within("axes", work, SWEEP_WORK, "point-steps", f"a sweep of {count} points")
     grids = [[(path, v) for v in values] for path, values in swept.items()]
-    tasks = [({**base, **dict(pt)}, pt, where("grid.extent")) for pt in itertools.product(*grids)]
+    tasks = [({**base, **dict(pt)}, pt, where) for pt in itertools.product(*grids)]
     for fields, _, _ in tasks:
         _preflight(fields, where)
     # the pool starts all its workers on the first submit, each with a point's arrays

@@ -1559,7 +1559,8 @@ def test_size_preflight_runs_before_any_packet_or_step(
 
 def test_size_preflight_limits_are_inclusive():
     limits = {"grid.points": MAX_POINTS, "time.steps": scenarios.SG_POINT_STEPS // MAX_POINTS}
-    fields = {**scenarios._sg_fields(VALID["sterngerlach"]), **limits}
+    fields = {**scenarios._sg_fields(VALID["sterngerlach"]), **limits,
+              "adiabaticity": "adiabaticity" in VALID["sterngerlach"]}
     scenarios._preflight(fields, str)
     for path in limits:
         with pytest.raises(ScenarioError, match=f"field '{re.escape(path)}'"):
@@ -1657,7 +1658,7 @@ def test_readme_tables_every_stern_gerlach_field():
         assert f"| `{path}` | {kind} | {shown} | {bound} |" in readme
 
 
-EXTREMES = [10**6, 1e308, 2**62, 1e-300]
+EXTREMES = [10**6, 1e308, 2**62, 1e-300, 5e-324]
 NONFINITE_TEXT = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 
 
@@ -1740,7 +1741,7 @@ def test_extreme_list_elements_exit_cleanly(tmp_path, capsys):
             assert "grid.spinor': expected 2 amplitudes whose norm is finite" in err, case
         for written in out.glob("*"):
             assert not NONFINITE_TEXT.search(written.read_text()), case
-    assert len(cases) == 236
+    assert len(cases) == 295
     # about 6 s on a 2-vCPU Xeon; the gate leaves room for a slower runner
     assert time.perf_counter() - start < 20
 
@@ -1775,9 +1776,20 @@ def packet(points, extent, sigma):
         # a section under base is read in place of the top-level one
         ("sweep", {("base", "adiabaticity"): {"v": 1e308, "z_scale": 1e308}},
          "base.adiabaticity.v"),
+        # the grid's spacing is 0: the kinetic phase row names the extent
+        # before the resolution row would divide by the spacing
+        ("sterngerlach", {("grid", "points"): 512, ("grid", "extent"): 5e-324}, "grid.extent"),
+        # a finite kinetic phase, but 1 / (2 mass), by which numpy multiplies
+        # it, overflows
+        ("sterngerlach", {("grid", "points"): 2048, ("grid", "extent"): 40.0,
+                          ("grid", "mass"): 1e-310, ("time", "dt"): 1e-300,
+                          ("time", "steps"): 10}, "grid.mass"),
+        ("sweep", {("base", "time", "dt"): 1e-300, ("axes", 0, "path"): "grid.mass",
+                   ("axes", 0, "values"): [1.0, 1e-310]}, "axes[0].values"),
     ],
     ids=["offset-square", "offset-square-large-grid", "normalization", "border",
-         "u-fi-numerator", "u-fi-overflow", "sweep-u-fi-numerator", "sweep-base-u-fi-numerator"],
+         "u-fi-numerator", "u-fi-overflow", "sweep-u-fi-numerator", "sweep-base-u-fi-numerator",
+         "zero-spacing", "subnormal-mass", "sweep-subnormal-mass"],
 )
 def test_joint_extreme_values_exit_cleanly(tmp_path, capsys, monkeypatch, kind, edits, field):
     # several fields at once, each in range alone: exit 1 naming the field

@@ -1,12 +1,14 @@
 import json
+import math
 import re
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from solver_oracle import (
     linear_potential_below,
@@ -257,7 +259,8 @@ def test_step_preflight_and_evolve_agree_at_the_border(points, extent):
     fields = {"field.b0": 2.0, "field.b1": 0.3, "field.b2": -0.25, "field.mu": 1.5,
               "field.region_extent": 10.0, "grid.points": points, "grid.extent": extent,
               "grid.sigma": 16 * extent / points, "grid.center": 0.0, "grid.momentum": 0.0,
-              "grid.mass": 1.0, "time.steps": 1, "adiabaticity": False}
+              "grid.spinor": [1.0, 0.0], "grid.mass": 1.0, "time.steps": 1,
+              "adiabaticity": False}
     field, grid = scenarios._field(fields), gaussian_packet(points, extent, fields["grid.sigma"])
     assert [grid_z(points, extent, i) for i in (0, points - 1)] == [grid.z[0], grid.z[-1]]
     max_b = max_field(field, grid.z[[0, -1]])
@@ -275,6 +278,48 @@ def test_step_preflight_and_evolve_agree_at_the_border(points, extent):
             scenarios._preflight({**fields, "time.dt": float(dt)}, str)
             verdicts.add("accepted")
     assert verdicts == {"refused", "accepted"}
+
+
+# float edges where a square, a reciprocal or a product of two fields leaves
+# the normal range
+EDGES = [5e-324, 1e-320, 1e-310, 2.8e-309, 1e-300, 1e-160, 1e-12, 1e12, 1e154, 1e160, 1e300,
+         sys.float_info.max]
+FLOAT_FIELDS = [path for path, default in scenarios.SG_FIELDS.items()
+                if isinstance(default, float)]
+EDGE_VALUES = st.one_of(st.sampled_from(EDGES), st.floats(EDGES[0], EDGES[-1]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(points=st.integers(256, 1024), adiabaticity=st.booleans(),
+       edits=st.dictionaries(st.sampled_from(FLOAT_FIELDS), st.tuples(EDGE_VALUES, st.booleans()),
+                             min_size=1, max_size=3))
+# the grid's spacing rounds to 0: the resolution row must not divide by it
+@example(points=512, adiabaticity=False, edits={"grid.extent": (5e-324, False)})
+# dt kmax^2 / mass is finite, but numpy's 1 / (2 mass) overflows
+@example(points=1024, adiabaticity=False,
+         edits={"grid.mass": (1e-310, False), "time.dt": (1e-300, False)})
+def test_a_run_the_preflight_admits_is_a_run_the_solver_takes(points, adiabaticity, edits):
+    # a valid run with one to three float fields at an edge value, negated
+    # at random where the field is signed: the preflight refuses it, or two
+    # steps of it run with no warning and finite norms (or leak at the edge)
+    scenario = sg_scenario({"b0": 1.0, "b1": 0.5, "b2": 0.1},
+                           {"points": points, "extent": 20.0, "sigma": 1.0}, 0.005, 2, 1)
+    f = {**scenarios._sg_fields(scenario), "adiabaticity": adiabaticity}
+    for path, (value, negated) in edits.items():
+        f[path] = -value if negated and path in scenarios.SG_SIGNED else value
+    try:
+        scenarios._preflight(f, str)
+    except scenarios.ScenarioError:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            rows, summary = scenarios._run(f, 1, str)
+        except scenarios.ScenarioError as exc:
+            assert str(exc).startswith("field 'grid.extent': "), exc  # the packet leaked
+            return
+    assert all(math.isfinite(row["norm"]) for row in rows), rows
+    assert math.isfinite(summary["norm"]), summary
 
 
 def test_boundary_leak_detection():
