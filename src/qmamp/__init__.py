@@ -31,11 +31,10 @@ finally:
     for name in _set_here:
         os.environ.pop(name, None)
 
-from .groups import Character, FiniteAbelianGroup, make_group  # noqa: E402
+from .groups import FiniteAbelianGroup, make_group  # noqa: E402
 from .measurement import SpectralRepresentation, instrument, make_spectral_rep  # noqa: E402
 
 __all__ = [
-    "Character",
     "FiniteAbelianGroup",
     "make_group",
     "SpectralRepresentation",

@@ -18,12 +18,15 @@ label pair (a, b) on their legs to (a, a + b), so together they are a
 prefix sum along the legs in the group law, `copy_scan`: one cumulative sum
 per cyclic factor, with no loop over the legs.  `amplified_instrument`
 reads the output whole, its config included, and keeps the columns whose
-labels all lie in the outcome.
+labels all lie in the outcome, a tuple of character indices marked in one
+indicator over the group.
 
-`intertwiner_chain_check` takes its group from the character gamma.  It
-composes V's index map exactly on all g^(N+1) basis indices while that is
-small (`chain_samples`): it forms t_gamma^(N+1) once, by squaring, and
-compares the two sides over chunks of first-leg blocks, one gather each.
+`intertwiner_chain_check` takes the group and a character index gamma, one
+call per (gamma, N); it and `CascadeConfig` refuse an N that is not an
+integer >= 1 by one check, `_check_copies`.  It composes V's index map
+exactly on all g^(N+1) basis indices while that is small (`chain_samples`):
+it forms t_gamma^(N+1) once, by squaring, and compares the two sides over
+chunks of first-leg blocks, one gather each.
 The copy chain does not depend on gamma, so it is cached for the characters
 at one N, in one entry with V's index map and the characters proven on it,
 and the chain of N is the cached chain of N - 1 with that entry's V
@@ -60,9 +63,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import Character, FiniteAbelianGroup
+from .groups import FiniteAbelianGroup, is_integer
 from .ktops import _kron_power, _splitmix, build_V
-from .measurement import InstrumentResult, Outcome, SpectralRepresentation, couple
+from .measurement import InstrumentResult, SpectralRepresentation, check_outcome, couple
 
 
 class CascadeError(ValueError):
@@ -94,14 +97,20 @@ class CascadeConfig:
     n_copies: int
 
     def __post_init__(self):
-        if self.n_copies < 1:
-            raise CascadeError("need at least one probe copy")
+        _check_copies(self.n_copies)
 
     @property
     def state_dim(self) -> int:
         """Dimension of the dense cascade state, m |G|^N, which nothing in
         qmamp allocates (the dense test oracle does)."""
         return self.rep.system_dim * self.rep.group.size**self.n_copies
+
+
+def _check_copies(n) -> None:
+    """Refuse a number N of probe copies that is not an integer >= 1: a bool,
+    a float or any value below 1."""
+    if not is_integer(n) or n < 1:
+        raise CascadeError(f"need at least one probe copy, as an integer N, got {n!r}")
 
 
 def copy_scan(group: FiniteAbelianGroup, tuples: np.ndarray) -> np.ndarray:
@@ -140,7 +149,7 @@ def cascade_apply(cfg: CascadeConfig, xi) -> CascadeOutput:
     return CascadeOutput(cfg, copy_scan(cfg.rep.group, tuples), amps[:, labels])
 
 
-def amplified_instrument(output: CascadeOutput, delta: Outcome, b) -> InstrumentResult:
+def amplified_instrument(output: CascadeOutput, delta, b) -> InstrumentResult:
     """Instrument read off a cascade output with the outcome indicator on
     every probe leg; one output serves every outcome.  With `kept` the k
     support columns whose labels all lie in Delta, the probability is
@@ -150,11 +159,12 @@ def amplified_instrument(output: CascadeOutput, delta: Outcome, b) -> Instrument
     if not isinstance(output, CascadeOutput):
         raise CascadeError("cascade output must be the CascadeOutput that cascade_apply returns")
     rep = output.cfg.rep
+    check_outcome(rep.group, delta)
     b = np.asarray(b, dtype=complex)
     if b.shape != (rep.system_dim, rep.system_dim):
         raise CascadeError(f"observable shape {b.shape} vs system dim {rep.system_dim}")
     indicator = np.zeros(rep.group.size, dtype=bool)
-    indicator[[chi.index for chi in delta.characters]] = True
+    indicator[list(delta)] = True
     kept = output.amps[:, indicator[output.tuples].all(axis=1)]
     prob = float(np.vdot(kept, kept).real)
     return InstrumentResult(prob if prob > 1e-300 else 0.0, complex(np.vdot(kept, b @ kept)))
@@ -192,8 +202,9 @@ def _exhaustive_chain_bytes(g: int, n: int) -> int:
     return 4 * g**n * max(g + 5, 2 * g + 2)
 
 
-def intertwiner_chain_check(gamma: Character, n: int) -> float:
-    """Residual of  V_{N,N+1}...V_12 (t_gamma x 1^N) = t_gamma^(N+1) V_{N,N+1}...V_12.
+def intertwiner_chain_check(group: FiniteAbelianGroup, gamma: int, n: int) -> float:
+    """Residual of  V_{N,N+1}...V_12 (t_gamma x 1^N) = t_gamma^(N+1) V_{N,N+1}...V_12
+    for the character at index gamma of `group`.
 
     All factors are permutations, so both sides are composed exactly on basis
     indices.  With the chain's rows[a] its block of first-leg value a,
@@ -216,26 +227,24 @@ def intertwiner_chain_check(gamma: Character, n: int) -> float:
     t_gamma t_gamma'.  Both results are the ones a composition gives,
     exactly.
     """
-    if n < 1:
-        raise CascadeError("need at least one probe copy")
-    if gamma.index == 0:
+    _check_copies(n)
+    if gamma == 0:
         return 0.0
-    group = gamma.group
     samples = chain_samples(group, n)
     if samples:
         x = _splitmix(np.arange(samples * (n + 1), dtype=np.uint64)) % np.uint64(group.size)
         x = x.astype(np.intp).reshape(samples, n + 1)
-        rhs = group.add_indices(gamma.index, copy_scan(group, x))
-        x[:, 0] = group.add_indices(gamma.index, x[:, 0])
+        rhs = group.add_indices(gamma, copy_scan(group, x))
+        x[:, 0] = group.add_indices(gamma, x[:, 0])
         mismatches = np.count_nonzero((copy_scan(group, x) != rhs).any(axis=1))
         return float(np.sqrt(2.0 * mismatches))
     g = group.size
     # the chain first: a build would otherwise hold t_all beside its own peak
     chain, _, proven = _copy_chain(group, n)
-    if proven[gamma.index]:
+    if proven[gamma]:
         return 0.0
     rows = chain.reshape(g, -1)
-    t = group.add_indices(gamma.index, np.arange(g)).astype(np.int32)
+    t = group.add_indices(gamma, np.arange(g)).astype(np.int32)
     t_all = _kron_power(t, n + 1)
     step = -(-CHAIN_GATHER // rows.shape[1])  # first-leg blocks per gather
     mismatches = 0
@@ -243,17 +252,17 @@ def intertwiner_chain_check(gamma: Character, n: int) -> float:
         a = a if step == 1 else slice(a, a + step)  # one block stays a view
         mismatches += np.count_nonzero(rows[t[a]] != t_all[rows[a]])
     if mismatches == 0:
-        _prove_subgroup(group, proven, gamma.index)
+        _prove_subgroup(group, proven, gamma)
     return float(np.sqrt(2.0 * mismatches))
 
 
-def _prove_subgroup(group: FiniteAbelianGroup, proven: np.ndarray, index: int) -> None:
+def _prove_subgroup(group: FiniteAbelianGroup, proven: np.ndarray, gamma: int) -> None:
     """Mark in `proven`, the mask of a subgroup H of the characters, the
-    subgroup H + <gamma> for gamma at `index`: the cosets H + k gamma for
-    k = 1, 2, ... until one is H again."""
+    subgroup H + <gamma>: the cosets H + k gamma for k = 1, 2, ... until one
+    is H again."""
     coset = np.flatnonzero(proven)  # H, from the trivial character
     while True:
-        coset = group.add_indices(index, coset)
+        coset = group.add_indices(gamma, coset)
         if proven[coset[0]]:  # k gamma lies in H
             return
         proven[coset] = True

@@ -5,13 +5,18 @@ and characters are integer indices into one enumeration of exponent tuples,
 lexicographic with the leftmost coordinate most significant, so the dual
 group shares the group's enumeration (self-duality of finite abelian groups);
 every matrix in this package uses that index order.  The group law on
-indices is `add_indices`.  Exponent tuples appear only where a character is
-read (`character`) and in error messages (`Character.exponents`).
+indices is `add_indices`.  A character is its index: the character
+u -> exp(2 pi i sum_j m_j u_j / n_j) is the index of its exponent tuple m,
+and index 0 is the trivial character.  Exponent tuples appear only where a
+character is read (`character`) and in error messages (`exponents`).
+Orders and exponents are integers (`is_integer`): a float or a bool is
+refused, not truncated.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,11 +28,27 @@ class GroupError(ValueError):
     pass
 
 
+def is_integer(value) -> bool:
+    """Whether `value` is an int or a numpy integer, and not a bool: an order,
+    an exponent, a character index or a number of probe copies."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _integers(values) -> tuple[int, ...]:
+    """`values` as a tuple of ints; a float, a bool or any other value that
+    `is_integer` refuses is refused, not truncated."""
+    values = tuple(values)
+    if not all(is_integer(v) for v in values):
+        raise GroupError(f"expected integers, got {values}")
+    return tuple(int(v) for v in values)
+
+
 @dataclass(frozen=True)
 class FiniteAbelianGroup:
     orders: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "orders", _integers(self.orders))
         if len(self.orders) == 0:
             raise GroupError("group needs at least one cyclic factor")
         if any(n < 1 for n in self.orders):
@@ -60,42 +81,22 @@ class FiniteAbelianGroup:
             out += (i // stride + j // stride) % n * stride
         return out
 
-    def character(self, exponents) -> "Character":
-        """The character with these exponents, one per cyclic factor."""
-        exponents = tuple(int(m) for m in exponents)
-        if len(exponents) != len(self.orders) or not all(
-            0 <= m < n for m, n in zip(exponents, self.orders)
-        ):
+    def character(self, exponents) -> int:
+        """Index of the character with these exponents, one per cyclic factor:
+        a tuple names a character when it is that index's `exponents`."""
+        exponents = _integers(exponents)
+        index = sum(m * s for m, (_, s) in zip(exponents, self._strides()))
+        if self.exponents(index) != exponents:
             raise GroupError(f"{exponents} is not an element of {self}")
-        return Character(self, sum(m * s for m, (_, s) in zip(exponents, self._strides())))
+        return index
 
-    @property
-    def trivial_character(self) -> "Character":
-        return Character(self, 0)
-
-    def characters(self) -> list["Character"]:
-        return [Character(self, i) for i in range(self.size)]
-
-
-@dataclass(frozen=True)
-class Character:
-    """The character u -> exp(2 pi i sum_j m_j u_j / n_j) at `index`, the
-    index of its exponent tuple m."""
-
-    group: FiniteAbelianGroup
-    index: int
-
-    def __post_init__(self):
-        if not 0 <= self.index < self.group.size:
-            raise GroupError(f"character index {self.index} is out of range for {self.group}")
-
-    @property
-    def exponents(self) -> tuple[int, ...]:
-        return tuple(self.index // stride % n for n, stride in self.group._strides())
+    def exponents(self, index: int) -> tuple[int, ...]:
+        """Exponent tuple of the character at `index`."""
+        return tuple(index // stride % n for n, stride in self._strides())
 
 
 def make_group(orders) -> FiniteAbelianGroup:
-    g = FiniteAbelianGroup(tuple(int(n) for n in orders))
+    g = FiniteAbelianGroup(orders)
     if g.size > DEFAULT_SIZE_CAP:
         raise GroupError(f"group size {g.size} exceeds cap {DEFAULT_SIZE_CAP}")
     return g

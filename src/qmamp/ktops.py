@@ -351,5 +351,5 @@ def build_UtildeV(rep) -> np.ndarray:
     mat = np.zeros((m, n, m, n), dtype=complex)
     b = np.arange(n)
     for chi, proj in rep.projections.items():
-        mat[:, rep.group.add_indices(chi.index, b), :, b] += proj
+        mat[:, rep.group.add_indices(chi, b), :, b] += proj
     return mat.reshape(m * n, m * n)

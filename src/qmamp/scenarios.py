@@ -297,7 +297,7 @@ def build_rep(scenario: dict, outcomes, n_values=()) -> measurement.SpectralRepr
             chi = group.character(read(scenario, f"{where}.character", [int]))
         matrix = _matrix(scenario, f"{where}.matrix", system_dim)
         with _names(f"{where}.matrix"):
-            measurement.check_projection(chi, matrix)
+            measurement.check_projection(group, chi, matrix)
         assignments.append((chi, matrix))
     # each matrix is checked above, where its field is named
     with _names("rep.projections"):
@@ -352,16 +352,14 @@ def build_state(scenario: dict, rep) -> np.ndarray:
 def build_outcomes(rep, outcomes):
     """The read `outcomes` as (label, outcome) pairs, the label its
     character indices joined by "+", as the output rows name it."""
-    chars = rep.group.characters()
     pairs = []
     for i, idx_list in enumerate(outcomes):
-        if not all(0 <= j < len(chars) for j in idx_list):
+        if not all(0 <= j < rep.group.size for j in idx_list):
             raise ScenarioError(
-                f"field 'outcomes[{i}]': expected character indices in [0, {len(chars)}),"
+                f"field 'outcomes[{i}]': expected character indices in [0, {rep.group.size}),"
                 f" got {_shown(idx_list)}"
             )
-        label = "+".join(str(j) for j in idx_list)
-        pairs.append((label, measurement.outcome([chars[j] for j in idx_list])))
+        pairs.append(("+".join(str(j) for j in idx_list), measurement.outcome(idx_list)))
     return pairs
 
 
@@ -450,7 +448,7 @@ def amplify(scenario: dict) -> list[dict]:
     singles = [measurement.instrument(rep, delta, xi, b) for _, delta in outcomes]
     rows = []
     for n in n_values:
-        chain = max(amp.intertwiner_chain_check(chi, n) for chi in rep.group.characters())
+        chain = max(amp.intertwiner_chain_check(rep.group, chi, n) for chi in range(rep.group.size))
         output = amp.cascade_apply(amp.CascadeConfig(rep=rep, n_copies=n), xi)
         for (label, delta), single in zip(outcomes, singles):
             res = amp.amplified_instrument(output, delta, b)

@@ -48,7 +48,7 @@ from qmamp.amplification import CascadeConfig, CascadeError, CascadeOutput
 from qmamp.groups import _fft_shape
 from qmamp.hilbert import embed
 from qmamp.ktops import KTError, _kron_perm, build_UtildeV, build_V, build_W
-from qmamp.measurement import InstrumentResult, Outcome, _check_state
+from qmamp.measurement import InstrumentResult, _check_state
 
 
 # Largest cascade matrix, in entries, that `cascade_unitary` builds (64 MiB
@@ -104,7 +104,7 @@ def represented_unitary(rep, u) -> np.ndarray:
     values = character_table(rep.group)[:, u]
     out = np.zeros((rep.system_dim, rep.system_dim), dtype=complex)
     for chi, p in rep.projections.items():
-        out += np.conj(values[chi.index]) * p
+        out += np.conj(values[chi]) * p
     return out
 
 
@@ -178,13 +178,13 @@ def scatter(output: CascadeOutput) -> np.ndarray:
     return tensor
 
 
-def tensor_instrument(cfg: CascadeConfig, delta: Outcome, tensor, b) -> InstrumentResult:
+def tensor_instrument(cfg: CascadeConfig, delta, tensor, b) -> InstrumentResult:
     """Instrument read off a dense cascade tensor with the outcome indicator on
     every probe leg."""
     m = cfg.rep.system_dim
     indicator = np.zeros(cfg.rep.group.size)
-    for chi in delta.characters:
-        indicator[chi.index] = 1.0
+    for chi in delta:
+        indicator[chi] = 1.0
     projected = tensor
     for axis in range(1, cfg.n_copies + 1):
         shape = [1] * projected.ndim
@@ -249,7 +249,7 @@ def dense_chain_residual(g, gamma, stages) -> float:
     with stages[k] the two-leg operator on legs (k, k+1)."""
     dims = (g.size,) * (len(stages) + 1)
     chain = stage_product(stages, dims)
-    t = translation(g, gamma.index)
+    t = translation(g, gamma)
     lam_first = embed(t, [0], dims)
     lam_all = t
     for _ in stages:
@@ -257,17 +257,16 @@ def dense_chain_residual(g, gamma, stages) -> float:
     return float(np.linalg.norm(chain @ lam_first - lam_all @ chain))
 
 
-def block_chain_residual(gamma, n, chain) -> float:
+def block_chain_residual(group, gamma, n, chain) -> float:
     """The chain residual of `amplification.intertwiner_chain_check` at N = n
     on the index map `chain` of a copy chain on n + 1 legs, composed one
     first-leg value a at a time: t_gamma x 1 moves only the first leg, so the
     left side on block a is the chain's block t[a], and the right side
     applies t to the first leg and t^(x N) to the other legs of the chain's
     block a."""
-    group = gamma.group
     g = group.size
     block = g**n
-    t = group.add_indices(gamma.index, np.arange(g))
+    t = group.add_indices(gamma, np.arange(g))
     t_first, t_rest = t * block, _kron_perm(*[t] * n)
     mismatches = 0
     for a in range(g):

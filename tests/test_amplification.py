@@ -60,11 +60,27 @@ def test_config_validation():
     assert CascadeConfig(rep, 10**6).n_copies == 10**6
 
 
+@pytest.mark.parametrize(
+    "n", [2.5, 2.0, True, False, np.float64(2.0), np.True_, "2", None], ids=repr
+)
+def test_n_copies_must_be_an_integer(n):
+    # a float N recursed in the chain check until RecursionError, and a float
+    # or bool N failed inside numpy with a TypeError; both paths share one check
+    g = make_group([2])
+    with pytest.raises(CascadeError, match="need at least one probe copy"):
+        CascadeConfig(clock_rep(2), n)
+    for gamma in range(g.size):
+        with pytest.raises(CascadeError, match="need at least one probe copy"):
+            intertwiner_chain_check(g, gamma, n)
+    assert CascadeConfig(clock_rep(2), np.int64(2)).n_copies == 2
+    assert intertwiner_chain_check(g, 1, np.int64(2)) == 0.0
+
+
 def rotated_rep(g, rng):
     # one rank-one projection per character, in a random orthonormal basis
     a = rng.standard_normal((g.size, g.size)) + 1j * rng.standard_normal((g.size, g.size))
     q, _ = np.linalg.qr(a)
-    pairs = [(chi, np.outer(q[:, k], q[:, k].conj())) for k, chi in enumerate(g.characters())]
+    pairs = [(k, np.outer(q[:, k], q[:, k].conj())) for k in range(g.size)]
     return make_spectral_rep(g, g.size, pairs)
 
 
@@ -80,7 +96,7 @@ def test_cascade_apply_matches_dense_unitary():
             joint = xi
             for _ in range(n):
                 iota = np.zeros(rep.group.size)
-                iota[rep.group.trivial_character.index] = 1.0
+                iota[0] = 1.0  # the trivial character
                 joint = np.kron(joint, iota)
             u = cascade_unitary(cfg)
             lazy = scatter(cascade_apply(cfg, xi))
@@ -98,7 +114,7 @@ def test_cascade_apply_matches_closed_form():
     rng = np.random.default_rng(5)
     reps = [clock_rep(2), clock_rep(3)] + [rotated_rep(g, rng) for g in canonical_groups(6)]
     for rep in reps:
-        chars = rep.group.characters()
+        chars = range(rep.group.size)
         for n in (1, 2, 3, 4):
             cfg = CascadeConfig(rep, n)
             xi = random_state(rng, rep.system_dim)
@@ -106,7 +122,7 @@ def test_cascade_apply_matches_closed_form():
             b = b + b.T
             expected = np.zeros(shape(cfg), dtype=complex)
             for chi, p in rep.projections.items():
-                expected[(slice(None),) + (chi.index,) * n] = p @ xi
+                expected[(slice(None),) + (chi,) * n] = p @ xi
             output = cascade_apply(cfg, xi)
             assert output.cfg is cfg
             assert output.tuples.dtype == np.intp and len(output.tuples) <= rep.group.size
@@ -151,9 +167,8 @@ def test_cascade_output_is_branch_correlated():
     cfg = CascadeConfig(rep, 3)
     xi = np.array([np.sqrt(0.3), np.sqrt(0.7)])
     out = scatter(cascade_apply(cfg, xi))
-    chi_up = char_of(rep, np.diag([1.0, 0.0]))
-    chi_dn = char_of(rep, np.diag([0.0, 1.0]))
-    i, j = chi_up.index, chi_dn.index
+    i = char_of(rep, np.diag([1.0, 0.0]))  # spin up
+    j = char_of(rep, np.diag([0.0, 1.0]))
     weights = np.abs(out) ** 2
     assert weights[0, i, i, i] == pytest.approx(0.3)
     assert weights[1, j, j, j] == pytest.approx(0.7)
@@ -201,7 +216,7 @@ def test_amplified_instrument_is_n_independent(seed, n, dim):
     xi = random_state(rng, dim)
     b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     b = b + b.conj().T
-    chars = rep.group.characters()
+    chars = range(rep.group.size)
     output = cascade_apply(cfg, xi)
     for delta in (outcome([chars[0]]), outcome(chars[:2])):
         many = amplified_instrument(output, delta, b)
@@ -292,19 +307,19 @@ def test_zero_weight_outcome_reads_probability_zero():
 def test_intertwiner_chain_exact():
     for orders in ([2], [3], [4], [2, 2]):
         g = make_group(orders)
-        for gamma in g.characters():
+        for gamma in range(g.size):
             for n in (1, 2, 3):
-                assert intertwiner_chain_check(gamma, n) == 0.0
+                assert intertwiner_chain_check(g, gamma, n) == 0.0
 
 
 def test_intertwiner_chain_matches_dense_oracle(monkeypatch):
     for orders in ([2], [3], [4], [2, 2]):
         g = make_group(orders)
         v = perm_matrix(build_V(g))
-        for gamma in g.characters():
+        for gamma in range(g.size):
             for n in (1, 2, 3):
                 dense = dense_chain_residual(g, gamma, [v] * n)
-                assert intertwiner_chain_check(gamma, n) == dense
+                assert intertwiner_chain_check(g, gamma, n) == dense
 
     # swap two basis images of the copy map in the second stage only
     g = make_group([3])
@@ -327,7 +342,7 @@ def test_intertwiner_chain_matches_dense_oracle(monkeypatch):
         for n in (2, 3):
             dense = dense_chain_residual(g, gamma, [v, v_bad] + [v] * (n - 2))
             assert dense > 0.1
-            assert intertwiner_chain_check(gamma, n) == dense
+            assert intertwiner_chain_check(g, gamma, n) == dense
     finally:
         amplification._copy_chain.cache_clear()
 
@@ -363,8 +378,8 @@ def test_chain_check_matches_block_oracle_with_planted_faults(monkeypatch, order
     bad[[0, 1]] = bad[[1, 0]]  # V's images of (0, 0) and (0, 1) swapped
 
     def residuals(n, chain):
-        got = [intertwiner_chain_check(gamma, n) for gamma in g.characters()]
-        assert got == [block_chain_residual(gamma, n, chain) for gamma in g.characters()]
+        got = [intertwiner_chain_check(g, gamma, n) for gamma in range(g.size)]
+        assert got == [block_chain_residual(g, gamma, n, chain) for gamma in range(g.size)]
         return got
 
     copy_chain.cache_clear()
@@ -404,8 +419,8 @@ def test_chain_check_gathers_across_blocks(monkeypatch, orders, n):
     blocks = (0, g.size // 2, g.size - 1)
     for faulty in [chain] + [swap_in_block(chain, g.size, a, rng) for a in blocks]:
         read_chain(monkeypatch, g, faulty)
-        for gamma in g.characters()[:: max(1, g.size // 8)] + [g.characters()[-1]]:
-            assert intertwiner_chain_check(gamma, n) == block_chain_residual(gamma, n, faulty)
+        for gamma in [*range(0, g.size, max(1, g.size // 8)), g.size - 1]:
+            assert intertwiner_chain_check(g, gamma, n) == block_chain_residual(g, gamma, n, faulty)
 
 
 def test_ascending_n_values_extend_the_cached_chain(monkeypatch, tmp_path):
@@ -470,7 +485,7 @@ def test_chain_build_and_check_stay_within_the_model(order):
             if warm:
                 amplification._copy_chain(g, n - 1)
                 tracemalloc.reset_peak()
-            residuals = [intertwiner_chain_check(gamma, n) for gamma in g.characters()]
+            residuals = [intertwiner_chain_check(g, gamma, n) for gamma in range(g.size)]
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -487,12 +502,12 @@ def test_support_bounds_memory_at_largest_n():
     n = 10**6
     cfg = CascadeConfig(rep, n)
     xi = np.array([np.sqrt(0.3), np.sqrt(0.7)])
-    chars = rep.group.characters()
+    chars = range(rep.group.size)
     estimate = amplification.label_bytes(rep.group, len(rep.projections), n)
     assert estimate <= scenarios.AMPLIFY_BYTES
     tracemalloc.start()
     try:
-        residuals = [intertwiner_chain_check(chi, n) for chi in chars]
+        residuals = [intertwiner_chain_check(rep.group, chi, n) for chi in chars]
         output = cascade_apply(cfg, xi)
         probabilities = [
             amplified_instrument(output, outcome(subset), SZ).probability
@@ -517,7 +532,7 @@ def test_chain_check_memory_at_largest_n():
     amplification._copy_chain.cache_clear()
     tracemalloc.start()
     try:
-        residuals = [intertwiner_chain_check(gamma, n) for gamma in g.characters()]
+        residuals = [intertwiner_chain_check(g, gamma, n) for gamma in range(g.size)]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -565,7 +580,7 @@ def test_exhaustive_chain_check_indexes_in_int32(monkeypatch, orders, n):
     monkeypatch.setattr(amplification, "_kron_power", spy)
     fresh_chains()
     try:
-        residuals = [intertwiner_chain_check(gamma, n) for gamma in g.characters()]
+        residuals = [intertwiner_chain_check(g, gamma, n) for gamma in range(g.size)]
         chain = amplification._copy_chain(g, n)[0]
     finally:
         fresh_chains()
@@ -589,10 +604,10 @@ def test_proven_subgroup_skips_its_characters(monkeypatch, orders, composed):
     try:
         for n in (1, 2, 3):
             got = []
-            for gamma in g.characters():
+            for gamma in range(g.size):
                 formed.clear()
-                assert intertwiner_chain_check(gamma, n) == 0.0
-                got += [gamma.index] * len(formed)
+                assert intertwiner_chain_check(g, gamma, n) == 0.0
+                got += [gamma] * len(formed)
             assert got == composed, n
     finally:
         fresh_chains()
@@ -621,11 +636,11 @@ def test_chain_that_keeps_one_generator_has_every_character_composed(monkeypatch
     g = make_group(orders)
     for n in (1, 2, 3):
         faulty = keep_only(amplification._copy_chain(g, n)[0], g, n, h)
-        expected = [block_chain_residual(gamma, n, faulty) for gamma in g.characters()]
+        expected = [block_chain_residual(g, gamma, n, faulty) for gamma in range(g.size)]
         assert [r == 0.0 for r in expected] == [k in (0, h) for k in range(g.size)]
         formed = compositions(monkeypatch)
         read_chain(monkeypatch, g, faulty)
-        assert [intertwiner_chain_check(gamma, n) for gamma in g.characters()] == expected
+        assert [intertwiner_chain_check(g, gamma, n) for gamma in range(g.size)] == expected
         assert len(formed) == g.size - 1
         monkeypatch.undo()
 
@@ -638,13 +653,13 @@ def test_proof_holds_only_for_the_chain_it_read(monkeypatch, orders):
     g, n = make_group(orders), 2
     fresh_chains()
     try:
-        assert [intertwiner_chain_check(gamma, n) for gamma in g.characters()] == [0.0] * g.size
+        assert [intertwiner_chain_check(g, gamma, n) for gamma in range(g.size)] == [0.0] * g.size
         chain = amplification._copy_chain(g, n)[0]
         faulty = swap_in_block(chain, g.size, 1, np.random.default_rng(g.size))
         formed = compositions(monkeypatch)
         read_chain(monkeypatch, g, faulty)
-        got = [intertwiner_chain_check(gamma, n) for gamma in g.characters()]
-        assert got == [block_chain_residual(gamma, n, faulty) for gamma in g.characters()]
+        got = [intertwiner_chain_check(g, gamma, n) for gamma in range(g.size)]
+        assert got == [block_chain_residual(g, gamma, n, faulty) for gamma in range(g.size)]
         assert max(got) > 0.1 and formed
         monkeypatch.undo()
         proven = weakref.ref(chain)
@@ -656,9 +671,10 @@ def test_proof_holds_only_for_the_chain_it_read(monkeypatch, orders):
 
 @pytest.mark.parametrize("n", [0, -1])
 def test_chain_check_refuses_fewer_than_one_copy(n):
-    for gamma in make_group([2]).characters():
+    g = make_group([2])
+    for gamma in range(g.size):
         with pytest.raises(CascadeError, match="need at least one probe copy"):
-            intertwiner_chain_check(gamma, n)
+            intertwiner_chain_check(g, gamma, n)
 
 
 def all_tuples(g, n):
@@ -716,7 +732,7 @@ def test_chain_check_is_exhaustive_where_it_always_was():
 def test_sampled_chain_check(orders, n):
     g = make_group(orders)
     assert chain_samples(g, n) > 0
-    assert [intertwiner_chain_check(chi, n) for chi in g.characters()] == [0.0] * g.size
+    assert [intertwiner_chain_check(g, chi, n) for chi in range(g.size)] == [0.0] * g.size
 
 
 def test_sampled_chain_check_catches_a_wrong_scan(monkeypatch):
@@ -732,9 +748,9 @@ def test_sampled_chain_check_catches_a_wrong_scan(monkeypatch):
 
     monkeypatch.setattr(amplification, "copy_scan", wrong)
     samples = chain_samples(g, 20)
-    residual = intertwiner_chain_check(g.character([1]), 20)
+    residual = intertwiner_chain_check(g, g.character([1]), 20)
     assert residual == np.sqrt(2.0 * samples)
-    assert intertwiner_chain_check(g.trivial_character, 20) == 0.0
+    assert intertwiner_chain_check(g, 0, 20) == 0.0
 
 
 def test_sampled_chain_check_reads_a_fixed_sample(monkeypatch):
@@ -750,8 +766,8 @@ def test_sampled_chain_check_reads_a_fixed_sample(monkeypatch):
 
     monkeypatch.setattr(amplification, "copy_scan", recording)
     for _ in range(2):
-        for chi in g.characters():
-            assert intertwiner_chain_check(chi, 40) == 0.0
+        for chi in range(g.size):
+            assert intertwiner_chain_check(g, chi, 40) == 0.0
     assert len(seen) == 4 * (g.size - 1)
     base = seen[0]
     assert base.shape == (chain_samples(g, 40), 41)
@@ -766,7 +782,7 @@ def test_stage_one_builds_no_dense_coupling():
     # |G| = 512 with system_dim 4: the dense UtildeV would take 67 MB, the
     # label columns E(chi) of stage one take 4 * 512 * 4 amplitudes (131 kB)
     g = make_group([512])
-    chars = g.characters()
+    chars = range(g.size)
     rep = make_spectral_rep(g, 4, [(chars[k], np.diag(np.eye(4)[k])) for k in range(4)])
     cfg = CascadeConfig(rep, 2)
     xi = np.full(4, 0.5)
@@ -783,20 +799,20 @@ def test_stage_one_builds_no_dense_coupling():
 
 def test_copy_chain_is_cached_read_only():
     g = make_group([3])
-    assert intertwiner_chain_check(g.character([1]), 3) == 0.0
+    assert intertwiner_chain_check(g, g.character([1]), 3) == 0.0
     chain, v, proven = amplification._copy_chain(g, 3)
     assert not chain.flags.writeable and not v.flags.writeable
     with pytest.raises(ValueError):
         chain[0] = 1
     # the next character at the same N reuses it
-    assert intertwiner_chain_check(g.character([2]), 3) == 0.0
+    assert intertwiner_chain_check(g, g.character([2]), 3) == 0.0
     assert amplification._copy_chain(g, 3)[0] is chain
     assert proven.tolist() == [True] * 3  # character 1 proved the group
 
 
 def test_intertwiner_chain_large_group():
     g = make_group([8])
-    assert intertwiner_chain_check(g.character([3]), 4) == 0.0
+    assert intertwiner_chain_check(g, g.character([3]), 4) == 0.0
 
 
 def test_heisenberg_duality():
@@ -812,12 +828,12 @@ def test_heisenberg_duality():
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         a = a + a.conj().T
         f = np.zeros((2, 2))
-        f[chi_dn.index, chi_dn.index] = 1.0
+        f[chi_dn, chi_dn] = 1.0
         t = heisenberg_T(cfg, a, [f] * n)
         joint = xi
         for _ in range(n):
             iota = np.zeros(2)
-            iota[rep.group.trivial_character.index] = 1.0
+            iota[0] = 1.0  # the trivial character
             joint = np.kron(joint, iota)
         lhs = complex(np.vdot(joint, t @ joint))
         output = cascade_apply(cfg, xi)

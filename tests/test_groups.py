@@ -13,7 +13,7 @@ from dense_oracle import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmamp.groups import Character, GroupError, canonical_groups, make_group
+from qmamp.groups import FiniteAbelianGroup, GroupError, canonical_groups, make_group
 
 small_orders = st.lists(st.integers(1, 5), min_size=1, max_size=3).filter(
     lambda o: np.prod(o) <= 64
@@ -34,7 +34,7 @@ def addition(g):
 def test_make_group_z2():
     g = make_group([2])
     assert g.size == 2
-    assert [chi.exponents for chi in g.characters()] == [(0,), (1,)]
+    assert [g.exponents(k) for k in range(g.size)] == [(0,), (1,)]
 
 
 def test_make_group_z2xz2():
@@ -43,9 +43,9 @@ def test_make_group_z2xz2():
 
 def test_z3_arithmetic():
     g = make_group([3])
-    assert [chi.exponents for chi in g.characters()] == [(0,), (1,), (2,)]
+    assert [g.exponents(k) for k in range(g.size)] == [(0,), (1,), (2,)]
     one, two = g.character([1]), g.character([2])
-    assert g.add_indices(one.index, two.index) == g.trivial_character.index == 0
+    assert g.add_indices(one, two) == 0  # index 0 is the trivial character
 
 
 def test_make_group_rejects_empty_and_cap():
@@ -61,12 +61,12 @@ def test_make_group_rejects_empty_and_cap():
 
 def test_char_values():
     z2 = make_group([2])
-    assert character_table(z2)[z2.character([1]).index, 1] == pytest.approx(-1)
+    assert character_table(z2)[z2.character([1]), 1] == pytest.approx(-1)
     z4 = make_group([4])
-    assert character_table(z4)[z4.character([1]).index, 1] == pytest.approx(1j)
+    assert character_table(z4)[z4.character([1]), 1] == pytest.approx(1j)
     for g in (z2, z4, make_group([2, 3])):
         for table in (character_table(g), library_characters(g)):
-            assert np.allclose(table[g.trivial_character.index], 1, rtol=0, atol=1e-12)
+            assert np.allclose(table[0], 1, rtol=0, atol=1e-12)
 
 
 def test_char_value_rejects_mismatched_element():
@@ -77,9 +77,29 @@ def test_char_value_rejects_mismatched_element():
         g.character([0, 0])
     with pytest.raises(GroupError):
         g.character([-1])
-    for index in (-1, 2):
-        with pytest.raises(GroupError, match="out of range"):
-            Character(g, index)
+
+
+def test_orders_and_exponents_must_be_integers():
+    # a float or a bool was truncated by int(): [2.5] built Z_2, [True, 3.9]
+    # built Z_1 x Z_3 and the exponent 1.7 read as 1
+    for bad in (2.5, True, False, np.float64(2.0), np.True_, "2", None):
+        with pytest.raises(GroupError, match="expected integers"):
+            make_group([bad])
+        with pytest.raises(GroupError, match="expected integers"):
+            make_group([3, bad])
+        with pytest.raises(GroupError, match="expected integers"):
+            FiniteAbelianGroup((bad,))
+        with pytest.raises(GroupError, match="expected integers"):
+            make_group([3]).character([bad])
+    with pytest.raises(GroupError, match="expected integers"):
+        make_group([True, 3.9])
+    with pytest.raises(GroupError, match="expected integers"):
+        make_group([3]).character([1.7])
+    # numpy integers are integers, and are held as ints
+    g = make_group(np.array([2, 3]))
+    assert g == make_group([2, 3]) and all(type(n) is int for n in g.orders)
+    assert g.character([np.int64(1), np.uint8(2)]) == 5
+    assert type(g.character(np.array([1, 2]))) is int
 
 
 @settings(deadline=None, max_examples=30)
@@ -104,15 +124,20 @@ def test_pontryagin_double_dual(orders):
     for table in (character_table(g), library_characters(g)):
         assert np.abs(table - table.T).max() <= 1e-12
     # and qmamp enumerates the exponent tuples in the same order
-    for chi, u in zip(g.characters(), exponent_table(g).tolist(), strict=True):
-        assert g.character(u) == chi and chi.exponents == tuple(u)
+    for chi, u in zip(range(g.size), exponent_table(g).tolist(), strict=True):
+        assert g.character(u) == chi and g.exponents(chi) == tuple(u)
+
+
+def test_character_and_exponents_round_trip():
+    for g in canonical_groups(64):
+        assert [g.character(g.exponents(k)) for k in range(g.size)] == list(range(g.size)), g
 
 
 def test_character_group_structure():
     g = make_group([2, 3])
     n = g.size
     table, add = character_table(g), addition(g)
-    iota = g.trivial_character.index
+    iota = 0  # the trivial character
     # the pointwise product of characters a and b is the character a + b
     assert np.abs(table[add] - table[:, None, :] * table[None, :, :]).max() <= 1e-12
     # each character has exactly one inverse, its complex conjugate
@@ -180,33 +205,33 @@ def test_trivial_factors_cost_no_addition_pass():
     assert np.array_equal(table, addition(make_group([2])))
 
 
-def translation_map(gamma):
+def translation_map(g, gamma):
     """qmamp's translation lambda_gamma on l2 of the dual group, |chi> -> |gamma + chi>."""
-    return gamma.group.add_indices(gamma.index, np.arange(gamma.group.size))
+    return g.add_indices(gamma, np.arange(g.size))
 
 
 def test_regular_representation_z2():
     g = make_group([2])
-    assert np.allclose(perm_matrix(translation_map(g.character([1]))), [[0, 1], [1, 0]])
-    assert np.allclose(perm_matrix(translation_map(g.trivial_character)), np.eye(2))
+    assert np.allclose(perm_matrix(translation_map(g, g.character([1]))), [[0, 1], [1, 0]])
+    assert np.allclose(perm_matrix(translation_map(g, 0)), np.eye(2))
 
 
 def test_regular_representation_z3_cycle():
     # oracle: |chi> -> |gamma + chi> from the closed-form addition table
     g = make_group([3])
     gamma = g.character([1])
-    assert np.array_equal(perm_matrix(translation_map(gamma)), translation(g, gamma.index))
-    assert translation_map(gamma).tolist() == [1, 2, 0]
+    assert np.array_equal(perm_matrix(translation_map(g, gamma)), translation(g, gamma))
+    assert translation_map(g, gamma).tolist() == [1, 2, 0]
 
 
 def test_regular_representation_composes():
     g = make_group([4])
     a, b = g.character([1]), g.character([3])
-    ab = g.characters()[int(g.add_indices(a.index, b.index))]
+    ab = int(g.add_indices(a, b))
     assert ab == g.character([0])
     assert np.allclose(
-        perm_matrix(translation_map(a)) @ perm_matrix(translation_map(b)),
-        perm_matrix(translation_map(ab)),
+        perm_matrix(translation_map(g, a)) @ perm_matrix(translation_map(g, b)),
+        perm_matrix(translation_map(g, ab)),
     )
 
 

@@ -41,7 +41,7 @@ def joint_probability(rep, xi, chi_sys, chi_probe):
 
 def test_make_spectral_rep_validation():
     g = make_group([2])
-    chars = g.characters()
+    chars = range(g.size)
     with pytest.raises(MeasurementError):  # not idempotent
         make_spectral_rep(g, 2, [(chars[0], 2 * np.eye(2))])
     with pytest.raises(MeasurementError):  # incomplete
@@ -52,6 +52,48 @@ def test_make_spectral_rep_validation():
         )
     with pytest.raises(MeasurementError):  # not hermitian
         make_spectral_rep(g, 2, [(chars[0], np.array([[1, 1], [0, 0]], dtype=float))])
+
+
+def test_make_spectral_rep_refuses_a_character_that_is_not_an_index():
+    # a character is an int index into the group's enumeration, numpy ints
+    # included; a float, a bool or an index outside [0, |G|) is refused
+    g = make_group([2])
+    up, down = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    for bad in (-1, 2, 1.0, True, "1", None):
+        with pytest.raises(MeasurementError, match=r"is not an index in \[0, 2\)"):
+            make_spectral_rep(g, 2, [(0, up), (bad, down)])
+    rep = make_spectral_rep(g, 2, [(np.int64(0), up), (np.uint8(1), down)])
+    assert [type(chi) for chi in rep.projections] == [int, int]
+
+
+def test_spectral_family_messages_name_exponents():
+    g = make_group([2, 3])
+    up, down = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    cases = (
+        ([(4, up), (4, down)], "duplicate assignment for (1, 1)"),
+        ([(4, up), (5, np.eye(2))], "projections for (1, 1) and (1, 2) overlap"),
+        ([(1, 2 * up)], "assignment for (0, 1) is not idempotent"),
+        ([(3, np.array([[0, 1], [0, 0]]))], "assignment for (1, 0) is not hermitian"),
+    )
+    for assignments, message in cases:
+        with pytest.raises(MeasurementError) as err:
+            make_spectral_rep(g, 2, assignments)
+        assert str(err.value) == message
+
+
+def test_instruments_refuse_an_outcome_outside_the_group():
+    # a negative index would wrap in the amplified instrument's indicator and
+    # mark the last character; the instrument would skip it
+    rep, xi = clock_rep(3), spin_state(1, 1)
+    xi = np.append(xi, 0.0)
+    output = cascade_apply(CascadeConfig(rep, 2), xi)
+    for delta in ((-1,), (0, 3), (3,)):
+        with pytest.raises(MeasurementError, match=r"outside \[0, 3\)"):
+            instrument(rep, delta, xi, np.eye(3))
+        with pytest.raises(MeasurementError, match=r"outside \[0, 3\)"):
+            amplified_instrument(output, delta, np.eye(3))
+    assert instrument(rep, (), xi, np.eye(3)).probability == 0.0
+    assert amplified_instrument(output, (), np.eye(3)).probability == 0.0
 
 
 def test_sigma_z_rep_unitary_family():
@@ -110,7 +152,7 @@ def test_instrument_full_outcome_is_nonselective():
     xi = v / np.linalg.norm(v)
     b = rng.standard_normal((3, 3))
     b = b + b.T
-    full = instrument(rep, outcome(rep.group.characters()), xi, b)
+    full = instrument(rep, outcome(range(rep.group.size)), xi, b)
     assert full.probability == pytest.approx(1.0)
     dephased = sum(
         p @ np.outer(xi, xi.conj()) @ p
@@ -154,7 +196,7 @@ def test_projective_equals_coupled_picture(seed, n):
     xi = v / np.linalg.norm(v)
     b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     b = b + b.conj().T
-    chars = rep.group.characters()
+    chars = range(rep.group.size)
     # the coupled picture: B x 1_Delta read off the N = 1 cascade output
     output = cascade_apply(CascadeConfig(rep, 1), xi)
     for delta in (outcome([chars[0]]), outcome(chars[:2]), outcome(chars)):
@@ -170,7 +212,7 @@ def test_instrument_sums_outcome_in_index_order(n):
     # were given in (or a set would iterate them in), so the rounding is
     # reproducible bit for bit
     rep = clock_rep(n)
-    chars = rep.group.characters()
+    chars = range(rep.group.size)
     rng = np.random.default_rng(11)
     b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     b = b + b.conj().T
@@ -190,7 +232,7 @@ def test_couple_holds_only_its_output():
     # a large group with one assigned character: couple fills that one column
     # and allocates nothing of size m |G| m (256 MiB here) on the way
     g, m = make_group([4096]), 64
-    rep = make_spectral_rep(g, m, [(g.trivial_character, np.eye(m))])
+    rep = make_spectral_rep(g, m, [(0, np.eye(m))])
     xi = np.full(m, m**-0.5, dtype=complex)
     tracemalloc.start()
     try:
@@ -208,7 +250,7 @@ def test_unassigned_character_allocates_no_matrix():
     # it, so at d = 512 its outcome allocates no d x d zero matrix (4 MiB)
     # and adds nothing, bit for bit, to an outcome that also holds others
     d, g = 512, make_group([3])
-    chars = g.characters()
+    chars = range(g.size)
     half = np.diag([1.0] * (d // 2) + [0.0] * (d // 2))
     rep = make_spectral_rep(g, d, [(chars[0], half), (chars[1], np.eye(d) - half)])
     xi = np.full(d, d**-0.5, dtype=complex)

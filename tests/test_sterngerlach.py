@@ -719,7 +719,7 @@ def read_pointer(spinor, mass, points, extent, dt, steps, check_every):
     g = gaussian_packet(points, extent, spinor=spinor, **packet)
     left = g.z < 0
     rep = measurement.clock_rep(2)
-    up = measurement.outcome([rep.group.trivial_character])  # E = |0><0|, spin up
+    up = measurement.outcome([0])  # the trivial character: E = |0><0|, spin up
     xi = np.asarray(spinor, dtype=complex) / np.linalg.norm(spinor)
     p_up = measurement.instrument(rep, up, xi, np.eye(2)).probability
     branches = list(zip(np.abs(xi) ** 2, ("up", "down")))
